@@ -6,6 +6,12 @@ therefore independent of how work is divided among workers, and normal
 variates are produced by the inverse CDF applied to uniforms with fixed
 53-bit resolution, so regenerating with the same key is bit-identical on
 any machine running the same numpy/scipy builds.
+
+A replicate's path stream (ROLE_PATH) supplies as many normals as its
+sampler asks for (`simulate`): N for a dense Cholesky factor, where
+normal j drives grid step j, and 2N for the fBm circulant sampler, laid
+out as [re_0, re_N, Re_1 .. Re_{N-1}, Im_1 .. Im_{N-1}] over the FFT
+modes 0 .. N.  A ROLE_BM stream supplies the N Brownian increments.
 """
 
 from __future__ import annotations

@@ -1,9 +1,24 @@
-"""Exact Gaussian path sampling via dense Cholesky factorization.
+"""Exact Gaussian path sampling, with one factor type per kernel.
 
-Paths are drawn jointly exact: values at grid times t_1 .. t_N come from
-L @ z with L the Cholesky factor of the covariance matrix and z a vector
-of per-replicate stream normals; the deterministic zero at t_0 is then
-reattached.  There is no approximation beyond float64 linear algebra.
+`cached_factor(kernel, grid)` picks the sampler for a kernel; every
+factor draws paths through the same `synthesize(z, out)` call, so
+`sample_paths` knows no kernel.  Paths are drawn jointly exact: there is
+no approximation beyond float64 linear algebra and FFTs, and the
+deterministic zero at t_0 is reattached after synthesis.
+
+* `CholeskyFactor` (every kernel but `fbm_quarter`): values at t_1 .. t_N
+  are L @ z with L the dense Cholesky factor of the covariance matrix and
+  z the N normals of the replicate's stream.  O(N^3) set-up, 8N^2 bytes.
+* `CirculantFactor` (`fbm_quarter`): Davies-Harte circulant embedding of
+  fractional Gaussian noise (Davies & Harte 1987; Dietrich & Newsam 1997).
+  The Toeplitz increment covariance is embedded in a 2N circulant whose
+  eigenvalues lambda_0 .. lambda_N are the real FFT of its first row; for
+  Hurst index 1/4 they are nonnegative, so the draw is exact, and
+  lambda_min / lambda_max is kept as the certificate.  A replicate's 2N
+  normals are laid out as [re_0, re_N, Re_1 .. Re_{N-1}, Im_1 .. Im_{N-1}]:
+  they fill the half spectrum, scaled by sqrt(lambda), whose length-2N
+  inverse real FFT holds the N increments in its first half; their
+  cumulative sum is the path.  O(N log N) per path, O(N) memory.
 
 Coupled sampling draws an independent standard Brownian motion for each
 replicate from a disjoint stream role, for use as the driving noise of
@@ -12,27 +27,32 @@ the corrected change-of-variable formula.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from . import rng
+from .analytic import gamma
 from .errors import DomainError, NotPositiveDefinite
 from .kernels import CovKernel, Grid, build_cov_matrix
 
 # Pivots below JITTER_REL * max(diag) trigger one diagonal jitter retry.
 JITTER_REL = 1e-12
 
-# Counts calls that actually run the factorization; lets tests assert the
-# "factor once, sample many" contract.
+# Circulant eigenvalues below -CIRCULANT_NEG_REL * lambda_max mean the
+# embedding is not PSD; smaller negatives are rounding and clip to 0.
+CIRCULANT_NEG_REL = 1e-12
+
+# Counts calls that actually run the dense factorization; lets tests
+# assert the "factor once, sample many" contract.
 FACTORIZATION_COUNT = 0
 
 _BIN_MAGIC = b"QLABENS1"
 _BIN_VERSION = 1
+_BIN_HEAD = "<IQdQQI"
 
 
 @dataclass(frozen=True)
@@ -40,13 +60,11 @@ class CholeskyFactor:
     """Lower-triangular factor with provenance.
 
     matrix_l:    L with L @ L.T equal to the source matrix.
-    fingerprint: blake2b hex digest of the source matrix bytes.
     jittered:    True when the single diagonal jitter retry was used.
     grid, kernel_id: optional provenance carried to sampled ensembles.
     """
 
     matrix_l: np.ndarray
-    fingerprint: str
     jittered: bool = False
     grid: Grid | None = None
     kernel_id: str = ""
@@ -54,6 +72,89 @@ class CholeskyFactor:
     @property
     def dim(self):
         return self.matrix_l.shape[0]
+
+    @property
+    def normals_per_path(self):
+        return self.dim
+
+    def synthesize(self, z, out):
+        """out[m] = L @ z[m] for the (M, N) normals z, in one BLAS call."""
+        out[...] = (self.matrix_l @ z.T).T
+
+
+@dataclass(frozen=True)
+class CirculantFactor:
+    """Davies-Harte factor of a stationary-increment path.
+
+    sqrt_eigs:   sqrt(lambda_0 .. lambda_N), eigenvalues of the 2N circulant
+                 embedding of the increment autocovariance.
+    certificate: lambda_min / lambda_max before clipping; >= 0 (up to
+                 rounding) means the draw is exact.
+    grid, kernel_id: optional provenance carried to sampled ensembles.
+    """
+
+    sqrt_eigs: np.ndarray
+    certificate: float
+    grid: Grid | None = None
+    kernel_id: str = ""
+
+    @property
+    def dim(self):
+        return self.sqrt_eigs.size - 1
+
+    @property
+    def normals_per_path(self):
+        return 2 * self.dim
+
+    def synthesize(self, z, out):
+        """Paths from the (M, 2N) normals z into out (M, N); see the module doc."""
+        n = self.dim
+        # sqrt(2N) undoes irfft's 1/(2N); interior modes split lambda_k
+        # evenly between the real and imaginary parts.
+        weights = self.sqrt_eigs * math.sqrt(n)
+        weights[[0, n]] *= math.sqrt(2.0)
+        spec = np.empty((z.shape[0], n + 1), dtype=np.complex128)
+        spec.real[:, 0] = z[:, 0]
+        spec.real[:, n] = z[:, 1]
+        spec.real[:, 1:n] = z[:, 2 : n + 1]
+        spec.imag[:, 1:n] = z[:, n + 1 :]
+        spec.imag[:, [0, n]] = 0.0
+        spec *= weights
+        increments = np.fft.irfft(spec, n=2 * n, axis=1)
+        np.cumsum(increments[:, :n], axis=1, out=out)
+
+
+def circulant_factor(autocov, grid=None, kernel_id=""):
+    """Davies-Harte factor from the increment autocovariance gamma(0 .. N).
+
+    Raises NotPositiveDefinite when an eigenvalue of the circulant
+    embedding is below -CIRCULANT_NEG_REL * lambda_max; rounding-size
+    negatives are clipped to zero.
+    """
+    autocov = np.asarray(autocov, dtype=np.float64)
+    if autocov.ndim != 1 or autocov.size < 2:
+        raise DomainError("circulant_factor needs autocovariances gamma(0 .. N), N >= 1")
+    row = np.concatenate([autocov, autocov[-2:0:-1]])
+    eigs = np.fft.rfft(row).real
+    lam_max = float(eigs.max())
+    lam_min = float(eigs.min())
+    if not lam_max > 0 or lam_min < -CIRCULANT_NEG_REL * lam_max:
+        raise NotPositiveDefinite(
+            f"circulant embedding has eigenvalue {lam_min:.3e} against maximum {lam_max:.3e}"
+        )
+    return CirculantFactor(np.sqrt(np.maximum(eigs, 0.0)), lam_min / lam_max, grid, kernel_id)
+
+
+def fgn_quarter_autocov(grid):
+    """Autocovariance gamma(0 .. N) of quarter-Hurst fBm increments on the grid.
+
+    gamma(k) = (|k+1|^(1/2) - 2|k|^(1/2) + |k-1|^(1/2)) dt^(1/2) / 2, with
+    the second difference taken from `analytic.gamma`, which avoids the
+    cancellation of the direct form.
+    """
+    lags = np.arange(1, grid.nsteps + 1)
+    autocov = np.concatenate([[1.0], -0.5 * gamma(lags)])
+    return autocov * math.sqrt(grid.dt)
 
 
 @dataclass(frozen=True)
@@ -75,12 +176,6 @@ class PathEnsemble:
         return self.values.shape[0]
 
 
-def _fingerprint(matrix):
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.ascontiguousarray(matrix, dtype=np.float64).tobytes())
-    return h.hexdigest()
-
-
 def factorize(matrix, grid=None, kernel_id=""):
     """Cholesky-factor a PSD matrix with a single jitter retry.
 
@@ -94,7 +189,6 @@ def factorize(matrix, grid=None, kernel_id=""):
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError("factorize expects a square matrix")
     FACTORIZATION_COUNT += 1
-    fingerprint = _fingerprint(matrix)
 
     max_diag = float(np.max(np.diag(matrix))) if matrix.size else 0.0
     if max_diag < 0:
@@ -103,22 +197,17 @@ def factorize(matrix, grid=None, kernel_id=""):
         if np.any(matrix != 0.0):
             raise NotPositiveDefinite("zero diagonal with nonzero off-diagonal entries")
         ell = np.zeros_like(matrix)
-        return CholeskyFactor(ell, fingerprint, False, grid, kernel_id)
+        return CholeskyFactor(ell, False, grid, kernel_id)
 
     threshold = JITTER_REL * max_diag
 
     def attempt(mat):
-        try:
-            ell = scipy.linalg.cholesky(mat, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
+        ell, info = lapack.dpotrf(mat, lower=1, clean=1)
+        if info < 0:
+            raise DomainError(f"dpotrf rejected argument {-info}")
+        if info > 0:
             # LAPACK reports the 1-based order of the failing leading minor.
-            info = getattr(exc, "args", ("",))[0]
-            pivot = None
-            for token in str(info).split():
-                if token.rstrip("-thsnrd").isdigit():
-                    pivot = int(token.rstrip("-thsnrd")) - 1
-                    break
-            return None, pivot
+            return None, info - 1
         pivots = np.diag(ell) ** 2
         bad = np.nonzero(pivots < threshold)[0]
         if bad.size:
@@ -127,12 +216,12 @@ def factorize(matrix, grid=None, kernel_id=""):
 
     ell, pivot = attempt(matrix)
     if ell is not None:
-        return CholeskyFactor(ell, fingerprint, False, grid, kernel_id)
+        return CholeskyFactor(ell, False, grid, kernel_id)
 
     jittered = matrix + threshold * np.eye(matrix.shape[0])
     ell, pivot2 = attempt(jittered)
     if ell is not None:
-        return CholeskyFactor(ell, fingerprint, True, grid, kernel_id)
+        return CholeskyFactor(ell, True, grid, kernel_id)
     index = pivot2 if pivot2 is not None else pivot
     raise NotPositiveDefinite(
         f"matrix is not positive definite near pivot {index} even after jitter",
@@ -140,21 +229,25 @@ def factorize(matrix, grid=None, kernel_id=""):
     )
 
 
-_FACTOR_CACHE: dict[tuple[str, int, float], CholeskyFactor] = {}
+_FACTOR_CACHE: dict[tuple[str, int, float], CholeskyFactor | CirculantFactor] = {}
 
 
 def cached_factor(kernel, grid):
     """Factor for (kernel, grid), computed once per process.
 
-    Large experiments share the 4096-point factors through this cache, so
-    a pipeline factors each kernel exactly once no matter how many
-    ensembles it draws.
+    `fbm_quarter` gets the Davies-Harte `CirculantFactor`; every other
+    kernel the dense `CholeskyFactor`.  Large experiments share factors
+    through this cache, so a pipeline factors each kernel exactly once no
+    matter how many ensembles it draws.
     """
     key = (kernel.canonical_id(), grid.n, grid.horizon)
     factor = _FACTOR_CACHE.get(key)
     if factor is None:
-        cov = build_cov_matrix(kernel, grid)
-        factor = factorize(cov, grid=grid, kernel_id=kernel.canonical_id())
+        if kernel.kind == "fbm_quarter":
+            factor = circulant_factor(fgn_quarter_autocov(grid), grid, kernel.canonical_id())
+        else:
+            cov = build_cov_matrix(kernel, grid)
+            factor = factorize(cov, grid=grid, kernel_id=kernel.canonical_id())
         _FACTOR_CACHE[key] = factor
     return factor
 
@@ -163,23 +256,23 @@ def clear_factor_cache():
     _FACTOR_CACHE.clear()
 
 
-def _draw_normal_matrix(grid, m, seed, role):
-    """(N, M) matrix whose column m comes from the replicate-m stream."""
-    nsteps = grid.nsteps
-    z = np.empty((nsteps, m), dtype=np.float64)
+def _draw_normals(m, count, seed, role):
+    """(M, count) matrix whose row m comes from the replicate-m stream."""
+    z = np.empty((m, count), dtype=np.float64)
     keys = []
     for rep in range(m):
         key = rng.derive_key(seed, rep, role)
         keys.append(key)
-        z[:, rep] = rng.normals(key, nsteps)
+        z[rep] = rng.normals(key, count)
     return z, tuple(keys)
 
 
 def sample_paths(factor, m, seed, grid=None, kernel_id=None):
-    """Draw M exact paths from a factored covariance.
+    """Draw M exact paths from a factor (`cached_factor`).
 
-    The per-replicate normal columns are assembled first and multiplied by
-    L in one BLAS call, so results do not depend on any worker pool.
+    The per-replicate normal rows are assembled first and synthesized in
+    one call on the whole block, so results do not depend on any worker
+    pool.
     """
     grid = grid if grid is not None else factor.grid
     if grid is None:
@@ -191,18 +284,17 @@ def sample_paths(factor, m, seed, grid=None, kernel_id=None):
     if m < 1:
         raise DomainError("need at least one replicate")
     kernel_id = kernel_id if kernel_id is not None else factor.kernel_id
-    z, keys = _draw_normal_matrix(grid, m, seed, rng.ROLE_PATH)
-    body = factor.matrix_l @ z
+    z, keys = _draw_normals(m, factor.normals_per_path, seed, rng.ROLE_PATH)
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
     values[:, 0] = 0.0
-    values[:, 1:] = body.T
+    factor.synthesize(z, values[:, 1:])
     return PathEnsemble(grid, values, kernel_id, int(seed), keys)
 
 
 def sample_brownian(grid, m, seed):
     """M standard Brownian motion paths from the ROLE_BM streams."""
-    z, keys = _draw_normal_matrix(grid, m, seed, rng.ROLE_BM)
-    steps = z.T * math.sqrt(grid.dt)
+    z, keys = _draw_normals(m, grid.nsteps, seed, rng.ROLE_BM)
+    steps = z * math.sqrt(grid.dt)
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
     values[:, 0] = 0.0
     np.cumsum(steps, axis=1, out=values[:, 1:])
@@ -237,7 +329,7 @@ def save_ensemble(ensemble, path):
     """Write the flat binary layout: fixed header, then row-major float64."""
     kernel_bytes = ensemble.kernel_id.encode("utf-8")
     header = _BIN_MAGIC + struct.pack(
-        "<IQdQQI",
+        _BIN_HEAD,
         _BIN_VERSION,
         ensemble.grid.n,
         ensemble.grid.horizon,
@@ -252,19 +344,38 @@ def save_ensemble(ensemble, path):
 
 
 def load_ensemble(path):
-    """Read an ensemble written by save_ensemble; rederives stream keys."""
+    """Read an ensemble written by save_ensemble; rederives stream keys.
+
+    A short header, a kernel id that is not UTF-8 or a body whose length
+    is not m * (N + 1) float64 values raises DomainError.
+    """
+    head_size = struct.calcsize(_BIN_HEAD)
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _BIN_MAGIC:
             raise DomainError(f"not an ensemble file (magic {magic!r})")
-        head = fh.read(struct.calcsize("<IQdQQI"))
-        version, n, horizon, m, seed, kernel_len = struct.unpack("<IQdQQI", head)
+        head = fh.read(head_size)
+        if len(head) != head_size:
+            raise DomainError(f"truncated ensemble header: {len(head)} of {head_size} bytes")
+        version, n, horizon, m, seed, kernel_len = struct.unpack(_BIN_HEAD, head)
         if version != _BIN_VERSION:
             raise DomainError(f"unsupported ensemble format version {version}")
-        kernel_id = fh.read(kernel_len).decode("utf-8")
+        kernel_bytes = fh.read(kernel_len)
+        if len(kernel_bytes) != kernel_len:
+            raise DomainError(f"truncated ensemble header: kernel id cut at {len(kernel_bytes)} bytes")
+        try:
+            kernel_id = kernel_bytes.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"ensemble kernel id is not UTF-8: {exc}") from exc
         grid = Grid(int(n), float(horizon))
-        body = np.frombuffer(fh.read(), dtype=np.float64)
-    values = body.reshape(int(m), grid.nsteps + 1).copy()
+        body = fh.read()
+    expected = int(m) * (grid.nsteps + 1) * 8
+    if len(body) != expected:
+        raise DomainError(
+            f"ensemble body has {len(body)} bytes; the header implies {expected} "
+            f"(m={m}, N={grid.nsteps})"
+        )
+    values = np.frombuffer(body, dtype=np.float64).reshape(int(m), grid.nsteps + 1).copy()
     keys = tuple(rng.derive_key(int(seed), rep, rng.ROLE_PATH) for rep in range(int(m)))
     return PathEnsemble(grid, values, kernel_id, int(seed), keys)
 

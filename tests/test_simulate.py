@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 
 import quartic_lab.simulate as simulate
+import quartic_lab.verify as verify
 from quartic_lab.errors import DomainError, NotPositiveDefinite
 from quartic_lab.kernels import (
     CovKernel,
     Grid,
     build_cov_matrix,
     fbm_composite_kernel,
+    fbm_quarter_kernel,
     heat_kernel,
     rho_heat,
 )
 from quartic_lab.simulate import (
+    CirculantFactor,
     add_deterministic_drift,
     cached_factor,
+    circulant_factor,
     clear_factor_cache,
     factorize,
     load_ensemble,
@@ -62,22 +66,37 @@ class TestFactorize:
             factorize(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert exc_info.value.pivot_index == 1
 
+    def test_pivot_index_is_first_failing_leading_minor(self):
+        # leading minors of order 1 and 2 are 1; order 3 is 1 - 1.5^2 < 0
+        mat = np.eye(5)
+        mat[0, 2] = mat[2, 0] = 1.5
+        with pytest.raises(NotPositiveDefinite) as exc_info:
+            factorize(mat)
+        assert exc_info.value.pivot_index == 2
+
     def test_non_square_rejected(self):
         with pytest.raises(DomainError):
             factorize(np.zeros((2, 3)))
 
 
+SAMPLED_KERNELS = pytest.mark.parametrize(
+    "kernel", [heat_kernel(), fbm_quarter_kernel()], ids=lambda k: k.canonical_id()
+)
+
+
 class TestSamplePaths:
-    def test_same_seed_is_bit_identical(self):
-        factor = cached_factor(heat_kernel(), Grid(32))
+    @SAMPLED_KERNELS
+    def test_same_seed_is_bit_identical(self, kernel):
+        factor = cached_factor(kernel, Grid(32))
         a = sample_paths(factor, 20, seed=11)
         b = sample_paths(factor, 20, seed=11)
         assert np.array_equal(a.values, b.values)
         assert a.replicate_keys == b.replicate_keys
 
-    def test_replicate_streams_are_stable_under_extension(self):
+    @SAMPLED_KERNELS
+    def test_replicate_streams_are_stable_under_extension(self, kernel):
         """Path m is the same whether the ensemble has 5 or 50 rows."""
-        factor = cached_factor(heat_kernel(), Grid(32))
+        factor = cached_factor(kernel, Grid(32))
         small = sample_paths(factor, 5, seed=3)
         large = sample_paths(factor, 50, seed=3)
         assert np.array_equal(large.values[:5], small.values)
@@ -126,6 +145,59 @@ class TestSamplePaths:
         sample_paths(cached_factor(heat_kernel(), grid), 10, seed=1)
         sample_paths(cached_factor(heat_kernel(), grid), 10, seed=2)
         assert simulate.FACTORIZATION_COUNT == before + 1
+
+
+def _circulant_map(factor, block=512):
+    """Covariance A @ A.T of the factor's linear map from normals to path values.
+
+    A is applied to the identity in row blocks, so the result is exact up
+    to float64 rounding, with no Monte Carlo.
+    """
+    count = factor.normals_per_path
+    cov = np.zeros((factor.dim, factor.dim))
+    out = np.empty((block, factor.dim))
+    for start in range(0, count, block):
+        rows = min(block, count - start)
+        basis = np.zeros((rows, count))
+        basis[np.arange(rows), start + np.arange(rows)] = 1.0
+        factor.synthesize(basis, out[:rows])
+        cov += out[:rows].T @ out[:rows]
+    return cov
+
+
+class TestCirculantSampler:
+    @pytest.mark.parametrize("n", [8, 64, 512, 2048])
+    def test_linear_map_has_the_fbm_covariance(self, n):
+        grid = Grid(n)
+        factor = cached_factor(fbm_quarter_kernel(), grid)
+        assert isinstance(factor, CirculantFactor)
+        exact = build_cov_matrix(fbm_quarter_kernel(), grid)
+        assert np.max(np.abs(_circulant_map(factor) - exact)) <= 1e-13
+
+    def test_certificate_stored_and_no_dense_factor(self):
+        clear_factor_cache()
+        before = simulate.FACTORIZATION_COUNT
+        factor = cached_factor(fbm_quarter_kernel(), Grid(1024))
+        assert simulate.FACTORIZATION_COUNT == before
+        assert factor.certificate > 0
+        assert factor.normals_per_path == 2 * factor.dim == 2048
+
+    def test_negative_eigenvalue_row_rejected(self):
+        # eigenvalues 1 + 1.8 cos(pi k / 4); the one at k = 4 is -0.8
+        with pytest.raises(NotPositiveDefinite):
+            circulant_factor([1.0, 0.9, 0.0, 0.0, 0.0])
+
+
+def test_benchmark_wrapped_attributes_exist():
+    """bench/tracing.py wraps these module attributes by name; its traced run needs them."""
+    for owner, name in [
+        (simulate, "build_cov_matrix"),
+        (simulate, "factorize"),
+        (verify, "cached_factor"),
+        (verify, "sample_paths"),
+        (verify, "sample_brownian"),
+    ]:
+        assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
 
 
 class TestSampleCoupled:
@@ -218,6 +290,24 @@ class TestPersistence:
     def test_bad_magic_rejected(self, tmp_path):
         target = tmp_path / "junk.bin"
         target.write_bytes(b"NOTANENS" + b"\0" * 64)
+        with pytest.raises(DomainError):
+            load_ensemble(target)
+
+    @pytest.mark.parametrize("damage", ["header_cut", "body_cut", "kernel_id_bytes"])
+    def test_damaged_file_rejected(self, tmp_path, damage):
+        grid = Grid(8)
+        ens = sample_paths(cached_factor(heat_kernel(), grid), 3, seed=4)
+        target = tmp_path / "ens.bin"
+        save_ensemble(ens, target)
+        data = target.read_bytes()
+        if damage == "header_cut":
+            data = data[:20]
+        elif damage == "body_cut":
+            data = data[:-5]
+        else:
+            # the kernel id "heat" starts right after the 48-byte header
+            data = data[:48] + b"\xff" + data[49:]
+        target.write_bytes(data)
         with pytest.raises(DomainError):
             load_ensemble(target)
 
