@@ -8,7 +8,10 @@ deterministic zero at t_0 is reattached after synthesis.
 
 * `CholeskyFactor` (every kernel but `fbm_quarter`): values at t_1 .. t_N
   are L @ z with L the dense Cholesky factor of the covariance matrix and
-  z the N normals of the replicate's stream.  O(N^3) set-up, 8N^2 bytes.
+  z the N normals of the replicate's stream.  One 8N^2-byte buffer serves
+  from build to synthesis: `build_cov_matrix` fills it from O(N) square
+  root tables, `dpotrf` factors it in place, and a triangular multiply
+  (`dtrmm`) applies it to the normals in place.  O(N^3) set-up.
 * `CirculantFactor` (`fbm_quarter`): Davies-Harte circulant embedding of
   fractional Gaussian noise (Davies & Harte 1987; Dietrich & Newsam 1997).
   The Toeplitz increment covariance is embedded in a 2N circulant whose
@@ -32,7 +35,7 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import rng
 from .analytic import gamma
@@ -78,8 +81,12 @@ class CholeskyFactor:
         return self.dim
 
     def synthesize(self, z, out):
-        """out[m] = L @ z[m] for the (M, N) normals z, in one BLAS call."""
-        out[...] = (self.matrix_l @ z.T).T
+        """out[m] = L @ z[m] for the (M, N) normals z, which it overwrites.
+
+        One triangular multiply (BLAS dtrmm) in place on z.T, which is
+        F-contiguous for C-ordered z, so no (N, M) temporary is made.
+        """
+        out[...] = blas.dtrmm(1.0, self.matrix_l, z.T, lower=1, overwrite_b=1).T
 
 
 @dataclass(frozen=True)
@@ -176,57 +183,66 @@ class PathEnsemble:
         return self.values.shape[0]
 
 
-def factorize(matrix, grid=None, kernel_id=""):
+def factorize(matrix, grid=None, kernel_id="", overwrite_a=False):
     """Cholesky-factor a PSD matrix with a single jitter retry.
 
     A pivot below 1e-12 * max(diag) (LAPACK failure included) triggers one
     retry with that same jitter added to the whole diagonal; a second
     failure raises NotPositiveDefinite naming the pivot index.  An exactly
-    zero matrix factors to zero.
+    zero matrix factors to zero.  Only the lower triangle is read.
+
+    With overwrite_a=True a writeable F-contiguous float64 matrix is
+    factored in place and becomes the factor's storage (its contents are
+    lost, also when this raises); any other input is copied first, as
+    every input is by default.
     """
     global FACTORIZATION_COUNT
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError("factorize expects a square matrix")
     FACTORIZATION_COUNT += 1
 
-    max_diag = float(np.max(np.diag(matrix))) if matrix.size else 0.0
+    diag = matrix.diagonal().copy()
+    max_diag = float(np.max(diag)) if diag.size else 0.0
     if max_diag < 0:
-        raise NotPositiveDefinite("negative diagonal entry", pivot_index=int(np.argmin(np.diag(matrix))))
+        raise NotPositiveDefinite("negative diagonal entry", pivot_index=int(np.argmin(diag)))
+    if max_diag == 0.0 and np.any(matrix != 0.0):
+        raise NotPositiveDefinite("zero diagonal with nonzero off-diagonal entries")
+    in_place = overwrite_a and matrix.flags.f_contiguous and matrix.flags.writeable
+    work = matrix if in_place else np.array(matrix, order="F")
     if max_diag == 0.0:
-        if np.any(matrix != 0.0):
-            raise NotPositiveDefinite("zero diagonal with nonzero off-diagonal entries")
-        ell = np.zeros_like(matrix)
-        return CholeskyFactor(ell, False, grid, kernel_id)
+        return CholeskyFactor(work, False, grid, kernel_id)
 
     threshold = JITTER_REL * max_diag
+    dim = work.shape[0]
 
-    def attempt(mat):
-        ell, info = lapack.dpotrf(mat, lower=1, clean=1)
+    def attempt():
+        # clean=0 leaves the strict upper triangle untouched even on failure,
+        # so the lower one can be restored from it for the retry.
+        _, info = lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
         if info < 0:
             raise DomainError(f"dpotrf rejected argument {-info}")
         if info > 0:
             # LAPACK reports the 1-based order of the failing leading minor.
-            return None, info - 1
-        pivots = np.diag(ell) ** 2
-        bad = np.nonzero(pivots < threshold)[0]
-        if bad.size:
-            return None, int(bad[0])
-        return ell, None
+            return info - 1
+        bad = np.nonzero(work.diagonal() ** 2 < threshold)[0]
+        return int(bad[0]) if bad.size else None
 
-    ell, pivot = attempt(matrix)
-    if ell is not None:
-        return CholeskyFactor(ell, False, grid, kernel_id)
-
-    jittered = matrix + threshold * np.eye(matrix.shape[0])
-    ell, pivot2 = attempt(jittered)
-    if ell is not None:
-        return CholeskyFactor(ell, True, grid, kernel_id)
-    index = pivot2 if pivot2 is not None else pivot
-    raise NotPositiveDefinite(
-        f"matrix is not positive definite near pivot {index} even after jitter",
-        pivot_index=index,
-    )
+    pivot = attempt()
+    jittered = pivot is not None
+    if jittered:
+        for col in range(dim - 1):
+            work[col + 1 :, col] = work[col, col + 1 :]
+        np.fill_diagonal(work, diag + threshold)
+        pivot2 = attempt()
+        if pivot2 is not None:
+            raise NotPositiveDefinite(
+                f"matrix is not positive definite near pivot {pivot2} even after jitter",
+                pivot_index=pivot2,
+            )
+    for col in range(1, dim):
+        work[:col, col] = 0.0
+    return CholeskyFactor(work, jittered, grid, kernel_id)
 
 
 _FACTOR_CACHE: dict[tuple[str, int, float], CholeskyFactor | CirculantFactor] = {}
@@ -247,7 +263,7 @@ def cached_factor(kernel, grid):
             factor = circulant_factor(fgn_quarter_autocov(grid), grid, kernel.canonical_id())
         else:
             cov = build_cov_matrix(kernel, grid)
-            factor = factorize(cov, grid=grid, kernel_id=kernel.canonical_id())
+            factor = factorize(cov, grid=grid, kernel_id=kernel.canonical_id(), overwrite_a=True)
         _FACTOR_CACHE[key] = factor
     return factor
 

@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytic, stats, sums
+from . import __version__, analytic, stats, sums
 from .analytic import GaussianMoments, kappa_reference, poly_diff, poly_from_coeffs, poly_mul
 from .errors import ConfigError, DomainError
 from .functions import TestFunction, builtin
 from .kernels import CovKernel, Grid, heat_kernel
 from .simulate import add_deterministic_drift, cached_factor, sample_brownian, sample_paths
 
-PACKAGE_VERSION = "0.1.0"
 SUMMARY_SCHEMA = 1
 
 # Replicates are processed in fixed-size row blocks so that the split is
@@ -101,7 +100,7 @@ class ExperimentReport:
     def to_summary_dict(self):
         return {
             "schema": SUMMARY_SCHEMA,
-            "package": PACKAGE_VERSION,
+            "package": __version__,
             "experiment": self.experiment,
             "config": _jsonable(self.config),
             "checks": [c.to_dict() for c in self.checks],

@@ -6,6 +6,7 @@ integral, arbitrary-precision evaluation of the defining formulas).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,14 +199,50 @@ class TestCovKernel:
             CovKernel.from_dict(["heat"])
 
 
+_DENSE_KERNELS = (heat_kernel(), CovKernel("xi"), fbm_quarter_kernel(), CovKernel("bm"), fbm_composite_kernel())
+DENSE_KERNELS = pytest.mark.parametrize("kernel", _DENSE_KERNELS, ids=lambda k: k.kind)
+
+
+def _rho_on_grid(kernel, grid):
+    ts = grid.times()[1:]
+    return kernel.rho(ts[:, None], ts[None, :])
+
+
 class TestBuildCovMatrix:
     def test_brownian_two_step(self):
         mat = build_cov_matrix(CovKernel("bm"), Grid(2))
         np.testing.assert_array_equal(mat, [[0.5, 0.5], [0.5, 1.0]])
 
     def test_exact_symmetry(self):
-        mat = build_cov_matrix(heat_kernel(), Grid(32))
-        assert np.array_equal(mat, mat.T)
+        for kernel in _DENSE_KERNELS:
+            for grid in (Grid(32), Grid(100, 2.5)):
+                mat = build_cov_matrix(kernel, grid)
+                assert mat.flags.f_contiguous
+                assert np.array_equal(mat, mat.T)
+
+    @DENSE_KERNELS
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_bitwise_equal_to_rho_on_dyadic_grids(self, kernel, n):
+        grid = Grid(n)
+        assert np.array_equal(build_cov_matrix(kernel, grid), _rho_on_grid(kernel, grid))
+
+    @DENSE_KERNELS
+    @pytest.mark.parametrize("grid", [Grid(1000), Grid(100, 2.5)], ids=["n1000", "n100_h2.5"])
+    def test_within_8_ulp_of_rho(self, kernel, grid):
+        exact = _rho_on_grid(kernel, grid)
+        err = np.max(np.abs(build_cov_matrix(kernel, grid) - exact))
+        assert err <= 8 * np.spacing(np.max(np.abs(exact)))
+
+    def test_oversized_matrix_refused_before_allocating(self):
+        size = 2**20
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=rf"'heat' at N={size} needs {8 * size * size} bytes.*circulant"):
+                build_cov_matrix(heat_kernel(), Grid(size))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_heat_diagonal(self):
         grid = Grid(8)

@@ -33,6 +33,10 @@ from quartic_lab.simulate import (
 )
 
 
+# Every time twice: a 16 x 16 heat covariance of rank 8, singular but PSD.
+_REPEATED_TIMES = np.repeat(np.arange(1, 9) / 8, 2)
+
+
 class TestFactorize:
     def test_scalar_square_root(self):
         factor = factorize(np.array([[4.0]]))
@@ -77,6 +81,39 @@ class TestFactorize:
     def test_non_square_rejected(self):
         with pytest.raises(DomainError):
             factorize(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[1.0, 1.0], [1.0, 1.0]]),
+            rho_heat(_REPEATED_TIMES[:, None], _REPEATED_TIMES),
+            build_cov_matrix(heat_kernel(), Grid(256)),
+        ],
+        ids=["rank1", "repeated_times", "heat256"],
+    )
+    def test_in_place_is_bitwise_the_default(self, matrix):
+        original = matrix.copy()
+        expected = factorize(matrix)
+        assert np.array_equal(matrix, original)
+        work = np.asfortranarray(original.copy())
+        factor = factorize(work, overwrite_a=True)
+        assert factor.matrix_l is work
+        assert np.array_equal(factor.matrix_l, expected.matrix_l)
+        assert factor.jittered == expected.jittered
+
+    @pytest.mark.parametrize(
+        "matrix, pivot",
+        [(np.array([[1.0, 2.0], [2.0, 1.0]]), 1), (np.eye(5) + 1.5 * (np.eye(5, k=2) + np.eye(5, k=-2)), 2)],
+        ids=["2x2", "5x5"],
+    )
+    def test_in_place_indefinite_raises_the_same_pivot(self, matrix, pivot):
+        original = matrix.copy()
+        for overwrite_a in (False, True):
+            with pytest.raises(NotPositiveDefinite) as exc_info:
+                factorize(np.asfortranarray(matrix) if overwrite_a else matrix, overwrite_a=overwrite_a)
+            assert exc_info.value.pivot_index == pivot
+            if not overwrite_a:
+                assert np.array_equal(matrix, original)
 
 
 SAMPLED_KERNELS = pytest.mark.parametrize(
@@ -136,6 +173,27 @@ class TestSamplePaths:
         factor = cached_factor(heat_kernel(), Grid(16))
         with pytest.raises(DomainError):
             sample_paths(factor, 3, seed=1, grid=Grid(32))
+
+    def test_triangular_synthesis_matches_matrix_product(self):
+        factor = cached_factor(heat_kernel(), Grid(1024))
+        z = np.random.default_rng(4).standard_normal((50, 1024))
+        expected = (factor.matrix_l @ z.T).T
+        out = np.empty_like(z)
+        factor.synthesize(z.copy(), out)
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_cached_factor_factors_the_built_buffer_in_place(self, monkeypatch):
+        built = []
+
+        def build(kernel, grid):
+            built.append(build_cov_matrix(kernel, grid))
+            return built[-1]
+
+        monkeypatch.setattr(simulate, "build_cov_matrix", build)
+        clear_factor_cache()
+        factor = cached_factor(heat_kernel(), Grid(64))
+        assert factor.matrix_l is built[0]
+        assert np.array_equal(np.triu(factor.matrix_l, 1), np.zeros((64, 64)))
 
     def test_factor_cache_reuses_work(self):
         clear_factor_cache()
