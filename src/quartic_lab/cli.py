@@ -1,7 +1,10 @@
 """Command-line runner for sampling, tables, sums, and experiments.
 
 Config files are flat JSON with a strict schema: unknown keys are
-rejected so a typo cannot silently fall back to a default.  All
+rejected so a typo cannot silently fall back to a default, and a value
+of the wrong type or range raises ConfigError.  Each experiment's keys
+and defaults come from the keyword parameters of its `verify_*`
+function, so the schema and the function cannot drift apart.  All
 randomness flows from the single seed in the config (or --seed), and
 rerunning any verb with the same inputs reproduces its output files
 byte for byte, whatever the worker count.
@@ -10,16 +13,17 @@ byte for byte, whatever the worker count.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analytic, functions, sums, verify
-from .errors import ConfigError, QuarticLabError
+from .errors import ConfigError, DomainError, QuarticLabError
 from .kernels import CovKernel, Grid, fbm_composite_kernel, fbm_quarter_kernel, heat_kernel
 from .simulate import save_ensemble, write_ensemble_csv
 
@@ -76,77 +80,124 @@ def _float_list(text):
 # Experiment configuration.
 # ---------------------------------------------------------------------------
 
-EXPERIMENTS = ("ito", "bn", "trapezoid", "expansion", "fbm-window")
-
-_ALLOWED_KEYS = {
-    "ito": {
-        "kernel", "c", "g", "n", "m", "horizon", "probes", "seed", "seeds",
-        "window_start", "tolerances", "out_dir",
-    },
-    "fbm-window": {
-        "kernel", "c", "g", "n", "m", "horizon", "probes", "seed", "seeds",
-        "window_start", "tolerances", "out_dir",
-    },
-    "bn": {"kernel", "n", "m", "probes", "seed", "tolerances", "out_dir"},
-    "trapezoid": {"kernel", "g", "n_list", "m", "probes", "seed", "tolerances", "out_dir"},
-    "expansion": {"kernel", "g", "n_list", "m", "probes", "seed", "tolerances", "out_dir"},
+# One row per experiment: its verify function, its default kernel and its
+# tolerance keys.  The other config keys and their defaults are the
+# function's keyword parameters, read from its signature.
+_SPECS = {
+    "ito": ("verify_ito_formula", "heat", ("ks_tol", "mean_tol", "var_tol")),
+    "bn": ("verify_bn_limit", "heat", ("ks_tol", "corr_tol")),
+    "trapezoid": ("verify_trapezoid_ucp", "heat", ("final_tol", "max_inversions")),
+    "expansion": ("verify_expansion_residual", "heat", ("max_inversions",)),
+    "fbm-window": ("verify_fbm_window", "fbm-composite", ("ks_tol", "mean_tol", "var_tol")),
 }
 
-_ALLOWED_TOLERANCES = {
-    "ito": {"ks_tol", "mean_tol", "var_tol"},
-    "fbm-window": {"ks_tol", "mean_tol", "var_tol"},
-    "bn": {"ks_tol", "corr_tol"},
-    "trapezoid": {"final_tol", "max_inversions"},
-    "expansion": {"max_inversions"},
-}
+# Keyword parameters that the runner, not the config, supplies.
+_CALL_ONLY = {"workers", "experiment_name"}
 
-_DEFAULTS = {
-    "ito": {
-        "kernel": "heat", "c": None, "g": "square", "n": 4096, "m": 1000,
-        "horizon": None, "probes": (1.0,), "seed": 7, "seeds": 3, "window_start": 0.0,
-    },
-    "fbm-window": {
-        "kernel": "fbm-composite", "c": None, "g": "square", "n": 4096, "m": 1000,
-        "horizon": None, "probes": (1.0,), "seed": 7, "seeds": 3, "window_start": 0.1,
-    },
-    "bn": {"kernel": "heat", "n": 4096, "m": 1000, "probes": (0.25, 0.5, 0.75, 1.0), "seed": 7},
-    "trapezoid": {
-        "kernel": "heat", "g": "square", "n_list": (256, 1024, 4096), "m": 200,
-        "probes": (1.0,), "seed": 7,
-    },
-    "expansion": {
-        "kernel": "heat", "g": "square", "n_list": (256, 1024, 4096), "m": 200,
-        "probes": (1.0,), "seed": 7,
-    },
+
+def _defaults(function, kernel, tolerances):
+    params = inspect.signature(getattr(verify, function)).parameters
+    skip = _CALL_ONLY | set(tolerances)
+    return {k: p.default for k, p in params.items() if k not in skip} | {"kernel": kernel}
+
+
+EXPERIMENTS = tuple(_SPECS)
+_DEFAULTS = {name: _defaults(*spec) for name, spec in _SPECS.items()}
+_ALLOWED_KEYS = {name: set(d) | {"tolerances", "out_dir"} for name, d in _DEFAULTS.items()}
+_ALLOWED_TOLERANCES = {name: set(spec[2]) for name, spec in _SPECS.items()}
+
+
+def _int_from(low):
+    def check(key, value):
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+        return value
+
+    return check
+
+
+def _float_from(ok, what):
+    def check(key, value):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        # abs(nan) and abs(inf) fail this bound; so do ints beyond float range.
+        if not (number and abs(value) <= sys.float_info.max and ok(value)):
+            raise ConfigError(f"{key} must be a finite {what}number, got {value!r}")
+        return float(value)
+
+    return check
+
+
+def _list_of(check_item):
+    def check(key, value):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{key} must be a nonempty list, got {value!r}")
+        return tuple(check_item(key, v) for v in value)
+
+    return check
+
+
+def _parsed(parse):
+    def check(key, value):
+        try:
+            return parse(value)
+        except (DomainError, OverflowError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {key}: {exc}") from exc
+
+    return check
+
+
+_POSITIVE = _float_from(lambda v: v > 0, "positive ")
+
+# Validator and normalizer per config or tolerance key; each raises
+# ConfigError.  Tolerances without an entry must be positive numbers.
+_CHECKS = {
+    "kernel": _parsed(_kernel_from),
+    "g": _parsed(_g_from),
+    "c": _float_from(lambda v: True, ""),
+    "n": _int_from(2),
+    "n_list": _list_of(_int_from(2)),
+    "m": _int_from(1),
+    "horizon": _POSITIVE,
+    "probes": _list_of(_POSITIVE),
+    "seed": _int_from(0),
+    "seeds": _int_from(1),
+    "window_start": _float_from(lambda v: v >= 0, "nonnegative "),
+    "max_inversions": _int_from(0),
+    "workers": _int_from(1),
 }
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment inputs; every field is already normalized."""
+    """Validated experiment inputs; every field is already normalized.
+
+    Fields the experiment does not take stay None.
+    """
 
     experiment: str
-    kernel: CovKernel
-    c: float | None
-    g: object | None
-    n: int | None
-    n_list: tuple[int, ...] | None
-    m: int
-    horizon: float | None
-    probes: tuple[float, ...]
-    seed: int
-    seeds: int
-    window_start: float
-    tolerances: dict
-    out_dir: str | None
+    kernel: CovKernel | None = None
+    c: float | None = None
+    g: object | None = None
+    n: int | None = None
+    n_list: tuple[int, ...] | None = None
+    m: int | None = None
+    horizon: float | None = None
+    probes: tuple[float, ...] | None = None
+    seed: int | None = None
+    seeds: int | None = None
+    window_start: float | None = None
+    tolerances: dict = field(default_factory=dict)
+    out_dir: str | None = None
 
     @staticmethod
     def from_dict(experiment, rec):
-        if experiment not in EXPERIMENTS:
+        if experiment not in _SPECS:
             raise ConfigError(
                 f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}"
             )
-        rec = dict(rec or {})
+        rec = {} if rec is None else rec
+        if not isinstance(rec, dict):
+            raise ConfigError("config must be a JSON object")
         allowed = _ALLOWED_KEYS[experiment]
         unknown = sorted(set(rec) - allowed)
         if unknown:
@@ -154,10 +205,9 @@ class ExperimentConfig:
                 f"unknown config keys for {experiment}: {', '.join(unknown)}; "
                 f"allowed: {', '.join(sorted(allowed))}"
             )
-        merged = dict(_DEFAULTS[experiment])
-        merged.update({k: v for k, v in rec.items() if k not in ("tolerances", "out_dir")})
-
-        tolerances = dict(rec.get("tolerances") or {})
+        tolerances = {} if rec.get("tolerances") is None else rec["tolerances"]
+        if not isinstance(tolerances, dict):
+            raise ConfigError("tolerances must be a JSON object")
         bad_tol = sorted(set(tolerances) - _ALLOWED_TOLERANCES[experiment])
         if bad_tol:
             raise ConfigError(
@@ -165,112 +215,29 @@ class ExperimentConfig:
                 f"allowed: {', '.join(sorted(_ALLOWED_TOLERANCES[experiment]))}"
             )
         for key, value in tolerances.items():
-            if key == "max_inversions":
-                if not isinstance(value, int) or value < 0:
-                    raise ConfigError("max_inversions must be a nonnegative integer")
-            elif not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigError(f"tolerance {key} must be positive, got {value!r}")
+            _CHECKS.get(key, _POSITIVE)(key, value)
+        out_dir = rec.get("out_dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ConfigError("out_dir must be a path string")
 
-        probes = tuple(float(t) for t in merged.get("probes", (1.0,)))
-        if not probes or any(t <= 0 for t in probes):
-            raise ConfigError("probes must be positive times")
-        horizon = merged.get("horizon")
-        if horizon is not None and max(probes) > float(horizon) + 1e-12:
+        values = {}
+        for key, default in _DEFAULTS[experiment].items():
+            value = rec.get(key, default)
+            # None is a value only where the experiment's own default is None.
+            values[key] = None if value is None and default is None else _CHECKS[key](key, value)
+        if values.get("horizon") is not None and max(values["probes"]) > values["horizon"] + 1e-12:
             raise ConfigError("probe times must not exceed the horizon")
-
-        n = merged.get("n")
-        n_list = merged.get("n_list")
-        if "n" in allowed and (not isinstance(n, int) or n < 2):
-            raise ConfigError("n must be an integer >= 2")
-        if "n_list" in allowed:
-            if not n_list or any(not isinstance(v, int) or v < 2 for v in n_list):
-                raise ConfigError("n_list must hold integers >= 2")
-            n_list = tuple(n_list)
-            n = None
-        else:
-            n_list = None
-
-        m = merged.get("m")
-        if not isinstance(m, int) or m < 1:
-            raise ConfigError("m must be a positive integer")
-        seed = merged.get("seed")
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        seeds = int(merged.get("seeds", 1))
-        if seeds < 1:
-            raise ConfigError("seeds must be >= 1")
-        window_start = float(merged.get("window_start", 0.0))
-        if window_start < 0:
-            raise ConfigError("window_start must be nonnegative")
-
         return ExperimentConfig(
-            experiment=experiment,
-            kernel=_kernel_from(merged["kernel"]),
-            c=None if merged.get("c") is None else float(merged["c"]),
-            g=_g_from(merged.get("g")),
-            n=n,
-            n_list=n_list,
-            m=m,
-            horizon=None if horizon is None else float(horizon),
-            probes=probes,
-            seed=seed,
-            seeds=seeds,
-            window_start=window_start,
-            tolerances=tolerances,
-            out_dir=rec.get("out_dir"),
+            experiment=experiment, tolerances=dict(tolerances), out_dir=out_dir, **values
         )
 
 
 def run_experiment(config, workers=1):
-    """Dispatch a validated config to its experiment function."""
-    tol = config.tolerances
-    if config.experiment in ("ito", "fbm-window"):
-        return verify.verify_ito_formula(
-            kernel=config.kernel,
-            c=config.c,
-            g=config.g,
-            n=config.n,
-            m=config.m,
-            probes=config.probes,
-            seed=config.seed,
-            seeds=config.seeds,
-            window_start=config.window_start,
-            horizon=config.horizon,
-            workers=workers,
-            experiment_name=config.experiment,
-            **tol,
-        )
-    if config.experiment == "bn":
-        return verify.verify_bn_limit(
-            kernel=config.kernel,
-            n=config.n,
-            m=config.m,
-            probes=config.probes,
-            seed=config.seed,
-            workers=workers,
-            **tol,
-        )
-    if config.experiment == "trapezoid":
-        return verify.verify_trapezoid_ucp(
-            kernel=config.kernel,
-            g=config.g,
-            n_list=config.n_list,
-            m=config.m,
-            probes=config.probes,
-            seed=config.seed,
-            workers=workers,
-            **tol,
-        )
-    return verify.verify_expansion_residual(
-        kernel=config.kernel,
-        g=config.g,
-        n_list=config.n_list,
-        m=config.m,
-        probes=config.probes,
-        seed=config.seed,
-        workers=workers,
-        **tol,
-    )
+    """Run a validated config through its experiment's verify function."""
+    function, _, _ = _SPECS[config.experiment]
+    kwargs = {key: getattr(config, key) for key in _DEFAULTS[config.experiment]}
+    workers = _CHECKS["workers"]("workers", workers)
+    return getattr(verify, function)(**kwargs, **config.tolerances, workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -317,17 +317,6 @@ def sample_brownian(grid, m, seed):
     return PathEnsemble(grid, values, "bm", int(seed), keys)
 
 
-def sample_coupled(factor, grid, m, seed, kernel_id=None):
-    """(paths, brownian) with disjoint stream roles per replicate.
-
-    The Brownian ensemble is independent of the path ensemble yet fully
-    reproducible from the same master seed.
-    """
-    paths = sample_paths(factor, m, seed, grid=grid, kernel_id=kernel_id)
-    brownian = sample_brownian(grid, m, seed)
-    return paths, brownian
-
-
 def add_deterministic_drift(ensemble, drift):
     """New ensemble with drift(t) added to every path.
 

@@ -10,6 +10,7 @@ count.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from . import __version__, analytic, stats, sums
 from .analytic import GaussianMoments, kappa_reference, poly_diff, poly_from_coeffs, poly_mul
 from .errors import ConfigError, DomainError
 from .functions import TestFunction, builtin
-from .kernels import CovKernel, Grid, heat_kernel
+from .kernels import CovKernel, Grid, fbm_composite_kernel, heat_kernel
 from .simulate import add_deterministic_drift, cached_factor, sample_brownian, sample_paths
 
 SUMMARY_SCHEMA = 1
@@ -147,18 +148,21 @@ def draw_coupled(kernel, grid, m, seed):
     return draw_ensemble(kernel, grid, m, seed), sample_brownian(grid, m, seed)
 
 
-def _map_chunks(fn, values, workers):
+def _map_chunks(fn, values, workers, *aligned):
     """Apply fn to fixed-size row blocks and concatenate in order.
 
-    The block size never depends on the worker count, so the result is
-    byte-identical whether blocks run sequentially or on a pool.
+    fn receives a block of values followed by the same rows of every
+    aligned array.  The block size never depends on the worker count, so
+    the result is byte-identical whether blocks run sequentially or on a
+    pool.
     """
-    blocks = [values[i : i + _CHUNK_ROWS] for i in range(0, values.shape[0], _CHUNK_ROWS)]
-    if workers > 1 and len(blocks) > 1:
+    starts = range(0, values.shape[0], _CHUNK_ROWS)
+    columns = [[a[i : i + _CHUNK_ROWS] for i in starts] for a in (values, *aligned)]
+    if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fn, blocks))
+            parts = list(pool.map(fn, *columns))
     else:
-        parts = [fn(b) for b in blocks]
+        parts = list(map(fn, *columns))
     return np.concatenate(parts, axis=0)
 
 
@@ -418,37 +422,24 @@ def verify_ito_formula(
     rows = []
     seed_stats = {}
     passed_seeds = 0
+
+    def eval_block(block):
+        series = sums.midpoint_sum_ensemble(block, grid, g, 1)
+        cols = [series[:, grid.index_at(t)] - series[:, k_start] for t in probes]
+        return np.stack(cols, axis=1)
+
+    def rhs_block(xs, bs):
+        cols = [
+            rhs_formula_ensemble(xs, bs, grid, g, t, c=c, t_start=window_start).values
+            for t in probes
+        ]
+        return np.stack(cols, axis=1)
+
     for k in range(seeds):
         master = int(seed) + k
         x_ens, b_ens = draw_coupled(kernel, grid, m, master)
-
-        def eval_block(block):
-            series = sums.midpoint_sum_ensemble(block, grid, g, 1)
-            cols = [series[:, grid.index_at(t)] - series[:, k_start] for t in probes]
-            return np.stack(cols, axis=1)
-
         sample_a = _map_chunks(eval_block, x_ens.values, workers)
-        x_all = x_ens.values
-        b_all = b_ens.values
-
-        def rhs_block(bounds):
-            xs, bs = bounds
-            cols = [
-                rhs_formula_ensemble(xs, bs, grid, g, t, c=c, t_start=window_start).values
-                for t in probes
-            ]
-            return np.stack(cols, axis=1)
-
-        pairs = [
-            (x_all[i : i + _CHUNK_ROWS], b_all[i : i + _CHUNK_ROWS])
-            for i in range(0, x_all.shape[0], _CHUNK_ROWS)
-        ]
-        if workers > 1 and len(pairs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(rhs_block, pairs))
-        else:
-            parts = [rhs_block(p) for p in pairs]
-        sample_b = np.concatenate(parts, axis=0)
+        sample_b = _map_chunks(rhs_block, x_ens.values, workers, b_ens.values)
 
         seed_ok = True
         probe_stats = {}
@@ -537,12 +528,23 @@ def verify_ito_formula(
 
 def verify_fbm_window(window_start=0.1, kernel=None, experiment_name="fbm-window", **kwargs):
     """Windowed change-of-variable run on the composite quarter-fBm kernel."""
-    from .kernels import fbm_composite_kernel
-
     kernel = kernel if kernel is not None else fbm_composite_kernel()
     return verify_ito_formula(
         kernel=kernel, window_start=window_start, experiment_name=experiment_name, **kwargs
     )
+
+
+# The CLI reads experiment keys and defaults from signatures, so advertise
+# the verify_ito_formula keywords that **kwargs forwards.
+_own = inspect.signature(verify_fbm_window).parameters
+verify_fbm_window.__signature__ = inspect.Signature(
+    [p for p in _own.values() if p.kind is not p.VAR_KEYWORD]
+    + [
+        p.replace(kind=p.KEYWORD_ONLY)
+        for name, p in inspect.signature(verify_ito_formula).parameters.items()
+        if name not in _own
+    ]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -662,15 +664,89 @@ def _count_inversions(mses):
     return count
 
 
-def _mse_ladder_rows(n_list, probes, diffs_by_n):
+def _mse_ladder(
+    experiment, block, columns, residual,
+    kernel, g, n_list, m, probes, seed, max_inversions, workers,
+    final_tol=None, extra_config=None,
+):
+    """Mean-square convergence of one per-replicate residual along n_list.
+
+    block(x, grid, g, probes) maps a row block of paths to one tuple of
+    replicate columns per probe; residual maps the (m, len(columns)) array
+    of one probe to the residual whose mean square is gated.  final_tol,
+    when given, maps (kernel, g, t) to the threshold of the finest grid's
+    MSE at probe t; extra_config holds more entries for the report's config.
+    """
+    kernel = kernel if kernel is not None else heat_kernel()
+    g = g if g is not None else builtin("square")
+    if not g.certifies(7, 3):
+        raise DomainError(f"test function {g.fid!r} lacks the smoothness tag for this run")
+    n_list = tuple(int(v) for v in n_list)
+    if len(n_list) < 2 or list(n_list) != sorted(set(n_list)):
+        raise ConfigError("n_list must be strictly increasing with at least two sizes")
+    probes = tuple(float(t) for t in probes)
+    horizon = max(probes)
+    tol_by_probe = {} if final_tol is None else {t: final_tol(kernel, g, t) for t in probes}
+
+    mses = {t: [] for t in probes}
     rows = []
     for n in n_list:
-        per_probe = diffs_by_n[n]
+        grid = Grid(n, horizon)
+        x_ens = draw_ensemble(kernel, grid, m, int(seed))
+        cols = _map_chunks(
+            lambda b: np.moveaxis(np.array(block(b, grid, g, probes)), -1, 0), x_ens.values, workers
+        )
         for j, t in enumerate(probes):
-            pair = per_probe[j]
-            for rep in range(pair[0].size):
-                rows.append((n, rep, t, pair[0][rep], pair[1][rep]))
-    return rows
+            mses[t].append(float(np.mean(residual(cols[:, j]) ** 2)))
+            rows += [(n, rep, t, *row) for rep, row in enumerate(cols[:, j].tolist())]
+
+    checks = []
+    rate_fits = {}
+    for t in probes:
+        seq = mses[t]
+        inv = _count_inversions(seq)
+        checks.append(
+            CheckResult(
+                name=f"mse_monotone@t={t:g}",
+                value=float(inv),
+                threshold=float(max_inversions),
+                passed=inv <= max_inversions,
+            )
+        )
+        if t in tol_by_probe:
+            checks.append(
+                CheckResult(
+                    name=f"mse_final@t={t:g}",
+                    value=seq[-1],
+                    threshold=tol_by_probe[t],
+                    passed=seq[-1] <= tol_by_probe[t],
+                )
+            )
+        # The rate regression needs three sizes and strictly positive MSEs.
+        if len(n_list) >= 3 and all(v > 0 for v in seq):
+            rate_fits[f"t={t:g}"] = stats.loglog_rate(n_list, seq).to_dict()
+
+    ladder_stats = {"mse": {f"t={t:g}": mses[t] for t in probes}, "rate": rate_fits}
+    if tol_by_probe:
+        ladder_stats["final_tol"] = {f"t={t:g}": tol_by_probe[t] for t in probes}
+    return ExperimentReport(
+        experiment=experiment,
+        config={
+            "experiment": experiment,
+            "kernel": kernel.to_dict(),
+            "g": g.spec(),
+            "n_list": list(n_list),
+            "m": int(m),
+            "probes": list(probes),
+            "seed": int(seed),
+            "max_inversions": int(max_inversions),
+            **(extra_config or {}),
+        },
+        checks=tuple(checks),
+        stats=ladder_stats,
+        replicate_columns=("n", "replicate", "t", *columns),
+        replicate_rows=tuple(rows),
+    )
 
 
 def verify_trapezoid_ucp(
@@ -691,92 +767,26 @@ def verify_trapezoid_ucp(
     decrease (one inversion allowed) and the final value must beat the
     threshold, by default 1% of Var g(X(t)) when the closed form exists.
     """
-    kernel = kernel if kernel is not None else heat_kernel()
-    g = g if g is not None else builtin("square")
-    if not g.certifies(7, 3):
-        raise DomainError(f"test function {g.fid!r} lacks the smoothness tag for this run")
-    n_list = tuple(int(v) for v in n_list)
-    if len(n_list) < 2 or list(n_list) != sorted(set(n_list)):
-        raise ConfigError("n_list must be strictly increasing with at least two sizes")
-    probes = tuple(float(t) for t in probes)
-    horizon = max(probes)
 
-    tol_by_probe = {}
-    for t in probes:
+    def block(x, grid, g, probes):
+        series = sums.trapezoid_sum_ensemble(x, grid, g, 1)
+        return [
+            (series[:, grid.index_at(t)], trapezoid_target_ensemble(x, grid, g, t)) for t in probes
+        ]
+
+    def threshold(kernel, g, t):
         if final_tol is not None:
-            tol_by_probe[t] = float(final_tol)
-        else:
-            head = head_reference_moments(kernel, g, t, 0.0)
-            if head is None:
-                raise ConfigError(
-                    "final_tol must be given when no closed-form variance exists"
-                )
-            tol_by_probe[t] = 0.01 * head[1]
+            return float(final_tol)
+        head = head_reference_moments(kernel, g, t, 0.0)
+        if head is None:
+            raise ConfigError("final_tol must be given when no closed-form variance exists")
+        return 0.01 * head[1]
 
-    mses = {t: [] for t in probes}
-    diffs_by_n = {}
-    for n in n_list:
-        grid = Grid(n, horizon)
-        x_ens = draw_ensemble(kernel, grid, m, int(seed))
-        series = _map_chunks(
-            lambda b, gr=grid: sums.trapezoid_sum_ensemble(b, gr, g, 1), x_ens.values, workers
-        )
-        per_probe = []
-        for t in probes:
-            k = grid.index_at(t)
-            target = trapezoid_target_ensemble(x_ens.values, grid, g, t)
-            value = series[:, k]
-            per_probe.append((value, target))
-            mses[t].append(float(np.mean((value - target) ** 2)))
-        diffs_by_n[n] = per_probe
-
-    checks = []
-    rate_fits = {}
-    for t in probes:
-        seq = mses[t]
-        inv = _count_inversions(seq)
-        checks.append(
-            CheckResult(
-                name=f"mse_monotone@t={t:g}",
-                value=float(inv),
-                threshold=float(max_inversions),
-                passed=inv <= max_inversions,
-            )
-        )
-        checks.append(
-            CheckResult(
-                name=f"mse_final@t={t:g}",
-                value=seq[-1],
-                threshold=tol_by_probe[t],
-                passed=seq[-1] <= tol_by_probe[t],
-            )
-        )
-        # The rate regression needs three sizes and strictly positive MSEs.
-        if len(n_list) >= 3 and all(v > 0 for v in seq):
-            rate_fits[f"t={t:g}"] = stats.loglog_rate(n_list, seq).to_dict()
-
-    config = {
-        "experiment": "trapezoid",
-        "kernel": kernel.to_dict(),
-        "g": g.spec(),
-        "n_list": list(n_list),
-        "m": int(m),
-        "probes": list(probes),
-        "seed": int(seed),
-        "final_tol": None if final_tol is None else float(final_tol),
-        "max_inversions": int(max_inversions),
-    }
-    return ExperimentReport(
-        experiment="trapezoid",
-        config=config,
-        checks=tuple(checks),
-        stats={
-            "mse": {f"t={t:g}": mses[t] for t in probes},
-            "final_tol": {f"t={t:g}": tol_by_probe[t] for t in probes},
-            "rate": rate_fits,
-        },
-        replicate_columns=("n", "replicate", "t", "trapezoid_sum", "target"),
-        replicate_rows=tuple(_mse_ladder_rows(n_list, probes, diffs_by_n)),
+    return _mse_ladder(
+        "trapezoid", block, ("trapezoid_sum", "target"), lambda c: c[:, 0] - c[:, 1],
+        kernel, g, n_list, m, probes, seed, max_inversions, workers,
+        final_tol=threshold,
+        extra_config={"final_tol": None if final_tol is None else float(final_tol)},
     )
 
 
@@ -795,69 +805,18 @@ def verify_expansion_residual(
     residual = I_n(dx g, t) - [g increment - time integral - J_n(dxx g, t)/2];
     its mean square must decrease along n_list (one inversion allowed).
     """
-    kernel = kernel if kernel is not None else heat_kernel()
-    g = g if g is not None else builtin("square")
-    if not g.certifies(7, 3):
-        raise DomainError(f"test function {g.fid!r} lacks the smoothness tag for this run")
-    n_list = tuple(int(v) for v in n_list)
-    if len(n_list) < 2 or list(n_list) != sorted(set(n_list)):
-        raise ConfigError("n_list must be strictly increasing with at least two sizes")
-    probes = tuple(float(t) for t in probes)
-    horizon = max(probes)
 
-    mses = {t: [] for t in probes}
-    rows = []
-    for n in n_list:
-        grid = Grid(n, horizon)
-        x_ens = draw_ensemble(kernel, grid, m, int(seed))
+    def block(x, grid, g, probes):
+        mid = sums.midpoint_sum_ensemble(x, grid, g, 1)
+        jn = sums.alt_qv_weighted_ensemble(x, grid, g, 2)
+        cols = []
+        for t in probes:
+            k = grid.index_at(t)
+            head = trapezoid_target_ensemble(x, grid, g, t)
+            cols.append((mid[:, k] - head + 0.5 * jn[:, k],))
+        return cols
 
-        def residual_block(block, gr=grid):
-            mid = sums.midpoint_sum_ensemble(block, gr, g, 1)
-            jn = sums.alt_qv_weighted_ensemble(block, gr, g, 2)
-            cols = []
-            for t in probes:
-                k = gr.index_at(t)
-                head = trapezoid_target_ensemble(block, gr, g, t)
-                cols.append(mid[:, k] - head + 0.5 * jn[:, k])
-            return np.stack(cols, axis=1)
-
-        res = _map_chunks(residual_block, x_ens.values, workers)
-        for j, t in enumerate(probes):
-            mses[t].append(float(np.mean(res[:, j] ** 2)))
-            for rep in range(m):
-                rows.append((n, rep, t, res[rep, j]))
-
-    checks = []
-    rate_fits = {}
-    for t in probes:
-        seq = mses[t]
-        inv = _count_inversions(seq)
-        checks.append(
-            CheckResult(
-                name=f"mse_monotone@t={t:g}",
-                value=float(inv),
-                threshold=float(max_inversions),
-                passed=inv <= max_inversions,
-            )
-        )
-        if len(n_list) >= 3 and all(v > 0 for v in seq):
-            rate_fits[f"t={t:g}"] = stats.loglog_rate(n_list, seq).to_dict()
-
-    config = {
-        "experiment": "expansion",
-        "kernel": kernel.to_dict(),
-        "g": g.spec(),
-        "n_list": list(n_list),
-        "m": int(m),
-        "probes": list(probes),
-        "seed": int(seed),
-        "max_inversions": int(max_inversions),
-    }
-    return ExperimentReport(
-        experiment="expansion",
-        config=config,
-        checks=tuple(checks),
-        stats={"mse": {f"t={t:g}": mses[t] for t in probes}, "rate": rate_fits},
-        replicate_columns=("n", "replicate", "t", "residual"),
-        replicate_rows=tuple(rows),
+    return _mse_ladder(
+        "expansion", block, ("residual",), lambda c: c[:, 0],
+        kernel, g, n_list, m, probes, seed, max_inversions, workers,
     )

@@ -10,12 +10,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quartic_lab import analytic, sums
-from quartic_lab.cli import ExperimentConfig, main
+from quartic_lab import analytic, sums, verify
+from quartic_lab.cli import EXPERIMENTS, ExperimentConfig, main, run_experiment
 from quartic_lab.errors import ConfigError
 from quartic_lab.functions import builtin
-from quartic_lab.kernels import Grid, heat_kernel
+from quartic_lab.kernels import Grid, fbm_composite_kernel, heat_kernel
 from quartic_lab.simulate import load_ensemble, write_ensemble_csv
 from quartic_lab.verify import draw_ensemble
 
@@ -228,6 +230,21 @@ class TestVerifyVerb:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["passed"] is False
 
+    def test_trapezoid_final_gate_failure_exits_one(self, tmp_path, capsys):
+        rec = {"g": "cube", "n_list": [64, 256, 1024], "m": 100}
+        final = verify.verify_trapezoid_ucp(
+            g=builtin("cube"), n_list=(64, 256, 1024), m=100, final_tol=0.05
+        ).stats["mse"]["t=1"][-1]
+        cfg = self._write_config(
+            tmp_path, "cfg.json", dict(rec, tolerances={"final_tol": 0.5 * final})
+        )
+        code = main(["verify", "--experiment", "trapezoid", "--config", cfg,
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        stdout = capsys.readouterr().out
+        assert "[FAIL] mse_final@t=1" in stdout
+        assert "experiment trapezoid: FAIL" in stdout
+
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, "cfg.json", {"n": 64, "bogus": 1})
         code = main(["verify", "--experiment", "bn", "--config", cfg,
@@ -319,3 +336,108 @@ class TestExperimentConfig:
             )
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict("bn", {"tolerances": {"ks_tol": -0.1}})
+
+
+# Malformed values that used to escape from_dict as ValueError or
+# TypeError, or that it used to accept.
+_MALFORMED = [
+    ("ito", "seeds", "x"),
+    ("ito", "c", "abc"),
+    ("ito", "window_start", "x"),
+    ("ito", "horizon", "x"),
+    ("bn", "probes", "ab"),
+    ("bn", "probes", 5),
+    ("trapezoid", "n_list", 5),
+    ("bn", "tolerances", 3),
+    ("ito", "seeds", 2.7),
+    ("bn", "m", True),
+    ("bn", "probes", [float("nan")]),
+    ("trapezoid", "tolerances", {"final_tol": float("inf")}),
+    ("expansion", "tolerances", {"max_inversions": True}),
+]
+
+
+class TestTypedConfigErrors:
+    @pytest.mark.parametrize(
+        "experiment,key,value", _MALFORMED, ids=[f"{k}={v!r}" for _, k, v in _MALFORMED]
+    )
+    def test_malformed_value_is_config_error(self, experiment, key, value):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(experiment, {key: value})
+
+    def test_main_exits_two_on_malformed_value(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": "x"}))
+        assert main(["verify", "--experiment", "ito", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_two(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_list": [16, 32], "m": 2}))
+        assert main(["verify", "--experiment", "trapezoid", "--config", str(cfg),
+                     "--out", str(tmp_path / "run"), "--workers", workers]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+# Every config key of some experiment, plus one that none accepts.
+_KEYS = ["kernel", "c", "g", "n", "n_list", "m", "horizon", "probes", "seed", "seeds",
+         "window_start", "out_dir", "bogus"]
+_TOLERANCE_KEYS = ["ks_tol", "mean_tol", "var_tol", "corr_tol", "final_tol", "max_inversions"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["heat", "fbm", "bm", "cube", "poly_k"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["kind", "c", "components", "id", "coeffs"]), inner, max_size=3
+    ),
+    max_leaves=8,
+)
+_RECORDS = st.dictionaries(
+    st.sampled_from(_KEYS),
+    _JSON | st.dictionaries(st.sampled_from(_TOLERANCE_KEYS), _JSON, max_size=3),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(experiment=st.sampled_from(EXPERIMENTS), rec=_RECORDS)
+def test_fuzzed_configs_return_or_raise_config_error(experiment, rec):
+    try:
+        config = ExperimentConfig.from_dict(experiment, rec)
+    except ConfigError:
+        return
+    assert config.experiment == experiment
+
+
+# A small run per experiment and the verify function it must reach.
+_SMALL = {
+    "ito": ("verify_ito_formula", {"n": 64, "m": 40, "seeds": 2, "probes": [0.5, 1.0],
+                                   "tolerances": {"ks_tol": 0.3}}),
+    "bn": ("verify_bn_limit", {"n": 64, "m": 40, "probes": [0.5, 1.0]}),
+    "trapezoid": ("verify_trapezoid_ucp", {"n_list": [16, 32, 64], "m": 8,
+                                           "tolerances": {"final_tol": 0.5}}),
+    "expansion": ("verify_expansion_residual", {"n_list": [16, 32], "m": 8, "seed": 3}),
+    "fbm-window": ("verify_fbm_window", {"n": 64, "m": 40, "seeds": 1}),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_table_dispatch_matches_direct_call(experiment):
+    function, rec = _SMALL[experiment]
+    via_cli = run_experiment(ExperimentConfig.from_dict(experiment, rec))
+    kwargs = {k: v for k, v in rec.items() if k != "tolerances"}
+    direct = getattr(verify, function)(**kwargs, **rec.get("tolerances", {}))
+    assert via_cli.summary_json() == direct.summary_json()
+    assert via_cli.replicates_csv() == direct.replicates_csv()
+    assert via_cli.experiment == experiment
+
+
+def test_fbm_window_defaults_come_from_its_signature():
+    config = ExperimentConfig.from_dict("fbm-window", {})
+    assert config.window_start == 0.1
+    assert config.kernel == fbm_composite_kernel()
+    assert config.seeds == 3 and config.n == 4096
+    assert ExperimentConfig.from_dict("ito", {}).window_start == 0.0

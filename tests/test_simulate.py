@@ -26,7 +26,6 @@ from quartic_lab.simulate import (
     factorize,
     load_ensemble,
     sample_brownian,
-    sample_coupled,
     sample_paths,
     save_ensemble,
     write_ensemble_csv,
@@ -259,27 +258,25 @@ def test_benchmark_wrapped_attributes_exist():
 
 
 class TestSampleCoupled:
+    """Coupled (path, Brownian) ensembles, drawn by verify.draw_coupled."""
+
     def test_coupled_reproducibility(self):
         grid = Grid(32)
-        factor = cached_factor(heat_kernel(), grid)
-        x1, b1 = sample_coupled(factor, grid, 10, seed=9)
-        x2, b2 = sample_coupled(factor, grid, 10, seed=9)
+        x1, b1 = verify.draw_coupled(heat_kernel(), grid, 10, 9)
+        x2, b2 = verify.draw_coupled(heat_kernel(), grid, 10, 9)
         assert np.array_equal(x1.values, x2.values)
         assert np.array_equal(b1.values, b2.values)
 
     def test_roles_are_disjoint(self):
         """The Brownian draw must not consume the path streams."""
         grid = Grid(32)
-        factor = cached_factor(heat_kernel(), grid)
-        solo = sample_paths(factor, 10, seed=9)
-        x, b = sample_coupled(factor, grid, 10, seed=9)
+        solo = sample_paths(cached_factor(heat_kernel(), grid), 10, seed=9)
+        x, b = verify.draw_coupled(heat_kernel(), grid, 10, 9)
         assert np.array_equal(x.values, solo.values)
         assert not np.array_equal(b.values[:, 1:], solo.values[:, 1:])
 
     def test_cross_correlation_small(self):
-        grid = Grid(16)
-        factor = cached_factor(heat_kernel(), grid)
-        x, b = sample_coupled(factor, grid, 10000, seed=4)
+        x, b = verify.draw_coupled(heat_kernel(), Grid(16), 10000, 4)
         r = np.corrcoef(x.values[:, -1], b.values[:, -1])[0, 1]
         assert abs(r) <= 0.03
 

@@ -277,6 +277,14 @@ class TestItoExperiment:
         assert a.summary_json() == b.summary_json()
         assert a.replicates_csv() == b.replicates_csv()
 
+    def test_rhs_rows_pair_each_path_with_its_brownian_motion(self):
+        """Chunked evaluation over three row blocks matches one full-ensemble RHS."""
+        grid = Grid(32)
+        rep = verify_ito_formula(n=32, m=600, seeds=1, seed=5, workers=3)
+        x_ens, b_ens = draw_coupled(heat_kernel(), grid, 600, 5)
+        full = rhs_formula_coupled(x_ens, b_ens, SQUARE, 1.0).values
+        np.testing.assert_allclose([row[4] for row in rep.replicate_rows], full, rtol=0, atol=1e-12)
+
     def test_linear_g_identity_statistics(self):
         """Sample A equals sample B up to rounding, so KS sits at the floor."""
         rep = verify_ito_formula(g=LINEAR, n=64, m=50, seeds=1)
@@ -365,6 +373,15 @@ class TestLadderExperiments:
         seq = rep.stats["mse"]["t=1"]
         assert seq[0] > seq[1] > seq[2]
         assert -1.5 < rep.stats["rate"]["t=1"]["slope"] < -0.25
+
+    def test_trapezoid_final_gate_can_fail(self):
+        """Negative control: a final_tol below the measured MSE fails only mse_final."""
+        ladder = dict(g=CUBE, n_list=(64, 256, 1024), m=100)
+        final = verify_trapezoid_ucp(**ladder, final_tol=0.05).stats["mse"]["t=1"][-1]
+        rep = verify_trapezoid_ucp(**ladder, final_tol=0.5 * final)
+        assert rep.passed is False
+        assert [c.name for c in rep.checks if c.passed is False] == ["mse_final@t=1"]
+        assert rep.stats["mse"]["t=1"][-1] == final
 
     def test_trapezoid_threshold_requires_closed_form(self):
         with pytest.raises(ConfigError):
