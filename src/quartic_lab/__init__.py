@@ -62,23 +62,10 @@ from .stats import (
     ks_two_sample,
     loglog_rate,
 )
-from .sums import (
-    StepSeries,
-    alt_qv_weighted,
-    bn_process,
-    bn_smoothed,
-    midpoint_sum,
-    offset_midpoint_sum,
-    power_sum,
-    qn_process,
-    trapezoid_sum,
-)
 from .verify import (
     CheckResult,
     ExperimentReport,
     FormulaRHS,
-    rhs_formula,
-    trapezoid_target,
     verify_bn_limit,
     verify_expansion_residual,
     verify_fbm_window,
@@ -135,20 +122,9 @@ __all__ = [
     "ks_one_sample_normal",
     "ks_two_sample",
     "loglog_rate",
-    "StepSeries",
-    "alt_qv_weighted",
-    "bn_process",
-    "bn_smoothed",
-    "midpoint_sum",
-    "offset_midpoint_sum",
-    "power_sum",
-    "qn_process",
-    "trapezoid_sum",
     "CheckResult",
     "ExperimentReport",
     "FormulaRHS",
-    "rhs_formula",
-    "trapezoid_target",
     "verify_bn_limit",
     "verify_expansion_residual",
     "verify_fbm_window",

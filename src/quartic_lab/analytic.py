@@ -13,7 +13,6 @@ in, Fractions out, so identity tests can be run with zero rounding.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -457,6 +456,14 @@ class DiscreteCovTable:
     cross: np.ndarray
 
 
+def _lag_cross(t, ell):
+    """E[dF_i dF_{i+ell}] for i = 1 .. len(t) - 1 - ell, by bilinearity."""
+    i = np.arange(1, t.size - ell)
+    ti, tj = t[i], t[i + ell]
+    ti0, tj0 = t[i - 1], t[i + ell - 1]
+    return rho_heat(ti, tj) - rho_heat(ti0, tj) - rho_heat(ti, tj0) + rho_heat(ti0, tj0)
+
+
 def discrete_cov_table(n, maxj=None, lag=None):
     """Increment covariance table of the heat-slice process, by bilinearity."""
     if n < 1:
@@ -472,15 +479,8 @@ def discrete_cov_table(n, maxj=None, lag=None):
     sigma_hat = off - diag[:-1]
 
     cross = np.full((maxj, lag), np.nan)
-    for ell in range(1, lag + 1):
-        i = np.arange(1, maxj - ell + 1)
-        if i.size == 0:
-            break
-        ti, tj = t[i], t[i + ell]
-        ti0, tj0 = t[i - 1], t[i + ell - 1]
-        cross[i - 1, ell - 1] = (
-            rho_heat(ti, tj) - rho_heat(ti0, tj) - rho_heat(ti, tj0) + rho_heat(ti0, tj0)
-        )
+    for ell in range(1, min(lag, maxj - 1) + 1):
+        cross[: maxj - ell, ell - 1] = _lag_cross(t, ell)
     return DiscreteCovTable(n=n, maxj=maxj, lag=lag, sigma_sq=sigma_sq,
                             sigma_hat=sigma_hat, cross=cross)
 
@@ -577,12 +577,7 @@ def audit_cov_table(n, maxj=None):
     worst_value = -np.inf
     worst_pair = (0, 0)
     for ell in range(1, maxj):
-        i = np.arange(1, maxj - ell + 1)
-        ti, tj = t[i], t[i + ell]
-        ti0, tj0 = t[i - 1], t[i + ell - 1]
-        cross_l = (
-            rho_heat(ti, tj) - rho_heat(ti0, tj) - rho_heat(ti, tj0) + rho_heat(ti0, tj0)
-        )
+        cross_l = _lag_cross(t, ell)
         lower = -2.0 * float(ell) ** -1.5 * dt_half
         sign_bad_count += int(np.count_nonzero(cross_l >= 0.0))
         lower_bad_count += int(np.count_nonzero(cross_l < lower))

@@ -7,12 +7,15 @@ and defaults come from the keyword parameters of its `verify_*`
 function, so the schema and the function cannot drift apart.  All
 randomness flows from the single seed in the config (or --seed), and
 rerunning any verb with the same inputs reproduces its output files
-byte for byte, whatever the worker count.
+byte for byte.  `verify --workers` is validated but selects nothing:
+replicate blocks always run sequentially.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import inspect
 import json
 import math
@@ -295,20 +298,29 @@ def _cmd_sample(args):
     return 0
 
 
-_SUMS_FUNCTIONALS = ("midpoint", "offset", "trapezoid", "jn", "qn", "bn", "bnbar", "power")
+# One row per sums functional: its function in `sums`.  Whether it takes g
+# (and so --g, --deriv, --p) and which of the power options it takes are
+# read from the function's signature.
+_SUMS = {
+    "midpoint": "midpoint_sum_ensemble",
+    "offset": "offset_midpoint_sum_ensemble",
+    "trapezoid": "trapezoid_sum_ensemble",
+    "jn": "alt_qv_weighted_ensemble",
+    "qn": "qn_process_ensemble",
+    "bn": "bn_process_ensemble",
+    "bnbar": "bn_smoothed_ensemble",
+    "power": "power_sum_ensemble",
+}
 
 
 def _cmd_sums(args):
-    if args.functional not in _SUMS_FUNCTIONALS:
-        raise ConfigError(
-            f"unknown functional {args.functional!r}; choose from {', '.join(_SUMS_FUNCTIONALS)}"
-        )
-    needs_g = args.functional in ("midpoint", "offset", "trapezoid", "jn", "power")
-    if not needs_g:
+    function = getattr(sums, _SUMS[args.functional])
+    params = inspect.signature(function).parameters
+    if "g" not in params:
         for flag, value in (("--g", args.g), ("--deriv", args.deriv), ("--p", args.p)):
             if value is not None:
                 raise ConfigError(f"{flag} does not apply to functional {args.functional!r}")
-    if args.functional == "power" and args.p not in (3, 4):
+    if "p" in params and args.p not in (3, 4):
         raise ConfigError("--p must be 3 or 4 for the power functional")
 
     probes = _float_list(args.t) if args.t else [1.0]
@@ -317,30 +329,17 @@ def _cmd_sums(args):
         raise ConfigError("probe times must not exceed the horizon")
     kernel = _kernel_from(args.kernel)
     grid = Grid(args.n, horizon)
-    g = _g_from(args.g or "const", coeffs=_float_list(args.coeffs) if args.coeffs else None)
-    deriv = args.deriv if args.deriv is not None else 0
-
-    ens = verify.draw_ensemble(kernel, grid, args.replicates, args.seed)
-    values = ens.values
-    if args.functional == "midpoint":
-        series = sums.midpoint_sum_ensemble(values, grid, g, deriv)
-    elif args.functional == "offset":
-        series = sums.offset_midpoint_sum_ensemble(values, grid, g, deriv)
-    elif args.functional == "trapezoid":
-        series = sums.trapezoid_sum_ensemble(values, grid, g, deriv)
-    elif args.functional == "jn":
-        series = sums.alt_qv_weighted_ensemble(values, grid, g, deriv)
-    elif args.functional == "qn":
-        series = sums.qn_process_ensemble(values, grid)
-    elif args.functional == "bn":
-        series = sums.bn_process_ensemble(values, grid)
-    elif args.functional == "bnbar":
-        series = sums.bn_smoothed_ensemble(values, grid)
-    else:
-        series = sums.power_sum_ensemble(
-            values, grid, g, args.p, parity=args.parity, eval_point=args.eval_point,
-            deriv_order=deriv,
-        )
+    coeffs = _float_list(args.coeffs) if args.coeffs else None
+    g = _parsed(lambda name: _g_from(name, coeffs=coeffs))("--g", args.g or "const")
+    options = {
+        "g": g,
+        "deriv_order": args.deriv if args.deriv is not None else 0,
+        "p": args.p,
+        "parity": args.parity,
+        "eval_point": args.eval_point,
+    }
+    values = verify.draw_ensemble(kernel, grid, args.replicates, args.seed).values
+    series = function(values, grid, **{k: v for k, v in options.items() if k in params})
 
     times = grid.times()
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -429,7 +428,7 @@ def build_parser():
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("sums", help="evaluate a discrete functional over an ensemble")
-    p.add_argument("--functional", required=True, choices=_SUMS_FUNCTIONALS)
+    p.add_argument("--functional", required=True, choices=tuple(_SUMS))
     p.add_argument("--g", default=None)
     p.add_argument("--coeffs", default=None, help="comma list, only with --g poly_k")
     p.add_argument("--deriv", type=int, default=None)
@@ -452,13 +451,42 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--M", dest="replicates", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="validated (>= 1) and kept for compatibility; replicate blocks always run "
+        "sequentially, so the value selects nothing",
+    )
     p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
+# glibc's malloc raises its mmap threshold to the largest block freed so
+# far and trims the heap top once twice that much is free, so whether an
+# (M, N+1) array is mapped afresh, reuses a freed heap hole or grows the
+# heap depends on the order of earlier frees, and the peak memory of one
+# `verify` run differs from the next by tens of MiB.  Pinned thresholds
+# keep every block below 32 MiB on the heap and free heap memory mapped
+# (up to 1 GiB) for reuse, so the peak is the same from run to run.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _pin_malloc_thresholds():
+    """Fix glibc's malloc thresholds once per process; a no-op without glibc."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None):
+    _pin_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

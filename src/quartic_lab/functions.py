@@ -13,6 +13,8 @@ derivatives through order r.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -176,6 +178,21 @@ def builtin(name, **params):
         coeffs = params.pop("coeffs", None)
         if params or coeffs is None:
             raise DomainError("poly_k takes exactly one parameter: coeffs=[c_0, ...]")
+        # Finite real numbers only: a string or a bool is not a coefficient,
+        # and abs() of nan, inf or an int beyond float range fails the bound.
+        if not (
+            isinstance(coeffs, (list, tuple))
+            and coeffs
+            and all(
+                isinstance(c, numbers.Real)
+                and not isinstance(c, bool)
+                and abs(c) <= sys.float_info.max
+                for c in coeffs
+            )
+        ):
+            raise DomainError(
+                f"poly_k coeffs must be a nonempty list of finite real numbers, got {coeffs!r}"
+            )
         return _make_polynomial("poly_k", coeffs, {"coeffs": [float(c) for c in coeffs]})
     if params:
         raise DomainError(f"builtin {name!r} takes no parameters")

@@ -1,56 +1,32 @@
-"""Discrete functionals of sampled paths as right-continuous step series.
+"""Discrete functionals of sampled path ensembles.
 
-Every functional below is an exact finite sum over grid increments; no
-quadrature or approximation beyond float64 happens here.  Values are
-stored for every grid time with the index bound of each definition
-applied through exact integer arithmetic, so a query at a grid time is
-an O(1) lookup of the mathematically exact prefix.
+Every functional takes an (M, N+1) array of M paths on the grid, N =
+floor(n*T), and returns (M, N+1) values: column k holds the exact
+prefix of the sum at t_k, with the index bound of each definition
+applied through exact integer arithmetic, and column 0 is the empty sum.
+No quadrature or approximation beyond float64 happens here; reading a
+functional at time t is a lookup of column grid.index_at(t).
 
-Conventions, with N = floor(n*T), dX_j = X(t_j) - X(t_{j-1}):
+Conventions, labelled by their `sums --functional` names, with
+dX_j = X(t_j) - X(t_{j-1}):
 
   midpoint:  sum_{j <= floor(nt/2)}  g(X(t_{2j-1}), t_{2j-1}) (X(t_{2j}) - X(t_{2j-2}))
   offset:    sum_{j <= floor(nt/2)}  g(X(t_{2j}),  t_{2j})   (X(t_{2j+1}) - X(t_{2j-1}))
              (terms whose index 2j+1 exceeds N are dropped)
   trapezoid: sum_{j <= floor(nt)}   (g(.., t_{j-1}) + g(.., t_j))/2 * dX_j
-  alt_qv_weighted: sum_{j <= 2 floor(nt/2)} g(X(t_{j-1}), t_{j-1}) dX_j^2 (-1)^j
+  jn:        sum_{j <= 2 floor(nt/2)} g(X(t_{j-1}), t_{j-1}) dX_j^2 (-1)^j
   qn/bn:     the unweighted alternating sum, raw and divided by the
              scale constant kappa
-  bn_smoothed: alternating sum cut at 2 m^3 floor(mt/2), m = floor(n^(1/4))
-  power_sum: parity-filtered sums of g(..) dX_j^p, p in {3, 4}
+  bnbar:     alternating sum cut at 2 m^3 floor(mt/2), m = floor(n^(1/4))
+  power:     parity-filtered sums of g(..) dX_j^p, p in {3, 4}
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import kappa_reference
 from .errors import DomainError
-from .kernels import Grid
-
-
-@dataclass(frozen=True)
-class StepSeries:
-    """Functional values at every grid time; v[0] = 0 (empty sum)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def value_at(self, t):
-        """Series value at time t (floors to the grid index)."""
-        return float(self.values[self.grid.index_at(t)])
-
-
-def _as_matrix(path, grid):
-    path = np.asarray(path, dtype=np.float64)
-    if path.ndim != 1:
-        raise DomainError("path must be one-dimensional")
-    if path.size != grid.nsteps + 1:
-        raise DomainError(
-            f"path has {path.size} values but the grid holds {grid.nsteps + 1} times"
-        )
-    return path[None, :]
 
 
 def _check_ensemble(values, grid):
@@ -69,59 +45,40 @@ def _prefix(terms):
     return out
 
 
-def _halfstep_map(nsteps):
-    return np.arange(nsteps + 1) // 2
+def _straddle_sum(values, grid, g, deriv_order, first):
+    """sum g(X(t_i), t_i) (X(t_{i+1}) - X(t_{i-1})) over i = first, first + 2, ...
+
+    Only terms with i + 1 <= N exist; column k holds the first
+    min(k // 2, count) of them.
+    """
+    values = _check_ensemble(values, grid)
+    nsteps = grid.nsteps
+    times = grid.times()
+    count = (nsteps - first + 1) // 2
+    i = np.arange(first, first + 2 * count, 2)
+    gv = g.dx(deriv_order, values[:, i], times[i][None, :])
+    incr = values[:, i + 1] - values[:, i - 1]
+    cum = _prefix(np.asarray(gv) * incr)
+    return cum[:, np.minimum(np.arange(nsteps + 1) // 2, count)]
 
 
 def midpoint_sum_ensemble(values, grid, g, deriv_order=0):
-    values = _check_ensemble(values, grid)
-    nsteps = grid.nsteps
-    times = grid.times()
-    pairs = nsteps // 2
-    mid = np.arange(1, 2 * pairs, 2)
-    gv = g.dx(deriv_order, values[:, mid], times[mid][None, :])
-    incr = values[:, mid + 1] - values[:, mid - 1]
-    cum = _prefix(np.asarray(gv) * incr)
-    return cum[:, _halfstep_map(nsteps)]
-
-
-def midpoint_sum(path, grid, g, deriv_order=0):
     """Midpoint-style weighted sum over straddling even increments."""
-    out = midpoint_sum_ensemble(_as_matrix(path, grid), grid, g, deriv_order)
-    return StepSeries(grid, out[0])
+    return _straddle_sum(values, grid, g, deriv_order, 1)
 
 
 def offset_midpoint_sum_ensemble(values, grid, g, deriv_order=0):
-    values = _check_ensemble(values, grid)
-    nsteps = grid.nsteps
-    times = grid.times()
-    # Full terms need path index 2j+1 <= N; later terms are dropped.
-    pairs = (nsteps - 1) // 2
-    even = np.arange(2, 2 * pairs + 1, 2)
-    gv = g.dx(deriv_order, values[:, even], times[even][None, :])
-    incr = values[:, even + 1] - values[:, even - 1]
-    cum = _prefix(np.asarray(gv) * incr)
-    return cum[:, np.minimum(_halfstep_map(nsteps), pairs)]
-
-
-def offset_midpoint_sum(path, grid, g, deriv_order=0):
     """Even-index evaluation with straddling odd increments."""
-    out = offset_midpoint_sum_ensemble(_as_matrix(path, grid), grid, g, deriv_order)
-    return StepSeries(grid, out[0])
+    return _straddle_sum(values, grid, g, deriv_order, 2)
 
 
 def trapezoid_sum_ensemble(values, grid, g, deriv_order=0):
+    """Trapezoid-weighted Riemann-Stieltjes sum along the path."""
     values = _check_ensemble(values, grid)
     times = grid.times()
     gv = np.asarray(g.dx(deriv_order, values, times[None, :]))
     terms = 0.5 * (gv[:, :-1] + gv[:, 1:]) * np.diff(values, axis=1)
     return _prefix(terms)
-
-
-def trapezoid_sum(path, grid, g, deriv_order=0):
-    """Trapezoid-weighted Riemann-Stieltjes sum along the path."""
-    out = trapezoid_sum_ensemble(_as_matrix(path, grid), grid, g, deriv_order)
-    return StepSeries(grid, out[0])
 
 
 def _alternating_signs(nsteps):
@@ -130,6 +87,7 @@ def _alternating_signs(nsteps):
 
 
 def alt_qv_weighted_ensemble(values, grid, g, deriv_order=0):
+    """Left-evaluated weighted alternating sum of squared increments."""
     values = _check_ensemble(values, grid)
     nsteps = grid.nsteps
     times = grid.times()
@@ -140,12 +98,6 @@ def alt_qv_weighted_ensemble(values, grid, g, deriv_order=0):
     return cum[:, idx]
 
 
-def alt_qv_weighted(path, grid, g, deriv_order=0):
-    """Left-evaluated weighted alternating sum of squared increments."""
-    out = alt_qv_weighted_ensemble(_as_matrix(path, grid), grid, g, deriv_order)
-    return StepSeries(grid, out[0])
-
-
 def _alt_qv_prefix(values, grid):
     nsteps = grid.nsteps
     terms = np.diff(values, axis=1) ** 2 * _alternating_signs(nsteps)[None, :]
@@ -153,26 +105,16 @@ def _alt_qv_prefix(values, grid):
 
 
 def qn_process_ensemble(values, grid):
+    """Paired difference of squared increments (even minus odd)."""
     values = _check_ensemble(values, grid)
     cum = _alt_qv_prefix(values, grid)
     idx = 2 * (np.arange(grid.nsteps + 1) // 2)
     return cum[:, idx]
 
 
-def qn_process(path, grid):
-    """Paired difference of squared increments (even minus odd)."""
-    out = qn_process_ensemble(_as_matrix(path, grid), grid)
-    return StepSeries(grid, out[0])
-
-
 def bn_process_ensemble(values, grid):
-    return qn_process_ensemble(values, grid) / kappa_reference()
-
-
-def bn_process(path, grid):
     """Alternating quadratic variation scaled to a standard-BM limit."""
-    out = bn_process_ensemble(_as_matrix(path, grid), grid)
-    return StepSeries(grid, out[0])
+    return qn_process_ensemble(values, grid) / kappa_reference()
 
 
 def floor_fourth_root(n):
@@ -185,10 +127,11 @@ def floor_fourth_root(n):
 
 
 def bn_smoothed_ensemble(values, grid):
+    """Alternating quadratic variation frozen between multiples of 2/m."""
     values = _check_ensemble(values, grid)
     n = grid.n
     if n < 16:
-        raise DomainError("bn_smoothed needs n >= 16 so that floor(n^(1/4)) >= 2")
+        raise DomainError("bn_smoothed_ensemble needs n >= 16 so that floor(n^(1/4)) >= 2")
     m = floor_fourth_root(n)
     cum = _alt_qv_prefix(values, grid)
     i = np.arange(grid.nsteps + 1)
@@ -197,17 +140,12 @@ def bn_smoothed_ensemble(values, grid):
     return cum[:, idx] / kappa_reference()
 
 
-def bn_smoothed(path, grid):
-    """Alternating quadratic variation frozen between multiples of 2/m."""
-    out = bn_smoothed_ensemble(_as_matrix(path, grid), grid)
-    return StepSeries(grid, out[0])
-
-
 PARITIES = ("odd", "even", "all")
 EVAL_POINTS = ("left", "right")
 
 
 def power_sum_ensemble(values, grid, g, p, parity="all", eval_point="left", deriv_order=0):
+    """Parity-filtered sum of g-weighted increment powers (p = 3 or 4)."""
     values = _check_ensemble(values, grid)
     if p not in (3, 4):
         raise DomainError("power p must be 3 or 4")
@@ -231,12 +169,3 @@ def power_sum_ensemble(values, grid, g, p, parity="all", eval_point="left", deri
     if parity == "even":
         return _prefix(terms * (j % 2 == 0))
     return _prefix(terms * (j % 2 == 1)) + _prefix(terms * (j % 2 == 0))
-
-
-def power_sum(path, grid, g, p, parity="all", eval_point="left", deriv_order=0):
-    """Parity-filtered sum of g-weighted increment powers (p = 3 or 4)."""
-    out = power_sum_ensemble(
-        _as_matrix(path, grid), grid, g, p, parity=parity, eval_point=eval_point,
-        deriv_order=deriv_order,
-    )
-    return StepSeries(grid, out[0])

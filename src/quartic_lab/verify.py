@@ -4,8 +4,9 @@ Each experiment draws paths, evaluates the discrete functionals, and
 compares them against either closed-form Gaussian moments or an
 independently simulated right-hand side.  Reports carry every statistic,
 threshold, and pass flag; a rerun with the same configuration and seed
-reproduces the summary and CSV byte for byte, independent of the worker
-count.
+reproduces the summary and CSV byte for byte.  Replicates are evaluated
+in fixed 256-row blocks, one after another; the `workers` argument of
+each experiment is accepted for compatibility and selects nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import inspect
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,14 +22,14 @@ import numpy as np
 from . import __version__, analytic, stats, sums
 from .analytic import GaussianMoments, kappa_reference, poly_diff, poly_from_coeffs, poly_mul
 from .errors import ConfigError, DomainError
-from .functions import TestFunction, builtin
-from .kernels import CovKernel, Grid, fbm_composite_kernel, heat_kernel
+from .functions import builtin
+from .kernels import Grid, fbm_composite_kernel, heat_kernel
 from .simulate import add_deterministic_drift, cached_factor, sample_brownian, sample_paths
 
 SUMMARY_SCHEMA = 1
 
-# Replicates are processed in fixed-size row blocks so that the split is
-# identical no matter how many workers consume the blocks.
+# Replicates are processed in fixed-size row blocks, which bounds the
+# temporaries of each sums/RHS evaluation.
 _CHUNK_ROWS = 256
 
 
@@ -148,22 +148,15 @@ def draw_coupled(kernel, grid, m, seed):
     return draw_ensemble(kernel, grid, m, seed), sample_brownian(grid, m, seed)
 
 
-def _map_chunks(fn, values, workers, *aligned):
-    """Apply fn to fixed-size row blocks and concatenate in order.
+def _map_chunks(fn, values, *aligned):
+    """Apply fn to fixed-size row blocks in order and concatenate.
 
     fn receives a block of values followed by the same rows of every
-    aligned array.  The block size never depends on the worker count, so
-    the result is byte-identical whether blocks run sequentially or on a
-    pool.
+    aligned array.
     """
     starts = range(0, values.shape[0], _CHUNK_ROWS)
     columns = [[a[i : i + _CHUNK_ROWS] for i in starts] for a in (values, *aligned)]
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fn, *columns))
-    else:
-        parts = list(map(fn, *columns))
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(list(map(fn, *columns)), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +205,11 @@ def _window_indices(grid, t_start, t_end):
 
 
 def rhs_formula_ensemble(x_values, b_values, grid, g, t, c=1.0, t_start=0.0):
+    """Corrected chain-rule right-hand side at time t, one value per row.
+
+    x_values and b_values are (M, N+1) path and Brownian ensembles on the
+    same grid; rows are paired.
+    """
     x_values = np.asarray(x_values, dtype=np.float64)
     b_values = np.asarray(b_values, dtype=np.float64)
     if x_values.shape != b_values.shape:
@@ -235,31 +233,10 @@ def rhs_formula_ensemble(x_values, b_values, grid, g, t, c=1.0, t_start=0.0):
     )
 
 
-def rhs_formula(x_path, b_path, grid, g, t, c=1.0, t_start=0.0):
-    """Single-path corrected chain-rule right-hand side at time t."""
-    x = np.asarray(x_path, dtype=np.float64)[None, :]
-    b = np.asarray(b_path, dtype=np.float64)[None, :]
-    return float(rhs_formula_ensemble(x, b, grid, g, t, c=c, t_start=t_start).values[0])
-
-
-def rhs_formula_coupled(x_ensemble, b_ensemble, g, t, c=1.0, t_start=0.0):
-    """Ensemble right-hand side; the two ensembles must share a grid."""
-    if x_ensemble.grid != b_ensemble.grid:
-        raise DomainError("path and Brownian ensembles must share a grid")
-    return rhs_formula_ensemble(
-        x_ensemble.values, b_ensemble.values, x_ensemble.grid, g, t, c=c, t_start=t_start
-    )
-
-
 def trapezoid_target_ensemble(x_values, grid, g, t, t_start=0.0):
+    """g(X(t),t) - g(X(0),0) - trapezoid quadrature of the dt term, per row."""
     k0, k1 = _window_indices(grid, t_start, t)
     return _head_minus_time_ensemble(np.asarray(x_values, dtype=np.float64), grid, g, k0, k1)
-
-
-def trapezoid_target(x_path, grid, g, t, t_start=0.0):
-    """g(X(t),t) - g(X(0),0) - trapezoid quadrature of the dt term."""
-    x = np.asarray(x_path, dtype=np.float64)[None, :]
-    return float(trapezoid_target_ensemble(x, grid, g, t, t_start=t_start)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +415,8 @@ def verify_ito_formula(
     for k in range(seeds):
         master = int(seed) + k
         x_ens, b_ens = draw_coupled(kernel, grid, m, master)
-        sample_a = _map_chunks(eval_block, x_ens.values, workers)
-        sample_b = _map_chunks(rhs_block, x_ens.values, workers, b_ens.values)
+        sample_a = _map_chunks(eval_block, x_ens.values)
+        sample_b = _map_chunks(rhs_block, x_ens.values, b_ens.values)
 
         seed_ok = True
         probe_stats = {}
@@ -561,7 +538,7 @@ def verify_bn_limit(
     corr_tol=0.1,
     workers=1,
 ):
-    """Normality, independence, and increment checks for bn_process.
+    """Normality, independence, and increment checks for bn_process_ensemble.
 
     Per probe t: one-sample KS of bn(t)/sqrt(t) against N(0,1), and the
     correlation of bn at the final probe with the path value at t.  The
@@ -575,7 +552,7 @@ def verify_bn_limit(
     horizon = max(probes)
     grid = Grid(int(n), horizon)
     x_ens = draw_ensemble(kernel, grid, m, int(seed))
-    bn = _map_chunks(lambda b: sums.bn_process_ensemble(b, grid), x_ens.values, workers)
+    bn = _map_chunks(lambda b: sums.bn_process_ensemble(b, grid), x_ens.values)
 
     times = grid.times()
     t_full = horizon
@@ -666,7 +643,7 @@ def _count_inversions(mses):
 
 def _mse_ladder(
     experiment, block, columns, residual,
-    kernel, g, n_list, m, probes, seed, max_inversions, workers,
+    kernel, g, n_list, m, probes, seed, max_inversions,
     final_tol=None, extra_config=None,
 ):
     """Mean-square convergence of one per-replicate residual along n_list.
@@ -694,7 +671,7 @@ def _mse_ladder(
         grid = Grid(n, horizon)
         x_ens = draw_ensemble(kernel, grid, m, int(seed))
         cols = _map_chunks(
-            lambda b: np.moveaxis(np.array(block(b, grid, g, probes)), -1, 0), x_ens.values, workers
+            lambda b: np.moveaxis(np.array(block(b, grid, g, probes)), -1, 0), x_ens.values
         )
         for j, t in enumerate(probes):
             mses[t].append(float(np.mean(residual(cols[:, j]) ** 2)))
@@ -784,7 +761,7 @@ def verify_trapezoid_ucp(
 
     return _mse_ladder(
         "trapezoid", block, ("trapezoid_sum", "target"), lambda c: c[:, 0] - c[:, 1],
-        kernel, g, n_list, m, probes, seed, max_inversions, workers,
+        kernel, g, n_list, m, probes, seed, max_inversions,
         final_tol=threshold,
         extra_config={"final_tol": None if final_tol is None else float(final_tol)},
     )
@@ -818,5 +795,5 @@ def verify_expansion_residual(
 
     return _mse_ladder(
         "expansion", block, ("residual",), lambda c: c[:, 0],
-        kernel, g, n_list, m, probes, seed, max_inversions, workers,
+        kernel, g, n_list, m, probes, seed, max_inversions,
     )

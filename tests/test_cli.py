@@ -86,6 +86,29 @@ class TestSample:
         assert capsys.readouterr().err.startswith("config error:")
 
 
+# Every `sums --functional` choice (power at p 3 and 4): its flags and the
+# library call whose values the CSV must hold.
+_SUMS_CASES = [
+    ("midpoint", ["--g", "cube", "--deriv", "1"],
+     lambda x, grid: sums.midpoint_sum_ensemble(x, grid, builtin("cube"), 1)),
+    ("offset", ["--g", "poly_k", "--coeffs", "1,2,3"],
+     lambda x, grid: sums.offset_midpoint_sum_ensemble(
+         x, grid, builtin("poly_k", coeffs=[1.0, 2.0, 3.0]))),
+    ("trapezoid", ["--g", "sine"],
+     lambda x, grid: sums.trapezoid_sum_ensemble(x, grid, builtin("sine"))),
+    ("jn", ["--g", "square", "--deriv", "2"],
+     lambda x, grid: sums.alt_qv_weighted_ensemble(x, grid, builtin("square"), 2)),
+    ("qn", [], sums.qn_process_ensemble),
+    ("bn", [], sums.bn_process_ensemble),
+    ("bnbar", [], sums.bn_smoothed_ensemble),
+    ("power", ["--p", "3", "--g", "linear", "--parity", "odd", "--eval-point", "right"],
+     lambda x, grid: sums.power_sum_ensemble(
+         x, grid, builtin("linear"), 3, parity="odd", eval_point="right")),
+    ("power", ["--p", "4"],
+     lambda x, grid: sums.power_sum_ensemble(x, grid, builtin("const"), 4)),
+]
+
+
 class TestSums:
     def test_qn_values_match_library(self, tmp_path, capsys):
         out = str(tmp_path / "qn.csv")
@@ -160,6 +183,31 @@ class TestSums:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DomainError"
+
+
+    def test_unknown_g_is_config_error(self, tmp_path, capsys):
+        code = main(["sums", "--functional", "midpoint", "--g", "nope",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "functional,flags,call", _SUMS_CASES,
+        ids=[f"power-p{c[1][1]}" if c[0] == "power" else c[0] for c in _SUMS_CASES],
+    )
+    def test_every_functional_matches_library(self, tmp_path, functional, flags, call):
+        out = str(tmp_path / "s.csv")
+        code = main(["sums", "--functional", functional, *flags, "--n", "64", "--M", "4",
+                     "--seed", "5", "--t", "0.3,0.5,1.0", "--out", out])
+        assert code == 0
+        grid = Grid(64)
+        series = call(draw_ensemble(heat_kernel(), grid, 4, 5).values, grid)
+        rows = [line.split(",") for line in open(out).read().strip().split("\n")[1:]]
+        assert len(rows) == 4 * 3
+        for row, (rep, t) in zip(rows, [(r, t) for r in range(4) for t in (0.3, 0.5, 1.0)]):
+            k = grid.index_at(t)
+            assert (int(row[0]), float(row[1])) == (rep, grid.times()[k])
+            assert float(row[2]) == series[rep, k]
 
 
 class TestVerifyVerb:
@@ -373,6 +421,13 @@ class TestTypedConfigErrors:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "run").exists()
 
+    def test_main_exits_two_on_bad_poly_k_coeffs(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"g": {"id": "poly_k", "coeffs": "12"}}))
+        assert main(["verify", "--experiment", "trapezoid", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_exit_two(self, tmp_path, capsys, workers):
         cfg = tmp_path / "cfg.json"
@@ -441,3 +496,25 @@ def test_fbm_window_defaults_come_from_its_signature():
     assert config.kernel == fbm_composite_kernel()
     assert config.seeds == 3 and config.n == 4096
     assert ExperimentConfig.from_dict("ito", {}).window_start == 0.0
+
+
+def test_malloc_pinning_needs_glibc(monkeypatch):
+    from quartic_lab import cli
+
+    pin = cli._pin_malloc_thresholds.__wrapped__
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+    monkeypatch.setattr(cli.sys, "platform", "darwin")
+    pin()
+    assert calls == []
+    monkeypatch.setattr(cli.sys, "platform", "linux")
+    pin()
+    assert calls == [(cli._M_MMAP_THRESHOLD, 32 << 20), (cli._M_TRIM_THRESHOLD, 1 << 30)]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    pin()  # a C library without mallopt is left alone
+    assert len(calls) == 2

@@ -51,6 +51,14 @@ class TestBuiltins:
         with pytest.raises(DomainError):
             builtin("poly_k")
 
+    @pytest.mark.parametrize(
+        "coeffs", ["12", [], [float("nan")], [float("inf")], [True, 1.0]],
+        ids=["str", "empty", "nan", "inf", "bool"],
+    )
+    def test_poly_k_rejects_bad_coeffs(self, coeffs):
+        with pytest.raises(DomainError):
+            builtin("poly_k", coeffs=coeffs)
+
     def test_dx_order_limits(self):
         g = builtin("square")
         assert g.dx(9, 1.0, 0.0) == 0.0

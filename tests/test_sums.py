@@ -16,18 +16,14 @@ from quartic_lab.functions import builtin
 from quartic_lab.kernels import Grid, heat_kernel
 from quartic_lab.simulate import cached_factor, sample_paths
 from quartic_lab.sums import (
-    alt_qv_weighted,
-    bn_process,
+    alt_qv_weighted_ensemble,
     bn_process_ensemble,
-    bn_smoothed,
     bn_smoothed_ensemble,
     floor_fourth_root,
-    midpoint_sum,
     midpoint_sum_ensemble,
-    offset_midpoint_sum,
-    power_sum,
-    qn_process,
-    trapezoid_sum,
+    offset_midpoint_sum_ensemble,
+    power_sum_ensemble,
+    qn_process_ensemble,
     trapezoid_sum_ensemble,
 )
 
@@ -96,6 +92,11 @@ def _random_path(nsteps, seed):
     return np.random.default_rng(seed).normal(size=nsteps + 1).cumsum() * 0.5
 
 
+def _one(fn, path, grid, *args, **kwargs):
+    """A functional of one path: row 0 of its one-row ensemble."""
+    return fn(path[None, :], grid, *args, **kwargs)[0]
+
+
 def _probes(grid):
     ts = list(grid.times())
     interior = [0.3 * grid.horizon, 0.77 * grid.horizon]
@@ -110,34 +111,34 @@ class TestAgainstNaiveLoops:
         for t in _probes(grid):
             k = grid.index_at(t)
             tg = grid.times()[k]  # naive loops take exact grid times
-            assert midpoint_sum(path, grid, AFFINE).value_at(t) == pytest.approx(
+            assert _one(midpoint_sum_ensemble, path, grid, AFFINE)[k] == pytest.approx(
                 naive_midpoint(path, n, tg, AFFINE, 0), abs=1e-12
             )
-            assert offset_midpoint_sum(path, grid, AFFINE).value_at(t) == pytest.approx(
+            assert _one(offset_midpoint_sum_ensemble, path, grid, AFFINE)[k] == pytest.approx(
                 naive_offset(path, n, tg, AFFINE, 0), abs=1e-12
             )
-            assert trapezoid_sum(path, grid, SQUARE, deriv_order=1).value_at(t) == pytest.approx(
-                naive_trapezoid(path, n, tg, SQUARE, 1), abs=1e-12
-            )
-            assert alt_qv_weighted(path, grid, AFFINE).value_at(t) == pytest.approx(
+            assert _one(
+                trapezoid_sum_ensemble, path, grid, SQUARE, deriv_order=1
+            )[k] == pytest.approx(naive_trapezoid(path, n, tg, SQUARE, 1), abs=1e-12)
+            assert _one(alt_qv_weighted_ensemble, path, grid, AFFINE)[k] == pytest.approx(
                 naive_alt_qv(path, n, tg, AFFINE, 0), abs=1e-12
             )
             for parity in ("odd", "even", "all"):
                 for point in ("left", "right"):
-                    assert power_sum(path, grid, LINEAR, 3, parity, point).value_at(
-                        t
-                    ) == pytest.approx(
+                    assert _one(
+                        power_sum_ensemble, path, grid, LINEAR, 3, parity, point
+                    )[k] == pytest.approx(
                         naive_power(path, n, tg, LINEAR, 3, parity, point, 0), abs=1e-12
                     )
 
     def test_qn_and_bn_match_alt_qv_with_unit_weight(self):
         grid = Grid(6)
         path = _random_path(6, seed=42)
-        jn = alt_qv_weighted(path, grid, CONST)
-        qn = qn_process(path, grid)
-        bn = bn_process(path, grid)
-        np.testing.assert_array_equal(qn.values, jn.values)
-        np.testing.assert_allclose(bn.values, jn.values / kappa_reference(), atol=0)
+        jn = _one(alt_qv_weighted_ensemble, path, grid, CONST)
+        qn = _one(qn_process_ensemble, path, grid)
+        bn = _one(bn_process_ensemble, path, grid)
+        np.testing.assert_array_equal(qn, jn)
+        np.testing.assert_allclose(bn, jn / kappa_reference(), atol=0)
 
 
 class TestHandValues:
@@ -147,26 +148,30 @@ class TestHandValues:
     GRID = Grid(4)
 
     def test_midpoint(self):
-        assert midpoint_sum(self.PATH, self.GRID, LINEAR).value_at(1.0) == 1.0
+        series = _one(midpoint_sum_ensemble, self.PATH, self.GRID, LINEAR)
+        assert series[self.GRID.index_at(1.0)] == 1.0
 
     def test_offset(self):
-        assert offset_midpoint_sum(self.PATH, self.GRID, LINEAR).value_at(1.0) == -1.0
+        series = _one(offset_midpoint_sum_ensemble, self.PATH, self.GRID, LINEAR)
+        assert series[self.GRID.index_at(1.0)] == -1.0
 
     def test_trapezoid(self):
-        assert trapezoid_sum(self.PATH, self.GRID, LINEAR).value_at(1.0) == 0.0
+        series = _one(trapezoid_sum_ensemble, self.PATH, self.GRID, LINEAR)
+        assert series[self.GRID.index_at(1.0)] == 0.0
 
     def test_two_step_weighted_alternating(self):
         a, b = 0.7, -0.3
         grid = Grid(2)
-        series = alt_qv_weighted(np.array([0.0, a, b]), grid, AFFINE)
+        series = _one(alt_qv_weighted_ensemble, np.array([0.0, a, b]), grid, AFFINE)
         want = -(1.0 + 0.0) * a**2 + (1.0 + a) * (b - a) ** 2
-        assert series.value_at(1.0) == pytest.approx(want, abs=1e-15)
+        assert series[grid.index_at(1.0)] == pytest.approx(want, abs=1e-15)
 
     def test_two_step_bn(self):
         a, b = 1.5, 0.5
-        series = bn_process(np.array([0.0, a, b]), Grid(2))
+        grid = Grid(2)
+        series = _one(bn_process_ensemble, np.array([0.0, a, b]), grid)
         want = (-(a**2) + (b - a) ** 2) / kappa_reference()
-        assert series.value_at(1.0) == pytest.approx(want, abs=1e-15)
+        assert series[grid.index_at(1.0)] == pytest.approx(want, abs=1e-15)
 
 
 class TestEmptyPrefixes:
@@ -174,68 +179,68 @@ class TestEmptyPrefixes:
         grid = Grid(8)
         path = _random_path(8, seed=1)
         for series in (
-            midpoint_sum(path, grid, SQUARE),
-            offset_midpoint_sum(path, grid, SQUARE),
-            trapezoid_sum(path, grid, SQUARE),
-            alt_qv_weighted(path, grid, SQUARE),
-            qn_process(path, grid),
-            bn_process(path, grid),
-            power_sum(path, grid, SQUARE, 4),
+            _one(midpoint_sum_ensemble, path, grid, SQUARE),
+            _one(offset_midpoint_sum_ensemble, path, grid, SQUARE),
+            _one(trapezoid_sum_ensemble, path, grid, SQUARE),
+            _one(alt_qv_weighted_ensemble, path, grid, SQUARE),
+            _one(qn_process_ensemble, path, grid),
+            _one(bn_process_ensemble, path, grid),
+            _one(power_sum_ensemble, path, grid, SQUARE, 4),
         ):
-            assert series.values[0] == 0.0
-            assert series.value_at(0.0) == 0.0
+            assert series[0] == 0.0
+            assert series[grid.index_at(0.0)] == 0.0
 
     def test_pairwise_functionals_vanish_before_first_pair(self):
         grid = Grid(8)
         path = _random_path(8, seed=2)
-        t = 1.9 / 8  # before t_2
-        assert midpoint_sum(path, grid, SQUARE).value_at(t) == 0.0
-        assert offset_midpoint_sum(path, grid, SQUARE).value_at(t) == 0.0
-        assert qn_process(path, grid).value_at(t) == 0.0
+        k = grid.index_at(1.9 / 8)  # before t_2
+        assert _one(midpoint_sum_ensemble, path, grid, SQUARE)[k] == 0.0
+        assert _one(offset_midpoint_sum_ensemble, path, grid, SQUARE)[k] == 0.0
+        assert _one(qn_process_ensemble, path, grid)[k] == 0.0
 
 
 class TestTelescoping:
     def test_midpoint_unit_integrand(self):
         grid = Grid(5)
         path = _random_path(5, seed=3)
-        series = midpoint_sum(path, grid, CONST)
+        series = _one(midpoint_sum_ensemble, path, grid, CONST)
         for t in _probes(grid):
             k = 2 * (grid.index_at(t) // 2)
-            assert series.value_at(t) == pytest.approx(path[k] - path[0], abs=1e-12)
+            assert series[grid.index_at(t)] == pytest.approx(path[k] - path[0], abs=1e-12)
 
     def test_offset_unit_integrand(self):
         grid = Grid(9)
         path = _random_path(9, seed=4)
-        series = offset_midpoint_sum(path, grid, CONST)
+        series = _one(offset_midpoint_sum_ensemble, path, grid, CONST)
         for i in range(10):
             pairs = min(i // 2, (9 - 1) // 2)
             want = path[2 * pairs + 1] - path[1] if pairs >= 1 else 0.0
-            assert series.values[i] == pytest.approx(want, abs=1e-12)
+            assert series[i] == pytest.approx(want, abs=1e-12)
 
     def test_trapezoid_unit_integrand(self):
         grid = Grid(7)
         path = _random_path(7, seed=5)
-        series = trapezoid_sum(path, grid, CONST)
+        series = _one(trapezoid_sum_ensemble, path, grid, CONST)
         for i in range(8):
-            assert series.values[i] == pytest.approx(path[i] - path[0], abs=1e-12)
+            assert series[i] == pytest.approx(path[i] - path[0], abs=1e-12)
 
     def test_trapezoid_exact_for_quadratic(self):
         """With integrand x the trapezoid sum telescopes to (X_k^2-X_0^2)/2."""
         grid = Grid(16)
         path = _random_path(16, seed=6)
-        series = trapezoid_sum(path, grid, LINEAR)
-        np.testing.assert_allclose(series.values, (path**2 - path[0] ** 2) / 2, atol=1e-12)
+        series = _one(trapezoid_sum_ensemble, path, grid, LINEAR)
+        np.testing.assert_allclose(series, (path**2 - path[0] ** 2) / 2, atol=1e-12)
 
     def test_midpoint_plus_alternating_telescopes(self):
         """2 I_n(x, t) + Q_n(t) = X(t_2k)^2 - X(0)^2 for every t, per pair."""
         for n, seed in ((4, 7), (9, 8), (16, 9)):
             grid = Grid(n)
             path = _random_path(n, seed=seed)
-            mid = midpoint_sum(path, grid, LINEAR)
-            qn = qn_process(path, grid)
+            mid = _one(midpoint_sum_ensemble, path, grid, LINEAR)
+            qn = _one(qn_process_ensemble, path, grid)
             for i in range(n + 1):
                 k = 2 * (i // 2)
-                assert 2 * mid.values[i] + qn.values[i] == pytest.approx(
+                assert 2 * mid[i] + qn[i] == pytest.approx(
                     path[k] ** 2 - path[0] ** 2, abs=1e-10
                 )
 
@@ -247,9 +252,14 @@ class TestAlgebraicStructure:
         g1 = builtin("poly_k", coeffs=[0.0, 2.0, 1.0])
         g2 = builtin("poly_k", coeffs=[1.0, -1.0, 0.0, 0.5])
         combined = builtin("poly_k", coeffs=[1.0, 1.0, 1.0, 0.5])
-        for fn in (midpoint_sum, offset_midpoint_sum, trapezoid_sum, alt_qv_weighted):
-            lhs = fn(path, grid, combined).values
-            rhs = fn(path, grid, g1).values + fn(path, grid, g2).values
+        for fn in (
+            midpoint_sum_ensemble,
+            offset_midpoint_sum_ensemble,
+            trapezoid_sum_ensemble,
+            alt_qv_weighted_ensemble,
+        ):
+            lhs = _one(fn, path, grid, combined)
+            rhs = _one(fn, path, grid, g1) + _one(fn, path, grid, g2)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_parity_decomposition_is_exact(self):
@@ -257,51 +267,51 @@ class TestAlgebraicStructure:
         path = _random_path(11, seed=11)
         for p in (3, 4):
             for point in ("left", "right"):
-                full = power_sum(path, grid, SQUARE, p, "all", point).values
-                odd = power_sum(path, grid, SQUARE, p, "odd", point).values
-                even = power_sum(path, grid, SQUARE, p, "even", point).values
+                full = _one(power_sum_ensemble, path, grid, SQUARE, p, "all", point)
+                odd = _one(power_sum_ensemble, path, grid, SQUARE, p, "odd", point)
+                even = _one(power_sum_ensemble, path, grid, SQUARE, p, "even", point)
                 assert np.array_equal(full, odd + even)
 
     def test_power_validation(self):
         grid = Grid(4)
         path = _random_path(4, seed=12)
         with pytest.raises(DomainError):
-            power_sum(path, grid, CONST, 2)
+            _one(power_sum_ensemble, path, grid, CONST, 2)
         with pytest.raises(DomainError):
-            power_sum(path, grid, CONST, 4, parity="both")
+            _one(power_sum_ensemble, path, grid, CONST, 4, parity="both")
         with pytest.raises(DomainError):
-            power_sum(path, grid, CONST, 4, eval_point="mid")
+            _one(power_sum_ensemble, path, grid, CONST, 4, eval_point="mid")
 
     def test_path_shape_validation(self):
         grid = Grid(4)
         with pytest.raises(DomainError):
-            midpoint_sum(np.zeros(4), grid, CONST)  # needs 5 values
+            midpoint_sum_ensemble(np.zeros((1, 4)), grid, CONST)  # needs 5 columns
         with pytest.raises(DomainError):
-            trapezoid_sum(np.zeros((2, 5)), grid, CONST)
+            trapezoid_sum_ensemble(np.zeros(5), grid, CONST)  # needs a 2-D ensemble
 
 
 class TestSmoothedAlternating:
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
-            bn_smoothed(np.zeros(16), Grid(15))
+            bn_smoothed_ensemble(np.zeros((1, 16)), Grid(15))
 
     def test_n16_full_horizon_matches_bn(self):
         grid = Grid(16)
         path = _random_path(16, seed=13)
-        assert bn_smoothed(path, grid).value_at(1.0) == bn_process(path, grid).value_at(1.0)
+        k = grid.index_at(1.0)
+        assert _one(bn_smoothed_ensemble, path, grid)[k] == _one(bn_process_ensemble, path, grid)[k]
 
     def test_flat_before_first_jump(self):
         grid = Grid(81)  # m = 3, first jump at 2/3
         path = _random_path(81, seed=14)
-        series = bn_smoothed(path, grid)
-        assert series.value_at(0.6) == 0.0
-        assert series.value_at(0.67) != 0.0
+        series = _one(bn_smoothed_ensemble, path, grid)
+        assert series[grid.index_at(0.6)] == 0.0
+        assert series[grid.index_at(0.67)] != 0.0
 
     def test_jump_times_are_multiples_of_two_over_m(self):
         grid = Grid(81)
         path = _random_path(81, seed=15)
-        series = bn_smoothed(path, grid)
-        values = series.values
+        values = _one(bn_smoothed_ensemble, path, grid)
         jumps = np.nonzero(np.diff(values) != 0.0)[0] + 1
         m = 3
         for i in jumps:
@@ -320,15 +330,6 @@ class TestSmoothedAlternating:
             assert floor_fourth_root(k**4 - 1) == k - 1
 
 
-class TestStepSeriesQueries:
-    def test_floor_lookup(self):
-        grid = Grid(4)
-        series = trapezoid_sum(np.array([0.0, 1.0, -1.0, 2.0, 0.0]), grid, LINEAR)
-        assert series.value_at(0.49) == series.values[1]
-        assert series.value_at(0.5) == series.values[2]
-        assert series.value_at(2.0) == series.values[4]
-
-
 class TestEnsembleLimits:
     """Monte Carlo checks of the limit behavior, heat kernel paths."""
 
@@ -344,8 +345,6 @@ class TestEnsembleLimits:
 
     def test_trapezoid_is_midpoint_offset_average(self):
         """T_n - (I_n + offset I_n)/2 shrinks in mean square as n grows."""
-        from quartic_lab.sums import offset_midpoint_sum_ensemble
-
         mses = []
         for n in (256, 1024, 4096):
             grid, values = self._values(n, 400, seed=17)

@@ -26,9 +26,7 @@ from quartic_lab.verify import (
     formula_reference_moments,
     head_reference_moments,
     ito_term_variance,
-    rhs_formula,
-    rhs_formula_coupled,
-    trapezoid_target,
+    rhs_formula_ensemble,
     trapezoid_target_ensemble,
     verify_bn_limit,
     verify_expansion_residual,
@@ -81,7 +79,7 @@ class TestRhsFormula:
         x = np.array([0.0, 1.0, 2.0])
         b = np.array([0.0, 0.3, -0.7])
         kap = kappa_reference()
-        got = rhs_formula(x, b, grid, SQUARE, 1.0)
+        got = rhs_formula_ensemble(x[None, :], b[None, :], grid, SQUARE, 1.0).values[0]
         assert got == pytest.approx(4.0 - kap * (-0.7), rel=1e-14)
 
     def test_hand_path_square_window(self):
@@ -89,22 +87,22 @@ class TestRhsFormula:
         x = np.array([0.0, 1.0, 2.0])
         b = np.array([0.0, 0.3, -0.7])
         kap = kappa_reference()
-        got = rhs_formula(x, b, grid, SQUARE, 1.0, t_start=0.5)
-        assert got == pytest.approx(3.0 - kap * (-0.7 - 0.3), rel=1e-14)
+        rhs = rhs_formula_ensemble(x[None, :], b[None, :], grid, SQUARE, 1.0, t_start=0.5)
+        assert rhs.values[0] == pytest.approx(3.0 - kap * (-0.7 - 0.3), rel=1e-14)
 
     def test_scale_factor_enters_squared(self):
         grid = Grid(2)
         x = np.array([0.0, 1.0, 2.0])
         b = np.array([0.0, 0.3, -0.7])
         kap = kappa_reference()
-        got = rhs_formula(x, b, grid, SQUARE, 1.0, c=0.5)
+        got = rhs_formula_ensemble(x[None, :], b[None, :], grid, SQUARE, 1.0, c=0.5).values[0]
         assert got == pytest.approx(4.0 - 0.25 * kap * (-0.7), rel=1e-14)
 
     def test_linear_g_is_the_path_increment(self):
         """Both integral terms vanish; the RHS is exactly X(t_k) - X(0)."""
         grid = Grid(64)
         x_ens, b_ens = draw_coupled(heat_kernel(), grid, 50, 3)
-        rhs = rhs_formula_coupled(x_ens, b_ens, LINEAR, 1.0)
+        rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, LINEAR, 1.0)
         assert np.array_equal(rhs.values, x_ens.values[:, 64] - x_ens.values[:, 0])
         mid = sums.midpoint_sum_ensemble(x_ens.values, grid, LINEAR, 1)[:, 64]
         np.testing.assert_allclose(mid, rhs.values, atol=1e-13)
@@ -113,13 +111,13 @@ class TestRhsFormula:
     def test_time_only_g_cancels_exactly(self):
         grid = Grid(32)
         x_ens, b_ens = draw_coupled(heat_kernel(), grid, 8, 5)
-        rhs = rhs_formula_coupled(x_ens, b_ens, _time_only(), 1.0)
+        rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, _time_only(), 1.0)
         assert np.all(rhs.values == 0.0)
 
     def test_zero_scale_drops_the_correction(self):
         grid = Grid(32)
         x_ens, b_ens = draw_coupled(heat_kernel(), grid, 8, 5)
-        rhs = rhs_formula_coupled(x_ens, b_ens, SQUARE, 1.0, c=0.0)
+        rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0, c=0.0)
         target = trapezoid_target_ensemble(x_ens.values, grid, SQUARE, 1.0)
         assert np.array_equal(rhs.values, target)
 
@@ -127,9 +125,10 @@ class TestRhsFormula:
         grid = Grid(8)
         x = np.zeros(9)
         b = np.zeros(9)
-        out = rhs_formula(x, b, grid, SQUARE, 0.7, t_start=0.2)
-        assert out == 0.0
-        ens = rhs_formula_coupled(*draw_coupled(heat_kernel(), grid, 2, 1), SQUARE, 0.7, t_start=0.2)
+        out = rhs_formula_ensemble(x[None, :], b[None, :], grid, SQUARE, 0.7, t_start=0.2)
+        assert out.values[0] == 0.0
+        x_ens, b_ens = draw_coupled(heat_kernel(), grid, 2, 1)
+        ens = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 0.7, t_start=0.2)
         assert ens.t_start == grid.times()[grid.index_at(0.2)]
         assert ens.t_end == grid.times()[grid.index_at(0.7)]
         assert ens.kappa_value == kappa_reference()
@@ -138,25 +137,27 @@ class TestRhsFormula:
     def test_mismatched_shapes_rejected(self):
         grid = Grid(4)
         with pytest.raises(DomainError):
-            rhs_formula(np.zeros(5), np.zeros(4), grid, SQUARE, 1.0)
+            rhs_formula_ensemble(np.zeros((1, 5)), np.zeros((1, 4)), grid, SQUARE, 1.0)
 
     def test_mismatched_grids_rejected(self):
         x_ens, _ = draw_coupled(heat_kernel(), Grid(8), 2, 1)
         _, b_ens = draw_coupled(heat_kernel(), Grid(16), 2, 1)
         with pytest.raises(DomainError):
-            rhs_formula_coupled(x_ens, b_ens, SQUARE, 1.0)
+            rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0)
 
     def test_window_end_before_start_rejected(self):
         grid = Grid(8)
         with pytest.raises(DomainError):
-            rhs_formula(np.zeros(9), np.zeros(9), grid, SQUARE, 0.25, t_start=0.75)
+            rhs_formula_ensemble(
+                np.zeros((1, 9)), np.zeros((1, 9)), grid, SQUARE, 0.25, t_start=0.75
+            )
 
 
 class TestTrapezoidTarget:
     def test_hand_quadrature_x_times_t(self):
         """g = x*t on X = (0,1,2): 2 - trapezoid(0,1,2; dt=1/2) = 1."""
         grid = Grid(2)
-        got = trapezoid_target(np.array([0.0, 1.0, 2.0]), grid, _x_times_t(), 1.0)
+        got = trapezoid_target_ensemble(np.array([[0.0, 1.0, 2.0]]), grid, _x_times_t(), 1.0)[0]
         assert got == pytest.approx(1.0, abs=1e-15)
 
     def test_square_is_the_squared_increment(self):
@@ -168,7 +169,7 @@ class TestTrapezoidTarget:
     def test_constant_g_gives_zero(self):
         grid = Grid(8)
         x = np.linspace(0.0, 2.0, 9)
-        assert trapezoid_target(x, grid, builtin("const"), 1.0) == 0.0
+        assert trapezoid_target_ensemble(x[None, :], grid, builtin("const"), 1.0)[0] == 0.0
 
 
 class TestReferenceMoments:
@@ -271,7 +272,7 @@ class TestItoExperiment:
         assert a.replicates_csv() == b.replicates_csv()
 
     def test_worker_count_does_not_change_bytes(self):
-        # m = 300 spans two row blocks, so the pool actually splits work.
+        # m = 300 spans two row blocks; workers is accepted and selects nothing.
         a = verify_ito_formula(n=256, m=300, seeds=1, workers=1)
         b = verify_ito_formula(n=256, m=300, seeds=1, workers=4)
         assert a.summary_json() == b.summary_json()
@@ -282,7 +283,7 @@ class TestItoExperiment:
         grid = Grid(32)
         rep = verify_ito_formula(n=32, m=600, seeds=1, seed=5, workers=3)
         x_ens, b_ens = draw_coupled(heat_kernel(), grid, 600, 5)
-        full = rhs_formula_coupled(x_ens, b_ens, SQUARE, 1.0).values
+        full = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0).values
         np.testing.assert_allclose([row[4] for row in rep.replicate_rows], full, rtol=0, atol=1e-12)
 
     def test_linear_g_identity_statistics(self):
@@ -303,7 +304,9 @@ class TestItoExperiment:
             grid = Grid(n)
             x_ens, b_ens = draw_coupled(drift, grid, 4, 3)
             mid = sums.midpoint_sum_ensemble(x_ens.values, grid, SQUARE, 1)[:, grid.index_at(1.0)]
-            rhs = rhs_formula_coupled(x_ens, b_ens, SQUARE, 1.0, c=0.0).values
+            rhs = rhs_formula_ensemble(
+                x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0, c=0.0
+            ).values
             mses.append(float(np.mean((mid - rhs) ** 2)))
         assert mses[0] > mses[1] > mses[2]
         assert mses[-1] < 1e-11
