@@ -72,63 +72,3 @@ from .verify import (
     verify_ito_formula,
     verify_trapezoid_ucp,
 )
-
-__all__ = [
-    "CovAuditReport",
-    "DiscreteCovTable",
-    "GaussianMoments",
-    "KappaResult",
-    "audit_cov_table",
-    "discrete_cov_table",
-    "gamma",
-    "gauss_taylor",
-    "hermite_coefficients",
-    "hermite_eval",
-    "kappa",
-    "kappa_reference",
-    "monomial_in_hermite",
-    "offset_increment_cov",
-    "ConfigError",
-    "DomainError",
-    "NotPositiveDefinite",
-    "QuarticLabError",
-    "TestFunction",
-    "builtin",
-    "derivative_consistency_report",
-    "CovKernel",
-    "Grid",
-    "build_cov_matrix",
-    "fbm_composite_kernel",
-    "fbm_quarter_kernel",
-    "heat_kernel",
-    "rho_fbm_quarter",
-    "rho_heat",
-    "rho_xi_lei_nualart",
-    "xi_cov_quadrature",
-    "CholeskyFactor",
-    "CirculantFactor",
-    "PathEnsemble",
-    "cached_factor",
-    "clear_factor_cache",
-    "factorize",
-    "load_ensemble",
-    "sample_brownian",
-    "sample_paths",
-    "save_ensemble",
-    "CorrelationResult",
-    "RateFit",
-    "SampleSummary",
-    "correlation",
-    "ks_one_sample_normal",
-    "ks_two_sample",
-    "loglog_rate",
-    "CheckResult",
-    "ExperimentReport",
-    "FormulaRHS",
-    "verify_bn_limit",
-    "verify_expansion_residual",
-    "verify_fbm_window",
-    "verify_ito_formula",
-    "verify_trapezoid_ucp",
-    "__version__",
-]

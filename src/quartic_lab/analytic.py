@@ -14,7 +14,7 @@ in, Fractions out, so identity tests can be run with zero rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -534,20 +534,7 @@ class CovAuditReport:
         )
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "maxj": self.maxj,
-            "sig2_violations": list(self.sig2_violations),
-            "sig2_max_ratio": self.sig2_max_ratio,
-            "sig3_violations": list(self.sig3_violations),
-            "cross_sign_violations": self.cross_sign_violations,
-            "cross_lower_violations": self.cross_lower_violations,
-            "cross_worst_pair": list(self.cross_worst_pair),
-            "sighat_sup_ratio": self.sighat_sup_ratio,
-            "sighat_arg": self.sighat_arg,
-            "sigdel_sup_ratio": self.sigdel_sup_ratio,
-            "ok": self.ok,
-        }
+        return asdict(self) | {"ok": self.ok}
 
 
 def audit_cov_table(n, maxj=None):

@@ -4,7 +4,11 @@ Config files are flat JSON with a strict schema: unknown keys are
 rejected so a typo cannot silently fall back to a default, and a value
 of the wrong type or range raises ConfigError.  Each experiment's keys
 and defaults come from the keyword parameters of its `verify_*`
-function, so the schema and the function cannot drift apart.  All
+function, so the schema and the function cannot drift apart: a new
+experiment parameter is declared in that signature, plus a `_CHECKS`
+entry for its value and, if it is a tolerance, its key in the
+experiment's `_SPECS` row.  The flags of `sample` and `sums` that set a
+config key go through the same `_CHECKS` entry.  All
 randomness flows from the single seed in the config (or --seed), and
 rerunning any verb with the same inputs reproduces its output files
 byte for byte.  `verify --workers` is validated but selects nothing:
@@ -21,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import field, make_dataclass
 
 import numpy as np
 
@@ -94,13 +98,10 @@ _SPECS = {
     "fbm-window": ("verify_fbm_window", "fbm-composite", ("ks_tol", "mean_tol", "var_tol")),
 }
 
-# Keyword parameters that the runner, not the config, supplies.
-_CALL_ONLY = {"workers", "experiment_name"}
-
 
 def _defaults(function, kernel, tolerances):
     params = inspect.signature(getattr(verify, function)).parameters
-    skip = _CALL_ONLY | set(tolerances)
+    skip = verify.CALL_ONLY | set(tolerances)
     return {k: p.default for k, p in params.items() if k not in skip} | {"kernel": kernel}
 
 
@@ -170,69 +171,61 @@ _CHECKS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment inputs; every field is already normalized.
-
-    Fields the experiment does not take stay None.
-    """
-
-    experiment: str
-    kernel: CovKernel | None = None
-    c: float | None = None
-    g: object | None = None
-    n: int | None = None
-    n_list: tuple[int, ...] | None = None
-    m: int | None = None
-    horizon: float | None = None
-    probes: tuple[float, ...] | None = None
-    seed: int | None = None
-    seeds: int | None = None
-    window_start: float | None = None
-    tolerances: dict = field(default_factory=dict)
-    out_dir: str | None = None
-
-    @staticmethod
-    def from_dict(experiment, rec):
-        if experiment not in _SPECS:
-            raise ConfigError(
-                f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}"
-            )
-        rec = {} if rec is None else rec
-        if not isinstance(rec, dict):
-            raise ConfigError("config must be a JSON object")
-        allowed = _ALLOWED_KEYS[experiment]
-        unknown = sorted(set(rec) - allowed)
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys for {experiment}: {', '.join(unknown)}; "
-                f"allowed: {', '.join(sorted(allowed))}"
-            )
-        tolerances = {} if rec.get("tolerances") is None else rec["tolerances"]
-        if not isinstance(tolerances, dict):
-            raise ConfigError("tolerances must be a JSON object")
-        bad_tol = sorted(set(tolerances) - _ALLOWED_TOLERANCES[experiment])
-        if bad_tol:
-            raise ConfigError(
-                f"unknown tolerance keys for {experiment}: {', '.join(bad_tol)}; "
-                f"allowed: {', '.join(sorted(_ALLOWED_TOLERANCES[experiment]))}"
-            )
-        for key, value in tolerances.items():
-            _CHECKS.get(key, _POSITIVE)(key, value)
-        out_dir = rec.get("out_dir")
-        if out_dir is not None and not isinstance(out_dir, str):
-            raise ConfigError("out_dir must be a path string")
-
-        values = {}
-        for key, default in _DEFAULTS[experiment].items():
-            value = rec.get(key, default)
-            # None is a value only where the experiment's own default is None.
-            values[key] = None if value is None and default is None else _CHECKS[key](key, value)
-        if values.get("horizon") is not None and max(values["probes"]) > values["horizon"] + 1e-12:
-            raise ConfigError("probe times must not exceed the horizon")
-        return ExperimentConfig(
-            experiment=experiment, tolerances=dict(tolerances), out_dir=out_dir, **values
+def _from_dict(experiment, rec):
+    if experiment not in _SPECS:
+        raise ConfigError(
+            f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}"
         )
+    rec = {} if rec is None else rec
+    if not isinstance(rec, dict):
+        raise ConfigError("config must be a JSON object")
+    allowed = _ALLOWED_KEYS[experiment]
+    unknown = sorted(set(rec) - allowed)
+    if unknown:
+        raise ConfigError(
+            f"unknown config keys for {experiment}: {', '.join(unknown)}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )
+    tolerances = {} if rec.get("tolerances") is None else rec["tolerances"]
+    if not isinstance(tolerances, dict):
+        raise ConfigError("tolerances must be a JSON object")
+    bad_tol = sorted(set(tolerances) - _ALLOWED_TOLERANCES[experiment])
+    if bad_tol:
+        raise ConfigError(
+            f"unknown tolerance keys for {experiment}: {', '.join(bad_tol)}; "
+            f"allowed: {', '.join(sorted(_ALLOWED_TOLERANCES[experiment]))}"
+        )
+    for key, value in tolerances.items():
+        _CHECKS.get(key, _POSITIVE)(key, value)
+    out_dir = rec.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError("out_dir must be a path string")
+
+    values = {}
+    for key, default in _DEFAULTS[experiment].items():
+        value = rec.get(key, default)
+        # None is a value only where the experiment's own default is None.
+        values[key] = None if value is None and default is None else _CHECKS[key](key, value)
+    if values.get("horizon") is not None and max(values["probes"]) > values["horizon"] + 1e-12:
+        raise ConfigError("probe times must not exceed the horizon")
+    return ExperimentConfig(
+        experiment=experiment, tolerances=dict(tolerances), out_dir=out_dir, **values
+    )
+
+
+# One field per config key of any experiment, in first-seen order.
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [("experiment", str)]
+    + [(key, object, None) for key in dict.fromkeys(k for d in _DEFAULTS.values() for k in d)]
+    + [("tolerances", dict, field(default_factory=dict)), ("out_dir", object, None)],
+    namespace={
+        "__doc__": "Validated experiment inputs, normalized; keys the experiment lacks stay None.",
+        "__module__": __name__,
+        "from_dict": staticmethod(_from_dict),
+    },
+    frozen=True,
+)
 
 
 def run_experiment(config, workers=1):
@@ -283,7 +276,25 @@ def _cmd_cov_table(args):
     return 0 if report.ok else 1
 
 
+# Flags of `sample` and `sums` that set a config key: dest -> (flag, key).
+_FLAG_KEYS = {
+    "n": ("--n", "n"),
+    "replicates": ("--M", "m"),
+    "horizon": ("--T", "horizon"),
+    "seed": ("--seed", "seed"),
+}
+
+
+def _check_flags(args):
+    """Validate and normalize each given flag by its config key's check."""
+    for dest, (flag, key) in _FLAG_KEYS.items():
+        value = getattr(args, dest)
+        if value is not None:
+            setattr(args, dest, _CHECKS[key](flag, value))
+
+
 def _cmd_sample(args):
+    _check_flags(args)
     kernel = _kernel_from(args.kernel)
     grid = Grid(args.n, args.horizon)
     ens = verify.draw_ensemble(kernel, grid, args.replicates, args.seed)
@@ -298,9 +309,8 @@ def _cmd_sample(args):
     return 0
 
 
-# One row per sums functional: its function in `sums`.  Whether it takes g
-# (and so --g, --deriv, --p) and which of the power options it takes are
-# read from the function's signature.
+# One row per sums functional: its function in `sums`.  Which of the
+# option flags below it takes is read from the function's signature.
 _SUMS = {
     "midpoint": "midpoint_sum_ensemble",
     "offset": "offset_midpoint_sum_ensemble",
@@ -312,18 +322,29 @@ _SUMS = {
     "power": "power_sum_ensemble",
 }
 
+# Option flags of `sums`, by the parameter of the sums function each sets.
+_SUMS_OPTIONS = {
+    "g": "--g",
+    "deriv_order": "--deriv",
+    "p": "--p",
+    "parity": "--parity",
+    "eval_point": "--eval-point",
+}
+
 
 def _cmd_sums(args):
     function = getattr(sums, _SUMS[args.functional])
     params = inspect.signature(function).parameters
-    if "g" not in params:
-        for flag, value in (("--g", args.g), ("--deriv", args.deriv), ("--p", args.p)):
-            if value is not None:
-                raise ConfigError(f"{flag} does not apply to functional {args.functional!r}")
+    options = {key: getattr(args, key) for key in _SUMS_OPTIONS if getattr(args, key) is not None}
+    for key in options:
+        if key not in params:
+            flag = _SUMS_OPTIONS[key]
+            raise ConfigError(f"{flag} does not apply to functional {args.functional!r}")
     if "p" in params and args.p not in (3, 4):
         raise ConfigError("--p must be 3 or 4 for the power functional")
+    _check_flags(args)
 
-    probes = _float_list(args.t) if args.t else [1.0]
+    probes = _CHECKS["probes"]("--t", _float_list(args.t)) if args.t else (1.0,)
     horizon = args.horizon if args.horizon is not None else max(probes)
     if max(probes) > horizon + 1e-12:
         raise ConfigError("probe times must not exceed the horizon")
@@ -331,15 +352,10 @@ def _cmd_sums(args):
     grid = Grid(args.n, horizon)
     coeffs = _float_list(args.coeffs) if args.coeffs else None
     g = _parsed(lambda name: _g_from(name, coeffs=coeffs))("--g", args.g or "const")
-    options = {
-        "g": g,
-        "deriv_order": args.deriv if args.deriv is not None else 0,
-        "p": args.p,
-        "parity": args.parity,
-        "eval_point": args.eval_point,
-    }
+    if "g" in params:
+        options["g"] = g
     values = verify.draw_ensemble(kernel, grid, args.replicates, args.seed).values
-    series = function(values, grid, **{k: v for k, v in options.items() if k in params})
+    series = function(values, grid, **options)
 
     times = grid.times()
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -431,10 +447,10 @@ def build_parser():
     p.add_argument("--functional", required=True, choices=tuple(_SUMS))
     p.add_argument("--g", default=None)
     p.add_argument("--coeffs", default=None, help="comma list, only with --g poly_k")
-    p.add_argument("--deriv", type=int, default=None)
+    p.add_argument("--deriv", dest="deriv_order", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
-    p.add_argument("--parity", choices=("odd", "even", "all"), default="all")
-    p.add_argument("--eval-point", dest="eval_point", choices=("left", "right"), default="left")
+    p.add_argument("--parity", choices=("odd", "even", "all"), default=None)
+    p.add_argument("--eval-point", dest="eval_point", choices=("left", "right"), default=None)
     p.add_argument("--t", default=None, help="comma list of probe times (default 1.0)")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--T", dest="horizon", type=float, default=None)

@@ -7,7 +7,7 @@ thresholds, so no p-values are computed anywhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -66,13 +66,7 @@ class RateFit:
     ci_high: float
 
     def to_dict(self):
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "stderr": self.stderr,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
+        return asdict(self)
 
 
 def loglog_rate(xs, ys):
@@ -113,7 +107,7 @@ class CorrelationResult:
     count: int
 
     def to_dict(self):
-        return {"r": self.r, "ci_low": self.ci_low, "ci_high": self.ci_high, "count": self.count}
+        return asdict(self)
 
 
 def correlation(a, b):

@@ -7,23 +7,30 @@ threshold, and pass flag; a rerun with the same configuration and seed
 reproduces the summary and CSV byte for byte.  Replicates are evaluated
 in fixed 256-row blocks, one after another; the `workers` argument of
 each experiment is accepted for compatibility and selects nothing.
+
+An experiment's parameters are declared once, as the keyword parameters
+of its `verify_*` function: the report's config block and the CLI's
+config schema are both read from that signature.  A new parameter is
+that signature edit plus a `cli._CHECKS` entry for its value, and, if it
+is a tolerance, its key in the experiment's `cli._SPECS` row.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__, analytic, stats, sums
 from .analytic import GaussianMoments, kappa_reference, poly_diff, poly_from_coeffs, poly_mul
 from .errors import ConfigError, DomainError
-from .functions import builtin
-from .kernels import Grid, fbm_composite_kernel, heat_kernel
+from .functions import TestFunction, builtin
+from .kernels import CovKernel, Grid, fbm_composite_kernel, heat_kernel
 from .simulate import add_deterministic_drift, cached_factor, sample_brownian, sample_paths
 
 SUMMARY_SCHEMA = 1
@@ -31,6 +38,10 @@ SUMMARY_SCHEMA = 1
 # Replicates are processed in fixed-size row blocks, which bounds the
 # temporaries of each sums/RHS evaluation.
 _CHUNK_ROWS = 256
+
+# Keyword parameters of the `verify_*` functions that the caller supplies
+# rather than the experiment's config; the report's config omits them.
+CALL_ONLY = frozenset({"workers", "experiment_name"})
 
 
 # ---------------------------------------------------------------------------
@@ -54,15 +65,14 @@ class CheckResult:
     flagged: bool = False
     gates: bool = True
 
+    @staticmethod
+    def at_most(name, value, threshold, flag=False, gates=True):
+        """Passes when value <= threshold; flag=True marks (threshold, 1.5x]."""
+        flagged = flag and threshold < value <= 1.5 * threshold
+        return CheckResult(name, value, threshold, value <= threshold, flagged, gates)
+
     def to_dict(self):
-        return {
-            "name": self.name,
-            "value": self.value,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "flagged": self.flagged,
-            "gates": self.gates,
-        }
+        return asdict(self)
 
 
 def _jsonable(value):
@@ -75,6 +85,26 @@ def _jsonable(value):
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     return value
+
+
+def _config_block(experiment, function, args):
+    """A report's config: each parameter of `function` as the run resolved it.
+
+    args maps parameter names to their resolved values; CALL_ONLY
+    parameters are left out and the experiment name is added.
+    """
+    params = inspect.signature(function).parameters
+    return {"experiment": experiment} | {
+        key: _config_value(args[key]) for key in params if key not in CALL_ONLY
+    }
+
+
+def _config_value(value):
+    if isinstance(value, CovKernel):
+        return value.to_dict()
+    if isinstance(value, TestFunction):
+        return value.spec()
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _format_cell(value):
@@ -327,17 +357,6 @@ def formula_reference_moments(kernel, g, grid, t_end, t_start=0.0, c=1.0):
 # Experiment: change-of-variable formula in law.
 # ---------------------------------------------------------------------------
 
-def _ks_check(name, value, tol, gates=True):
-    return CheckResult(
-        name=name,
-        value=value,
-        threshold=tol,
-        passed=value <= tol,
-        flagged=tol < value <= 1.5 * tol,
-        gates=gates,
-    )
-
-
 def _default_c(kernel, c):
     if c is not None:
         return float(c)
@@ -385,6 +404,7 @@ def verify_ito_formula(
         raise ConfigError("need at least one seed")
     if not g.certifies(9, 4):
         raise DomainError(f"test function {g.fid!r} lacks the smoothness tag for this run")
+    config = _config_block(experiment_name, verify_ito_formula, locals())
     grid = Grid(int(n), horizon)
     times = grid.times()
     k_start = grid.index_at(window_start)
@@ -425,17 +445,11 @@ def verify_ito_formula(
             b = sample_b[:, j]
             label = f"seed{k}/t={t:g}"
             ks = stats.ks_two_sample(a, b)
-            ck = _ks_check(f"{label}/ks", ks, ks_tol, gates=False)
+            ck = CheckResult.at_most(f"{label}/ks", ks, ks_tol, flag=True, gates=False)
             checks.append(ck)
             seed_ok &= ck.passed
             mean_diff = abs(float(a.mean() - b.mean()))
-            ck = CheckResult(
-                name=f"{label}/mean_diff",
-                value=mean_diff,
-                threshold=mean_tol,
-                passed=mean_diff <= mean_tol,
-                gates=False,
-            )
+            ck = CheckResult.at_most(f"{label}/mean_diff", mean_diff, mean_tol, gates=False)
             checks.append(ck)
             seed_ok &= ck.passed
             var_a = float(np.var(a, ddof=1))
@@ -477,22 +491,6 @@ def verify_ito_formula(
             passed=passed_seeds >= need,
         )
     )
-    config = {
-        "experiment": experiment_name,
-        "kernel": kernel.to_dict(),
-        "c": c,
-        "g": g.spec(),
-        "n": int(n),
-        "m": int(m),
-        "probes": list(probes),
-        "seed": int(seed),
-        "seeds": int(seeds),
-        "window_start": float(window_start),
-        "horizon": horizon,
-        "ks_tol": ks_tol,
-        "mean_tol": mean_tol,
-        "var_tol": var_tol,
-    }
     return ExperimentReport(
         experiment=experiment_name,
         config=config,
@@ -503,25 +501,15 @@ def verify_ito_formula(
     )
 
 
-def verify_fbm_window(window_start=0.1, kernel=None, experiment_name="fbm-window", **kwargs):
-    """Windowed change-of-variable run on the composite quarter-fBm kernel."""
-    kernel = kernel if kernel is not None else fbm_composite_kernel()
-    return verify_ito_formula(
-        kernel=kernel, window_start=window_start, experiment_name=experiment_name, **kwargs
-    )
-
-
-# The CLI reads experiment keys and defaults from signatures, so advertise
-# the verify_ito_formula keywords that **kwargs forwards.
-_own = inspect.signature(verify_fbm_window).parameters
-verify_fbm_window.__signature__ = inspect.Signature(
-    [p for p in _own.values() if p.kind is not p.VAR_KEYWORD]
-    + [
-        p.replace(kind=p.KEYWORD_ONLY)
-        for name, p in inspect.signature(verify_ito_formula).parameters.items()
-        if name not in _own
-    ]
+# The ito experiment with three other defaults; its signature, which the
+# CLI reads, is verify_ito_formula's with these defaults in place.
+verify_fbm_window = functools.partial(
+    verify_ito_formula,
+    kernel=fbm_composite_kernel(),
+    window_start=0.1,
+    experiment_name="fbm-window",
 )
+verify_fbm_window.__doc__ = "Windowed change-of-variable run on the composite quarter-fBm kernel."
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +537,7 @@ def verify_bn_limit(
     probes = tuple(float(t) for t in probes)
     if not probes or min(probes) <= 0:
         raise ConfigError("probe times must be positive")
+    config = _config_block("bn", verify_bn_limit, locals())
     horizon = max(probes)
     grid = Grid(int(n), horizon)
     x_ens = draw_ensemble(kernel, grid, m, int(seed))
@@ -569,16 +558,9 @@ def verify_bn_limit(
         k = grid.index_at(t)
         sample = bn[:, k] / math.sqrt(t)
         ks = stats.ks_one_sample_normal(sample)
-        checks.append(_ks_check(f"ks_normal@t={t:g}", ks, ks_tol))
+        checks.append(CheckResult.at_most(f"ks_normal@t={t:g}", ks, ks_tol, flag=True))
         corr = stats.correlation(bn_full, x_ens.values[:, k])
-        checks.append(
-            CheckResult(
-                name=f"path_corr@t={t:g}",
-                value=abs(corr.r),
-                threshold=corr_tol,
-                passed=abs(corr.r) <= corr_tol,
-            )
-        )
+        checks.append(CheckResult.at_most(f"path_corr@t={t:g}", abs(corr.r), corr_tol))
         probe_stats[f"t={t:g}"] = {
             "ks_normal": ks,
             "bn_variance": float(np.var(bn[:, k], ddof=1)),
@@ -588,30 +570,13 @@ def verify_bn_limit(
             rows.append((rep, times[k], bn[rep, k], x_ens.values[rep, k]))
 
     incr = stats.correlation(bn_full - bn_half, bn_half)
-    checks.append(
-        CheckResult(
-            name="increment_corr",
-            value=abs(incr.r),
-            threshold=corr_tol,
-            passed=abs(incr.r) <= corr_tol,
-        )
-    )
+    checks.append(CheckResult.at_most("increment_corr", abs(incr.r), corr_tol))
     # Fourth-moment growth constant for the half-window increment,
     # reported rather than gated: the bound's constant is not pinned.
     dt_incr = times[k_full] - times[k_half]
     moment4 = float(np.mean((bn_full - bn_half) ** 4))
     c_hat = moment4 / dt_incr**2 if dt_incr > 0 else float("nan")
 
-    config = {
-        "experiment": "bn",
-        "kernel": kernel.to_dict(),
-        "n": int(n),
-        "m": int(m),
-        "probes": list(probes),
-        "seed": int(seed),
-        "ks_tol": ks_tol,
-        "corr_tol": corr_tol,
-    }
     return ExperimentReport(
         experiment="bn",
         config=config,
@@ -641,29 +606,29 @@ def _count_inversions(mses):
     return count
 
 
-def _mse_ladder(
-    experiment, block, columns, residual,
-    kernel, g, n_list, m, probes, seed, max_inversions,
-    final_tol=None, extra_config=None,
-):
+def _mse_ladder(experiment, function, args, block, columns, residual, threshold=None):
     """Mean-square convergence of one per-replicate residual along n_list.
 
+    args holds the arguments of the experiment's verify `function`.
     block(x, grid, g, probes) maps a row block of paths to one tuple of
     replicate columns per probe; residual maps the (m, len(columns)) array
-    of one probe to the residual whose mean square is gated.  final_tol,
+    of one probe to the residual whose mean square is gated.  threshold,
     when given, maps (kernel, g, t) to the threshold of the finest grid's
-    MSE at probe t; extra_config holds more entries for the report's config.
+    MSE at probe t.
     """
-    kernel = kernel if kernel is not None else heat_kernel()
-    g = g if g is not None else builtin("square")
+    kernel = args["kernel"] if args["kernel"] is not None else heat_kernel()
+    g = args["g"] if args["g"] is not None else builtin("square")
     if not g.certifies(7, 3):
         raise DomainError(f"test function {g.fid!r} lacks the smoothness tag for this run")
-    n_list = tuple(int(v) for v in n_list)
+    n_list = tuple(int(v) for v in args["n_list"])
     if len(n_list) < 2 or list(n_list) != sorted(set(n_list)):
         raise ConfigError("n_list must be strictly increasing with at least two sizes")
-    probes = tuple(float(t) for t in probes)
+    probes = tuple(float(t) for t in args["probes"])
+    m, seed, max_inversions = args["m"], args["seed"], args["max_inversions"]
+    resolved = {"kernel": kernel, "g": g, "n_list": n_list, "probes": probes}
+    config = _config_block(experiment, function, args | resolved)
     horizon = max(probes)
-    tol_by_probe = {} if final_tol is None else {t: final_tol(kernel, g, t) for t in probes}
+    tol_by_probe = {} if threshold is None else {t: threshold(kernel, g, t) for t in probes}
 
     mses = {t: [] for t in probes}
     rows = []
@@ -681,24 +646,10 @@ def _mse_ladder(
     rate_fits = {}
     for t in probes:
         seq = mses[t]
-        inv = _count_inversions(seq)
-        checks.append(
-            CheckResult(
-                name=f"mse_monotone@t={t:g}",
-                value=float(inv),
-                threshold=float(max_inversions),
-                passed=inv <= max_inversions,
-            )
-        )
+        inv = float(_count_inversions(seq))
+        checks.append(CheckResult.at_most(f"mse_monotone@t={t:g}", inv, float(max_inversions)))
         if t in tol_by_probe:
-            checks.append(
-                CheckResult(
-                    name=f"mse_final@t={t:g}",
-                    value=seq[-1],
-                    threshold=tol_by_probe[t],
-                    passed=seq[-1] <= tol_by_probe[t],
-                )
-            )
+            checks.append(CheckResult.at_most(f"mse_final@t={t:g}", seq[-1], tol_by_probe[t]))
         # The rate regression needs three sizes and strictly positive MSEs.
         if len(n_list) >= 3 and all(v > 0 for v in seq):
             rate_fits[f"t={t:g}"] = stats.loglog_rate(n_list, seq).to_dict()
@@ -708,17 +659,7 @@ def _mse_ladder(
         ladder_stats["final_tol"] = {f"t={t:g}": tol_by_probe[t] for t in probes}
     return ExperimentReport(
         experiment=experiment,
-        config={
-            "experiment": experiment,
-            "kernel": kernel.to_dict(),
-            "g": g.spec(),
-            "n_list": list(n_list),
-            "m": int(m),
-            "probes": list(probes),
-            "seed": int(seed),
-            "max_inversions": int(max_inversions),
-            **(extra_config or {}),
-        },
+        config=config,
         checks=tuple(checks),
         stats=ladder_stats,
         replicate_columns=("n", "replicate", "t", *columns),
@@ -744,6 +685,7 @@ def verify_trapezoid_ucp(
     decrease (one inversion allowed) and the final value must beat the
     threshold, by default 1% of Var g(X(t)) when the closed form exists.
     """
+    final_tol = None if final_tol is None else float(final_tol)
 
     def block(x, grid, g, probes):
         series = sums.trapezoid_sum_ensemble(x, grid, g, 1)
@@ -753,17 +695,15 @@ def verify_trapezoid_ucp(
 
     def threshold(kernel, g, t):
         if final_tol is not None:
-            return float(final_tol)
+            return final_tol
         head = head_reference_moments(kernel, g, t, 0.0)
         if head is None:
             raise ConfigError("final_tol must be given when no closed-form variance exists")
         return 0.01 * head[1]
 
     return _mse_ladder(
-        "trapezoid", block, ("trapezoid_sum", "target"), lambda c: c[:, 0] - c[:, 1],
-        kernel, g, n_list, m, probes, seed, max_inversions,
-        final_tol=threshold,
-        extra_config={"final_tol": None if final_tol is None else float(final_tol)},
+        "trapezoid", verify_trapezoid_ucp, locals(), block, ("trapezoid_sum", "target"),
+        lambda c: c[:, 0] - c[:, 1], threshold,
     )
 
 
@@ -794,6 +734,5 @@ def verify_expansion_residual(
         return cols
 
     return _mse_ladder(
-        "expansion", block, ("residual",), lambda c: c[:, 0],
-        kernel, g, n_list, m, probes, seed, max_inversions,
+        "expansion", verify_expansion_residual, locals(), block, ("residual",), lambda c: c[:, 0]
     )

@@ -5,6 +5,8 @@ experiment or domain error, 2 on configuration errors.  Output files are
 compared byte for byte against the library writers.
 """
 
+import dataclasses
+import inspect
 import json
 import os
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartic_lab import analytic, sums, verify
+from quartic_lab import analytic, cli, sums, verify
 from quartic_lab.cli import EXPERIMENTS, ExperimentConfig, main, run_experiment
 from quartic_lab.errors import ConfigError
 from quartic_lab.functions import builtin
@@ -86,6 +88,19 @@ class TestSample:
         assert capsys.readouterr().err.startswith("config error:")
 
 
+# Path-drawing flags take the config checks of the keys they set, so a bad
+# value is a config error (exit 2), as it is in a verify config.
+@pytest.mark.parametrize("argv", [
+    ["sums", "--functional", "qn", "--M", "0"],
+    ["sums", "--functional", "qn", "--t", "-1"],
+    ["sample", "--M", "0"],
+    ["sample", "--T", "nan"],
+])
+def test_bad_path_flags_are_config_errors(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 # Every `sums --functional` choice (power at p 3 and 4): its flags and the
 # library call whose values the CSV must hold.
 _SUMS_CASES = [
@@ -153,6 +168,18 @@ class TestSums:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "--g does not apply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("functional,flags", [
+        ("midpoint", ["--p", "5"]),
+        ("midpoint", ["--parity", "odd"]),
+        ("midpoint", ["--eval-point", "right"]),
+        ("qn", ["--parity", "odd"]),
+    ])
+    def test_every_flag_the_function_lacks_is_rejected(self, tmp_path, capsys, functional, flags):
+        code = main(["sums", "--functional", functional, *flags,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"{flags[0]} does not apply" in capsys.readouterr().err
 
     def test_power_requires_valid_exponent(self, tmp_path, capsys):
         code = main(["sums", "--functional", "power", "--g", "const",
@@ -488,6 +515,22 @@ def test_table_dispatch_matches_direct_call(experiment):
     assert via_cli.summary_json() == direct.summary_json()
     assert via_cli.replicates_csv() == direct.replicates_csv()
     assert via_cli.experiment == experiment
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_report_config_keys_are_the_signature(experiment):
+    function, rec = _SMALL[experiment]
+    function = getattr(verify, function)
+    kwargs = {k: v for k, v in rec.items() if k != "tolerances"}
+    report = function(**kwargs, **rec.get("tolerances", {}))
+    params = set(inspect.signature(function).parameters) - {"workers", "experiment_name"}
+    assert set(report.config) == params | {"experiment"}
+
+
+def test_experiment_config_fields_are_the_config_keys():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    keys = set().union(*cli._DEFAULTS.values())
+    assert fields == {"experiment", "tolerances", "out_dir"} | keys
 
 
 def test_fbm_window_defaults_come_from_its_signature():

@@ -7,6 +7,7 @@ and loose tolerances; the strict full-scale runs live in the acceptance
 module.
 """
 
+import dataclasses
 import json
 import math
 
@@ -14,11 +15,11 @@ import numpy as np
 import pytest
 
 from quartic_lab import sums
-from quartic_lab.analytic import kappa_reference
+from quartic_lab.analytic import audit_cov_table, kappa_reference
 from quartic_lab.errors import ConfigError, DomainError
 from quartic_lab.functions import TestFunction, builtin
 from quartic_lab.kernels import CovKernel, Grid, fbm_composite_kernel, heat_kernel
-from quartic_lab.stats import ks_two_sample
+from quartic_lab.stats import correlation, ks_two_sample, loglog_rate
 from quartic_lab.verify import (
     CheckResult,
     ExperimentReport,
@@ -499,3 +500,18 @@ class TestReportEmission:
             "flagged": True,
             "gates": True,
         }
+
+
+@pytest.mark.parametrize("record", [
+    CheckResult("k", 0.07, 0.06, False, flagged=True),
+    loglog_rate([2.0, 4.0, 8.0], [1.0, 0.5, 0.3]),
+    correlation([1.0, 2.0, 3.0, 5.0], [2.0, 1.0, 4.0, 3.0]),
+], ids=lambda r: type(r).__name__)
+def test_record_dict_keys_are_its_fields(record):
+    assert set(record.to_dict()) == {f.name for f in dataclasses.fields(record)}
+
+
+def test_audit_dict_keys_are_its_fields_and_ok():
+    report = audit_cov_table(32)
+    fields = {f.name for f in dataclasses.fields(report)}
+    assert set(report.to_dict()) == fields | {"ok"}
