@@ -472,6 +472,8 @@ def discrete_cov_table(n, maxj=None, lag=None):
     if maxj < 1:
         raise DomainError("maxj must be >= 1")
     lag = int(lag) if lag is not None else min(64, max(maxj - 1, 1))
+    if lag < 0:
+        raise DomainError("lag must be >= 0")
     t = np.arange(maxj + 1, dtype=np.float64) / n
     diag = rho_heat(t, t)
     off = rho_heat(t[:-1], t[1:])

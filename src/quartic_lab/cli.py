@@ -3,12 +3,14 @@
 Config files are flat JSON with a strict schema: unknown keys are
 rejected so a typo cannot silently fall back to a default, and a value
 of the wrong type or range raises ConfigError.  Each experiment's keys
-and defaults come from the keyword parameters of its `verify_*`
-function, so the schema and the function cannot drift apart: a new
-experiment parameter is declared in that signature, plus a `_CHECKS`
-entry for its value and, if it is a tolerance, its key in the
-experiment's `_SPECS` row.  The flags of `sample` and `sums` that set a
-config key go through the same `_CHECKS` entry.  All
+and defaults, its default kernel and g included, come from the keyword
+parameters of its `verify_*` function, so the schema and the function
+cannot drift apart: a `_SPECS` row is just that function's name and its
+tolerance keys.  A new experiment parameter is declared in that
+signature, plus a `_CHECKS` entry for its value and, if it is a
+tolerance, its key in the experiment's `_SPECS` row.  The flags of
+`sample` and `sums` that set a config key go through the same `_CHECKS`
+entry, and those of `cov-table` through `_COV_TABLE_CHECKS`.  All
 randomness flows from the single seed in the config (or --seed), and
 rerunning any verb with the same inputs reproduces its output files
 byte for byte.  `verify --workers` is validated but selects nothing:
@@ -57,18 +59,12 @@ def _kernel_from(value):
     raise ConfigError("kernel must be a name or a kernel record")
 
 
-def _g_from(value, coeffs=None):
-    if value is None:
-        return None
+def _g_from(value):
+    if isinstance(value, functions.TestFunction):
+        return value
     if isinstance(value, dict):
         return functions.from_spec(value)
     if isinstance(value, str):
-        if value == "poly_k":
-            if coeffs is None:
-                raise ConfigError("g = poly_k needs coefficients (--coeffs c0,c1,...)")
-            return functions.builtin("poly_k", coeffs=coeffs)
-        if coeffs is not None:
-            raise ConfigError("--coeffs applies only to g = poly_k")
         return functions.builtin(value)
     raise ConfigError("g must be a test-function name or spec record")
 
@@ -87,28 +83,28 @@ def _float_list(text):
 # Experiment configuration.
 # ---------------------------------------------------------------------------
 
-# One row per experiment: its verify function, its default kernel and its
-# tolerance keys.  The other config keys and their defaults are the
+# One row per experiment: its verify function and its tolerance keys.  The
+# other config keys and their defaults, the kernel and g included, are the
 # function's keyword parameters, read from its signature.
 _SPECS = {
-    "ito": ("verify_ito_formula", "heat", ("ks_tol", "mean_tol", "var_tol")),
-    "bn": ("verify_bn_limit", "heat", ("ks_tol", "corr_tol")),
-    "trapezoid": ("verify_trapezoid_ucp", "heat", ("final_tol", "max_inversions")),
-    "expansion": ("verify_expansion_residual", "heat", ("max_inversions",)),
-    "fbm-window": ("verify_fbm_window", "fbm-composite", ("ks_tol", "mean_tol", "var_tol")),
+    "ito": ("verify_ito_formula", ("ks_tol", "mean_tol", "var_tol")),
+    "bn": ("verify_bn_limit", ("ks_tol", "corr_tol")),
+    "trapezoid": ("verify_trapezoid_ucp", ("final_tol", "max_inversions")),
+    "expansion": ("verify_expansion_residual", ("max_inversions",)),
+    "fbm-window": ("verify_fbm_window", ("ks_tol", "mean_tol", "var_tol")),
 }
 
 
-def _defaults(function, kernel, tolerances):
+def _defaults(function, tolerances):
     params = inspect.signature(getattr(verify, function)).parameters
     skip = verify.CALL_ONLY | set(tolerances)
-    return {k: p.default for k, p in params.items() if k not in skip} | {"kernel": kernel}
+    return {k: p.default for k, p in params.items() if k not in skip}
 
 
 EXPERIMENTS = tuple(_SPECS)
 _DEFAULTS = {name: _defaults(*spec) for name, spec in _SPECS.items()}
 _ALLOWED_KEYS = {name: set(d) | {"tolerances", "out_dir"} for name, d in _DEFAULTS.items()}
-_ALLOWED_TOLERANCES = {name: set(spec[2]) for name, spec in _SPECS.items()}
+_ALLOWED_TOLERANCES = {name: set(spec[1]) for name, spec in _SPECS.items()}
 
 
 def _int_from(low):
@@ -230,7 +226,7 @@ ExperimentConfig = make_dataclass(
 
 def run_experiment(config, workers=1):
     """Run a validated config through its experiment's verify function."""
-    function, _, _ = _SPECS[config.experiment]
+    function = _SPECS[config.experiment][0]
     kwargs = {key: getattr(config, key) for key in _DEFAULTS[config.experiment]}
     workers = _CHECKS["workers"]("workers", workers)
     return getattr(verify, function)(**kwargs, **config.tolerances, workers=workers)
@@ -239,6 +235,33 @@ def run_experiment(config, workers=1):
 # ---------------------------------------------------------------------------
 # Verbs.
 # ---------------------------------------------------------------------------
+
+# Flags that set a config key, dest -> (flag, key): `sample` and `sums`
+# check them by that key's `_CHECKS` entry, `verify` copies them into
+# its config.
+_FLAG_KEYS = {
+    "n": ("--n", "n"),
+    "replicates": ("--M", "m"),
+    "horizon": ("--T", "horizon"),
+    "seed": ("--seed", "seed"),
+}
+_FLAG_CHECKS = {dest: (flag, _CHECKS[key]) for dest, (flag, key) in _FLAG_KEYS.items()}
+
+# The flags of `cov-table`, which set no config key: dest -> (flag, check).
+_COV_TABLE_CHECKS = {
+    "n": ("--n", _int_from(1)),
+    "maxj": ("--maxj", _int_from(1)),
+    "lag": ("--lag", _int_from(0)),
+}
+
+
+def _check_flags(args, checks):
+    """Validate and normalize each given flag; checks maps dest -> (flag, check)."""
+    for dest, (flag, check) in checks.items():
+        value = getattr(args, dest)
+        if value is not None:
+            setattr(args, dest, check(flag, value))
+
 
 def _cmd_compute_kappa(args):
     result = analytic.kappa(args.tol)
@@ -249,6 +272,7 @@ def _cmd_compute_kappa(args):
 
 
 def _cmd_cov_table(args):
+    _check_flags(args, _COV_TABLE_CHECKS)
     table = analytic.discrete_cov_table(args.n, maxj=args.maxj, lag=args.lag)
     report = analytic.audit_cov_table(args.n, maxj=args.maxj)
     os.makedirs(args.out, exist_ok=True)
@@ -276,25 +300,8 @@ def _cmd_cov_table(args):
     return 0 if report.ok else 1
 
 
-# Flags of `sample` and `sums` that set a config key: dest -> (flag, key).
-_FLAG_KEYS = {
-    "n": ("--n", "n"),
-    "replicates": ("--M", "m"),
-    "horizon": ("--T", "horizon"),
-    "seed": ("--seed", "seed"),
-}
-
-
-def _check_flags(args):
-    """Validate and normalize each given flag by its config key's check."""
-    for dest, (flag, key) in _FLAG_KEYS.items():
-        value = getattr(args, dest)
-        if value is not None:
-            setattr(args, dest, _CHECKS[key](flag, value))
-
-
 def _cmd_sample(args):
-    _check_flags(args)
+    _check_flags(args, _FLAG_CHECKS)
     kernel = _kernel_from(args.kernel)
     grid = Grid(args.n, args.horizon)
     ens = verify.draw_ensemble(kernel, grid, args.replicates, args.seed)
@@ -342,7 +349,7 @@ def _cmd_sums(args):
             raise ConfigError(f"{flag} does not apply to functional {args.functional!r}")
     if "p" in params and args.p not in (3, 4):
         raise ConfigError("--p must be 3 or 4 for the power functional")
-    _check_flags(args)
+    _check_flags(args, _FLAG_CHECKS)
 
     probes = _CHECKS["probes"]("--t", _float_list(args.t)) if args.t else (1.0,)
     horizon = args.horizon if args.horizon is not None else max(probes)
@@ -350,8 +357,10 @@ def _cmd_sums(args):
         raise ConfigError("probe times must not exceed the horizon")
     kernel = _kernel_from(args.kernel)
     grid = Grid(args.n, horizon)
-    coeffs = _float_list(args.coeffs) if args.coeffs else None
-    g = _parsed(lambda name: _g_from(name, coeffs=coeffs))("--g", args.g or "const")
+    spec = {"id": args.g or "const"}
+    if args.coeffs:
+        spec["coeffs"] = _float_list(args.coeffs)
+    g = _CHECKS["g"]("--g", spec)
     if "g" in params:
         options["g"] = g
     values = verify.draw_ensemble(kernel, grid, args.replicates, args.seed).values
@@ -384,12 +393,8 @@ def _cmd_verify(args):
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(rec, dict):
             raise ConfigError("config file must hold a JSON object")
-    if args.seed is not None:
-        rec["seed"] = args.seed
-    if args.n is not None:
-        rec["n"] = args.n
-    if args.replicates is not None:
-        rec["m"] = args.replicates
+    flags = {key: getattr(args, dest, None) for dest, (_, key) in _FLAG_KEYS.items()}
+    rec |= {key: value for key, value in flags.items() if value is not None}
     config = ExperimentConfig.from_dict(args.experiment, rec)
 
     report = run_experiment(config, workers=args.workers)

@@ -9,6 +9,10 @@ All builtins are smooth, so every one certifies the largest class the
 interface exposes; the `smoothness` tag (k, r) means the function
 guarantees spatial derivatives through order k with continuous mixed
 derivatives through order r.
+
+`_BUILTINS` maps each parameterless id to its constructor, so a new
+builtin is one entry there; only poly_k, which takes coefficients, has
+its own branch in `builtin`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ from .errors import DomainError
 
 MAX_DX_ORDER = 9
 MAX_DTDX_ORDER = 4
+
+# Smoothness tag of every builtin: all derivatives the interface exposes.
+SMOOTHNESS = (MAX_DX_ORDER, MAX_DTDX_ORDER)
 
 
 @dataclass(frozen=True)
@@ -70,10 +77,15 @@ class TestFunction:
         return rec
 
 
-def _zeros_like(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
+def _scalar_or_array(out):
+    """A 0-d result as a float, any other as an array."""
+    out = np.asarray(out)
     return out if out.ndim else float(out)
+
+
+def _zero_dtdx(j, x, t):
+    """The mixed derivative of every time-independent builtin."""
+    return _scalar_or_array(np.zeros_like(np.asarray(x, dtype=np.float64)))
 
 
 def _poly_derivative(coeffs, j):
@@ -91,7 +103,7 @@ def _poly_eval(coeffs, x):
     out = np.zeros_like(x)
     for c in reversed(coeffs):
         out = out * x + c
-    return out if out.ndim else float(out)
+    return _scalar_or_array(out)
 
 
 def _make_polynomial(fid, coeffs, params):
@@ -103,30 +115,18 @@ def _make_polynomial(fid, coeffs, params):
     def dx(j, x, t):
         return _poly_eval(derivs[j], x)
 
-    def dtdx(j, x, t):
-        return _zeros_like(x)
+    return TestFunction(fid, SMOOTHNESS, dx, _zero_dtdx, poly_coeffs=coeffs, params=params)
 
-    return TestFunction(fid, (9, 4), dx, dtdx, poly_coeffs=coeffs, params=params)
+
+# d^j/dx^j sin x, by j % 4.
+_SINE_CYCLE = (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
 
 
 def _make_sine():
     def dx(j, x, t):
-        x = np.asarray(x, dtype=np.float64)
-        cycle = j % 4
-        if cycle == 0:
-            out = np.sin(x)
-        elif cycle == 1:
-            out = np.cos(x)
-        elif cycle == 2:
-            out = -np.sin(x)
-        else:
-            out = -np.cos(x)
-        return out if out.ndim else float(out)
+        return _scalar_or_array(_SINE_CYCLE[j % 4](np.asarray(x, dtype=np.float64)))
 
-    def dtdx(j, x, t):
-        return _zeros_like(x)
-
-    return TestFunction("sine", (9, 4), dx, dtdx)
+    return TestFunction("sine", SMOOTHNESS, dx, _zero_dtdx)
 
 
 def _make_gauss_bump():
@@ -134,38 +134,36 @@ def _make_gauss_bump():
     # probabilists' Hermite polynomial; underflows to 0 beyond |x| ~ 38.
     def dx(j, x, t):
         x = np.asarray(x, dtype=np.float64)
-        out = (-1.0) ** j * hermite_eval(j, x) * np.exp(-0.5 * x * x)
-        out = np.asarray(out)
-        return out if out.ndim else float(out)
+        return _scalar_or_array((-1.0) ** j * hermite_eval(j, x) * np.exp(-0.5 * x * x))
 
-    def dtdx(j, x, t):
-        return _zeros_like(x)
-
-    return TestFunction("gauss_bump", (9, 4), dx, dtdx)
+    return TestFunction("gauss_bump", SMOOTHNESS, dx, _zero_dtdx)
 
 
 def _make_poly_xt():
     # g(x, t) = x^3 (1 + t); spatial derivatives scale by (1 + t), the
     # mixed derivative drops the (1 + t) factor.
-    cubic = (0.0, 0.0, 0.0, 1.0)
-    derivs = [_poly_derivative(cubic, j) for j in range(MAX_DX_ORDER + 1)]
+    cube = builtin("cube")
 
     def dx(j, x, t):
-        t = np.asarray(t, dtype=np.float64)
-        out = _poly_eval(derivs[j], x) * (1.0 + t)
-        out = np.asarray(out)
-        return out if out.ndim else float(out)
+        return _scalar_or_array(cube.dx(j, x, t) * (1.0 + np.asarray(t, dtype=np.float64)))
 
     def dtdx(j, x, t):
-        out = np.asarray(_poly_eval(derivs[j], x)) + np.zeros_like(
-            np.asarray(t, dtype=np.float64)
-        )
-        return out if out.ndim else float(out)
+        t = np.asarray(t, dtype=np.float64)
+        return _scalar_or_array(np.asarray(cube.dx(j, x, t)) + np.zeros_like(t))
 
-    return TestFunction("poly_xt", (9, 4), dx, dtdx)
+    return TestFunction("poly_xt", SMOOTHNESS, dx, dtdx)
 
 
-_BUILTIN_IDS = ("const", "linear", "square", "cube", "poly_k", "sine", "gauss_bump", "poly_xt")
+# Constructor of each builtin that takes no parameters.
+_BUILTINS = {
+    "const": lambda: _make_polynomial("const", (1.0,), {}),
+    "linear": lambda: _make_polynomial("linear", (0.0, 1.0), {}),
+    "square": lambda: _make_polynomial("square", (0.0, 0.0, 1.0), {}),
+    "cube": lambda: _make_polynomial("cube", (0.0, 0.0, 0.0, 1.0), {}),
+    "sine": _make_sine,
+    "gauss_bump": _make_gauss_bump,
+    "poly_xt": _make_poly_xt,
+}
 
 
 def builtin(name, **params):
@@ -177,7 +175,7 @@ def builtin(name, **params):
     if name == "poly_k":
         coeffs = params.pop("coeffs", None)
         if params or coeffs is None:
-            raise DomainError("poly_k takes exactly one parameter: coeffs=[c_0, ...]")
+            raise DomainError("poly_k needs coefficients and no other parameter: coeffs=[c_0, ...]")
         # Finite real numbers only: a string or a bool is not a coefficient,
         # and abs() of nan, inf or an int beyond float range fails the bound.
         if not (
@@ -196,21 +194,10 @@ def builtin(name, **params):
         return _make_polynomial("poly_k", coeffs, {"coeffs": [float(c) for c in coeffs]})
     if params:
         raise DomainError(f"builtin {name!r} takes no parameters")
-    if name == "const":
-        return _make_polynomial("const", (1.0,), {})
-    if name == "linear":
-        return _make_polynomial("linear", (0.0, 1.0), {})
-    if name == "square":
-        return _make_polynomial("square", (0.0, 0.0, 1.0), {})
-    if name == "cube":
-        return _make_polynomial("cube", (0.0, 0.0, 0.0, 1.0), {})
-    if name == "sine":
-        return _make_sine()
-    if name == "gauss_bump":
-        return _make_gauss_bump()
-    if name == "poly_xt":
-        return _make_poly_xt()
-    raise DomainError(f"unknown test function {name!r}; available: {', '.join(_BUILTIN_IDS)}")
+    if name not in _BUILTINS:
+        available = ", ".join([*_BUILTINS, "poly_k"])
+        raise DomainError(f"unknown test function {name!r}; available: {available}")
+    return _BUILTINS[name]()
 
 
 def from_spec(rec):

@@ -289,6 +289,19 @@ def _physical_memory_bytes():
         return None
 
 
+def _require_memory(need, what, hint=""):
+    """Raise DomainError when `what` needs more bytes than physical memory.
+
+    Callers check before they allocate, so an oversized problem fails with
+    the package's error instead of numpy's allocation failure.
+    """
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise DomainError(
+            f"{what} needs {need} bytes, more than the {have} bytes of physical memory{hint}"
+        )
+
+
 def _fill_block(kernel, tables, rows, out):
     """out = rho(t_i, t_j) for i in rows, with the float operations of kernel.rho."""
     root, hankel, toeplitz, times = tables
@@ -332,14 +345,11 @@ def build_cov_matrix(kernel, grid):
     8 N^2 bytes exceed the machine's physical memory.
     """
     size = grid.nsteps
-    need = 8 * size * size
-    have = _physical_memory_bytes()
-    if have is not None and need > have:
-        raise DomainError(
-            f"dense covariance of kernel {kernel.canonical_id()!r} at N={size} needs "
-            f"{need} bytes, more than the {have} bytes of physical memory; "
-            "fbm_quarter has the O(N) circulant sampler"
-        )
+    _require_memory(
+        8 * size * size,
+        f"dense covariance of kernel {kernel.canonical_id()!r} at N={size}",
+        "; fbm_quarter has the O(N) circulant sampler",
+    )
     roots = np.sqrt(np.arange(2 * size + 1, dtype=np.float64) / grid.n)
     mirrored = np.concatenate([roots[size - 1 : 0 : -1], roots[:size]])
     tables = (

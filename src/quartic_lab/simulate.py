@@ -40,7 +40,7 @@ from scipy.linalg import blas, lapack
 from . import rng
 from .analytic import gamma
 from .errors import DomainError, NotPositiveDefinite
-from .kernels import CovKernel, Grid, build_cov_matrix
+from .kernels import CovKernel, Grid, _require_memory, build_cov_matrix
 
 # Pivots below JITTER_REL * max(diag) trigger one diagonal jitter retry.
 JITTER_REL = 1e-12
@@ -157,8 +157,11 @@ def fgn_quarter_autocov(grid):
 
     gamma(k) = (|k+1|^(1/2) - 2|k|^(1/2) + |k-1|^(1/2)) dt^(1/2) / 2, with
     the second difference taken from `analytic.gamma`, which avoids the
-    cancellation of the direct form.
+    cancellation of the direct form.  Raises DomainError, before
+    allocating, when this table and the circulant embedding built from it
+    (a 2N-entry row and N+1 complex eigenvalues) exceed physical memory.
     """
+    _require_memory(40 * (grid.nsteps + 1), f"circulant embedding at N={grid.nsteps}")
     lags = np.arange(1, grid.nsteps + 1)
     autocov = np.concatenate([[1.0], -0.5 * gamma(lags)])
     return autocov * math.sqrt(grid.dt)
@@ -272,8 +275,13 @@ def clear_factor_cache():
     _FACTOR_CACHE.clear()
 
 
-def _draw_normals(m, count, seed, role):
-    """(M, count) matrix whose row m comes from the replicate-m stream."""
+def _draw_normals(m, count, seed, role, grid):
+    """(M, count) matrix whose row m comes from the replicate-m stream.
+
+    Raises DomainError, before allocating, when it and the (M, N+1) path
+    array drawn from it exceed physical memory.
+    """
+    _require_memory(8 * m * (count + grid.nsteps + 1), f"{m} paths at N={grid.nsteps}")
     z = np.empty((m, count), dtype=np.float64)
     keys = []
     for rep in range(m):
@@ -283,33 +291,28 @@ def _draw_normals(m, count, seed, role):
     return z, tuple(keys)
 
 
-def sample_paths(factor, m, seed, grid=None, kernel_id=None):
+def sample_paths(factor, m, seed):
     """Draw M exact paths from a factor (`cached_factor`).
 
-    The per-replicate normal rows are assembled first and synthesized in
-    one call on the whole block, so results do not depend on any worker
-    pool.
+    The grid and kernel id are the ones the factor carries.  The
+    per-replicate normal rows are assembled first and synthesized in one
+    call on the whole block, so results do not depend on any worker pool.
     """
-    grid = grid if grid is not None else factor.grid
+    grid = factor.grid
     if grid is None:
-        raise DomainError("sample_paths needs a grid (on the factor or passed in)")
-    if factor.dim != grid.nsteps:
-        raise DomainError(
-            f"factor of dim {factor.dim} does not match grid with {grid.nsteps} steps"
-        )
+        raise DomainError("sample_paths needs a grid; factors from cached_factor carry one")
     if m < 1:
         raise DomainError("need at least one replicate")
-    kernel_id = kernel_id if kernel_id is not None else factor.kernel_id
-    z, keys = _draw_normals(m, factor.normals_per_path, seed, rng.ROLE_PATH)
+    z, keys = _draw_normals(m, factor.normals_per_path, seed, rng.ROLE_PATH, grid)
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
     values[:, 0] = 0.0
     factor.synthesize(z, values[:, 1:])
-    return PathEnsemble(grid, values, kernel_id, int(seed), keys)
+    return PathEnsemble(grid, values, factor.kernel_id, int(seed), keys)
 
 
 def sample_brownian(grid, m, seed):
     """M standard Brownian motion paths from the ROLE_BM streams."""
-    z, keys = _draw_normals(m, grid.nsteps, seed, rng.ROLE_BM)
+    z, keys = _draw_normals(m, grid.nsteps, seed, rng.ROLE_BM, grid)
     steps = z * math.sqrt(grid.dt)
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
     values[:, 0] = 0.0

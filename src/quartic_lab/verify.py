@@ -9,10 +9,13 @@ in fixed 256-row blocks, one after another; the `workers` argument of
 each experiment is accepted for compatibility and selects nothing.
 
 An experiment's parameters are declared once, as the keyword parameters
-of its `verify_*` function: the report's config block and the CLI's
-config schema are both read from that signature.  A new parameter is
-that signature edit plus a `cli._CHECKS` entry for its value, and, if it
-is a tolerance, its key in the experiment's `cli._SPECS` row.
+of its `verify_*` function, defaults included: the default kernel and
+test function g are the signature's own objects, and the report's config
+block and the CLI's config schema are both read from that signature.  A
+new parameter is that signature edit plus a `cli._CHECKS` entry for its
+value, and, if it is a tolerance, its key in the experiment's
+`cli._SPECS` row.  Every experiment reads its probe times through
+`_probe_times`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from . import __version__, analytic, stats, sums
 from .analytic import GaussianMoments, kappa_reference, poly_diff, poly_from_coeffs, poly_mul
 from .errors import ConfigError, DomainError
-from .functions import TestFunction, builtin
+from .functions import SMOOTHNESS, TestFunction, builtin
 from .kernels import CovKernel, Grid, fbm_composite_kernel, heat_kernel
 from .simulate import add_deterministic_drift, cached_factor, sample_brownian, sample_paths
 
@@ -107,6 +110,14 @@ def _config_value(value):
     return list(value) if isinstance(value, tuple) else value
 
 
+def _probe_times(probes):
+    """Probe times as floats; at least one, each positive."""
+    probes = tuple(float(t) for t in probes)
+    if not probes or min(probes) <= 0:
+        raise ConfigError("need at least one probe time, each positive")
+    return probes
+
+
 def _format_cell(value):
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
@@ -167,7 +178,7 @@ class ExperimentReport:
 def draw_ensemble(kernel, grid, m, seed):
     """Exact-covariance ensemble for the kernel, drift applied if any."""
     factor = cached_factor(kernel, grid)
-    ens = sample_paths(factor, m, seed, grid=grid, kernel_id=kernel.canonical_id())
+    ens = sample_paths(factor, m, seed)
     if kernel.mean_coeffs:
         ens = add_deterministic_drift(ens, kernel.mean_at)
     return ens
@@ -364,9 +375,9 @@ def _default_c(kernel, c):
 
 
 def verify_ito_formula(
-    kernel=None,
+    kernel=heat_kernel(),
     c=None,
-    g=None,
+    g=builtin("square"),
     n=4096,
     m=1000,
     probes=(1.0,),
@@ -389,12 +400,8 @@ def verify_ito_formula(
     against the closed-form reference when one exists.  The experiment
     passes when at least two thirds of the seeds pass every check.
     """
-    kernel = kernel if kernel is not None else heat_kernel()
-    g = g if g is not None else builtin("square")
     c = _default_c(kernel, c)
-    probes = tuple(float(t) for t in probes)
-    if not probes:
-        raise ConfigError("need at least one probe time")
+    probes = _probe_times(probes)
     horizon = float(horizon) if horizon is not None else max(probes)
     if max(probes) > horizon + 1e-12:
         raise ConfigError("probe times must not exceed the horizon")
@@ -402,7 +409,7 @@ def verify_ito_formula(
         raise ConfigError("window start must sit inside [0, min probe)")
     if seeds < 1:
         raise ConfigError("need at least one seed")
-    if not g.certifies(9, 4):
+    if not g.certifies(*SMOOTHNESS):
         raise DomainError(f"test function {g.fid!r} lacks the smoothness tag for this run")
     config = _config_block(experiment_name, verify_ito_formula, locals())
     grid = Grid(int(n), horizon)
@@ -517,7 +524,7 @@ verify_fbm_window.__doc__ = "Windowed change-of-variable run on the composite qu
 # ---------------------------------------------------------------------------
 
 def verify_bn_limit(
-    kernel=None,
+    kernel=heat_kernel(),
     n=4096,
     m=1000,
     probes=(0.25, 0.5, 0.75, 1.0),
@@ -533,10 +540,7 @@ def verify_bn_limit(
     increment correlation and the fourth-moment ratio of the half-window
     increment are computed at the final probe.
     """
-    kernel = kernel if kernel is not None else heat_kernel()
-    probes = tuple(float(t) for t in probes)
-    if not probes or min(probes) <= 0:
-        raise ConfigError("probe times must be positive")
+    probes = _probe_times(probes)
     config = _config_block("bn", verify_bn_limit, locals())
     horizon = max(probes)
     grid = Grid(int(n), horizon)
@@ -616,17 +620,15 @@ def _mse_ladder(experiment, function, args, block, columns, residual, threshold=
     when given, maps (kernel, g, t) to the threshold of the finest grid's
     MSE at probe t.
     """
-    kernel = args["kernel"] if args["kernel"] is not None else heat_kernel()
-    g = args["g"] if args["g"] is not None else builtin("square")
+    kernel, g = args["kernel"], args["g"]
     if not g.certifies(7, 3):
         raise DomainError(f"test function {g.fid!r} lacks the smoothness tag for this run")
     n_list = tuple(int(v) for v in args["n_list"])
     if len(n_list) < 2 or list(n_list) != sorted(set(n_list)):
         raise ConfigError("n_list must be strictly increasing with at least two sizes")
-    probes = tuple(float(t) for t in args["probes"])
+    probes = _probe_times(args["probes"])
     m, seed, max_inversions = args["m"], args["seed"], args["max_inversions"]
-    resolved = {"kernel": kernel, "g": g, "n_list": n_list, "probes": probes}
-    config = _config_block(experiment, function, args | resolved)
+    config = _config_block(experiment, function, args | {"n_list": n_list, "probes": probes})
     horizon = max(probes)
     tol_by_probe = {} if threshold is None else {t: threshold(kernel, g, t) for t in probes}
 
@@ -668,8 +670,8 @@ def _mse_ladder(experiment, function, args, block, columns, residual, threshold=
 
 
 def verify_trapezoid_ucp(
-    kernel=None,
-    g=None,
+    kernel=heat_kernel(),
+    g=builtin("square"),
     n_list=(256, 1024, 4096),
     m=200,
     probes=(1.0,),
@@ -708,8 +710,8 @@ def verify_trapezoid_ucp(
 
 
 def verify_expansion_residual(
-    kernel=None,
-    g=None,
+    kernel=heat_kernel(),
+    g=builtin("square"),
     n_list=(256, 1024, 4096),
     m=200,
     probes=(1.0,),

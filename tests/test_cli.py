@@ -61,6 +61,12 @@ class TestCovTable:
         assert audit["ok"] is True
         assert audit["n"] == 64
 
+    @pytest.mark.parametrize("flags", [["--lag", "-3"], ["--n", "0"], ["--maxj", "0"]])
+    def test_bad_flags_are_config_errors(self, tmp_path, capsys, flags):
+        assert main(["cov-table", "--n", "64", *flags, "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {flags[0]} must be")
+        assert not (tmp_path / "t").exists()
+
 
 class TestSample:
     def test_binary_round_trip(self, tmp_path, capsys):
@@ -86,6 +92,15 @@ class TestSample:
         code = main(["sample", "--kernel", "nope", "--out", str(tmp_path / "x.bin")])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("flags", [
+        ["--kernel", "fbm", "--n", "100000000000", "--M", "1"],
+        ["--kernel", "heat", "--n", "256", "--M", "100000000"],
+    ], ids=["fbm-circulant", "heat-normals"])
+    def test_oversized_draw_is_domain_error(self, tmp_path, capsys, flags):
+        assert main(["sample", *flags, "--out", str(tmp_path / "x.bin")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError" and "physical memory" in err["message"]
 
 
 # Path-drawing flags take the config checks of the keys they set, so a bad
@@ -455,6 +470,13 @@ class TestTypedConfigErrors:
                      "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_main_exits_two_on_null_g(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"g": None, "n_list": [16, 32], "m": 2}))
+        assert main(["verify", "--experiment", "trapezoid", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_exit_two(self, tmp_path, capsys, workers):
         cfg = tmp_path / "cfg.json"
@@ -531,6 +553,15 @@ def test_experiment_config_fields_are_the_config_keys():
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     keys = set().union(*cli._DEFAULTS.values())
     assert fields == {"experiment", "tolerances", "out_dir"} | keys
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_default_kernel_and_g_are_the_signature_objects(experiment):
+    config = ExperimentConfig.from_dict(experiment, {})
+    params = inspect.signature(getattr(verify, cli._SPECS[experiment][0])).parameters
+    for key in ("kernel", "g"):
+        if key in params:
+            assert getattr(config, key) is params[key].default
 
 
 def test_fbm_window_defaults_come_from_its_signature():

@@ -1,0 +1,99 @@
+"""Property tests: PSD covariances, the exact parity split, record round trips."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quartic_lab import functions
+from quartic_lab.functions import builtin, from_spec
+from quartic_lab.kernels import KERNEL_KINDS, CovKernel, Grid, build_cov_matrix, fbm_composite_kernel
+from quartic_lab.simulate import PathEnsemble, load_ensemble, save_ensemble
+from quartic_lab.sums import power_sum_ensemble
+
+_PROPERTY = settings(max_examples=40, deadline=None, database=None)
+
+_BASE_KINDS = [kind for kind in KERNEL_KINDS if kind != "composite"]
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+_COMPOSITES = st.builds(
+    lambda c, comps, mean: CovKernel("composite", c=c, components=comps, mean_coeffs=mean),
+    _FINITE,
+    st.lists(st.sampled_from(_BASE_KINDS).map(CovKernel), min_size=1, max_size=2).map(tuple),
+    st.lists(_FINITE, max_size=3).map(tuple),
+)
+# n <= 64 steps per unit time and 2 .. 128 steps to a horizon off the grid.
+_GRIDS = st.builds(
+    lambda n, steps, frac: Grid(n, (steps + frac) / n),
+    st.integers(1, 64), st.integers(2, 128), st.floats(0.0, 0.5),
+)
+
+
+@_PROPERTY
+@given(
+    kernel=st.sampled_from([*map(CovKernel, _BASE_KINDS), fbm_composite_kernel()]),
+    grid=_GRIDS,
+)
+def test_dense_covariance_is_psd_on_random_grids(kernel, grid):
+    eigs = np.linalg.eigvalsh(build_cov_matrix(kernel, grid))
+    assert eigs[0] >= -1e-12 * eigs[-1]
+
+
+@_PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 64),
+    m=st.integers(1, 4),
+    p=st.sampled_from([3, 4]),
+    eval_point=st.sampled_from(["left", "right"]),
+    name=st.sampled_from(sorted(functions._BUILTINS)),
+)
+def test_power_sum_parity_split_is_exact(seed, n, m, p, eval_point, name):
+    grid = Grid(n)
+    values = np.random.default_rng(seed).standard_normal((m, grid.nsteps + 1))
+    g = builtin(name)
+    odd, even, full = (
+        power_sum_ensemble(values, grid, g, p, parity, eval_point)
+        for parity in ("odd", "even", "all")
+    )
+    assert np.array_equal(odd + even, full)
+
+
+@_PROPERTY
+@given(
+    grid=_GRIDS,
+    m=st.integers(1, 4),
+    seed=st.integers(0, 2**63 - 1),
+    kernel_id=st.text(max_size=12),
+    data=st.data(),
+)
+def test_ensemble_file_round_trip(tmp_path_factory, grid, m, seed, kernel_id, data):
+    values = np.array(
+        data.draw(st.lists(st.floats(width=64), min_size=m * (grid.nsteps + 1),
+                           max_size=m * (grid.nsteps + 1)))
+    ).reshape(m, grid.nsteps + 1)
+    path = tmp_path_factory.mktemp("ens") / "ens.bin"
+    save_ensemble(PathEnsemble(grid, values, kernel_id, seed, ()), path)
+    back = load_ensemble(path)
+    assert back.values.tobytes() == values.tobytes()
+    assert (back.grid, back.kernel_id, back.seed, back.m) == (grid, kernel_id, seed, m)
+
+
+@_PROPERTY
+@given(kernel=_COMPOSITES)
+def test_kernel_record_round_trip(kernel):
+    assert CovKernel.from_dict(kernel.to_dict()) == kernel
+
+
+@_PROPERTY
+@given(
+    name=st.sampled_from([*functions._BUILTINS, "poly_k"]),
+    coeffs=st.lists(_FINITE, min_size=1, max_size=functions.MAX_DX_ORDER + 1),
+    x=st.lists(_FINITE, min_size=1, max_size=5),
+)
+def test_test_function_spec_round_trip(name, coeffs, x):
+    g = builtin(name, coeffs=coeffs) if name == "poly_k" else builtin(name)
+    back = from_spec(g.spec())
+    assert back.spec() == g.spec()
+    assert (back.fid, back.smoothness, back.poly_coeffs) == (g.fid, g.smoothness, g.poly_coeffs)
+    x = np.array(x)
+    for j in range(functions.MAX_DX_ORDER + 1):
+        assert np.array_equal(back.dx(j, x, 0.5), g.dx(j, x, 0.5))

@@ -1,6 +1,7 @@
 """Path sampling: factorization contract, determinism, persistence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from quartic_lab.simulate import (
     circulant_factor,
     clear_factor_cache,
     factorize,
+    fgn_quarter_autocov,
     load_ensemble,
     sample_brownian,
     sample_paths,
@@ -168,10 +170,26 @@ class TestSamplePaths:
         se = np.sqrt(var_prod / ens.m)
         assert np.all(np.abs(emp - exact) <= 4.0 * se)
 
-    def test_factor_grid_mismatch_rejected(self):
-        factor = cached_factor(heat_kernel(), Grid(16))
-        with pytest.raises(DomainError):
-            sample_paths(factor, 3, seed=1, grid=Grid(32))
+    def test_bare_factor_needs_a_grid(self):
+        with pytest.raises(DomainError, match="needs a grid"):
+            sample_paths(factorize(np.eye(3)), 2, seed=1)
+
+    @pytest.mark.parametrize("draw", [
+        lambda factor: fgn_quarter_autocov(Grid(2**40)),
+        lambda factor: cached_factor(fbm_quarter_kernel(), Grid(2**40)),
+        lambda factor: sample_paths(factor, 2**40, seed=1),
+        lambda factor: sample_brownian(Grid(256), 2**40, seed=1),
+    ], ids=["autocov", "circulant", "paths", "brownian"])
+    def test_oversized_draw_refused_before_allocating(self, draw):
+        factor = cached_factor(heat_kernel(), Grid(256))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="physical memory"):
+                draw(factor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_triangular_synthesis_matches_matrix_product(self):
         factor = cached_factor(heat_kernel(), Grid(1024))

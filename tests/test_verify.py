@@ -420,6 +420,12 @@ class TestLadderExperiments:
         assert a.summary_json() == b.summary_json()
         assert a.replicates_csv() == b.replicates_csv()
 
+    @pytest.mark.parametrize("probes", [(), (0.0,)], ids=["empty", "zero"])
+    @pytest.mark.parametrize("run", [verify_trapezoid_ucp, verify_expansion_residual])
+    def test_probes_must_be_positive(self, run, probes):
+        with pytest.raises(ConfigError):
+            run(n_list=(16, 32), m=2, probes=probes)
+
     def test_smoothness_tags_enforced(self):
         rough = TestFunction("rough", (5, 2), lambda j, x, t: np.zeros_like(x), lambda j, x, t: np.zeros_like(x))
         with pytest.raises(DomainError):
