@@ -56,7 +56,6 @@ from .simulate import (
 from .stats import (
     CorrelationResult,
     RateFit,
-    SampleSummary,
     correlation,
     ks_one_sample_normal,
     ks_two_sample,
@@ -65,7 +64,6 @@ from .stats import (
 from .verify import (
     CheckResult,
     ExperimentReport,
-    FormulaRHS,
     verify_bn_limit,
     verify_expansion_residual,
     verify_fbm_window,

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .kernels import rho_heat
+from .kernels import _require_memory, rho_heat
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -82,10 +82,13 @@ def kappa(tol=1e-6):
     The tail of the alternating series is dominated by
     (2/pi) * sum_{j>J} gamma(j)^2 <= (1/(2*pi)) * J^{-2}, since
     gamma(j) <= 2^{-1/2} j^{-3/2}; J is chosen to push that below tol.
+    Raises DomainError, before allocating, when the J-term arrays (six
+    live at the peak) exceed physical memory.
     """
     if not (0.0 < tol <= 0.5):
         raise DomainError("tol must lie in (0, 0.5]")
     jmax = max(4, math.ceil(1.0 / math.sqrt(2.0 * math.pi * tol)))
+    _require_memory(6 * 8 * jmax, f"kappa series of {jmax} terms at tol={tol:g}")
     js = np.arange(1, jmax + 1)
     signs = np.where(js % 2 == 0, 1.0, -1.0)
     inner = float(np.sum(signs * gamma(js) ** 2))
@@ -465,7 +468,12 @@ def _lag_cross(t, ell):
 
 
 def discrete_cov_table(n, maxj=None, lag=None):
-    """Increment covariance table of the heat-slice process, by bilinearity."""
+    """Increment covariance table of the heat-slice process, by bilinearity.
+
+    Raises DomainError, before allocating, when the (maxj, lag) cross
+    table and the length-(maxj+1) work arrays (14 live at the peak)
+    exceed physical memory.
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
     maxj = int(maxj) if maxj is not None else int(n)
@@ -474,6 +482,7 @@ def discrete_cov_table(n, maxj=None, lag=None):
     lag = int(lag) if lag is not None else min(64, max(maxj - 1, 1))
     if lag < 0:
         raise DomainError("lag must be >= 0")
+    _require_memory(8 * (maxj + 1) * (lag + 14), f"covariance table at maxj={maxj}, lag={lag}")
     t = np.arange(maxj + 1, dtype=np.float64) / n
     diag = rho_heat(t, t)
     off = rho_heat(t[:-1], t[1:])
@@ -544,8 +553,11 @@ def audit_cov_table(n, maxj=None):
 
     The cross-covariance checks cover every pair i < j <= maxj, one lag
     at a time, so memory stays O(maxj) while the pair count is maxj^2/2.
+    Raises DomainError, before allocating, when its length-(maxj+1) work
+    arrays (18 live at the peak) exceed physical memory.
     """
     maxj = int(maxj) if maxj is not None else int(n)
+    _require_memory(8 * 18 * (maxj + 1), f"covariance audit at maxj={maxj}")
     table = discrete_cov_table(n, maxj=maxj, lag=1)
     dt_half = math.sqrt(1.0 / n)
     js = np.arange(1, maxj + 1, dtype=np.float64)

@@ -129,8 +129,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("grid needs n >= 1 steps per unit time")
-        if not (self.horizon > 0):
-            raise DomainError("grid horizon must be positive")
+        if not (self.horizon > 0 and math.isfinite(self.n * self.horizon)):
+            raise DomainError("grid horizon must be positive, with n * horizon finite")
         if self.nsteps < 2:
             raise DomainError("grid must contain at least 2 steps")
 
@@ -144,7 +144,12 @@ class Grid:
         return 1.0 / self.n
 
     def times(self):
-        """All grid times t_0 .. t_N as an array."""
+        """All grid times t_0 .. t_N as an array.
+
+        Raises DomainError, before allocating, when the array exceeds
+        physical memory.
+        """
+        _require_memory(8 * (self.nsteps + 1), f"grid times at N={self.nsteps}")
         return np.arange(self.nsteps + 1, dtype=np.float64) / self.n
 
     def index_at(self, t):

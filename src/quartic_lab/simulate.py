@@ -171,15 +171,15 @@ def fgn_quarter_autocov(grid):
 class PathEnsemble:
     """M sampled paths over a grid, values[m, j] = X_m(t_j).
 
-    values[:, 0] is exactly 0 for centered kernels.  replicate_keys holds
-    the derived 128-bit stream key of each row, for audit.
+    values[:, 0] is exactly 0 for centered kernels.  Row m was drawn from
+    the stream keyed rng.derive_key(seed, m, role), role ROLE_PATH for
+    `sample_paths` and ROLE_BM for `sample_brownian`.
     """
 
     grid: Grid
     values: np.ndarray
     kernel_id: str
     seed: int
-    replicate_keys: tuple[int, ...]
 
     @property
     def m(self):
@@ -283,12 +283,9 @@ def _draw_normals(m, count, seed, role, grid):
     """
     _require_memory(8 * m * (count + grid.nsteps + 1), f"{m} paths at N={grid.nsteps}")
     z = np.empty((m, count), dtype=np.float64)
-    keys = []
     for rep in range(m):
-        key = rng.derive_key(seed, rep, role)
-        keys.append(key)
-        z[rep] = rng.normals(key, count)
-    return z, tuple(keys)
+        z[rep] = rng.normals(rng.derive_key(seed, rep, role), count)
+    return z
 
 
 def sample_paths(factor, m, seed):
@@ -303,21 +300,21 @@ def sample_paths(factor, m, seed):
         raise DomainError("sample_paths needs a grid; factors from cached_factor carry one")
     if m < 1:
         raise DomainError("need at least one replicate")
-    z, keys = _draw_normals(m, factor.normals_per_path, seed, rng.ROLE_PATH, grid)
+    z = _draw_normals(m, factor.normals_per_path, seed, rng.ROLE_PATH, grid)
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
     values[:, 0] = 0.0
     factor.synthesize(z, values[:, 1:])
-    return PathEnsemble(grid, values, factor.kernel_id, int(seed), keys)
+    return PathEnsemble(grid, values, factor.kernel_id, int(seed))
 
 
 def sample_brownian(grid, m, seed):
     """M standard Brownian motion paths from the ROLE_BM streams."""
-    z, keys = _draw_normals(m, grid.nsteps, seed, rng.ROLE_BM, grid)
+    z = _draw_normals(m, grid.nsteps, seed, rng.ROLE_BM, grid)
     steps = z * math.sqrt(grid.dt)
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
     values[:, 0] = 0.0
     np.cumsum(steps, axis=1, out=values[:, 1:])
-    return PathEnsemble(grid, values, "bm", int(seed), keys)
+    return PathEnsemble(grid, values, "bm", int(seed))
 
 
 def add_deterministic_drift(ensemble, drift):
@@ -352,10 +349,11 @@ def save_ensemble(ensemble, path):
 
 
 def load_ensemble(path):
-    """Read an ensemble written by save_ensemble; rederives stream keys.
+    """Read an ensemble written by save_ensemble.
 
-    A short header, a kernel id that is not UTF-8 or a body whose length
-    is not m * (N + 1) float64 values raises DomainError.
+    A short header, a kernel id that is not UTF-8, a grid that `Grid`
+    rejects or a body whose length is not m * (N + 1) float64 values
+    raises DomainError.
     """
     head_size = struct.calcsize(_BIN_HEAD)
     with open(path, "rb") as fh:
@@ -384,8 +382,7 @@ def load_ensemble(path):
             f"(m={m}, N={grid.nsteps})"
         )
     values = np.frombuffer(body, dtype=np.float64).reshape(int(m), grid.nsteps + 1).copy()
-    keys = tuple(rng.derive_key(int(seed), rep, rng.ROLE_PATH) for rep in range(int(m)))
-    return PathEnsemble(grid, values, kernel_id, int(seed), keys)
+    return PathEnsemble(grid, values, kernel_id, int(seed))
 
 
 def write_ensemble_csv(ensemble, path):

@@ -130,97 +130,3 @@ def correlation(a, b):
         r=r, ci_low=math.tanh(z - half), ci_high=math.tanh(z + half), count=a.size
     )
 
-
-@dataclass(frozen=True)
-class SampleSummary:
-    """Streaming-mergeable moments: count, mean, and central sums M2..M4.
-
-    Merging two summaries reproduces the summary of the concatenated
-    sample; count, mean, and M2 merge by algebraic identities, so the
-    first two moments are exact up to float roundoff.
-    """
-
-    count: int
-    mean: float
-    m2: float
-    m3: float
-    m4: float
-
-    @staticmethod
-    def from_sample(a):
-        a = _clean_sample(a, "sample")
-        mean = float(a.mean())
-        d = a - mean
-        return SampleSummary(
-            count=int(a.size),
-            mean=mean,
-            m2=float(np.sum(d**2)),
-            m3=float(np.sum(d**3)),
-            m4=float(np.sum(d**4)),
-        )
-
-    def merge(self, other):
-        na, nb = self.count, other.count
-        n = na + nb
-        delta = other.mean - self.mean
-        mean = self.mean + delta * nb / n
-        m2 = self.m2 + other.m2 + delta**2 * na * nb / n
-        m3 = (
-            self.m3
-            + other.m3
-            + delta**3 * na * nb * (na - nb) / n**2
-            + 3.0 * delta * (na * other.m2 - nb * self.m2) / n
-        )
-        m4 = (
-            self.m4
-            + other.m4
-            + delta**4 * na * nb * (na**2 - na * nb + nb**2) / n**3
-            + 6.0 * delta**2 * (na**2 * other.m2 + nb**2 * self.m2) / n**2
-            + 4.0 * delta * (na * other.m3 - nb * self.m3) / n
-        )
-        return SampleSummary(count=n, mean=mean, m2=m2, m3=m3, m4=m4)
-
-    @property
-    def variance(self):
-        """Unbiased variance; NaN for a single observation."""
-        if self.count < 2:
-            return float("nan")
-        return self.m2 / (self.count - 1)
-
-    @property
-    def skewness(self):
-        if self.count < 2 or self.m2 == 0.0:
-            return float("nan")
-        n = self.count
-        return (self.m3 / n) / (self.m2 / n) ** 1.5
-
-    @property
-    def kurtosis_excess(self):
-        if self.count < 2 or self.m2 == 0.0:
-            return float("nan")
-        n = self.count
-        return (self.m4 / n) / (self.m2 / n) ** 2 - 3.0
-
-    @property
-    def se_mean(self):
-        if self.count < 2:
-            return float("nan")
-        return math.sqrt(self.variance / self.count)
-
-    @property
-    def se_variance(self):
-        """Normal-theory standard error of the variance estimate."""
-        if self.count < 2:
-            return float("nan")
-        return self.variance * math.sqrt(2.0 / (self.count - 1))
-
-    def to_dict(self):
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "variance": self.variance,
-            "skewness": self.skewness,
-            "kurtosis_excess": self.kurtosis_excess,
-            "se_mean": self.se_mean,
-            "se_variance": self.se_variance,
-        }

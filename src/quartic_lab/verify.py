@@ -204,26 +204,6 @@ def _map_chunks(fn, values, *aligned):
 # The change-of-variable right-hand side.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FormulaRHS:
-    """Per-replicate right-hand side of the corrected chain rule.
-
-    values[r] = g(X(t1), t1) - g(X(t0), t0) - int_{t0}^{t1} dt g
-                - (kappa c^2 / 2) * sum_j dxx g(X(t_{j-1}), t_{j-1}) dB_j
-    with the time integral by the composite trapezoid rule on the grid
-    and the stochastic term a left-point sum, as recorded in the rule
-    fields.
-    """
-
-    values: np.ndarray
-    t_start: float
-    t_end: float
-    c: float
-    kappa_value: float
-    time_rule: str = "trapezoid"
-    ito_rule: str = "left"
-
-
 def _head_minus_time_ensemble(x_values, grid, g, k0, k1):
     """g(X,t) increment minus the trapezoid time integral, per replicate."""
     times = grid.times()
@@ -249,7 +229,14 @@ def rhs_formula_ensemble(x_values, b_values, grid, g, t, c=1.0, t_start=0.0):
     """Corrected chain-rule right-hand side at time t, one value per row.
 
     x_values and b_values are (M, N+1) path and Brownian ensembles on the
-    same grid; rows are paired.
+    same grid; rows are paired.  Row r of the (M,) result is
+
+        g(X(t1), t1) - g(X(t0), t0) - int_{t0}^{t1} dt g
+        - (kappa c^2 / 2) * sum_j dxx g(X(t_{j-1}), t_{j-1}) dB_j
+
+    with t0, t1 the grid times at or below t_start and t, the time
+    integral by the composite trapezoid rule and the stochastic term a
+    left-point sum.
     """
     x_values = np.asarray(x_values, dtype=np.float64)
     b_values = np.asarray(b_values, dtype=np.float64)
@@ -258,20 +245,13 @@ def rhs_formula_ensemble(x_values, b_values, grid, g, t, c=1.0, t_start=0.0):
     k0, k1 = _window_indices(grid, t_start, t)
     times = grid.times()
     out = _head_minus_time_ensemble(x_values, grid, g, k0, k1)
-    kap = kappa_reference()
     if k1 > k0 and c != 0.0:
         gxx = np.asarray(g.dx(2, x_values[:, k0:k1], times[None, k0:k1]))
         if gxx.shape != x_values[:, k0:k1].shape:
             gxx = np.broadcast_to(gxx, x_values[:, k0:k1].shape)
         ito = np.sum(gxx * np.diff(b_values[:, k0 : k1 + 1], axis=1), axis=1)
-        out = out - 0.5 * kap * c**2 * ito
-    return FormulaRHS(
-        values=out,
-        t_start=times[k0],
-        t_end=times[k1],
-        c=float(c),
-        kappa_value=kap,
-    )
+        out = out - 0.5 * kappa_reference() * c**2 * ito
+    return out
 
 
 def trapezoid_target_ensemble(x_values, grid, g, t, t_start=0.0):
@@ -434,7 +414,7 @@ def verify_ito_formula(
 
     def rhs_block(xs, bs):
         cols = [
-            rhs_formula_ensemble(xs, bs, grid, g, t, c=c, t_start=window_start).values
+            rhs_formula_ensemble(xs, bs, grid, g, t, c=c, t_start=window_start)
             for t in probes
         ]
         return np.stack(cols, axis=1)

@@ -400,6 +400,9 @@ class TestDiscreteCovTable:
             discrete_cov_table(0)
         with pytest.raises(DomainError):
             discrete_cov_table(4, maxj=0)
+        # The audit sizes its own work arrays before it builds the table.
+        with pytest.raises(DomainError, match="covariance audit .* physical memory"):
+            audit_cov_table(64, maxj=2**40)
 
 
 class TestOffsetIncrementCov:

@@ -93,12 +93,21 @@ class TestSample:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
 
-    @pytest.mark.parametrize("flags", [
-        ["--kernel", "fbm", "--n", "100000000000", "--M", "1"],
-        ["--kernel", "heat", "--n", "256", "--M", "100000000"],
-    ], ids=["fbm-circulant", "heat-normals"])
-    def test_oversized_draw_is_domain_error(self, tmp_path, capsys, flags):
-        assert main(["sample", *flags, "--out", str(tmp_path / "x.bin")]) == 1
+    # Every verb, not only `sample`: an input that would need more than
+    # physical memory is refused before numpy is asked for the arrays.
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--kernel", "fbm", "--n", "100000000000", "--M", "1", "--out", "x.bin"],
+        ["sample", "--kernel", "heat", "--n", "256", "--M", "100000000", "--out", "x.bin"],
+        ["verify", "--experiment", "ito", "--n", "100000000000", "--M", "2"],
+        ["cov-table", "--n", "64", "--maxj", "100000000000"],
+        ["cov-table", "--n", "64", "--maxj", "1000", "--lag", "100000000000"],
+        ["compute-kappa", "--tol", "1e-20"],
+        ["compute-kappa", "--tol", "1e-300"],
+    ], ids=["fbm-circulant", "heat-normals", "ito-grid", "cov-table-maxj", "cov-table-lag",
+            "kappa-terms", "kappa-size"])
+    def test_oversized_draw_is_domain_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DomainError" and "physical memory" in err["message"]
 

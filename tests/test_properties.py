@@ -71,7 +71,7 @@ def test_ensemble_file_round_trip(tmp_path_factory, grid, m, seed, kernel_id, da
                            max_size=m * (grid.nsteps + 1)))
     ).reshape(m, grid.nsteps + 1)
     path = tmp_path_factory.mktemp("ens") / "ens.bin"
-    save_ensemble(PathEnsemble(grid, values, kernel_id, seed, ()), path)
+    save_ensemble(PathEnsemble(grid, values, kernel_id, seed), path)
     back = load_ensemble(path)
     assert back.values.tobytes() == values.tobytes()
     assert (back.grid, back.kernel_id, back.seed, back.m) == (grid, kernel_id, seed, m)

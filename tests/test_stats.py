@@ -1,4 +1,4 @@
-"""Statistical primitives: KS distances, rate regression, moment summaries.
+"""Statistical primitives: KS distances, rate regression, correlation.
 
 The KS statistics and the rate fit are cross-checked against scipy on
 random data; the small exact values are enumerated by hand from the ECDF
@@ -15,7 +15,6 @@ from quartic_lab.errors import DomainError
 from quartic_lab.stats import (
     CorrelationResult,
     RateFit,
-    SampleSummary,
     correlation,
     ks_one_sample_normal,
     ks_two_sample,
@@ -189,63 +188,3 @@ class TestCorrelation:
         res = correlation(a, rng.normal(size=12))
         assert CorrelationResult(**res.to_dict()) == res
 
-
-class TestSampleSummary:
-    def test_from_sample_matches_numpy_and_scipy(self):
-        a = np.random.default_rng(112).gamma(shape=2.0, size=400)
-        s = SampleSummary.from_sample(a)
-        assert s.count == 400
-        assert s.mean == pytest.approx(a.mean(), rel=1e-14)
-        assert s.variance == pytest.approx(a.var(ddof=1), rel=1e-12)
-        assert s.skewness == pytest.approx(sps.skew(a), rel=1e-10)
-        assert s.kurtosis_excess == pytest.approx(sps.kurtosis(a), rel=1e-10)
-
-    def test_merge_equals_concatenation(self):
-        rng = np.random.default_rng(113)
-        a = rng.normal(size=33)
-        b = rng.normal(loc=5.0, scale=0.2, size=77)
-        merged = SampleSummary.from_sample(a).merge(SampleSummary.from_sample(b))
-        whole = SampleSummary.from_sample(np.concatenate([a, b]))
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-13)
-        assert merged.m2 == pytest.approx(whole.m2, rel=1e-12)
-        assert merged.m3 == pytest.approx(whole.m3, rel=1e-9, abs=1e-9)
-        assert merged.m4 == pytest.approx(whole.m4, rel=1e-9)
-
-    def test_merge_is_associative(self):
-        rng = np.random.default_rng(114)
-        parts = [SampleSummary.from_sample(rng.normal(size=k)) for k in (11, 23, 5)]
-        left = parts[0].merge(parts[1]).merge(parts[2])
-        right = parts[0].merge(parts[1].merge(parts[2]))
-        assert left.count == right.count
-        assert left.mean == pytest.approx(right.mean, rel=1e-13)
-        assert left.m2 == pytest.approx(right.m2, rel=1e-12)
-        assert left.m4 == pytest.approx(right.m4, rel=1e-10)
-
-    def test_single_observation_has_nan_spread(self):
-        s = SampleSummary.from_sample([4.2])
-        assert s.count == 1 and s.mean == 4.2
-        assert math.isnan(s.variance)
-        assert math.isnan(s.se_mean)
-        assert math.isnan(s.se_variance)
-        assert math.isnan(s.skewness)
-
-    def test_standard_error_formulas(self):
-        a = np.random.default_rng(115).normal(size=200)
-        s = SampleSummary.from_sample(a)
-        assert s.se_mean == pytest.approx(math.sqrt(s.variance / 200.0))
-        assert s.se_variance == pytest.approx(s.variance * math.sqrt(2.0 / 199.0))
-
-    def test_to_dict_fields(self):
-        s = SampleSummary.from_sample([1.0, 2.0, 4.0])
-        d = s.to_dict()
-        assert set(d) == {
-            "count",
-            "mean",
-            "variance",
-            "skewness",
-            "kurtosis_excess",
-            "se_mean",
-            "se_variance",
-        }
-        assert d["count"] == 3 and d["variance"] == pytest.approx(7.0 / 3.0)

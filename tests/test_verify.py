@@ -80,7 +80,7 @@ class TestRhsFormula:
         x = np.array([0.0, 1.0, 2.0])
         b = np.array([0.0, 0.3, -0.7])
         kap = kappa_reference()
-        got = rhs_formula_ensemble(x[None, :], b[None, :], grid, SQUARE, 1.0).values[0]
+        got = rhs_formula_ensemble(x[None, :], b[None, :], grid, SQUARE, 1.0)[0]
         assert got == pytest.approx(4.0 - kap * (-0.7), rel=1e-14)
 
     def test_hand_path_square_window(self):
@@ -89,14 +89,14 @@ class TestRhsFormula:
         b = np.array([0.0, 0.3, -0.7])
         kap = kappa_reference()
         rhs = rhs_formula_ensemble(x[None, :], b[None, :], grid, SQUARE, 1.0, t_start=0.5)
-        assert rhs.values[0] == pytest.approx(3.0 - kap * (-0.7 - 0.3), rel=1e-14)
+        assert rhs[0] == pytest.approx(3.0 - kap * (-0.7 - 0.3), rel=1e-14)
 
     def test_scale_factor_enters_squared(self):
         grid = Grid(2)
         x = np.array([0.0, 1.0, 2.0])
         b = np.array([0.0, 0.3, -0.7])
         kap = kappa_reference()
-        got = rhs_formula_ensemble(x[None, :], b[None, :], grid, SQUARE, 1.0, c=0.5).values[0]
+        got = rhs_formula_ensemble(x[None, :], b[None, :], grid, SQUARE, 1.0, c=0.5)[0]
         assert got == pytest.approx(4.0 - 0.25 * kap * (-0.7), rel=1e-14)
 
     def test_linear_g_is_the_path_increment(self):
@@ -104,36 +104,34 @@ class TestRhsFormula:
         grid = Grid(64)
         x_ens, b_ens = draw_coupled(heat_kernel(), grid, 50, 3)
         rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, LINEAR, 1.0)
-        assert np.array_equal(rhs.values, x_ens.values[:, 64] - x_ens.values[:, 0])
+        assert np.array_equal(rhs, x_ens.values[:, 64] - x_ens.values[:, 0])
         mid = sums.midpoint_sum_ensemble(x_ens.values, grid, LINEAR, 1)[:, 64]
-        np.testing.assert_allclose(mid, rhs.values, atol=1e-13)
-        assert ks_two_sample(mid, rhs.values) <= 2.0 / 50.0
+        np.testing.assert_allclose(mid, rhs, atol=1e-13)
+        assert ks_two_sample(mid, rhs) <= 2.0 / 50.0
 
     def test_time_only_g_cancels_exactly(self):
         grid = Grid(32)
         x_ens, b_ens = draw_coupled(heat_kernel(), grid, 8, 5)
         rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, _time_only(), 1.0)
-        assert np.all(rhs.values == 0.0)
+        assert np.all(rhs == 0.0)
 
     def test_zero_scale_drops_the_correction(self):
         grid = Grid(32)
         x_ens, b_ens = draw_coupled(heat_kernel(), grid, 8, 5)
         rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0, c=0.0)
         target = trapezoid_target_ensemble(x_ens.values, grid, SQUARE, 1.0)
-        assert np.array_equal(rhs.values, target)
+        assert np.array_equal(rhs, target)
 
     def test_metadata_snaps_to_grid(self):
         grid = Grid(8)
         x = np.zeros(9)
         b = np.zeros(9)
         out = rhs_formula_ensemble(x[None, :], b[None, :], grid, SQUARE, 0.7, t_start=0.2)
-        assert out.values[0] == 0.0
+        assert out[0] == 0.0
         x_ens, b_ens = draw_coupled(heat_kernel(), grid, 2, 1)
-        ens = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 0.7, t_start=0.2)
-        assert ens.t_start == grid.times()[grid.index_at(0.2)]
-        assert ens.t_end == grid.times()[grid.index_at(0.7)]
-        assert ens.kappa_value == kappa_reference()
-        assert (ens.time_rule, ens.ito_rule) == ("trapezoid", "left")
+        paths = (x_ens.values, b_ens.values, grid, SQUARE)
+        on_grid = rhs_formula_ensemble(*paths, 0.625, t_start=0.125)
+        assert np.array_equal(rhs_formula_ensemble(*paths, 0.7, t_start=0.2), on_grid)
 
     def test_mismatched_shapes_rejected(self):
         grid = Grid(4)
@@ -284,7 +282,7 @@ class TestItoExperiment:
         grid = Grid(32)
         rep = verify_ito_formula(n=32, m=600, seeds=1, seed=5, workers=3)
         x_ens, b_ens = draw_coupled(heat_kernel(), grid, 600, 5)
-        full = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0).values
+        full = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0)
         np.testing.assert_allclose([row[4] for row in rep.replicate_rows], full, rtol=0, atol=1e-12)
 
     def test_linear_g_identity_statistics(self):
@@ -307,7 +305,7 @@ class TestItoExperiment:
             mid = sums.midpoint_sum_ensemble(x_ens.values, grid, SQUARE, 1)[:, grid.index_at(1.0)]
             rhs = rhs_formula_ensemble(
                 x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0, c=0.0
-            ).values
+            )
             mses.append(float(np.mean((mid - rhs) ** 2)))
         assert mses[0] > mses[1] > mses[2]
         assert mses[-1] < 1e-11
