@@ -14,6 +14,7 @@ in, Fractions out, so identity tests can be run with zero rounding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -476,6 +477,8 @@ def discrete_cov_table(n, maxj=None, lag=None):
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    if n > sys.float_info.max:
+        raise DomainError("n (steps per unit time) is beyond float range")
     maxj = int(maxj) if maxj is not None else int(n)
     if maxj < 1:
         raise DomainError("maxj must be >= 1")

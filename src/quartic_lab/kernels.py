@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +130,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("grid needs n >= 1 steps per unit time")
+        if self.n > sys.float_info.max:
+            raise DomainError("grid n (steps per unit time) is beyond float range")
         if not (self.horizon > 0 and math.isfinite(self.n * self.horizon)):
             raise DomainError("grid horizon must be positive, with n * horizon finite")
         if self.nsteps < 2:

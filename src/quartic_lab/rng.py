@@ -12,6 +12,13 @@ sampler asks for (`simulate`): N for a dense Cholesky factor, where
 normal j drives grid step j, and 2N for the fBm circulant sampler, laid
 out as [re_0, re_N, Re_1 .. Re_{N-1}, Im_1 .. Im_{N-1}] over the FFT
 modes 0 .. N.  A ROLE_BM stream supplies the N Brownian increments.
+
+Prefix contract: normals(key, a) is bit for bit normals(key, b)[:a] for
+every a <= b.  Each normal costs exactly one 64-bit Philox output:
+`integers(0, 2**53)` keeps 53 bits of it and, as 2**53 divides 2**64,
+never rejects one.  So a longer draw only appends.  An MSE ladder relies
+on this: it draws each replicate's stream once, at its largest grid, and
+every smaller grid reads a prefix.
 """
 
 from __future__ import annotations
@@ -27,8 +34,6 @@ from .errors import DomainError
 # Stream roles; distinct roles give disjoint streams for coupled draws.
 ROLE_PATH = 0
 ROLE_BM = 1
-
-_TWO53 = float(1 << 53)
 
 
 def derive_key(master_seed, replicate, role):
@@ -48,12 +53,17 @@ def stream(key):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def uniforms(key, count):
-    """count uniforms strictly inside (0, 1) at 53-bit resolution."""
-    ints = stream(key).integers(0, 1 << 53, size=count, dtype=np.uint64)
-    return (ints.astype(np.float64) + 0.5) / _TWO53
+def normals(key, count, out=None):
+    """count standard normals: ndtri of (k + 0.5) / 2**53 for 53-bit integers k.
 
-
-def normals(key, count):
-    """count standard normals via inverse CDF of the uniform stream."""
-    return ndtri(uniforms(key, count))
+    The uniforms lie strictly inside (0, 1).  With out, a float64 array of
+    count entries (a row of a caller's block, say), the cast, the shift,
+    the exact power-of-two scaling and ndtri all work inside it, and out
+    is returned; otherwise a new array is.
+    """
+    if out is None:
+        out = np.empty(count, dtype=np.float64)
+    out[...] = stream(key).integers(0, 1 << 53, size=count, dtype=np.uint64)
+    out += 0.5
+    out *= 2.0**-53
+    return ndtri(out, out=out)

@@ -21,7 +21,18 @@ deterministic zero at t_0 is reattached after synthesis.
   normals are laid out as [re_0, re_N, Re_1 .. Re_{N-1}, Im_1 .. Im_{N-1}]:
   they fill the half spectrum, scaled by sqrt(lambda), whose length-2N
   inverse real FFT holds the N increments in its first half; their
-  cumulative sum is the path.  O(N log N) per path, O(N) memory.
+  cumulative sum is the path.  O(N log N) per path.  Paths are
+  synthesized in blocks of _SYNTH_ROWS rows, each with its own half
+  spectrum and inverse FFT, so the temporaries are O(_SYNTH_ROWS * N)
+  whatever M is; every row is transformed on its own, so the result is
+  bit for bit the one a single whole-ensemble transform gives.
+
+`sample_paths` consumes an (M, normals_per_path) block of ROLE_PATH
+normals, by default drawn for it from the replicates' streams.  Because a
+stream's shorter draw is a prefix of its longer one (`rng`), one block
+drawn for the largest grid of an MSE ladder serves every grid of it: each
+smaller grid is sampled from a copy of the block's first
+normals_per_path columns, the largest from the block itself.
 
 Coupled sampling draws an independent standard Brownian motion for each
 replicate from a disjoint stream role, for use as the driving noise of
@@ -35,7 +46,6 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from . import rng
 from .analytic import gamma
@@ -48,6 +58,10 @@ JITTER_REL = 1e-12
 # Circulant eigenvalues below -CIRCULANT_NEG_REL * lambda_max mean the
 # embedding is not PSD; smaller negatives are rounding and clip to 0.
 CIRCULANT_NEG_REL = 1e-12
+
+# Circulant paths are synthesized this many rows at a time, which bounds
+# the half spectrum and inverse-FFT temporaries.
+_SYNTH_ROWS = 32
 
 # Counts calls that actually run the dense factorization; lets tests
 # assert the "factor once, sample many" contract.
@@ -86,6 +100,8 @@ class CholeskyFactor:
         One triangular multiply (BLAS dtrmm) in place on z.T, which is
         F-contiguous for C-ordered z, so no (N, M) temporary is made.
         """
+        from scipy.linalg import blas
+
         out[...] = blas.dtrmm(1.0, self.matrix_l, z.T, lower=1, overwrite_b=1).T
 
 
@@ -120,15 +136,17 @@ class CirculantFactor:
         # evenly between the real and imaginary parts.
         weights = self.sqrt_eigs * math.sqrt(n)
         weights[[0, n]] *= math.sqrt(2.0)
-        spec = np.empty((z.shape[0], n + 1), dtype=np.complex128)
-        spec.real[:, 0] = z[:, 0]
-        spec.real[:, n] = z[:, 1]
-        spec.real[:, 1:n] = z[:, 2 : n + 1]
-        spec.imag[:, 1:n] = z[:, n + 1 :]
-        spec.imag[:, [0, n]] = 0.0
-        spec *= weights
-        increments = np.fft.irfft(spec, n=2 * n, axis=1)
-        np.cumsum(increments[:, :n], axis=1, out=out)
+        for start in range(0, z.shape[0], _SYNTH_ROWS):
+            zb = z[start : start + _SYNTH_ROWS]
+            spec = np.empty((zb.shape[0], n + 1), dtype=np.complex128)
+            spec.real[:, 0] = zb[:, 0]
+            spec.real[:, n] = zb[:, 1]
+            spec.real[:, 1:n] = zb[:, 2 : n + 1]
+            spec.imag[:, 1:n] = zb[:, n + 1 :]
+            spec.imag[:, [0, n]] = 0.0
+            spec *= weights
+            increments = np.fft.irfft(spec, n=2 * n, axis=1)
+            np.cumsum(increments[:, :n], axis=1, out=out[start : start + _SYNTH_ROWS])
 
 
 def circulant_factor(autocov, grid=None, kernel_id=""):
@@ -200,6 +218,8 @@ def factorize(matrix, grid=None, kernel_id="", overwrite_a=False):
     every input is by default.
     """
     global FACTORIZATION_COUNT
+    from scipy.linalg import lapack
+
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError("factorize expects a square matrix")
@@ -284,23 +304,42 @@ def _draw_normals(m, count, seed, role, grid):
     _require_memory(8 * m * (count + grid.nsteps + 1), f"{m} paths at N={grid.nsteps}")
     z = np.empty((m, count), dtype=np.float64)
     for rep in range(m):
-        z[rep] = rng.normals(rng.derive_key(seed, rep, role), count)
+        rng.normals(rng.derive_key(seed, rep, role), count, out=z[rep])
     return z
 
 
-def sample_paths(factor, m, seed):
-    """Draw M exact paths from a factor (`cached_factor`).
+def path_normals(factor, m, seed):
+    """The (M, normals_per_path) ROLE_PATH block that `sample_paths` consumes.
 
-    The grid and kernel id are the ones the factor carries.  The
-    per-replicate normal rows are assembled first and synthesized in one
-    call on the whole block, so results do not depend on any worker pool.
+    Row m comes from the replicate-m stream; by the prefix contract its
+    first k columns are what a factor with k normals per path draws.
     """
-    grid = factor.grid
-    if grid is None:
+    _check_draw(factor, m)
+    return _draw_normals(m, factor.normals_per_path, seed, rng.ROLE_PATH, factor.grid)
+
+
+def _check_draw(factor, m):
+    if factor.grid is None:
         raise DomainError("sample_paths needs a grid; factors from cached_factor carry one")
     if m < 1:
         raise DomainError("need at least one replicate")
-    z = _draw_normals(m, factor.normals_per_path, seed, rng.ROLE_PATH, grid)
+
+
+def sample_paths(factor, m, seed, z=None):
+    """Draw M exact paths from a factor (`cached_factor`).
+
+    The grid and kernel id are the ones the factor carries.  z is the
+    C-ordered (M, normals_per_path) normal block to synthesize from, and
+    it is overwritten; by default `path_normals(factor, m, seed)` draws it.
+    Each path depends on its own row of normals only, so results do not
+    depend on any worker pool or row block.
+    """
+    _check_draw(factor, m)
+    if z is None:
+        z = path_normals(factor, m, seed)
+    elif z.shape != (m, factor.normals_per_path) or not z.flags.c_contiguous:
+        raise DomainError(f"sample_paths needs a C-ordered ({m}, {factor.normals_per_path}) block")
+    grid = factor.grid
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
     values[:, 0] = 0.0
     factor.synthesize(z, values[:, 1:])
@@ -310,10 +349,10 @@ def sample_paths(factor, m, seed):
 def sample_brownian(grid, m, seed):
     """M standard Brownian motion paths from the ROLE_BM streams."""
     z = _draw_normals(m, grid.nsteps, seed, rng.ROLE_BM, grid)
-    steps = z * math.sqrt(grid.dt)
+    z *= math.sqrt(grid.dt)
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
     values[:, 0] = 0.0
-    np.cumsum(steps, axis=1, out=values[:, 1:])
+    np.cumsum(z, axis=1, out=values[:, 1:])
     return PathEnsemble(grid, values, "bm", int(seed))
 
 

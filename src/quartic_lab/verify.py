@@ -34,7 +34,13 @@ from .analytic import GaussianMoments, kappa_reference, poly_diff, poly_from_coe
 from .errors import ConfigError, DomainError
 from .functions import SMOOTHNESS, TestFunction, builtin
 from .kernels import CovKernel, Grid, fbm_composite_kernel, heat_kernel
-from .simulate import add_deterministic_drift, cached_factor, sample_brownian, sample_paths
+from .simulate import (
+    add_deterministic_drift,
+    cached_factor,
+    path_normals,
+    sample_brownian,
+    sample_paths,
+)
 
 SUMMARY_SCHEMA = 1
 
@@ -175,10 +181,13 @@ class ExperimentReport:
 # Sampling and chunked evaluation helpers.
 # ---------------------------------------------------------------------------
 
-def draw_ensemble(kernel, grid, m, seed):
-    """Exact-covariance ensemble for the kernel, drift applied if any."""
+def draw_ensemble(kernel, grid, m, seed, z=None):
+    """Exact-covariance ensemble for the kernel, drift applied if any.
+
+    z, when given, is the normal block `sample_paths` consumes.
+    """
     factor = cached_factor(kernel, grid)
-    ens = sample_paths(factor, m, seed)
+    ens = sample_paths(factor, m, seed, z)
     if kernel.mean_coeffs:
         ens = add_deterministic_drift(ens, kernel.mean_at)
     return ens
@@ -599,6 +608,11 @@ def _mse_ladder(experiment, function, args, block, columns, residual, threshold=
     of one probe to the residual whose mean square is gated.  threshold,
     when given, maps (kernel, g, t) to the threshold of the finest grid's
     MSE at probe t.
+
+    The ladder draws one normal block, each replicate's path stream once
+    at the finest grid's normals_per_path; every coarser grid samples a
+    copy of the block's leading columns (the `rng` prefix contract), and
+    the finest grid consumes the block itself.
     """
     kernel, g = args["kernel"], args["g"]
     if not g.certifies(7, 3):
@@ -612,17 +626,26 @@ def _mse_ladder(experiment, function, args, block, columns, residual, threshold=
     horizon = max(probes)
     tol_by_probe = {} if threshold is None else {t: threshold(kernel, g, t) for t in probes}
 
+    grids = [Grid(n, horizon) for n in n_list]
+    z = path_normals(cached_factor(kernel, grids[-1]), m, int(seed))
     mses = {t: [] for t in probes}
     rows = []
-    for n in n_list:
-        grid = Grid(n, horizon)
-        x_ens = draw_ensemble(kernel, grid, m, int(seed))
+    for grid in grids:
+        # Synthesis overwrites its normals: a coarser grid gets a copy of
+        # the block's prefix, the finest the block itself, whose last
+        # reference goes with `rung` before the sums run.
+        if grid is grids[-1]:
+            rung, z = z, None
+        else:
+            rung = z[:, : cached_factor(kernel, grid).normals_per_path].copy()
+        x_ens = draw_ensemble(kernel, grid, m, int(seed), rung)
+        del rung
         cols = _map_chunks(
             lambda b: np.moveaxis(np.array(block(b, grid, g, probes)), -1, 0), x_ens.values
         )
         for j, t in enumerate(probes):
             mses[t].append(float(np.mean(residual(cols[:, j]) ** 2)))
-            rows += [(n, rep, t, *row) for rep, row in enumerate(cols[:, j].tolist())]
+            rows += [(grid.n, rep, t, *row) for rep, row in enumerate(cols[:, j].tolist())]
 
     checks = []
     rate_fits = {}

@@ -9,6 +9,8 @@ import dataclasses
 import inspect
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ from quartic_lab.functions import builtin
 from quartic_lab.kernels import Grid, fbm_composite_kernel, heat_kernel
 from quartic_lab.simulate import load_ensemble, write_ensemble_csv
 from quartic_lab.verify import draw_ensemble
+
+# A grid size of 1 followed by 400 zeros: an int that no float holds.
+_BEYOND_FLOAT = "1" + "0" * 400
 
 
 class TestComputeKappa:
@@ -94,22 +99,31 @@ class TestSample:
         assert capsys.readouterr().err.startswith("config error:")
 
     # Every verb, not only `sample`: an input that would need more than
-    # physical memory is refused before numpy is asked for the arrays.
-    @pytest.mark.parametrize("argv", [
-        ["sample", "--kernel", "fbm", "--n", "100000000000", "--M", "1", "--out", "x.bin"],
-        ["sample", "--kernel", "heat", "--n", "256", "--M", "100000000", "--out", "x.bin"],
-        ["verify", "--experiment", "ito", "--n", "100000000000", "--M", "2"],
-        ["cov-table", "--n", "64", "--maxj", "100000000000"],
-        ["cov-table", "--n", "64", "--maxj", "1000", "--lag", "100000000000"],
-        ["compute-kappa", "--tol", "1e-20"],
-        ["compute-kappa", "--tol", "1e-300"],
+    # physical memory is refused before numpy is asked for the arrays,
+    # and a grid size beyond float range before it is converted.
+    @pytest.mark.parametrize("argv, reason", [
+        (["sample", "--kernel", "fbm", "--n", "100000000000", "--M", "1", "--out", "x.bin"],
+         "physical memory"),
+        (["sample", "--kernel", "heat", "--n", "256", "--M", "100000000", "--out", "x.bin"],
+         "physical memory"),
+        (["verify", "--experiment", "ito", "--n", "100000000000", "--M", "2"], "physical memory"),
+        (["cov-table", "--n", "64", "--maxj", "100000000000"], "physical memory"),
+        (["cov-table", "--n", "64", "--maxj", "1000", "--lag", "100000000000"],
+         "physical memory"),
+        (["compute-kappa", "--tol", "1e-20"], "physical memory"),
+        (["compute-kappa", "--tol", "1e-300"], "physical memory"),
+        (["sample", "--kernel", "heat", "--n", _BEYOND_FLOAT, "--out", "x.bin"], "float range"),
+        (["verify", "--experiment", "ito", "--n", _BEYOND_FLOAT, "--M", "2"], "float range"),
+        (["sums", "--functional", "qn", "--n", _BEYOND_FLOAT, "--out", "x.csv"], "float range"),
+        (["cov-table", "--n", _BEYOND_FLOAT, "--maxj", "4"], "float range"),
     ], ids=["fbm-circulant", "heat-normals", "ito-grid", "cov-table-maxj", "cov-table-lag",
-            "kappa-terms", "kappa-size"])
-    def test_oversized_draw_is_domain_error(self, tmp_path, monkeypatch, capsys, argv):
+            "kappa-terms", "kappa-size", "sample-n-overflow", "ito-n-overflow",
+            "sums-n-overflow", "cov-table-n-overflow"])
+    def test_oversized_draw_is_domain_error(self, tmp_path, monkeypatch, capsys, argv, reason):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "DomainError" and "physical memory" in err["message"]
+        assert err["error"] == "DomainError" and reason in err["message"]
 
 
 # Path-drawing flags take the config checks of the keys they set, so a bad
@@ -601,3 +615,12 @@ def test_malloc_pinning_needs_glibc(monkeypatch):
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
     pin()  # a C library without mallopt is left alone
     assert len(calls) == 2
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    """scipy.linalg loads with the first dense factor, not with the CLI."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, quartic_lab.cli; assert 'scipy.linalg' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

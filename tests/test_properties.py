@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartic_lab import functions
+from quartic_lab import functions, rng
 from quartic_lab.functions import builtin, from_spec
 from quartic_lab.kernels import KERNEL_KINDS, CovKernel, Grid, build_cov_matrix, fbm_composite_kernel
 from quartic_lab.simulate import PathEnsemble, load_ensemble, save_ensemble
@@ -25,6 +25,21 @@ _GRIDS = st.builds(
     lambda n, steps, frac: Grid(n, (steps + frac) / n),
     st.integers(1, 64), st.integers(2, 128), st.floats(0.0, 0.5),
 )
+
+
+@_PROPERTY
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    replicate=st.integers(0, 2**64 - 1),
+    role=st.sampled_from([rng.ROLE_PATH, rng.ROLE_BM]),
+    sizes=st.tuples(st.integers(0, 2**15), st.integers(0, 2**15)).map(sorted),
+)
+def test_shorter_draw_is_a_prefix_of_longer(seed, replicate, role, sizes):
+    """MSE ladders draw a stream once at the largest grid and read prefixes of it."""
+    a, b = sizes
+    key = rng.derive_key(seed, replicate, role)
+    short = rng.normals(key, a).view(np.uint64)
+    assert np.array_equal(short, rng.normals(key, b)[:a].view(np.uint64))
 
 
 @_PROPERTY

@@ -1,12 +1,17 @@
 """Path sampling: factorization contract, determinism, persistence."""
 
+import importlib.util
 import math
+import pathlib
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import quartic_lab
+import quartic_lab.cli  # noqa: F401  (bench/tracing.py wraps attributes of the cli module)
+import quartic_lab.rng as rng
 import quartic_lab.simulate as simulate
 import quartic_lab.verify as verify
 from quartic_lab.errors import DomainError, NotPositiveDefinite
@@ -191,6 +196,13 @@ class TestSamplePaths:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("z", [np.zeros((3, 32)), np.zeros((4, 31)), np.zeros((32, 4)).T],
+                             ids=["rows", "columns", "fortran"])
+    def test_given_block_must_fit_the_factor(self, z):
+        factor = cached_factor(heat_kernel(), Grid(32))
+        with pytest.raises(DomainError, match="C-ordered"):
+            sample_paths(factor, 4, seed=1, z=z)
+
     def test_triangular_synthesis_matches_matrix_product(self):
         factor = cached_factor(heat_kernel(), Grid(1024))
         z = np.random.default_rng(4).standard_normal((50, 1024))
@@ -257,6 +269,19 @@ class TestCirculantSampler:
         assert factor.certificate > 0
         assert factor.normals_per_path == 2 * factor.dim == 2048
 
+    @pytest.mark.parametrize(
+        "m", [1, simulate._SYNTH_ROWS - 1, simulate._SYNTH_ROWS + 1, 200],
+        ids=["1", "block-1", "block+1", "200"],
+    )
+    def test_row_blocks_match_one_whole_block(self, monkeypatch, m):
+        factor = cached_factor(fbm_quarter_kernel(), Grid(256))
+        z = simulate.path_normals(factor, m, 5)
+        blocked, whole = np.empty((m, 256)), np.empty((m, 256))
+        factor.synthesize(z.copy(), blocked)
+        monkeypatch.setattr(simulate, "_SYNTH_ROWS", m)
+        factor.synthesize(z, whole)
+        assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+
     def test_negative_eigenvalue_row_rejected(self):
         # eigenvalues 1 + 1.8 cos(pi k / 4); the one at k = 4 is -0.8
         with pytest.raises(NotPositiveDefinite):
@@ -264,14 +289,21 @@ class TestCirculantSampler:
 
 
 def test_benchmark_wrapped_attributes_exist():
-    """bench/tracing.py wraps these module attributes by name; its traced run needs them."""
-    for owner, name in [
-        (simulate, "build_cov_matrix"),
-        (simulate, "factorize"),
-        (verify, "cached_factor"),
-        (verify, "sample_paths"),
-        (verify, "sample_brownian"),
-    ]:
+    """Every attribute that bench/tracing.py wraps by name exists; its traced run needs them.
+
+    tracing.py imports nothing from numpy or the package, so it loads by
+    path without the rest of the benchmark.
+    """
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    table = tracing.wrap_table(quartic_lab)
+    assert {(owner, name) for owner, name, _, _ in table} >= {
+        (simulate, "build_cov_matrix"), (simulate, "factorize"), (rng, "normals"),
+        (rng, "stream"), (rng, "derive_key"), (verify, "draw_ensemble"),
+    }
+    for owner, name, _, _ in table:
         assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
 
 

@@ -14,11 +14,18 @@ import math
 import numpy as np
 import pytest
 
-from quartic_lab import sums
+from quartic_lab import rng, sums, verify
 from quartic_lab.analytic import audit_cov_table, kappa_reference
 from quartic_lab.errors import ConfigError, DomainError
 from quartic_lab.functions import TestFunction, builtin
-from quartic_lab.kernels import CovKernel, Grid, fbm_composite_kernel, heat_kernel
+from quartic_lab.kernels import (
+    CovKernel,
+    Grid,
+    fbm_composite_kernel,
+    fbm_quarter_kernel,
+    heat_kernel,
+)
+from quartic_lab.simulate import cached_factor, sample_paths
 from quartic_lab.stats import correlation, ks_two_sample, loglog_rate
 from quartic_lab.verify import (
     CheckResult,
@@ -390,6 +397,46 @@ class TestLadderExperiments:
             verify_trapezoid_ucp(g=builtin("sine"), n_list=(16, 32), m=2)
         rep = verify_trapezoid_ucp(g=builtin("sine"), n_list=(16, 32), m=8, final_tol=1.0)
         assert rep.experiment == "trapezoid"
+
+    # A composite with a drift, so the ladder's draw_ensemble adds one.
+    _DRIFTED = CovKernel(
+        "composite", c=0.5, components=(CovKernel("heat"), CovKernel("bm")), mean_coeffs=(0.0, 1.0)
+    )
+
+    @pytest.mark.parametrize("kernel, n_list, probes", [
+        (fbm_quarter_kernel(), (16, 32, 64), (1.0,)),
+        (heat_kernel(), (16, 32, 64), (1.0,)),
+        (_DRIFTED, (16, 32, 64), (1.0,)),
+        # N = 2, 2 and 4: two grids read the same prefix of one block.
+        (heat_kernel(), (8, 9, 16), (0.25,)),
+    ], ids=["fbm", "heat", "composite-drift", "shared-N"])
+    def test_each_rung_is_an_independent_draw(self, monkeypatch, kernel, n_list, probes):
+        """The ladder's one normal block gives every grid the paths a fresh draw gives."""
+        drawn = []
+
+        def record(factor, m, seed, z=None):
+            ens = sample_paths(factor, m, seed, z)
+            drawn.append(ens)
+            return ens
+
+        monkeypatch.setattr(verify, "sample_paths", record)
+        verify_expansion_residual(kernel=kernel, n_list=n_list, m=5, probes=probes, seed=4)
+        assert [ens.grid.n for ens in drawn] == list(n_list)
+        for ens in drawn:
+            alone = sample_paths(cached_factor(kernel, ens.grid), 5, 4)
+            assert np.array_equal(ens.values.view(np.uint64), alone.values.view(np.uint64))
+
+    def test_ladder_opens_one_stream_per_replicate(self, monkeypatch):
+        opened = []
+        open_stream = rng.stream
+
+        def stream(key):
+            opened.append(key)
+            return open_stream(key)
+
+        monkeypatch.setattr(rng, "stream", stream)
+        verify_trapezoid_ucp(g=CUBE, n_list=(16, 32, 64), m=6, final_tol=1.0)
+        assert len(opened) == 6
 
     def test_ladder_validation(self):
         with pytest.raises(ConfigError):
