@@ -42,6 +42,7 @@ from .kernels import (
     xi_cov_quadrature,
 )
 from .simulate import (
+    BrownianFactor,
     CholeskyFactor,
     CirculantFactor,
     PathEnsemble,

@@ -9,9 +9,11 @@ any machine running the same numpy/scipy builds.
 
 A replicate's path stream (ROLE_PATH) supplies as many normals as its
 sampler asks for (`simulate`): N for a dense Cholesky factor, where
-normal j drives grid step j, and 2N for the fBm circulant sampler, laid
-out as [re_0, re_N, Re_1 .. Re_{N-1}, Im_1 .. Im_{N-1}] over the FFT
-modes 0 .. N.  A ROLE_BM stream supplies the N Brownian increments.
+normal j drives grid step j; N for the Brownian backend, where normal j
+is the j-th increment over sqrt(dt); and 2N for the fBm circulant
+sampler, laid out as [re_0, re_N, Re_1 .. Re_{N-1}, Im_1 .. Im_{N-1}]
+over the FFT modes 0 .. N.  A ROLE_BM stream feeds the same Brownian
+backend, the N increments of the motion coupled to a replicate's path.
 
 Prefix contract: normals(key, a) is bit for bit normals(key, b)[:a] for
 every a <= b.  Each normal costs exactly one 64-bit Philox output:

@@ -1,17 +1,15 @@
 """Exact Gaussian path sampling, with one factor type per kernel.
 
-`cached_factor(kernel, grid)` picks the sampler for a kernel; every
-factor draws paths through the same `synthesize(z, out)` call, so
-`sample_paths` knows no kernel.  Paths are drawn jointly exact: there is
-no approximation beyond float64 linear algebra and FFTs, and the
-deterministic zero at t_0 is reattached after synthesis.
+`cached_factor(kernel, grid)` picks the sampler for a kernel, and is the
+one place that choice is made; every factor draws paths through the same
+`synthesize(z, out)` call, so `sample_paths` knows no kernel.  Paths are
+drawn jointly exact: there is no approximation beyond float64 linear
+algebra and FFTs, and the deterministic zero at t_0 is reattached after
+synthesis.  There are three backends:
 
-* `CholeskyFactor` (every kernel but `fbm_quarter`): values at t_1 .. t_N
-  are L @ z with L the dense Cholesky factor of the covariance matrix and
-  z the N normals of the replicate's stream.  One 8N^2-byte buffer serves
-  from build to synthesis: `build_cov_matrix` fills it from O(N) square
-  root tables, `dpotrf` factors it in place, and a triangular multiply
-  (`dtrmm`) applies it to the normals in place.  O(N^3) set-up.
+* `BrownianFactor` (`bm`): the path is the cumulative sum of the
+  replicate's N normals, each scaled by sqrt(dt).  O(N) per path and no
+  set-up.
 * `CirculantFactor` (`fbm_quarter`): Davies-Harte circulant embedding of
   fractional Gaussian noise (Davies & Harte 1987; Dietrich & Newsam 1997).
   The Toeplitz increment covariance is embedded in a 2N circulant whose
@@ -26,24 +24,32 @@ deterministic zero at t_0 is reattached after synthesis.
   spectrum and inverse FFT, so the temporaries are O(_SYNTH_ROWS * N)
   whatever M is; every row is transformed on its own, so the result is
   bit for bit the one a single whole-ensemble transform gives.
+* `CholeskyFactor` (every other kernel): values at t_1 .. t_N are L @ z
+  with L the dense Cholesky factor of the covariance matrix and z the N
+  normals of the replicate's stream.  One 8N^2-byte buffer serves from
+  build to synthesis: `build_cov_matrix` fills it from O(N) square root
+  tables, `dpotrf` factors it in place, and a triangular multiply
+  (`dtrmm`) applies it to the normals in place.  O(N^3) set-up.
 
-`sample_paths` consumes an (M, normals_per_path) block of ROLE_PATH
-normals, by default drawn for it from the replicates' streams.  Because a
-stream's shorter draw is a prefix of its longer one (`rng`), one block
-drawn for the largest grid of an MSE ladder serves every grid of it: each
-smaller grid is sampled from a copy of the block's first
-normals_per_path columns, the largest from the block itself.
+`sample_paths` consumes an (M, normals_per_path) block of normals, by
+default the ROLE_PATH block `path_normals` draws from the replicates'
+streams.  Because a stream's shorter draw is a prefix of its longer one
+(`rng`), one block drawn for the largest grid of an MSE ladder serves
+every grid of it: each smaller grid is sampled from a copy of the
+block's first normals_per_path columns, the largest from the block
+itself.
 
-Coupled sampling draws an independent standard Brownian motion for each
-replicate from a disjoint stream role, for use as the driving noise of
-the corrected change-of-variable formula.
+`sample_brownian` draws the independent standard Brownian motion of each
+replicate, the driving noise of the corrected change-of-variable
+formula: `sample_paths` on a `BrownianFactor`, fed from the disjoint
+ROLE_BM streams.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,6 +76,30 @@ FACTORIZATION_COUNT = 0
 _BIN_MAGIC = b"QLABENS1"
 _BIN_VERSION = 1
 _BIN_HEAD = "<IQdQQI"
+
+
+@dataclass(frozen=True)
+class BrownianFactor:
+    """Standard Brownian motion on a grid: the cumulative sum of sqrt(dt) z.
+
+    grid, kernel_id: provenance carried to sampled ensembles.
+    """
+
+    grid: Grid
+    kernel_id: str = "bm"
+
+    @property
+    def dim(self):
+        return self.grid.nsteps
+
+    @property
+    def normals_per_path(self):
+        return self.dim
+
+    def synthesize(self, z, out):
+        """out[m] = cumsum(sqrt(dt) z[m]) for the (M, N) normals z, which it scales."""
+        z *= math.sqrt(self.grid.dt)
+        np.cumsum(z, axis=1, out=out)
 
 
 @dataclass(frozen=True)
@@ -268,21 +298,24 @@ def factorize(matrix, grid=None, kernel_id="", overwrite_a=False):
     return CholeskyFactor(work, jittered, grid, kernel_id)
 
 
-_FACTOR_CACHE: dict[tuple[str, int, float], CholeskyFactor | CirculantFactor] = {}
+_FACTOR_CACHE: dict[tuple[str, int, float], BrownianFactor | CholeskyFactor | CirculantFactor] = {}
 
 
 def cached_factor(kernel, grid):
     """Factor for (kernel, grid), computed once per process.
 
-    `fbm_quarter` gets the Davies-Harte `CirculantFactor`; every other
-    kernel the dense `CholeskyFactor`.  Large experiments share factors
-    through this cache, so a pipeline factors each kernel exactly once no
-    matter how many ensembles it draws.
+    `bm` gets the cumulative-sum `BrownianFactor`, `fbm_quarter` the
+    Davies-Harte `CirculantFactor` and every other kernel the dense
+    `CholeskyFactor`.  Large experiments share factors through this
+    cache, so a pipeline factors each kernel exactly once no matter how
+    many ensembles it draws.
     """
     key = (kernel.canonical_id(), grid.n, grid.horizon)
     factor = _FACTOR_CACHE.get(key)
     if factor is None:
-        if kernel.kind == "fbm_quarter":
+        if kernel.kind == "bm":
+            factor = BrownianFactor(grid, kernel.canonical_id())
+        elif kernel.kind == "fbm_quarter":
             factor = circulant_factor(fgn_quarter_autocov(grid), grid, kernel.canonical_id())
         else:
             cov = build_cov_matrix(kernel, grid)
@@ -295,34 +328,25 @@ def clear_factor_cache():
     _FACTOR_CACHE.clear()
 
 
-def _draw_normals(m, count, seed, role, grid):
-    """(M, count) matrix whose row m comes from the replicate-m stream.
+def path_normals(factor, m, seed, role=rng.ROLE_PATH):
+    """The (M, normals_per_path) block that `sample_paths` consumes.
 
-    Raises DomainError, before allocating, when it and the (M, N+1) path
-    array drawn from it exceed physical memory.
+    Row m comes from the replicate-m stream of the given role; by the
+    prefix contract its first k columns are what a factor with k normals
+    per path draws.  Raises DomainError, before allocating, when the
+    block and the (M, N+1) path array drawn from it exceed physical
+    memory.
     """
-    _require_memory(8 * m * (count + grid.nsteps + 1), f"{m} paths at N={grid.nsteps}")
-    z = np.empty((m, count), dtype=np.float64)
-    for rep in range(m):
-        rng.normals(rng.derive_key(seed, rep, role), count, out=z[rep])
-    return z
-
-
-def path_normals(factor, m, seed):
-    """The (M, normals_per_path) ROLE_PATH block that `sample_paths` consumes.
-
-    Row m comes from the replicate-m stream; by the prefix contract its
-    first k columns are what a factor with k normals per path draws.
-    """
-    _check_draw(factor, m)
-    return _draw_normals(m, factor.normals_per_path, seed, rng.ROLE_PATH, factor.grid)
-
-
-def _check_draw(factor, m):
     if factor.grid is None:
         raise DomainError("sample_paths needs a grid; factors from cached_factor carry one")
     if m < 1:
         raise DomainError("need at least one replicate")
+    count, nsteps = factor.normals_per_path, factor.grid.nsteps
+    _require_memory(8 * m * (count + nsteps + 1), f"{m} paths at N={nsteps}")
+    z = np.empty((m, count), dtype=np.float64)
+    for rep in range(m):
+        rng.normals(rng.derive_key(seed, rep, role), count, out=z[rep])
+    return z
 
 
 def sample_paths(factor, m, seed, z=None):
@@ -334,11 +358,11 @@ def sample_paths(factor, m, seed, z=None):
     Each path depends on its own row of normals only, so results do not
     depend on any worker pool or row block.
     """
-    _check_draw(factor, m)
+    shape = (m, factor.normals_per_path)
     if z is None:
         z = path_normals(factor, m, seed)
-    elif z.shape != (m, factor.normals_per_path) or not z.flags.c_contiguous:
-        raise DomainError(f"sample_paths needs a C-ordered ({m}, {factor.normals_per_path}) block")
+    elif factor.grid is None or m < 1 or z.shape != shape or not z.flags.c_contiguous:
+        raise DomainError(f"sample_paths needs a grid and a C-ordered {shape} block")
     grid = factor.grid
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
     values[:, 0] = 0.0
@@ -348,25 +372,8 @@ def sample_paths(factor, m, seed, z=None):
 
 def sample_brownian(grid, m, seed):
     """M standard Brownian motion paths from the ROLE_BM streams."""
-    z = _draw_normals(m, grid.nsteps, seed, rng.ROLE_BM, grid)
-    z *= math.sqrt(grid.dt)
-    values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
-    values[:, 0] = 0.0
-    np.cumsum(z, axis=1, out=values[:, 1:])
-    return PathEnsemble(grid, values, "bm", int(seed))
-
-
-def add_deterministic_drift(ensemble, drift):
-    """New ensemble with drift(t) added to every path.
-
-    drift maps an array of grid times to an array of the same shape.
-    """
-    shift = np.asarray(drift(ensemble.grid.times()), dtype=np.float64)
-    if shift.shape != (ensemble.grid.nsteps + 1,):
-        raise DomainError("drift must return one value per grid time")
-    values = ensemble.values + shift[None, :]
-    kernel_id = ensemble.kernel_id + "|drift"
-    return replace(ensemble, values=values, kernel_id=kernel_id)
+    factor = BrownianFactor(grid)
+    return sample_paths(factor, m, seed, path_normals(factor, m, seed, rng.ROLE_BM))
 
 
 def save_ensemble(ensemble, path):

@@ -81,35 +81,35 @@ def trapezoid_sum_ensemble(values, grid, g, deriv_order=0):
     return _prefix(terms)
 
 
-def _alternating_signs(nsteps):
-    # (-1)^j for j = 1..N: odd j negative.
-    return np.where(np.arange(1, nsteps + 1) % 2 == 0, 1.0, -1.0)
+def _alt_qv_prefix(values, grid, weights=None):
+    """Prefix sums of (-1)^j dX_j^2, each term times weights when given.
+
+    The terms are formed as dX_j^2 (-1)^j and then weighted; as the sign
+    is exactly +-1, that is bit for bit the product in any other order.
+    """
+    signs = np.where(np.arange(1, grid.nsteps + 1) % 2 == 0, 1.0, -1.0)
+    terms = np.diff(values, axis=1) ** 2 * signs[None, :]
+    if weights is not None:
+        terms *= weights
+    return _prefix(terms)
+
+
+def _at_even_indices(cum):
+    """Column k of the result is column 2 floor(k/2) of cum."""
+    return cum[:, 2 * (np.arange(cum.shape[1]) // 2)]
 
 
 def alt_qv_weighted_ensemble(values, grid, g, deriv_order=0):
     """Left-evaluated weighted alternating sum of squared increments."""
     values = _check_ensemble(values, grid)
-    nsteps = grid.nsteps
     times = grid.times()
     gv = np.asarray(g.dx(deriv_order, values[:, :-1], times[:-1][None, :]))
-    terms = gv * np.diff(values, axis=1) ** 2 * _alternating_signs(nsteps)[None, :]
-    cum = _prefix(terms)
-    idx = 2 * (np.arange(nsteps + 1) // 2)
-    return cum[:, idx]
-
-
-def _alt_qv_prefix(values, grid):
-    nsteps = grid.nsteps
-    terms = np.diff(values, axis=1) ** 2 * _alternating_signs(nsteps)[None, :]
-    return _prefix(terms)
+    return _at_even_indices(_alt_qv_prefix(values, grid, gv))
 
 
 def qn_process_ensemble(values, grid):
     """Paired difference of squared increments (even minus odd)."""
-    values = _check_ensemble(values, grid)
-    cum = _alt_qv_prefix(values, grid)
-    idx = 2 * (np.arange(grid.nsteps + 1) // 2)
-    return cum[:, idx]
+    return _at_even_indices(_alt_qv_prefix(_check_ensemble(values, grid), grid))
 
 
 def bn_process_ensemble(values, grid):

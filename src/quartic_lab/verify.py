@@ -25,7 +25,7 @@ import inspect
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -34,13 +34,7 @@ from .analytic import GaussianMoments, kappa_reference, poly_diff, poly_from_coe
 from .errors import ConfigError, DomainError
 from .functions import SMOOTHNESS, TestFunction, builtin
 from .kernels import CovKernel, Grid, fbm_composite_kernel, heat_kernel
-from .simulate import (
-    add_deterministic_drift,
-    cached_factor,
-    path_normals,
-    sample_brownian,
-    sample_paths,
-)
+from .simulate import cached_factor, path_normals, sample_brownian, sample_paths
 
 SUMMARY_SCHEMA = 1
 
@@ -184,12 +178,14 @@ class ExperimentReport:
 def draw_ensemble(kernel, grid, m, seed, z=None):
     """Exact-covariance ensemble for the kernel, drift applied if any.
 
-    z, when given, is the normal block `sample_paths` consumes.
+    z, when given, is the normal block `sample_paths` consumes.  A
+    kernel's deterministic mean is added to the fresh values in place,
+    and its kernel id gains a "|drift" suffix.
     """
-    factor = cached_factor(kernel, grid)
-    ens = sample_paths(factor, m, seed, z)
+    ens = sample_paths(cached_factor(kernel, grid), m, seed, z)
     if kernel.mean_coeffs:
-        ens = add_deterministic_drift(ens, kernel.mean_at)
+        np.add(ens.values, kernel.mean_at(grid.times()), out=ens.values)
+        ens = replace(ens, kernel_id=ens.kernel_id + "|drift")
     return ens
 
 
@@ -256,8 +252,6 @@ def rhs_formula_ensemble(x_values, b_values, grid, g, t, c=1.0, t_start=0.0):
     out = _head_minus_time_ensemble(x_values, grid, g, k0, k1)
     if k1 > k0 and c != 0.0:
         gxx = np.asarray(g.dx(2, x_values[:, k0:k1], times[None, k0:k1]))
-        if gxx.shape != x_values[:, k0:k1].shape:
-            gxx = np.broadcast_to(gxx, x_values[:, k0:k1].shape)
         ito = np.sum(gxx * np.diff(b_values[:, k0 : k1 + 1], axis=1), axis=1)
         out = out - 0.5 * kappa_reference() * c**2 * ito
     return out

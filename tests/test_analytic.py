@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quartic_lab import kernels
 from quartic_lab.analytic import (
     GaussianMoments,
     audit_cov_table,
@@ -111,6 +112,21 @@ class TestKappa:
             kappa(0.0)
         with pytest.raises(DomainError):
             kappa(-1e-3)
+
+    def test_tightest_tol_holds_against_a_40_digit_value(self):
+        res = kappa(1e-15)
+        exact = Fraction("1.029345385378218106582346")
+        assert abs(Fraction(res.value) - exact) <= Fraction(res.bound)
+
+    def test_tol_float64_cannot_certify_is_refused(self):
+        # The bound would be 4.9e-17, but the float64 value is 7.4e-17 off.
+        with pytest.raises(DomainError, match="float64 cannot certify"):
+            kappa(1e-16)
+
+    def test_series_beyond_physical_memory_is_refused(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_physical_memory_bytes", lambda: 2**20)
+        with pytest.raises(DomainError, match="physical memory"):
+            kappa(1e-12)
 
 
 class TestHermite:

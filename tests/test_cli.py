@@ -93,6 +93,13 @@ class TestSample:
         write_ensemble_csv(draw_ensemble(heat_kernel(), Grid(8), 2, 9), ref_path)
         assert open(out).read() == open(ref_path).read()
 
+    def test_brownian_kernel_samples_beyond_dense_range(self, tmp_path, capsys):
+        """N = 2^20 would need an 8 TiB dense matrix; the bm sampler is O(N)."""
+        out = str(tmp_path / "bm.bin")
+        assert main(["sample", "--kernel", "bm", "--n", "1048576", "--M", "2", "--out", out]) == 0
+        ens = load_ensemble(out)
+        assert ens.values.shape == (2, 1048577) and ens.kernel_id == "bm"
+
     def test_unknown_kernel_is_config_error(self, tmp_path, capsys):
         code = main(["sample", "--kernel", "nope", "--out", str(tmp_path / "x.bin")])
         assert code == 2
@@ -110,8 +117,8 @@ class TestSample:
         (["cov-table", "--n", "64", "--maxj", "100000000000"], "physical memory"),
         (["cov-table", "--n", "64", "--maxj", "1000", "--lag", "100000000000"],
          "physical memory"),
-        (["compute-kappa", "--tol", "1e-20"], "physical memory"),
-        (["compute-kappa", "--tol", "1e-300"], "physical memory"),
+        (["compute-kappa", "--tol", "1e-20"], "float64 cannot certify"),
+        (["compute-kappa", "--tol", "1e-300"], "float64 cannot certify"),
         (["sample", "--kernel", "heat", "--n", _BEYOND_FLOAT, "--out", "x.bin"], "float range"),
         (["verify", "--experiment", "ito", "--n", _BEYOND_FLOAT, "--M", "2"], "float range"),
         (["sums", "--functional", "qn", "--n", _BEYOND_FLOAT, "--out", "x.csv"], "float range"),

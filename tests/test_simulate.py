@@ -25,8 +25,8 @@ from quartic_lab.kernels import (
     rho_heat,
 )
 from quartic_lab.simulate import (
+    BrownianFactor,
     CirculantFactor,
-    add_deterministic_drift,
     cached_factor,
     circulant_factor,
     clear_factor_cache,
@@ -124,7 +124,9 @@ class TestFactorize:
 
 
 SAMPLED_KERNELS = pytest.mark.parametrize(
-    "kernel", [heat_kernel(), fbm_quarter_kernel()], ids=lambda k: k.canonical_id()
+    "kernel",
+    [heat_kernel(), fbm_quarter_kernel(), CovKernel("bm")],
+    ids=lambda k: k.canonical_id(),
 )
 
 
@@ -234,7 +236,7 @@ class TestSamplePaths:
         assert simulate.FACTORIZATION_COUNT == before + 1
 
 
-def _circulant_map(factor, block=512):
+def _linear_map(factor, block=512):
     """Covariance A @ A.T of the factor's linear map from normals to path values.
 
     A is applied to the identity in row blocks, so the result is exact up
@@ -252,14 +254,44 @@ def _circulant_map(factor, block=512):
     return cov
 
 
+def _check_linear_map(kernel, backend, n):
+    """The kernel's O(N) sampler has the dense oracle's covariance, not by Monte Carlo."""
+    grid = Grid(n)
+    factor = cached_factor(kernel, grid)
+    assert isinstance(factor, backend)
+    exact = build_cov_matrix(kernel, grid)
+    assert np.max(np.abs(_linear_map(factor) - exact)) <= 1e-13
+
+
+LINEAR_MAP_SIZES = pytest.mark.parametrize("n", [8, 64, 512, 2048])
+
+
+class TestBrownianSampler:
+    @LINEAR_MAP_SIZES
+    def test_linear_map_has_the_bm_covariance(self, n):
+        _check_linear_map(CovKernel("bm"), BrownianFactor, n)
+
+    def test_no_dense_factor(self):
+        clear_factor_cache()
+        before = simulate.FACTORIZATION_COUNT
+        factor = cached_factor(CovKernel("bm"), Grid(1024))
+        assert simulate.FACTORIZATION_COUNT == before
+        assert factor.normals_per_path == factor.dim == 1024
+
+    def test_coupled_motion_is_the_scaled_cumsum_of_its_stream(self):
+        """ROLE_BM paths are pinned bit for bit to their streams."""
+        grid = Grid(64, horizon=1.5)
+        values = sample_brownian(grid, 4, seed=9).values
+        for r in range(4):
+            z = math.sqrt(grid.dt) * rng.normals(rng.derive_key(9, r, rng.ROLE_BM), grid.nsteps)
+            assert np.array_equal(values[r, 1:].view(np.uint64), np.cumsum(z).view(np.uint64))
+        assert np.all(values[:, 0] == 0.0)
+
+
 class TestCirculantSampler:
-    @pytest.mark.parametrize("n", [8, 64, 512, 2048])
+    @LINEAR_MAP_SIZES
     def test_linear_map_has_the_fbm_covariance(self, n):
-        grid = Grid(n)
-        factor = cached_factor(fbm_quarter_kernel(), grid)
-        assert isinstance(factor, CirculantFactor)
-        exact = build_cov_matrix(fbm_quarter_kernel(), grid)
-        assert np.max(np.abs(_circulant_map(factor) - exact)) <= 1e-13
+        _check_linear_map(fbm_quarter_kernel(), CirculantFactor, n)
 
     def test_certificate_stored_and_no_dense_factor(self):
         clear_factor_cache()
@@ -339,25 +371,25 @@ class TestSampleCoupled:
         np.testing.assert_allclose(steps.var(ddof=1, axis=0), grid.dt, rtol=0.15)
 
 
+def _drifted(*mean_coeffs):
+    return CovKernel("composite", c=1.0, components=(CovKernel("heat"),), mean_coeffs=mean_coeffs)
+
+
 class TestDrift:
     def test_zero_drift_is_identity(self):
         grid = Grid(8)
-        ens = sample_paths(cached_factor(heat_kernel(), grid), 4, seed=6)
-        shifted = add_deterministic_drift(ens, lambda t: np.zeros_like(t))
+        kernel = _drifted(0.0)
+        ens = sample_paths(cached_factor(kernel, grid), 4, seed=6)
+        shifted = verify.draw_ensemble(kernel, grid, 4, 6)
         assert np.array_equal(shifted.values, ens.values)
 
     def test_linear_drift_shifts_columns(self):
         grid = Grid(2)
-        ens = sample_paths(cached_factor(heat_kernel(), grid), 3, seed=6)
-        shifted = add_deterministic_drift(ens, lambda t: t)
+        kernel = _drifted(0.0, 1.0)
+        ens = sample_paths(cached_factor(kernel, grid), 3, seed=6)
+        shifted = verify.draw_ensemble(kernel, grid, 3, 6)
         np.testing.assert_allclose(shifted.values - ens.values, np.tile([0.0, 0.5, 1.0], (3, 1)))
-        assert shifted.kernel_id.endswith("|drift")
-
-    def test_drift_shape_checked(self):
-        grid = Grid(8)
-        ens = sample_paths(cached_factor(heat_kernel(), grid), 2, seed=6)
-        with pytest.raises(DomainError):
-            add_deterministic_drift(ens, lambda t: t[:-1])
+        assert shifted.kernel_id == ens.kernel_id + "|drift"
 
     def test_scaled_heat_plus_drift_matches_composite_law(self):
         """c*F + m(t) and the composite kernel agree in mean and variance."""

@@ -13,7 +13,7 @@ import pytest
 from quartic_lab.analytic import kappa_reference
 from quartic_lab.errors import DomainError
 from quartic_lab.functions import builtin
-from quartic_lab.kernels import Grid, heat_kernel
+from quartic_lab.kernels import Grid, fbm_quarter_kernel, heat_kernel
 from quartic_lab.simulate import cached_factor, sample_paths
 from quartic_lab.sums import (
     alt_qv_weighted_ensemble,
@@ -139,6 +139,16 @@ class TestAgainstNaiveLoops:
         bn = _one(bn_process_ensemble, path, grid)
         np.testing.assert_array_equal(qn, jn)
         np.testing.assert_allclose(bn, jn / kappa_reference(), atol=0)
+
+
+@pytest.mark.parametrize("kernel", [heat_kernel(), fbm_quarter_kernel()], ids=lambda k: k.kind)
+@pytest.mark.parametrize("n", [16, 33, 256, 1000])
+def test_qn_is_bitwise_the_unit_weighted_alternating_sum(kernel, n):
+    grid = Grid(n)
+    values = sample_paths(cached_factor(kernel, grid), 8, seed=3).values
+    qn = qn_process_ensemble(values, grid)
+    jn = alt_qv_weighted_ensemble(values, grid, CONST)
+    assert np.array_equal(qn.view(np.uint64), jn.view(np.uint64))
 
 
 class TestHandValues:

@@ -122,6 +122,21 @@ class TestRhsFormula:
         rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, _time_only(), 1.0)
         assert np.all(rhs == 0.0)
 
+    def test_scalar_second_derivative_broadcasts(self):
+        """A g whose dx(2) is a Python float gives the full-shape correction."""
+
+        def dx(j, x, t):
+            return (0.5 * x**2, x, 1.0)[j] if j < 3 else 0.0
+
+        half_square = TestFunction("half_square", (9, 4), dx, lambda j, x, t: 0.0)
+        grid = Grid(32)
+        x_ens, b_ens = draw_coupled(heat_kernel(), grid, 8, 5)
+        rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, grid, half_square, 1.0, c=0.5)
+        x, b = x_ens.values, b_ens.values
+        ito = np.sum(np.ones((8, 32)) * np.diff(b, axis=1), axis=1)
+        head = 0.5 * x[:, 32] ** 2 - 0.5 * x[:, 0] ** 2
+        assert np.array_equal(rhs, head - 0.5 * kappa_reference() * 0.25 * ito)
+
     def test_zero_scale_drops_the_correction(self):
         grid = Grid(32)
         x_ens, b_ens = draw_coupled(heat_kernel(), grid, 8, 5)
@@ -416,15 +431,16 @@ class TestLadderExperiments:
 
         def record(factor, m, seed, z=None):
             ens = sample_paths(factor, m, seed, z)
-            drawn.append(ens)
+            # A copy: draw_ensemble adds a kernel's drift to the values in place.
+            drawn.append((ens.grid, ens.values.copy()))
             return ens
 
         monkeypatch.setattr(verify, "sample_paths", record)
         verify_expansion_residual(kernel=kernel, n_list=n_list, m=5, probes=probes, seed=4)
-        assert [ens.grid.n for ens in drawn] == list(n_list)
-        for ens in drawn:
-            alone = sample_paths(cached_factor(kernel, ens.grid), 5, 4)
-            assert np.array_equal(ens.values.view(np.uint64), alone.values.view(np.uint64))
+        assert [grid.n for grid, _ in drawn] == list(n_list)
+        for grid, values in drawn:
+            alone = sample_paths(cached_factor(kernel, grid), 5, 4)
+            assert np.array_equal(values.view(np.uint64), alone.values.view(np.uint64))
 
     def test_ladder_opens_one_stream_per_replicate(self, monkeypatch):
         opened = []
