@@ -2,14 +2,17 @@
 
 `cached_factor(kernel, grid)` picks the sampler for a kernel, and is the
 one place that choice is made; every factor draws paths through the same
-`synthesize(z, out)` call, so `sample_paths` knows no kernel.  Paths are
+`synthesize(z, out)` call, so `sample_paths` knows no kernel.  Each
+factor also declares the row block it synthesizes at once
+(`block_rows`), and `row_blocks` is the one blocking rule that
+`sample_paths` and the MSE ladder of `verify` both follow.  Paths are
 drawn jointly exact: there is no approximation beyond float64 linear
 algebra and FFTs, and the deterministic zero at t_0 is reattached after
 synthesis.  There are three backends:
 
 * `BrownianFactor` (`bm`): the path is the cumulative sum of the
   replicate's N normals, each scaled by sqrt(dt).  O(N) per path and no
-  set-up.
+  set-up; rows go _SYNTH_ROWS at a time.
 * `CirculantFactor` (`fbm_quarter`): Davies-Harte circulant embedding of
   fractional Gaussian noise (Davies & Harte 1987; Dietrich & Newsam 1997).
   The Toeplitz increment covariance is embedded in a 2N circulant whose
@@ -19,29 +22,35 @@ synthesis.  There are three backends:
   normals are laid out as [re_0, re_N, Re_1 .. Re_{N-1}, Im_1 .. Im_{N-1}]:
   they fill the half spectrum, scaled by sqrt(lambda), whose length-2N
   inverse real FFT holds the N increments in its first half; their
-  cumulative sum is the path.  O(N log N) per path.  Paths are
-  synthesized in blocks of _SYNTH_ROWS rows, each with its own half
-  spectrum and inverse FFT, so the temporaries are O(_SYNTH_ROWS * N)
-  whatever M is; every row is transformed on its own, so the result is
-  bit for bit the one a single whole-ensemble transform gives.
+  cumulative sum is the path.  O(N log N) per path; rows go _SYNTH_ROWS
+  at a time, so the half spectrum and inverse-FFT temporaries are
+  O(_SYNTH_ROWS * N) whatever M is.
 * `CholeskyFactor` (every other kernel): values at t_1 .. t_N are L @ z
   with L the dense Cholesky factor of the covariance matrix and z the N
   normals of the replicate's stream.  One 8N^2-byte buffer serves from
   build to synthesis: `build_cov_matrix` fills it from O(N) square root
   tables, `dpotrf` factors it in place, and a triangular multiply
-  (`dtrmm`) applies it to the normals in place.  O(N^3) set-up.
+  (`dtrmm`) applies it to the normals in place.  O(N^3) set-up.  Its
+  row block is the whole ensemble: at N=4096 and M=200 one `dtrmm`
+  takes 0.046 s, against 0.057 s in 100-row and 0.111 s in 32-row
+  blocks (bitwise the same result; best of 7 on a 2-core VM, OpenBLAS
+  0.3.31), and the 8N^2-byte factor outweighs the (M, N) block anyway.
 
-`sample_paths` consumes an (M, normals_per_path) block of normals, by
-default the ROLE_PATH block `path_normals` draws from the replicates'
-streams.  Because a stream's shorter draw is a prefix of its longer one
-(`rng`), one block drawn for the largest grid of an MSE ladder serves
-every grid of it: each smaller grid is sampled from a copy of the
-block's first normals_per_path columns, the largest from the block
-itself.
+A cumulative sum or an inverse FFT transforms each row on its own, so
+the O(N) backends give bit for bit the same paths in any row block.
+
+`sample_paths` synthesizes from an (M, normals_per_path) block of
+normals when one is given; by default it draws each row block's normals
+from the replicates' streams (`path_normals`) just before synthesizing
+it, so an O(N) backend holds O(_SYNTH_ROWS * N) normals at a time.
+Because a stream's shorter draw is a prefix of its longer one (`rng`),
+one block drawn for the largest grid of an MSE ladder serves every grid
+of it: each smaller grid is sampled from a copy of the block's first
+normals_per_path columns, the largest from the block itself.
 
 `sample_brownian` draws the independent standard Brownian motion of each
 replicate, the driving noise of the corrected change-of-variable
-formula: `sample_paths` on a `BrownianFactor`, fed from the disjoint
+formula: `sample_paths` on a `BrownianFactor`, drawing from the disjoint
 ROLE_BM streams.
 """
 
@@ -65,8 +74,8 @@ JITTER_REL = 1e-12
 # embedding is not PSD; smaller negatives are rounding and clip to 0.
 CIRCULANT_NEG_REL = 1e-12
 
-# Circulant paths are synthesized this many rows at a time, which bounds
-# the half spectrum and inverse-FFT temporaries.
+# The O(N) backends synthesize this many rows at a time, which bounds
+# their normals, half spectra and inverse-FFT temporaries.
 _SYNTH_ROWS = 32
 
 # Counts calls that actually run the dense factorization; lets tests
@@ -96,6 +105,10 @@ class BrownianFactor:
     def normals_per_path(self):
         return self.dim
 
+    @property
+    def block_rows(self):
+        return _SYNTH_ROWS
+
     def synthesize(self, z, out):
         """out[m] = cumsum(sqrt(dt) z[m]) for the (M, N) normals z, which it scales."""
         z *= math.sqrt(self.grid.dt)
@@ -123,6 +136,9 @@ class CholeskyFactor:
     @property
     def normals_per_path(self):
         return self.dim
+
+    # The whole ensemble is one block (see the module doc).
+    block_rows = None
 
     def synthesize(self, z, out):
         """out[m] = L @ z[m] for the (M, N) normals z, which it overwrites.
@@ -159,6 +175,10 @@ class CirculantFactor:
     def normals_per_path(self):
         return 2 * self.dim
 
+    @property
+    def block_rows(self):
+        return _SYNTH_ROWS
+
     def synthesize(self, z, out):
         """Paths from the (M, 2N) normals z into out (M, N); see the module doc."""
         n = self.dim
@@ -166,17 +186,15 @@ class CirculantFactor:
         # evenly between the real and imaginary parts.
         weights = self.sqrt_eigs * math.sqrt(n)
         weights[[0, n]] *= math.sqrt(2.0)
-        for start in range(0, z.shape[0], _SYNTH_ROWS):
-            zb = z[start : start + _SYNTH_ROWS]
-            spec = np.empty((zb.shape[0], n + 1), dtype=np.complex128)
-            spec.real[:, 0] = zb[:, 0]
-            spec.real[:, n] = zb[:, 1]
-            spec.real[:, 1:n] = zb[:, 2 : n + 1]
-            spec.imag[:, 1:n] = zb[:, n + 1 :]
-            spec.imag[:, [0, n]] = 0.0
-            spec *= weights
-            increments = np.fft.irfft(spec, n=2 * n, axis=1)
-            np.cumsum(increments[:, :n], axis=1, out=out[start : start + _SYNTH_ROWS])
+        spec = np.empty((z.shape[0], n + 1), dtype=np.complex128)
+        spec.real[:, 0] = z[:, 0]
+        spec.real[:, n] = z[:, 1]
+        spec.real[:, 1:n] = z[:, 2 : n + 1]
+        spec.imag[:, 1:n] = z[:, n + 1 :]
+        spec.imag[:, [0, n]] = 0.0
+        spec *= weights
+        increments = np.fft.irfft(spec, n=2 * n, axis=1)
+        np.cumsum(increments[:, :n], axis=1, out=out)
 
 
 def circulant_factor(autocov, grid=None, kernel_id=""):
@@ -328,13 +346,21 @@ def clear_factor_cache():
     _FACTOR_CACHE.clear()
 
 
-def path_normals(factor, m, seed, role=rng.ROLE_PATH):
-    """The (M, normals_per_path) block that `sample_paths` consumes.
+def row_blocks(factor, m):
+    """(start, stop) of each row block, in order, that the factor synthesizes at once."""
+    if m < 1:
+        raise DomainError("need at least one replicate")
+    step = factor.block_rows or m
+    return [(start, min(start + step, m)) for start in range(0, m, step)]
 
-    Row m comes from the replicate-m stream of the given role; by the
-    prefix contract its first k columns are what a factor with k normals
-    per path draws.  Raises DomainError, before allocating, when the
-    block and the (M, N+1) path array drawn from it exceed physical
+
+def path_normals(factor, m, seed, role=rng.ROLE_PATH, first=0):
+    """The (M, normals_per_path) normals of replicates first .. first + M - 1.
+
+    Row r comes from the replicate-(first + r) stream of the given role;
+    by the prefix contract its first k columns are what a factor with k
+    normals per path draws.  Raises DomainError, before allocating, when
+    the block and the (M, N+1) path array drawn from it exceed physical
     memory.
     """
     if factor.grid is None:
@@ -345,35 +371,44 @@ def path_normals(factor, m, seed, role=rng.ROLE_PATH):
     _require_memory(8 * m * (count + nsteps + 1), f"{m} paths at N={nsteps}")
     z = np.empty((m, count), dtype=np.float64)
     for rep in range(m):
-        rng.normals(rng.derive_key(seed, rep, role), count, out=z[rep])
+        rng.normals(rng.derive_key(seed, first + rep, role), count, out=z[rep])
     return z
 
 
-def sample_paths(factor, m, seed, z=None):
-    """Draw M exact paths from a factor (`cached_factor`).
+def sample_paths(factor, m, seed, z=None, role=rng.ROLE_PATH):
+    """Draw M exact paths from a factor (`cached_factor`), one row block at a time.
 
     The grid and kernel id are the ones the factor carries.  z is the
     C-ordered (M, normals_per_path) normal block to synthesize from, and
-    it is overwritten; by default `path_normals(factor, m, seed)` draws it.
-    Each path depends on its own row of normals only, so results do not
-    depend on any worker pool or row block.
+    it is overwritten; by default each row block's normals are drawn
+    from the streams of `role` (`path_normals`) as the block's turn
+    comes.  Each path depends on its own row of normals only, so results
+    do not depend on the row block.
     """
     shape = (m, factor.normals_per_path)
-    if z is None:
-        z = path_normals(factor, m, seed)
-    elif factor.grid is None or m < 1 or z.shape != shape or not z.flags.c_contiguous:
-        raise DomainError(f"sample_paths needs a grid and a C-ordered {shape} block")
+    if factor.grid is None or m < 1 or (
+        z is not None and (z.shape != shape or not z.flags.c_contiguous)
+    ):
+        raise DomainError(
+            f"sample_paths needs a grid, at least one replicate and, if given, "
+            f"a C-ordered {shape} block"
+        )
     grid = factor.grid
+    _require_memory(8 * m * (grid.nsteps + 1), f"{m} paths at N={grid.nsteps}")
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
     values[:, 0] = 0.0
-    factor.synthesize(z, values[:, 1:])
+    for start, stop in row_blocks(factor, m):
+        if z is None:
+            block = path_normals(factor, stop - start, seed, role, start)
+        else:
+            block = z[start:stop]
+        factor.synthesize(block, values[start:stop, 1:])
     return PathEnsemble(grid, values, factor.kernel_id, int(seed))
 
 
 def sample_brownian(grid, m, seed):
     """M standard Brownian motion paths from the ROLE_BM streams."""
-    factor = BrownianFactor(grid)
-    return sample_paths(factor, m, seed, path_normals(factor, m, seed, rng.ROLE_BM))
+    return sample_paths(BrownianFactor(grid), m, seed, role=rng.ROLE_BM)
 
 
 def save_ensemble(ensemble, path):

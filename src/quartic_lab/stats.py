@@ -10,7 +10,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, stdtrit
 
 from .errors import DomainError
 
@@ -85,9 +85,9 @@ def loglog_rate(xs, ys):
     sxx = float(np.sum((lx - lx.mean()) ** 2))
     s2 = float(np.sum(resid**2)) / dof
     stderr = math.sqrt(s2 / sxx)
-    from scipy.stats import t as student_t
-
-    half = float(student_t.ppf(0.975, dof)) * stderr
+    # The Student-t quantile that scipy.stats.t.ppf(0.975, dof) returns,
+    # bit for bit, without importing scipy.stats.
+    half = float(stdtrit(dof, 0.975)) * stderr
     return RateFit(
         slope=float(slope),
         intercept=float(intercept),

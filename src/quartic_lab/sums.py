@@ -77,7 +77,12 @@ def trapezoid_sum_ensemble(values, grid, g, deriv_order=0):
     values = _check_ensemble(values, grid)
     times = grid.times()
     gv = np.asarray(g.dx(deriv_order, values, times[None, :]))
-    terms = 0.5 * (gv[:, :-1] + gv[:, 1:]) * np.diff(values, axis=1)
+    # In place, in the order 0.5 * (gv_left + gv_right) * dX; gv goes
+    # before the increments are taken, so at most two (M, N) arrays live.
+    terms = gv[:, :-1] + gv[:, 1:]
+    del gv
+    terms *= 0.5
+    terms *= np.diff(values, axis=1)
     return _prefix(terms)
 
 

@@ -6,7 +6,11 @@ independently simulated right-hand side.  Reports carry every statistic,
 threshold, and pass flag; a rerun with the same configuration and seed
 reproduces the summary and CSV byte for byte.  Replicates are evaluated
 in fixed 256-row blocks, one after another; the `workers` argument of
-each experiment is accepted for compatibility and selects nothing.
+each experiment is accepted for compatibility and selects nothing.  An
+MSE ladder goes further and draws, synthesizes and reduces its paths in
+the sampler's own row blocks (`simulate.row_blocks`), so it holds
+O(block * N_max) path data on the O(N) samplers and the whole ensemble
+only on the dense one.
 
 An experiment's parameters are declared once, as the keyword parameters
 of its `verify_*` function, defaults included: the default kernel and
@@ -33,8 +37,8 @@ from . import __version__, analytic, stats, sums
 from .analytic import GaussianMoments, kappa_reference, poly_diff, poly_from_coeffs, poly_mul
 from .errors import ConfigError, DomainError
 from .functions import SMOOTHNESS, TestFunction, builtin
-from .kernels import CovKernel, Grid, fbm_composite_kernel, heat_kernel
-from .simulate import cached_factor, path_normals, sample_brownian, sample_paths
+from .kernels import CovKernel, Grid, _require_memory, fbm_composite_kernel, heat_kernel
+from .simulate import cached_factor, path_normals, row_blocks, sample_brownian, sample_paths
 
 SUMMARY_SCHEMA = 1
 
@@ -218,7 +222,9 @@ def _head_minus_time_ensemble(x_values, grid, g, k0, k1):
         gt = np.asarray(g.dtdx(0, x_values[:, k0 : k1 + 1], times[None, k0 : k1 + 1]))
         if gt.shape != x_values[:, k0 : k1 + 1].shape:
             gt = np.broadcast_to(gt, x_values[:, k0 : k1 + 1].shape)
-        head = head - np.sum(0.5 * (gt[:, :-1] + gt[:, 1:]), axis=1) * grid.dt
+        trap = gt[:, :-1] + gt[:, 1:]
+        trap *= 0.5
+        head = head - np.sum(trap, axis=1) * grid.dt
     return head
 
 
@@ -603,10 +609,19 @@ def _mse_ladder(experiment, function, args, block, columns, residual, threshold=
     when given, maps (kernel, g, t) to the threshold of the finest grid's
     MSE at probe t.
 
-    The ladder draws one normal block, each replicate's path stream once
-    at the finest grid's normals_per_path; every coarser grid samples a
-    copy of the block's leading columns (the `rng` prefix contract), and
-    the finest grid consumes the block itself.
+    The ladder runs over the row blocks of the finest grid's factor
+    (`simulate.row_blocks`).  For each block it draws each replicate's
+    path stream once, at the finest grid's normals_per_path; every
+    coarser grid samples a copy of the block's leading columns (the `rng`
+    prefix contract), the finest grid consumes the block itself, and only
+    the (rows, probes, columns) result of `block` outlives the block.  So
+    the O(N) samplers (`bm`, `fbm_quarter`) hold O(_SYNTH_ROWS * N_max)
+    normals and paths at a time, whatever m is.  The dense sampler takes
+    the whole ensemble as one block, since one triangular multiply per
+    grid is faster than several (see `simulate`) and its N^2 factor
+    outweighs the block.  Every statistic is per replicate, and each row
+    depends on its own stream only, so the report is the same in any
+    block.
     """
     kernel, g = args["kernel"], args["g"]
     if not g.certifies(7, 3):
@@ -621,22 +636,31 @@ def _mse_ladder(experiment, function, args, block, columns, residual, threshold=
     tol_by_probe = {} if threshold is None else {t: threshold(kernel, g, t) for t in probes}
 
     grids = [Grid(n, horizon) for n in n_list]
-    z = path_normals(cached_factor(kernel, grids[-1]), m, int(seed))
+    finest = cached_factor(kernel, grids[-1])
+    shape = (len(grids), m, len(probes), len(columns))
+    _require_memory(8 * math.prod(shape), f"ladder columns of {m} replicates")
+    ladder = np.empty(shape, dtype=np.float64)
+    for start, stop in row_blocks(finest, m):
+        z = path_normals(finest, stop - start, int(seed), first=start)
+        for grid, out in zip(grids, ladder):
+            # Synthesis overwrites its normals: a coarser grid gets a copy
+            # of the block's prefix, the finest the block itself, whose
+            # last reference goes with `rung` before the sums run; a
+            # rung's paths go before the next rung is drawn.
+            if grid is grids[-1]:
+                rung, z = z, None
+            else:
+                rung = z[:, : cached_factor(kernel, grid).normals_per_path].copy()
+            x_ens = draw_ensemble(kernel, grid, stop - start, int(seed), rung)
+            del rung
+            out[start:stop] = _map_chunks(
+                lambda b: np.moveaxis(np.array(block(b, grid, g, probes)), -1, 0), x_ens.values
+            )
+            del x_ens
+
     mses = {t: [] for t in probes}
     rows = []
-    for grid in grids:
-        # Synthesis overwrites its normals: a coarser grid gets a copy of
-        # the block's prefix, the finest the block itself, whose last
-        # reference goes with `rung` before the sums run.
-        if grid is grids[-1]:
-            rung, z = z, None
-        else:
-            rung = z[:, : cached_factor(kernel, grid).normals_per_path].copy()
-        x_ens = draw_ensemble(kernel, grid, m, int(seed), rung)
-        del rung
-        cols = _map_chunks(
-            lambda b: np.moveaxis(np.array(block(b, grid, g, probes)), -1, 0), x_ens.values
-        )
+    for grid, cols in zip(grids, ladder):
         for j, t in enumerate(probes):
             mses[t].append(float(np.mean(residual(cols[:, j]) ** 2)))
             rows += [(grid.n, rep, t, *row) for rep, row in enumerate(cols[:, j].tolist())]

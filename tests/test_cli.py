@@ -624,10 +624,27 @@ def test_malloc_pinning_needs_glibc(monkeypatch):
     assert len(calls) == 2
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    """scipy.linalg loads with the first dense factor, not with the CLI."""
+def _run_fresh_python(code):
+    """Run code in a new interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = "import sys, quartic_lab.cli; assert 'scipy.linalg' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    """scipy.linalg loads with the first dense factor, not with the CLI."""
+    _run_fresh_python("import sys, quartic_lab.cli; assert 'scipy.linalg' not in sys.modules")
+
+
+def test_ladder_run_leaves_scipy_stats_unloaded(tmp_path):
+    """The rate fit's Student-t quantile comes from scipy.special, not scipy.stats."""
+    config = tmp_path / "ladder.json"
+    config.write_text(json.dumps({"kernel": "fbm", "g": "cube", "n_list": [64, 128, 256], "m": 20}))
+    argv = ["verify", "--experiment", "trapezoid", "--config", str(config), "--out", str(tmp_path)]
+    _run_fresh_python(
+        "import sys, quartic_lab.cli\n"
+        f"assert quartic_lab.cli.main({argv!r}) == 0\n"
+        "assert 'scipy.stats' not in sys.modules"
+    )
+    assert json.loads((tmp_path / "summary.json").read_text())["stats"]["rate"]

@@ -307,12 +307,29 @@ class TestCirculantSampler:
     )
     def test_row_blocks_match_one_whole_block(self, monkeypatch, m):
         factor = cached_factor(fbm_quarter_kernel(), Grid(256))
-        z = simulate.path_normals(factor, m, 5)
-        blocked, whole = np.empty((m, 256)), np.empty((m, 256))
-        factor.synthesize(z.copy(), blocked)
+        blocked = sample_paths(factor, m, 5).values
+        given = sample_paths(factor, m, 5, simulate.path_normals(factor, m, 5)).values
         monkeypatch.setattr(simulate, "_SYNTH_ROWS", m)
-        factor.synthesize(z, whole)
+        whole = sample_paths(factor, m, 5).values
         assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+        assert np.array_equal(given.view(np.uint64), whole.view(np.uint64))
+
+    def test_row_blocks_follow_the_backend(self):
+        grid = Grid(64)
+        assert simulate.row_blocks(cached_factor(fbm_quarter_kernel(), grid), 70) == [
+            (0, 32), (32, 64), (64, 70)
+        ]
+        assert simulate.row_blocks(BrownianFactor(grid), 5) == [(0, 5)]
+        assert simulate.row_blocks(cached_factor(heat_kernel(), grid), 70) == [(0, 70)]
+        with pytest.raises(DomainError, match="at least one replicate"):
+            simulate.row_blocks(BrownianFactor(grid), 0)
+
+    @pytest.mark.parametrize("role", [rng.ROLE_PATH, rng.ROLE_BM])
+    def test_normals_from_an_offset_are_the_rows_of_the_whole_block(self, role):
+        factor = cached_factor(fbm_quarter_kernel(), Grid(64))
+        whole = simulate.path_normals(factor, 9, 3, role)
+        part = simulate.path_normals(factor, 4, 3, role, first=5)
+        assert np.array_equal(part.view(np.uint64), whole[5:].view(np.uint64))
 
     def test_negative_eigenvalue_row_rejected(self):
         # eigenvalues 1 + 1.8 cos(pi k / 4); the one at k = 4 is -0.8

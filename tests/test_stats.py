@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.special import stdtrit
 
 from quartic_lab.errors import DomainError
 from quartic_lab.stats import (
@@ -138,6 +139,12 @@ class TestLoglogRate:
             loglog_rate([1.0, 2.0, 4.0], [1.0, 0.0, 0.25])
         with pytest.raises(DomainError):
             loglog_rate([-1.0, 2.0, 4.0], [1.0, 0.5, 0.25])
+
+    def test_quantile_is_bitwise_scipy_stats_t_ppf(self):
+        """The CI's quantile, stdtrit, is what scipy.stats.t.ppf returns, bit for bit."""
+        dof = np.arange(1, 51)
+        ours = np.array([stdtrit(d, 0.975) for d in dof])
+        assert np.array_equal(ours.view(np.uint64), sps.t.ppf(0.975, dof).view(np.uint64))
 
     def test_to_dict_round_trip(self):
         fit = loglog_rate([2.0, 4.0, 8.0], [1.0, 0.5, 0.25])

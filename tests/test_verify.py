@@ -10,11 +10,12 @@ module.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from quartic_lab import rng, sums, verify
+from quartic_lab import rng, simulate, sums, verify
 from quartic_lab.analytic import audit_cov_table, kappa_reference
 from quartic_lab.errors import ConfigError, DomainError
 from quartic_lab.functions import TestFunction, builtin
@@ -453,6 +454,42 @@ class TestLadderExperiments:
         monkeypatch.setattr(rng, "stream", stream)
         verify_trapezoid_ucp(g=CUBE, n_list=(16, 32, 64), m=6, final_tol=1.0)
         assert len(opened) == 6
+
+    O_N_KERNELS = pytest.mark.parametrize(
+        "kernel", [fbm_quarter_kernel(), CovKernel("bm")], ids=["fbm", "bm"]
+    )
+
+    @O_N_KERNELS
+    def test_ladder_report_does_not_depend_on_the_row_block(self, monkeypatch, kernel):
+        """Row blocks of 2 and 3 replicates give the report of the default block."""
+
+        def report():
+            rep = verify_trapezoid_ucp(
+                kernel=kernel, g=CUBE, n_list=(16, 32, 64), m=7, final_tol=1.0
+            )
+            return rep.summary_json(), rep.replicates_csv()
+
+        default = report()
+        for rows in (2, 3):
+            monkeypatch.setattr(simulate, "_SYNTH_ROWS", rows)
+            blocks = simulate.row_blocks(cached_factor(kernel, Grid(64)), 7)
+            assert len(blocks) == math.ceil(7 / rows)
+            assert report() == default
+
+    @O_N_KERNELS
+    def test_ladder_memory_does_not_grow_with_m(self, kernel):
+        """An O(N) sampler's ladder holds one row block of normals and paths, not all m."""
+        ladder = dict(kernel=kernel, g=CUBE, n_list=(1024, 4096), final_tol=1.0)
+        verify_trapezoid_ucp(**ladder, m=2)  # factors are built and cached outside the trace
+        peaks = {}
+        for m in (32, 256):
+            tracemalloc.start()
+            try:
+                verify_trapezoid_ucp(**ladder, m=m)
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[256] <= 1.25 * peaks[32]
 
     def test_ladder_validation(self):
         with pytest.raises(ConfigError):
