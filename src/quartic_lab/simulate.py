@@ -5,7 +5,7 @@ one place that choice is made; every factor draws paths through the same
 `synthesize(z, out)` call, so `sample_paths` knows no kernel.  Each
 factor also declares the row block it synthesizes at once
 (`block_rows`), and `row_blocks` is the one blocking rule that
-`sample_paths` and the MSE ladder of `verify` both follow.  Paths are
+`sample_paths` and every experiment of `verify` follow.  Paths are
 drawn jointly exact: there is no approximation beyond float64 linear
 algebra and FFTs, and the deterministic zero at t_0 is reattached after
 synthesis.  There are three backends:
@@ -30,19 +30,21 @@ synthesis.  There are three backends:
   normals of the replicate's stream.  One 8N^2-byte buffer serves from
   build to synthesis: `build_cov_matrix` fills it from O(N) square root
   tables, `dpotrf` factors it in place, and a triangular multiply
-  (`dtrmm`) applies it to the normals in place.  O(N^3) set-up.  Its
-  row block is the whole ensemble: at N=4096 and M=200 one `dtrmm`
-  takes 0.046 s, against 0.057 s in 100-row and 0.111 s in 32-row
-  blocks (bitwise the same result; best of 7 on a 2-core VM, OpenBLAS
-  0.3.31), and the 8N^2-byte factor outweighs the (M, N) block anyway.
+  (`dtrmm`) applies it to the normals in place.  O(N^3) set-up.  Rows
+  go 256 at a time: at N=4096 and M=1000 one `dtrmm` over the whole
+  ensemble takes 0.21 s, against 0.24 s in 256-row blocks (bitwise the
+  same result; median of 7 on a 2-core VM, OpenBLAS 0.3.31), and the
+  block keeps the normals and paths next to the factor at O(256 N).
 
 A cumulative sum or an inverse FFT transforms each row on its own, so
-the O(N) backends give bit for bit the same paths in any row block.
+the O(N) backends give bit for bit the same paths in any row block; the
+triangular multiply gave bitwise the same paths in every block size
+measured.
 
 `sample_paths` synthesizes from an (M, normals_per_path) block of
 normals when one is given; by default it draws each row block's normals
 from the replicates' streams (`path_normals`) just before synthesizing
-it, so an O(N) backend holds O(_SYNTH_ROWS * N) normals at a time.
+it, so a backend holds O(block_rows * N) normals at a time.
 Because a stream's shorter draw is a prefix of its longer one (`rng`),
 one block drawn for the largest grid of an MSE ladder serves every grid
 of it: each smaller grid is sampled from a copy of the block's first
@@ -51,7 +53,8 @@ normals_per_path columns, the largest from the block itself.
 `sample_brownian` draws the independent standard Brownian motion of each
 replicate, the driving noise of the corrected change-of-variable
 formula: `sample_paths` on a `BrownianFactor`, drawing from the disjoint
-ROLE_BM streams.
+ROLE_BM streams.  Both take the index of their first replicate (`first`),
+so a row block of an experiment draws the rows a whole draw would.
 """
 
 from __future__ import annotations
@@ -137,8 +140,8 @@ class CholeskyFactor:
     def normals_per_path(self):
         return self.dim
 
-    # The whole ensemble is one block (see the module doc).
-    block_rows = None
+    # Rows synthesized by one triangular multiply (see the module doc).
+    block_rows = 256
 
     def synthesize(self, z, out):
         """out[m] = L @ z[m] for the (M, N) normals z, which it overwrites.
@@ -237,8 +240,9 @@ def fgn_quarter_autocov(grid):
 class PathEnsemble:
     """M sampled paths over a grid, values[m, j] = X_m(t_j).
 
-    values[:, 0] is exactly 0 for centered kernels.  Row m was drawn from
-    the stream keyed rng.derive_key(seed, m, role), role ROLE_PATH for
+    values[:, 0] is exactly 0 for centered kernels.  Row r was drawn from
+    the stream keyed rng.derive_key(seed, first + r, role), where first is
+    the draw's first replicate (0 unless given), role ROLE_PATH for
     `sample_paths` and ROLE_BM for `sample_brownian`.
     """
 
@@ -350,7 +354,7 @@ def row_blocks(factor, m):
     """(start, stop) of each row block, in order, that the factor synthesizes at once."""
     if m < 1:
         raise DomainError("need at least one replicate")
-    step = factor.block_rows or m
+    step = factor.block_rows
     return [(start, min(start + step, m)) for start in range(0, m, step)]
 
 
@@ -375,15 +379,15 @@ def path_normals(factor, m, seed, role=rng.ROLE_PATH, first=0):
     return z
 
 
-def sample_paths(factor, m, seed, z=None, role=rng.ROLE_PATH):
+def sample_paths(factor, m, seed, z=None, role=rng.ROLE_PATH, first=0):
     """Draw M exact paths from a factor (`cached_factor`), one row block at a time.
 
     The grid and kernel id are the ones the factor carries.  z is the
     C-ordered (M, normals_per_path) normal block to synthesize from, and
     it is overwritten; by default each row block's normals are drawn
     from the streams of `role` (`path_normals`) as the block's turn
-    comes.  Each path depends on its own row of normals only, so results
-    do not depend on the row block.
+    comes, row r from replicate first + r.  Each path depends on its own
+    row of normals only, so results do not depend on the row block.
     """
     shape = (m, factor.normals_per_path)
     if factor.grid is None or m < 1 or (
@@ -399,16 +403,16 @@ def sample_paths(factor, m, seed, z=None, role=rng.ROLE_PATH):
     values[:, 0] = 0.0
     for start, stop in row_blocks(factor, m):
         if z is None:
-            block = path_normals(factor, stop - start, seed, role, start)
+            block = path_normals(factor, stop - start, seed, role, first + start)
         else:
             block = z[start:stop]
         factor.synthesize(block, values[start:stop, 1:])
     return PathEnsemble(grid, values, factor.kernel_id, int(seed))
 
 
-def sample_brownian(grid, m, seed):
-    """M standard Brownian motion paths from the ROLE_BM streams."""
-    return sample_paths(BrownianFactor(grid), m, seed, role=rng.ROLE_BM)
+def sample_brownian(grid, m, seed, first=0):
+    """Standard Brownian motions of replicates first .. first + M - 1 (ROLE_BM streams)."""
+    return sample_paths(BrownianFactor(grid), m, seed, role=rng.ROLE_BM, first=first)
 
 
 def save_ensemble(ensemble, path):
@@ -467,11 +471,14 @@ def load_ensemble(path):
 
 
 def write_ensemble_csv(ensemble, path):
-    """Debug CSV with columns replicate, j, t, value (17 significant digits)."""
-    times = ensemble.grid.times()
+    """Debug CSV with columns replicate, j, t, value (17 significant digits).
+
+    The j and t cells are formatted once; each replicate goes out as one
+    joined string.
+    """
+    cells = [f",{j},{t:.17g}," for j, t in enumerate(ensemble.grid.times().tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("replicate,j,t,value\n")
         for rep in range(ensemble.m):
-            row = ensemble.values[rep]
-            for j in range(times.size):
-                fh.write(f"{rep},{j},{times[j]:.17g},{row[j]:.17g}\n")
+            row = ensemble.values[rep].tolist()
+            fh.write("".join([f"{rep}{cell}{v:.17g}\n" for cell, v in zip(cells, row)]))

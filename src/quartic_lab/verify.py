@@ -4,13 +4,12 @@ Each experiment draws paths, evaluates the discrete functionals, and
 compares them against either closed-form Gaussian moments or an
 independently simulated right-hand side.  Reports carry every statistic,
 threshold, and pass flag; a rerun with the same configuration and seed
-reproduces the summary and CSV byte for byte.  Replicates are evaluated
-in fixed 256-row blocks, one after another; the `workers` argument of
-each experiment is accepted for compatibility and selects nothing.  An
-MSE ladder goes further and draws, synthesizes and reduces its paths in
-the sampler's own row blocks (`simulate.row_blocks`), so it holds
-O(block * N_max) path data on the O(N) samplers and the whole ensemble
-only on the dense one.
+reproduces the summary and CSV byte for byte.  Every experiment draws,
+synthesizes and reduces its paths in the sampler's own row blocks
+(`simulate.row_blocks`), one block after another, through
+`_replicate_columns`, so it holds O(block * N) path data whatever the
+replicate count.  The `workers` argument of each experiment is accepted
+for compatibility and selects nothing.
 
 An experiment's parameters are declared once, as the keyword parameters
 of its `verify_*` function, defaults included: the default kernel and
@@ -41,10 +40,6 @@ from .kernels import CovKernel, Grid, _require_memory, fbm_composite_kernel, hea
 from .simulate import cached_factor, path_normals, row_blocks, sample_brownian, sample_paths
 
 SUMMARY_SCHEMA = 1
-
-# Replicates are processed in fixed-size row blocks, which bounds the
-# temporaries of each sums/RHS evaluation.
-_CHUNK_ROWS = 256
 
 # Keyword parameters of the `verify_*` functions that the caller supplies
 # rather than the experiment's config; the report's config omits them.
@@ -176,7 +171,7 @@ class ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# Sampling and chunked evaluation helpers.
+# Sampling and the replicate loop.
 # ---------------------------------------------------------------------------
 
 def draw_ensemble(kernel, grid, m, seed, z=None):
@@ -193,20 +188,44 @@ def draw_ensemble(kernel, grid, m, seed, z=None):
     return ens
 
 
-def draw_coupled(kernel, grid, m, seed):
-    """(path ensemble, independent Brownian ensemble) from one seed."""
-    return draw_ensemble(kernel, grid, m, seed), sample_brownian(grid, m, seed)
+def _replicate_columns(kernel, grids, m, seed, reduce, shape, brownian=False):
+    """Per-replicate columns on each grid, one row block of paths at a time.
 
+    reduce(x, b, grid) maps a block's (rows, N+1) paths x, and the same
+    rows' Brownian motions b when `brownian` (None otherwise), to
+    shape[0] tuples of shape[1] columns of length rows.  The result is
+    the (len(grids), m, *shape) array of those columns.
 
-def _map_chunks(fn, values, *aligned):
-    """Apply fn to fixed-size row blocks in order and concatenate.
-
-    fn receives a block of values followed by the same rows of every
-    aligned array.
+    The loop runs over the row blocks of the finest (last) grid's factor
+    (`simulate.row_blocks`).  For each block it draws each replicate's
+    path stream once, at the finest grid's normals_per_path; every
+    coarser grid samples a copy of the block's leading columns (the `rng`
+    prefix contract) and the finest grid the block itself.  Only the
+    result outlives the block, so an experiment holds O(block_rows * N)
+    paths whatever m is.  Each row depends on its own streams only, so
+    the result is the same in any block.
     """
-    starts = range(0, values.shape[0], _CHUNK_ROWS)
-    columns = [[a[i : i + _CHUNK_ROWS] for i in starts] for a in (values, *aligned)]
-    return np.concatenate(list(map(fn, *columns)), axis=0)
+    finest = cached_factor(kernel, grids[-1])
+    shape = (len(grids), m, *shape)
+    _require_memory(8 * math.prod(shape), f"columns of {m} replicates")
+    out = np.empty(shape, dtype=np.float64)
+    for start, stop in row_blocks(finest, m):
+        z = path_normals(finest, stop - start, seed, first=start)
+        for grid, cols in zip(grids, out):
+            # Synthesis overwrites its normals: a coarser grid gets a copy
+            # of the block's prefix, the finest the block itself, whose
+            # last reference goes with `rung`; a grid's paths go before
+            # the next grid is drawn.
+            if grid is grids[-1]:
+                rung, z = z, None
+            else:
+                rung = z[:, : cached_factor(kernel, grid).normals_per_path].copy()
+            x = draw_ensemble(kernel, grid, stop - start, seed, rung).values
+            del rung
+            b = sample_brownian(grid, stop - start, seed, first=start).values if brownian else None
+            cols[start:stop] = np.moveaxis(np.array(reduce(x, b, grid)), -1, 0)
+            del x, b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,29 +435,27 @@ def verify_ito_formula(
     seed_stats = {}
     passed_seeds = 0
 
-    def eval_block(block):
-        series = sums.midpoint_sum_ensemble(block, grid, g, 1)
-        cols = [series[:, grid.index_at(t)] - series[:, k_start] for t in probes]
-        return np.stack(cols, axis=1)
-
-    def rhs_block(xs, bs):
-        cols = [
-            rhs_formula_ensemble(xs, bs, grid, g, t, c=c, t_start=window_start)
+    def reduce(x, b, grid):
+        series = sums.midpoint_sum_ensemble(x, grid, g, 1)
+        return [
+            (
+                series[:, grid.index_at(t)] - series[:, k_start],
+                rhs_formula_ensemble(x, b, grid, g, t, c=c, t_start=window_start),
+            )
             for t in probes
         ]
-        return np.stack(cols, axis=1)
 
     for k in range(seeds):
         master = int(seed) + k
-        x_ens, b_ens = draw_coupled(kernel, grid, m, master)
-        sample_a = _map_chunks(eval_block, x_ens.values)
-        sample_b = _map_chunks(rhs_block, x_ens.values, b_ens.values)
+        (cols,) = _replicate_columns(
+            kernel, [grid], m, master, reduce, (len(probes), 2), brownian=True
+        )
 
         seed_ok = True
         probe_stats = {}
         for j, t in enumerate(probes):
-            a = sample_a[:, j]
-            b = sample_b[:, j]
+            a = cols[:, j, 0]
+            b = cols[:, j, 1]
             label = f"seed{k}/t={t:g}"
             ks = stats.ks_two_sample(a, b)
             ck = CheckResult.at_most(f"{label}/ks", ks, ks_tol, flag=True, gates=False)
@@ -533,34 +550,37 @@ def verify_bn_limit(
     config = _config_block("bn", verify_bn_limit, locals())
     horizon = max(probes)
     grid = Grid(int(n), horizon)
-    x_ens = draw_ensemble(kernel, grid, m, int(seed))
-    bn = _map_chunks(lambda b: sums.bn_process_ensemble(b, grid), x_ens.values)
-
     times = grid.times()
-    t_full = horizon
-    t_half = t_full / 2.0
-    k_full = grid.index_at(t_full)
-    k_half = grid.index_at(t_half)
-    bn_full = bn[:, k_full]
-    bn_half = bn[:, k_half]
+    k_full = grid.index_at(horizon)
+    k_half = grid.index_at(horizon / 2.0)
+    # bn and the path at each probe, then bn at the half and full horizon.
+    indices = [grid.index_at(t) for t in probes] + [k_half, k_full]
+
+    def reduce(x, b, grid):
+        bn = sums.bn_process_ensemble(x, grid)
+        return [(bn[:, k], x[:, k]) for k in indices]
+
+    (cols,) = _replicate_columns(kernel, [grid], m, int(seed), reduce, (len(indices), 2))
+    bn_half = cols[:, -2, 0]
+    bn_full = cols[:, -1, 0]
 
     checks = []
     probe_stats = {}
     rows = []
-    for t in probes:
-        k = grid.index_at(t)
-        sample = bn[:, k] / math.sqrt(t)
-        ks = stats.ks_one_sample_normal(sample)
+    for j, t in enumerate(probes):
+        bn, path = cols[:, j, 0], cols[:, j, 1]
+        ks = stats.ks_one_sample_normal(bn / math.sqrt(t))
         checks.append(CheckResult.at_most(f"ks_normal@t={t:g}", ks, ks_tol, flag=True))
-        corr = stats.correlation(bn_full, x_ens.values[:, k])
+        corr = stats.correlation(bn_full, path)
         checks.append(CheckResult.at_most(f"path_corr@t={t:g}", abs(corr.r), corr_tol))
         probe_stats[f"t={t:g}"] = {
             "ks_normal": ks,
-            "bn_variance": float(np.var(bn[:, k], ddof=1)),
+            "bn_variance": float(np.var(bn, ddof=1)),
             "path_corr": corr.to_dict(),
         }
+        t_k = times[indices[j]]
         for rep in range(m):
-            rows.append((rep, times[k], bn[rep, k], x_ens.values[rep, k]))
+            rows.append((rep, t_k, bn[rep], path[rep]))
 
     incr = stats.correlation(bn_full - bn_half, bn_half)
     checks.append(CheckResult.at_most("increment_corr", abs(incr.r), corr_tol))
@@ -609,19 +629,9 @@ def _mse_ladder(experiment, function, args, block, columns, residual, threshold=
     when given, maps (kernel, g, t) to the threshold of the finest grid's
     MSE at probe t.
 
-    The ladder runs over the row blocks of the finest grid's factor
-    (`simulate.row_blocks`).  For each block it draws each replicate's
-    path stream once, at the finest grid's normals_per_path; every
-    coarser grid samples a copy of the block's leading columns (the `rng`
-    prefix contract), the finest grid consumes the block itself, and only
-    the (rows, probes, columns) result of `block` outlives the block.  So
-    the O(N) samplers (`bm`, `fbm_quarter`) hold O(_SYNTH_ROWS * N_max)
-    normals and paths at a time, whatever m is.  The dense sampler takes
-    the whole ensemble as one block, since one triangular multiply per
-    grid is faster than several (see `simulate`) and its N^2 factor
-    outweighs the block.  Every statistic is per replicate, and each row
-    depends on its own stream only, so the report is the same in any
-    block.
+    Every grid of the ladder is drawn from one normal block per row
+    block of replicates, by `_replicate_columns`, so the ladder holds
+    O(block_rows * N_max) normals and paths whatever m is.
     """
     kernel, g = args["kernel"], args["g"]
     if not g.certifies(7, 3):
@@ -636,27 +646,10 @@ def _mse_ladder(experiment, function, args, block, columns, residual, threshold=
     tol_by_probe = {} if threshold is None else {t: threshold(kernel, g, t) for t in probes}
 
     grids = [Grid(n, horizon) for n in n_list]
-    finest = cached_factor(kernel, grids[-1])
-    shape = (len(grids), m, len(probes), len(columns))
-    _require_memory(8 * math.prod(shape), f"ladder columns of {m} replicates")
-    ladder = np.empty(shape, dtype=np.float64)
-    for start, stop in row_blocks(finest, m):
-        z = path_normals(finest, stop - start, int(seed), first=start)
-        for grid, out in zip(grids, ladder):
-            # Synthesis overwrites its normals: a coarser grid gets a copy
-            # of the block's prefix, the finest the block itself, whose
-            # last reference goes with `rung` before the sums run; a
-            # rung's paths go before the next rung is drawn.
-            if grid is grids[-1]:
-                rung, z = z, None
-            else:
-                rung = z[:, : cached_factor(kernel, grid).normals_per_path].copy()
-            x_ens = draw_ensemble(kernel, grid, stop - start, int(seed), rung)
-            del rung
-            out[start:stop] = _map_chunks(
-                lambda b: np.moveaxis(np.array(block(b, grid, g, probes)), -1, 0), x_ens.values
-            )
-            del x_ens
+    ladder = _replicate_columns(
+        kernel, grids, m, int(seed), lambda x, b, grid: block(x, grid, g, probes),
+        (len(probes), len(columns)),
+    )
 
     mses = {t: [] for t in probes}
     rows = []

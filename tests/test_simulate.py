@@ -287,6 +287,14 @@ class TestBrownianSampler:
             assert np.array_equal(values[r, 1:].view(np.uint64), np.cumsum(z).view(np.uint64))
         assert np.all(values[:, 0] == 0.0)
 
+    @pytest.mark.parametrize("first, count", [(0, 3), (5, 4), (31, 40)])
+    def test_brownian_from_an_offset_is_the_rows_of_the_whole_draw(self, first, count):
+        """Row r of a draw from replicate `first` is row first + r of a draw from 0."""
+        grid = Grid(64)
+        whole = sample_brownian(grid, 80, 3).values
+        part = sample_brownian(grid, count, 3, first=first).values
+        assert np.array_equal(part.view(np.uint64), whole[first : first + count].view(np.uint64))
+
 
 class TestCirculantSampler:
     @LINEAR_MAP_SIZES
@@ -321,6 +329,9 @@ class TestCirculantSampler:
         ]
         assert simulate.row_blocks(BrownianFactor(grid), 5) == [(0, 5)]
         assert simulate.row_blocks(cached_factor(heat_kernel(), grid), 70) == [(0, 70)]
+        assert simulate.row_blocks(cached_factor(heat_kernel(), grid), 600) == [
+            (0, 256), (256, 512), (512, 600)
+        ]
         with pytest.raises(DomainError, match="at least one replicate"):
             simulate.row_blocks(BrownianFactor(grid), 0)
 
@@ -357,12 +368,12 @@ def test_benchmark_wrapped_attributes_exist():
 
 
 class TestSampleCoupled:
-    """Coupled (path, Brownian) ensembles, drawn by verify.draw_coupled."""
+    """Coupled (path, Brownian) ensembles: verify.draw_ensemble and sample_brownian on one seed."""
 
     def test_coupled_reproducibility(self):
         grid = Grid(32)
-        x1, b1 = verify.draw_coupled(heat_kernel(), grid, 10, 9)
-        x2, b2 = verify.draw_coupled(heat_kernel(), grid, 10, 9)
+        x1, b1 = verify.draw_ensemble(heat_kernel(), grid, 10, 9), sample_brownian(grid, 10, 9)
+        x2, b2 = verify.draw_ensemble(heat_kernel(), grid, 10, 9), sample_brownian(grid, 10, 9)
         assert np.array_equal(x1.values, x2.values)
         assert np.array_equal(b1.values, b2.values)
 
@@ -370,12 +381,13 @@ class TestSampleCoupled:
         """The Brownian draw must not consume the path streams."""
         grid = Grid(32)
         solo = sample_paths(cached_factor(heat_kernel(), grid), 10, seed=9)
-        x, b = verify.draw_coupled(heat_kernel(), grid, 10, 9)
+        x, b = verify.draw_ensemble(heat_kernel(), grid, 10, 9), sample_brownian(grid, 10, 9)
         assert np.array_equal(x.values, solo.values)
         assert not np.array_equal(b.values[:, 1:], solo.values[:, 1:])
 
     def test_cross_correlation_small(self):
-        x, b = verify.draw_coupled(heat_kernel(), Grid(16), 10000, 4)
+        grid = Grid(16)
+        x, b = verify.draw_ensemble(heat_kernel(), grid, 10000, 4), sample_brownian(grid, 10000, 4)
         r = np.corrcoef(x.values[:, -1], b.values[:, -1])[0, 1]
         assert abs(r) <= 0.03
 
@@ -480,3 +492,23 @@ class TestPersistence:
         assert float(first[3]) == 0.0
         # 17-significant-digit floats survive a parse round trip
         assert float(lines[2].split(",")[3]) == ens.values[0, 1]
+
+    def test_csv_bytes_match_one_cell_at_a_time(self, tmp_path):
+        """The row-joined writer gives the bytes of formatting each value on its own."""
+        grid = Grid(5)
+        values = np.array([
+            [0.0, -0.0, 0.1 + 0.2, -1e-300, 123456789.125, 5e-324],
+            [0.0, 1.0, -2.5, 1 / 3, -0.0, 1e22],
+        ])
+        ens = simulate.PathEnsemble(grid, values, "heat", 4)
+        target = tmp_path / "ens.csv"
+        write_ensemble_csv(ens, target)
+        times = grid.times()
+        expected = "replicate,j,t,value\n" + "".join(
+            f"{rep},{j},{times[j]:.17g},{values[rep, j]:.17g}\n"
+            for rep in range(2)
+            for j in range(times.size)
+        )
+        assert target.read_bytes() == expected.encode("utf-8")
+        assert "\n0,1,0.20000000000000001,-0\n" in expected
+        assert "\n0,2,0.40000000000000002,0.30000000000000004\n" in expected

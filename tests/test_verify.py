@@ -26,12 +26,12 @@ from quartic_lab.kernels import (
     fbm_quarter_kernel,
     heat_kernel,
 )
-from quartic_lab.simulate import cached_factor, sample_paths
+from quartic_lab.simulate import cached_factor, sample_brownian, sample_paths
 from quartic_lab.stats import correlation, ks_two_sample, loglog_rate
 from quartic_lab.verify import (
     CheckResult,
     ExperimentReport,
-    draw_coupled,
+    draw_ensemble,
     formula_reference_moments,
     head_reference_moments,
     ito_term_variance,
@@ -110,7 +110,7 @@ class TestRhsFormula:
     def test_linear_g_is_the_path_increment(self):
         """Both integral terms vanish; the RHS is exactly X(t_k) - X(0)."""
         grid = Grid(64)
-        x_ens, b_ens = draw_coupled(heat_kernel(), grid, 50, 3)
+        x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 50, 3), sample_brownian(grid, 50, 3)
         rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, LINEAR, 1.0)
         assert np.array_equal(rhs, x_ens.values[:, 64] - x_ens.values[:, 0])
         mid = sums.midpoint_sum_ensemble(x_ens.values, grid, LINEAR, 1)[:, 64]
@@ -119,7 +119,7 @@ class TestRhsFormula:
 
     def test_time_only_g_cancels_exactly(self):
         grid = Grid(32)
-        x_ens, b_ens = draw_coupled(heat_kernel(), grid, 8, 5)
+        x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 8, 5), sample_brownian(grid, 8, 5)
         rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, _time_only(), 1.0)
         assert np.all(rhs == 0.0)
 
@@ -131,7 +131,7 @@ class TestRhsFormula:
 
         half_square = TestFunction("half_square", (9, 4), dx, lambda j, x, t: 0.0)
         grid = Grid(32)
-        x_ens, b_ens = draw_coupled(heat_kernel(), grid, 8, 5)
+        x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 8, 5), sample_brownian(grid, 8, 5)
         rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, grid, half_square, 1.0, c=0.5)
         x, b = x_ens.values, b_ens.values
         ito = np.sum(np.ones((8, 32)) * np.diff(b, axis=1), axis=1)
@@ -140,7 +140,7 @@ class TestRhsFormula:
 
     def test_zero_scale_drops_the_correction(self):
         grid = Grid(32)
-        x_ens, b_ens = draw_coupled(heat_kernel(), grid, 8, 5)
+        x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 8, 5), sample_brownian(grid, 8, 5)
         rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0, c=0.0)
         target = trapezoid_target_ensemble(x_ens.values, grid, SQUARE, 1.0)
         assert np.array_equal(rhs, target)
@@ -151,7 +151,7 @@ class TestRhsFormula:
         b = np.zeros(9)
         out = rhs_formula_ensemble(x[None, :], b[None, :], grid, SQUARE, 0.7, t_start=0.2)
         assert out[0] == 0.0
-        x_ens, b_ens = draw_coupled(heat_kernel(), grid, 2, 1)
+        x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 2, 1), sample_brownian(grid, 2, 1)
         paths = (x_ens.values, b_ens.values, grid, SQUARE)
         on_grid = rhs_formula_ensemble(*paths, 0.625, t_start=0.125)
         assert np.array_equal(rhs_formula_ensemble(*paths, 0.7, t_start=0.2), on_grid)
@@ -162,8 +162,8 @@ class TestRhsFormula:
             rhs_formula_ensemble(np.zeros((1, 5)), np.zeros((1, 4)), grid, SQUARE, 1.0)
 
     def test_mismatched_grids_rejected(self):
-        x_ens, _ = draw_coupled(heat_kernel(), Grid(8), 2, 1)
-        _, b_ens = draw_coupled(heat_kernel(), Grid(16), 2, 1)
+        x_ens = draw_ensemble(heat_kernel(), Grid(8), 2, 1)
+        b_ens = sample_brownian(Grid(16), 2, 1)
         with pytest.raises(DomainError):
             rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0)
 
@@ -184,7 +184,7 @@ class TestTrapezoidTarget:
 
     def test_square_is_the_squared_increment(self):
         grid = Grid(16)
-        x_ens, _ = draw_coupled(heat_kernel(), grid, 6, 2)
+        x_ens = draw_ensemble(heat_kernel(), grid, 6, 2)
         target = trapezoid_target_ensemble(x_ens.values, grid, SQUARE, 1.0)
         assert np.array_equal(target, x_ens.values[:, 16] ** 2 - x_ens.values[:, 0] ** 2)
 
@@ -304,7 +304,7 @@ class TestItoExperiment:
         """Chunked evaluation over three row blocks matches one full-ensemble RHS."""
         grid = Grid(32)
         rep = verify_ito_formula(n=32, m=600, seeds=1, seed=5, workers=3)
-        x_ens, b_ens = draw_coupled(heat_kernel(), grid, 600, 5)
+        x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 600, 5), sample_brownian(grid, 600, 5)
         full = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0)
         np.testing.assert_allclose([row[4] for row in rep.replicate_rows], full, rtol=0, atol=1e-12)
 
@@ -324,7 +324,7 @@ class TestItoExperiment:
         mses = []
         for n in (64, 256, 1024):
             grid = Grid(n)
-            x_ens, b_ens = draw_coupled(drift, grid, 4, 3)
+            x_ens, b_ens = draw_ensemble(drift, grid, 4, 3), sample_brownian(grid, 4, 3)
             mid = sums.midpoint_sum_ensemble(x_ens.values, grid, SQUARE, 1)[:, grid.index_at(1.0)]
             rhs = rhs_formula_ensemble(
                 x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0, c=0.0
@@ -455,41 +455,71 @@ class TestLadderExperiments:
         verify_trapezoid_ucp(g=CUBE, n_list=(16, 32, 64), m=6, final_tol=1.0)
         assert len(opened) == 6
 
-    O_N_KERNELS = pytest.mark.parametrize(
-        "kernel", [fbm_quarter_kernel(), CovKernel("bm")], ids=["fbm", "bm"]
-    )
+    # Small runs of the three experiment shapes, by kernel and replicate count.
+    _RUNS = {
+        "trapezoid": lambda kernel, m: verify_trapezoid_ucp(
+            kernel=kernel, g=CUBE, n_list=(16, 32, 64), m=m, final_tol=1.0
+        ),
+        "ito": lambda kernel, m: verify_ito_formula(kernel=kernel, g=CUBE, n=64, m=m, seeds=1),
+        "bn": lambda kernel, m: verify_bn_limit(kernel=kernel, n=64, m=m),
+    }
 
-    @O_N_KERNELS
-    def test_ladder_report_does_not_depend_on_the_row_block(self, monkeypatch, kernel):
+    @pytest.mark.parametrize("run, kernel", [
+        ("trapezoid", fbm_quarter_kernel()),
+        ("trapezoid", CovKernel("bm")),
+        ("ito", fbm_quarter_kernel()),
+        ("ito", heat_kernel()),
+        ("bn", fbm_quarter_kernel()),
+        ("bn", heat_kernel()),
+    ], ids=["fbm", "bm", "ito-fbm", "ito-heat", "bn-fbm", "bn-heat"])
+    def test_ladder_report_does_not_depend_on_the_row_block(self, monkeypatch, run, kernel):
         """Row blocks of 2 and 3 replicates give the report of the default block."""
 
         def report():
-            rep = verify_trapezoid_ucp(
-                kernel=kernel, g=CUBE, n_list=(16, 32, 64), m=7, final_tol=1.0
-            )
+            rep = self._RUNS[run](kernel, 7)
             return rep.summary_json(), rep.replicates_csv()
 
         default = report()
         for rows in (2, 3):
             monkeypatch.setattr(simulate, "_SYNTH_ROWS", rows)
+            monkeypatch.setattr(simulate.CholeskyFactor, "block_rows", rows)
             blocks = simulate.row_blocks(cached_factor(kernel, Grid(64)), 7)
             assert len(blocks) == math.ceil(7 / rows)
             assert report() == default
 
-    @O_N_KERNELS
-    def test_ladder_memory_does_not_grow_with_m(self, kernel):
-        """An O(N) sampler's ladder holds one row block of normals and paths, not all m."""
-        ladder = dict(kernel=kernel, g=CUBE, n_list=(1024, 4096), final_tol=1.0)
-        verify_trapezoid_ucp(**ladder, m=2)  # factors are built and cached outside the trace
+    @pytest.mark.parametrize("run, sizes", [
+        (
+            lambda m: verify_trapezoid_ucp(
+                kernel=fbm_quarter_kernel(), g=CUBE, n_list=(1024, 4096), m=m, final_tol=1.0
+            ),
+            (32, 256),
+        ),
+        (
+            lambda m: verify_trapezoid_ucp(
+                kernel=CovKernel("bm"), g=CUBE, n_list=(1024, 4096), m=m, final_tol=1.0
+            ),
+            (32, 256),
+        ),
+        (
+            lambda m: verify_ito_formula(
+                kernel=fbm_quarter_kernel(), g=builtin("sine"), n=4096, m=m, seeds=1
+            ),
+            (64, 512),
+        ),
+        (lambda m: verify_bn_limit(kernel=fbm_quarter_kernel(), n=4096, m=m), (64, 512)),
+    ], ids=["fbm", "bm", "ito-fbm", "bn-fbm"])
+    def test_ladder_memory_does_not_grow_with_m(self, run, sizes):
+        """An O(N) sampler's experiment holds one row block of normals and paths, not all m."""
+        run(sizes[0])  # factors are built and cached outside the trace
         peaks = {}
-        for m in (32, 256):
+        for m in sizes:
             tracemalloc.start()
             try:
-                verify_trapezoid_ucp(**ladder, m=m)
+                run(m)
                 peaks[m] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[256] <= 1.25 * peaks[32]
+        assert peaks[sizes[1]] <= 1.25 * peaks[sizes[0]]
 
     def test_ladder_validation(self):
         with pytest.raises(ConfigError):
