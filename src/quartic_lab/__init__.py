@@ -45,6 +45,7 @@ from .simulate import (
     BrownianFactor,
     CholeskyFactor,
     CirculantFactor,
+    HeatFactor,
     PathEnsemble,
     cached_factor,
     clear_factor_cache,

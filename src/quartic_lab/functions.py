@@ -102,7 +102,8 @@ def _poly_eval(coeffs, x):
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(x)
     for c in reversed(coeffs):
-        out = out * x + c
+        out *= x
+        out += c
     return _scalar_or_array(out)
 
 

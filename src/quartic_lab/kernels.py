@@ -356,7 +356,8 @@ def build_cov_matrix(kernel, grid):
     _require_memory(
         8 * size * size,
         f"dense covariance of kernel {kernel.canonical_id()!r} at N={size}",
-        "; fbm_quarter (circulant) and bm (cumulative sum) have O(N) samplers",
+        "; heat (circulant plus low rank), fbm_quarter (circulant) and bm (cumulative sum) "
+        "have O(N) samplers",
     )
     roots = np.sqrt(np.arange(2 * size + 1, dtype=np.float64) / grid.n)
     mirrored = np.concatenate([roots[size - 1 : 0 : -1], roots[:size]])

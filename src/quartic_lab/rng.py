@@ -8,19 +8,26 @@ variates are produced by the inverse CDF applied to uniforms with fixed
 any machine running the same numpy/scipy builds.
 
 A replicate's path stream (ROLE_PATH) supplies as many normals as its
-sampler asks for (`simulate`): N for a dense Cholesky factor, where
-normal j drives grid step j; N for the Brownian backend, where normal j
-is the j-th increment over sqrt(dt); and 2N for the fBm circulant
-sampler, laid out as [re_0, re_N, Re_1 .. Re_{N-1}, Im_1 .. Im_{N-1}]
-over the FFT modes 0 .. N.  A ROLE_BM stream feeds the same Brownian
-backend, the N increments of the motion coupled to a replicate's path.
+sampler asks for (`simulate`), per kernel:
+
+* `bm`: N, where normal j is the j-th increment over sqrt(dt);
+* `fbm_quarter`: 2N, laid out as [re_0, re_N, Re_1 .. Re_{N-1},
+  Im_1 .. Im_{N-1}] over the FFT modes 0 .. N of the circulant sampler;
+* `heat`: 2N + r, the 2N of the fbm_quarter layout, then the r normals
+  of the rank-r residual correction (r about 20 to 50);
+* `xi` and composites: N for the dense Cholesky factor, where normal j
+  drives grid step j.
+
+A ROLE_BM stream feeds the Brownian backend, the N increments of the
+motion coupled to a replicate's path.
 
 Prefix contract: normals(key, a) is bit for bit normals(key, b)[:a] for
-every a <= b.  Each normal costs exactly one 64-bit Philox output:
-`integers(0, 2**53)` keeps 53 bits of it and, as 2**53 divides 2**64,
-never rejects one.  So a longer draw only appends.  An MSE ladder relies
-on this: it draws each replicate's stream once, at its largest grid, and
-every smaller grid reads a prefix.
+every a <= b.  Each normal costs exactly one 64-bit Philox output, of
+which it keeps the top 53 bits.  So a longer draw only appends.  An MSE
+ladder relies on this: it draws each replicate's stream once, at its
+largest grid, and every smaller grid reads a prefix.  The top 53 bits,
+raw >> 11, are what `integers(0, 2**53)` returns: its Lemire method
+multiplies by 2**53, and as 2**53 divides 2**64 it never rejects.
 """
 
 from __future__ import annotations
@@ -58,14 +65,17 @@ def stream(key):
 def normals(key, count, out=None):
     """count standard normals: ndtri of (k + 0.5) / 2**53 for 53-bit integers k.
 
-    The uniforms lie strictly inside (0, 1).  With out, a float64 array of
-    count entries (a row of a caller's block, say), the cast, the shift,
-    the exact power-of-two scaling and ndtri all work inside it, and out
-    is returned; otherwise a new array is.
+    k is the top 53 bits of one raw Philox output.  The uniforms lie
+    strictly inside (0, 1).  With out, a float64 array of count entries
+    (a row of a caller's block, say), the cast, the shift, the exact
+    power-of-two scaling and ndtri all work inside it, and out is
+    returned; otherwise a new array is.
     """
     if out is None:
         out = np.empty(count, dtype=np.float64)
-    out[...] = stream(key).integers(0, 1 << 53, size=count, dtype=np.uint64)
+    raw = stream(key).bit_generator.random_raw(count)
+    raw >>= np.uint64(11)
+    out[...] = raw
     out += 0.5
     out *= 2.0**-53
     return ndtri(out, out=out)

@@ -8,7 +8,7 @@ factor also declares the row block it synthesizes at once
 `sample_paths` and every experiment of `verify` follow.  Paths are
 drawn jointly exact: there is no approximation beyond float64 linear
 algebra and FFTs, and the deterministic zero at t_0 is reattached after
-synthesis.  There are three backends:
+synthesis.  There are four backends:
 
 * `BrownianFactor` (`bm`): the path is the cumulative sum of the
   replicate's N normals, each scaled by sqrt(dt).  O(N) per path and no
@@ -25,6 +25,26 @@ synthesis.  There are three backends:
   cumulative sum is the path.  O(N log N) per path; rows go _SYNTH_ROWS
   at a time, so the half spectrum and inverse-FFT temporaries are
   O(_SYNTH_ROWS * N) whatever M is.
+* `HeatFactor` (`heat`): fbm_quarter = c^2 heat + xi with xi independent
+  (`kernels`; Lei & Nualart 2009), so the increment covariance of c F
+  is T - K: T the fGn Toeplitz matrix that Davies-Harte draws exactly,
+  K_ij = sqrt(dt) gamma(i+j+1) / 2 the increment covariance of xi, a
+  PSD Hankel matrix of numerical rank r of about 20 to 50.  Set-up
+  factors K ~ U U^T by a pivoted Cholesky that reads only the O(N)
+  sequence gamma and stops when the residual trace, a bound on
+  ||K - U U^T||_2 because the residual is PSD, is down to the rounding of
+  the tracked diagonal; solves W = T^-1 U by preconditioned conjugate
+  gradients on FFT products (T. Chan's circulant preconditioner); and
+  factors I - U^T W = L L^T, so that S = L^T U^T has S^T S =
+  U (I - U^T W) U^T.  A path is then c dF = X - U W^T X + S^T z' =
+  X + U (L z' - W^T X), whose covariance is T - U U^T, followed by a
+  cumulative sum.  A replicate's 2N + r normals are laid out as
+  [2N Davies-Harte | r residual]: X is the fGn drawn from the first 2N
+  in the fBm layout above, z' the last r.  O(N (log N + r)) per path,
+  O(N r) set-up memory and no dense matrix.  Rows go _SYNTH_ROWS at a
+  time; within a block the rank-r products run over fixed tiles of
+  _TILE_ROWS rows, the last one zero-padded, so that each row's bits
+  depend neither on the row block nor on the BLAS thread count.
 * `CholeskyFactor` (every other kernel): values at t_1 .. t_N are L @ z
   with L the dense Cholesky factor of the covariance matrix and z the N
   normals of the replicate's stream.  One 8N^2-byte buffer serves from
@@ -68,7 +88,7 @@ import numpy as np
 from . import rng
 from .analytic import gamma
 from .errors import DomainError, NotPositiveDefinite
-from .kernels import CovKernel, Grid, _require_memory, build_cov_matrix
+from .kernels import FBM_HEAT_SCALE, CovKernel, Grid, _require_memory, build_cov_matrix
 
 # Pivots below JITTER_REL * max(diag) trigger one diagonal jitter retry.
 JITTER_REL = 1e-12
@@ -80,6 +100,24 @@ CIRCULANT_NEG_REL = 1e-12
 # The O(N) backends synthesize this many rows at a time, which bounds
 # their normals, half spectra and inverse-FFT temporaries.
 _SYNTH_ROWS = 32
+
+# HeatFactor applies its rank-r products to tiles of this many rows, the
+# last zero-padded: OpenBLAS rounds a row differently as the height of a
+# product changes, so a fixed tile keeps each row's bits independent of
+# the row block.  The projection X W goes _TILE_COLS columns of W at a
+# time: with 32 to 48 columns, 2 OpenBLAS threads rounded it differently
+# from 1 at most N from 3576 to 69017 tried; 16 columns never did.
+_TILE_ROWS = 8
+_TILE_COLS = 16
+
+# The pivoted Cholesky of the Hankel part stops at this rank at the
+# latest.  The rank grows by about 4 per doubling of N (49 at N = 65536),
+# so a grid that would exceed it is far beyond any physical memory.
+_HANKEL_RANK_CAP = 128
+
+# Conjugate gradients on T W = U stop at this relative residual per column.
+_CG_TOL = 1e-15
+_CG_MAX_ITER = 100
 
 # Counts calls that actually run the dense factorization; lets tests
 # assert the "factor once, sample many" contract.
@@ -182,22 +220,96 @@ class CirculantFactor:
     def block_rows(self):
         return _SYNTH_ROWS
 
-    def synthesize(self, z, out):
-        """Paths from the (M, 2N) normals z into out (M, N); see the module doc."""
+    def increments(self, z, scale=1.0):
+        """scale times the (M, N) increments from the (M, 2N) normals z; see the module doc.
+
+        A view into the inverse FFT's output, whose other half it keeps alive.
+        """
         n = self.dim
         # sqrt(2N) undoes irfft's 1/(2N); interior modes split lambda_k
         # evenly between the real and imaginary parts.
-        weights = self.sqrt_eigs * math.sqrt(n)
+        weights = self.sqrt_eigs * (math.sqrt(n) * scale)
         weights[[0, n]] *= math.sqrt(2.0)
         spec = np.empty((z.shape[0], n + 1), dtype=np.complex128)
-        spec.real[:, 0] = z[:, 0]
-        spec.real[:, n] = z[:, 1]
-        spec.real[:, 1:n] = z[:, 2 : n + 1]
-        spec.imag[:, 1:n] = z[:, n + 1 :]
+        np.multiply(z[:, 0], weights[0], out=spec.real[:, 0])
+        np.multiply(z[:, 1], weights[n], out=spec.real[:, n])
+        np.multiply(z[:, 2 : n + 1], weights[1:n], out=spec.real[:, 1:n])
+        np.multiply(z[:, n + 1 : 2 * n], weights[1:n], out=spec.imag[:, 1:n])
         spec.imag[:, [0, n]] = 0.0
-        spec *= weights
-        increments = np.fft.irfft(spec, n=2 * n, axis=1)
-        np.cumsum(increments[:, :n], axis=1, out=out)
+        return np.fft.irfft(spec, n=2 * n, axis=1)[:, :n]
+
+    def synthesize(self, z, out):
+        """Paths from the (M, 2N) normals z into out (M, N); see the module doc."""
+        np.cumsum(self.increments(z), axis=1, out=out)
+
+
+@dataclass(frozen=True)
+class HeatFactor:
+    """Davies-Harte fGn minus a low-rank Hankel part: the heat slice (module doc).
+
+    With U the (N, r) Hankel factor, W = T^-1 U and I - U^T W = L L^T, a
+    row of increments is y = (x + (z' L^T - x W) U^T) / c, x the fGn row
+    and z' the row's r residual normals; S = L^T U^T, as S^T z' = U L z'.
+
+    fgn:            `CirculantFactor` of the fGn Toeplitz part T.
+    solved:         (r, N) rows of W^T.
+    basis:          (r, N) rows of U^T.
+    mixing:         L^T / c, (r, r).
+    trace_residual: trace of K - U U^T as tracked by the pivoted
+                    Cholesky; bounds ||K - U U^T||_2 up to its rounding.
+    cg_residual:    largest ||T w - u|| / ||u|| over the columns of W,
+                    recomputed from W after the iteration.
+    grid, kernel_id: provenance carried to sampled ensembles.
+    """
+
+    fgn: CirculantFactor
+    solved: np.ndarray
+    basis: np.ndarray
+    mixing: np.ndarray
+    trace_residual: float
+    cg_residual: float
+    grid: Grid | None = None
+    kernel_id: str = ""
+
+    @property
+    def dim(self):
+        return self.fgn.dim
+
+    @property
+    def rank(self):
+        return self.basis.shape[0]
+
+    @property
+    def normals_per_path(self):
+        return 2 * self.dim + self.rank
+
+    @property
+    def block_rows(self):
+        return _SYNTH_ROWS
+
+    def synthesize(self, z, out):
+        """Paths from the (M, 2N + r) normals z into out (M, N); see the module doc."""
+        n, r = self.dim, self.rank
+        rows = z.shape[0]
+        height = -(-rows // _TILE_ROWS) * _TILE_ROWS
+        inc = np.empty((height, n))
+        inc[:rows] = self.fgn.increments(z, 1.0 / FBM_HEAT_SCALE)
+        inc[rows:] = 0.0
+        residual = np.zeros((height, r))
+        residual[:rows] = z[:, 2 * n :]
+        coef = np.empty((_TILE_ROWS, r))
+        proj = np.empty((_TILE_ROWS, r))
+        step = np.empty((_TILE_ROWS, n))
+        for start in range(0, height, _TILE_ROWS):
+            tile = slice(start, start + _TILE_ROWS)
+            for col in range(0, r, _TILE_COLS):
+                cols = slice(col, min(col + _TILE_COLS, r))
+                np.matmul(inc[tile], self.solved[cols].T, out=proj[:, cols])
+            np.matmul(residual[tile], self.mixing, out=coef)
+            coef -= proj
+            np.matmul(coef, self.basis, out=step)
+            inc[tile] += step
+        np.cumsum(inc[:rows], axis=1, out=out)
 
 
 def circulant_factor(autocov, grid=None, kernel_id=""):
@@ -234,6 +346,114 @@ def fgn_quarter_autocov(grid):
     lags = np.arange(1, grid.nsteps + 1)
     autocov = np.concatenate([[1.0], -0.5 * gamma(lags)])
     return autocov * math.sqrt(grid.dt)
+
+
+def _hankel_cholesky(seq, n):
+    """Pivoted Cholesky rows U (r, n) of the PSD Hankel matrix K_ij = seq[i + j].
+
+    Reads only the 2n - 1 entries of seq.  Stops when the trace of the
+    residual K - U^T U, tracked through its diagonal, is at most
+    r * eps * trace(K): each of the r downdates rounds a diagonal entry
+    by up to eps of it, so a smaller trace is not resolved.  The residual
+    is a Schur complement and so PSD, which makes its trace a bound on
+    its 2-norm.  Returns U and that trace.
+    """
+    diag = seq[0::2].copy()
+    total = float(diag.sum())
+    rows = np.empty((min(n, _HANKEL_RANK_CAP), n))
+    rank, residual = 0, total
+    while rank < n and residual > max(rank, 1) * np.finfo(np.float64).eps * total:
+        if rank == rows.shape[0]:
+            raise DomainError(f"Hankel residual {residual:.3e} unresolved at rank {rank}")
+        pivot = int(np.argmax(diag))
+        row = rows[rank]
+        row[:] = seq[pivot : pivot + n]
+        row -= np.einsum("k,kj->j", rows[:rank, pivot], rows[:rank])
+        row /= math.sqrt(diag[pivot])
+        diag -= row * row
+        diag[pivot] = 0.0
+        rank += 1
+        residual = float(np.maximum(diag, 0.0).sum())
+    return rows[:rank].copy(), residual
+
+
+def _solve_toeplitz(autocov, eigs, rhs):
+    """Rows of T^-1 rhs, T the symmetric Toeplitz matrix of autocov(0 .. N-1).
+
+    Preconditioned conjugate gradients, one column per row of rhs, each
+    with its own step sizes.  T is applied through its 2N circulant
+    embedding with eigenvalues eigs, and the preconditioner is T. Chan's
+    optimal circulant, c_k = ((N - k) a_k + k a_{N-k}) / N.  Each column
+    runs until its relative residual is _CG_TOL.  Returns the solution
+    and the largest relative residual of the rows, recomputed from it.
+    """
+    n = rhs.shape[1]
+
+    def toeplitz(x):
+        spec = np.fft.rfft(x, n=2 * n, axis=1)
+        spec *= eigs
+        return np.fft.irfft(spec, n=2 * n, axis=1)[:, :n]
+
+    lags = np.arange(n)
+    chan = ((n - lags) * autocov[:n] + lags * np.concatenate([[0.0], autocov[n - 1 : 0 : -1]])) / n
+    chan_eigs = np.fft.rfft(chan).real
+
+    def precondition(x):
+        spec = np.fft.rfft(x, axis=1)
+        spec /= chan_eigs
+        return np.fft.irfft(spec, n=n, axis=1)
+
+    def ratio(num, den):
+        # A converged column has a zero residual and stays put.
+        return np.divide(num, den, out=np.zeros_like(num), where=den != 0)[:, None]
+
+    scale = np.linalg.norm(rhs, axis=1)
+    sol = np.zeros_like(rhs)
+    res = rhs.copy()
+    direction = precondition(res)
+    rz = np.einsum("ij,ij->i", res, direction)
+    for _ in range(_CG_MAX_ITER):
+        image = toeplitz(direction)
+        step = ratio(rz, np.einsum("ij,ij->i", direction, image))
+        sol += step * direction
+        res -= step * image
+        if np.all(np.linalg.norm(res, axis=1) <= _CG_TOL * scale):
+            break
+        pre = precondition(res)
+        rz_next = np.einsum("ij,ij->i", res, pre)
+        direction = pre + ratio(rz_next, rz) * direction
+        rz = rz_next
+    residual = np.linalg.norm(toeplitz(sol) - rhs, axis=1) / scale
+    return sol, float(residual.max())
+
+
+def heat_factor(grid, kernel_id="heat"):
+    """`HeatFactor` for the heat slice on the grid; see the module doc.
+
+    Raises DomainError, before allocating, when the O(N r) tables and
+    the conjugate-gradient temporaries exceed physical memory, and
+    NotPositiveDefinite when I - U^T W is not positive definite.
+    """
+    n = grid.nsteps
+    # The Hankel sequence, its diagonal and the pivoted Cholesky's rows.
+    _require_memory(8 * n * (min(n, _HANKEL_RANK_CAP) + 3), f"Hankel factor at N={n}")
+    autocov = fgn_quarter_autocov(grid)
+    fgn = circulant_factor(autocov, grid, "fbm_quarter")
+    seq = 0.5 * math.sqrt(grid.dt) * gamma(np.arange(1, 2 * n))
+    basis, trace_residual = _hankel_cholesky(seq, n)
+    rank = basis.shape[0]
+    # U, W and the CG temporaries, FFTs included: at most 16 (r, N) arrays.
+    _require_memory(8 * rank * n * 16, f"heat sampler tables at N={n}, rank {rank}")
+    solved, cg_residual = _solve_toeplitz(autocov, fgn.sqrt_eigs**2, basis)
+    # einsum, not BLAS, whose threads change the bits of this shape (see _TILE_COLS).
+    gram = np.einsum("ik,jk->ij", basis, solved)
+    inner = np.eye(rank) - 0.5 * (gram + gram.T)
+    try:
+        lower = np.linalg.cholesky(inner)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"I - U^T T^-1 U is not positive definite at N={n}") from exc
+    mixing = lower.T / FBM_HEAT_SCALE
+    return HeatFactor(fgn, solved, basis, mixing, trace_residual, cg_residual, grid, kernel_id)
 
 
 @dataclass(frozen=True)
@@ -320,14 +540,17 @@ def factorize(matrix, grid=None, kernel_id="", overwrite_a=False):
     return CholeskyFactor(work, jittered, grid, kernel_id)
 
 
-_FACTOR_CACHE: dict[tuple[str, int, float], BrownianFactor | CholeskyFactor | CirculantFactor] = {}
+_FACTOR_CACHE: dict[
+    tuple[str, int, float], BrownianFactor | CholeskyFactor | CirculantFactor | HeatFactor
+] = {}
 
 
 def cached_factor(kernel, grid):
     """Factor for (kernel, grid), computed once per process.
 
     `bm` gets the cumulative-sum `BrownianFactor`, `fbm_quarter` the
-    Davies-Harte `CirculantFactor` and every other kernel the dense
+    Davies-Harte `CirculantFactor`, `heat` the Davies-Harte plus
+    low-rank `HeatFactor` and every other kernel the dense
     `CholeskyFactor`.  Large experiments share factors through this
     cache, so a pipeline factors each kernel exactly once no matter how
     many ensembles it draws.
@@ -339,6 +562,8 @@ def cached_factor(kernel, grid):
             factor = BrownianFactor(grid, kernel.canonical_id())
         elif kernel.kind == "fbm_quarter":
             factor = circulant_factor(fgn_quarter_autocov(grid), grid, kernel.canonical_id())
+        elif kernel.kind == "heat":
+            factor = heat_factor(grid, kernel.canonical_id())
         else:
             cov = build_cov_matrix(kernel, grid)
             factor = factorize(cov, grid=grid, kernel_id=kernel.canonical_id(), overwrite_a=True)

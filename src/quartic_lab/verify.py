@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__, analytic, stats, sums
 from .analytic import GaussianMoments, kappa_reference, poly_diff, poly_from_coeffs, poly_mul
 from .errors import ConfigError, DomainError
-from .functions import SMOOTHNESS, TestFunction, builtin
+from .functions import SMOOTHNESS, TestFunction, _zero_dtdx, builtin
 from .kernels import CovKernel, Grid, _require_memory, fbm_composite_kernel, heat_kernel
 from .simulate import cached_factor, path_normals, row_blocks, sample_brownian, sample_paths
 
@@ -237,7 +237,8 @@ def _head_minus_time_ensemble(x_values, grid, g, k0, k1):
     times = grid.times()
     head = np.asarray(g.eval(x_values[:, k1], times[k1]), dtype=np.float64)
     head = head - np.asarray(g.eval(x_values[:, k0], times[k0]), dtype=np.float64)
-    if k1 > k0:
+    # Subtracting the zero integral of a time-independent g changes no bit.
+    if k1 > k0 and g._dtdx is not _zero_dtdx:
         gt = np.asarray(g.dtdx(0, x_values[:, k0 : k1 + 1], times[None, k0 : k1 + 1]))
         if gt.shape != x_values[:, k0 : k1 + 1].shape:
             gt = np.broadcast_to(gt, x_values[:, k0 : k1 + 1].shape)

@@ -2,7 +2,7 @@
 
 Every criterion prints one [PASS]/[FAIL] line (collected into the
 terminal summary by conftest).  Monte Carlo criteria run at seed 7; the
-4096-point Cholesky factors are computed once and shared through the
+4096-point factors are computed once and shared through the
 module fixtures and the factor cache.
 """
 

@@ -3,11 +3,12 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from quartic_lab import functions, rng
 from quartic_lab.functions import builtin, from_spec
 from quartic_lab.kernels import KERNEL_KINDS, CovKernel, Grid, build_cov_matrix, fbm_composite_kernel
-from quartic_lab.simulate import PathEnsemble, load_ensemble, save_ensemble
+from quartic_lab.simulate import PathEnsemble, heat_factor, load_ensemble, save_ensemble
 from quartic_lab.sums import power_sum_ensemble
 
 _PROPERTY = settings(max_examples=40, deadline=None, database=None)
@@ -42,6 +43,21 @@ def test_shorter_draw_is_a_prefix_of_longer(seed, replicate, role, sizes):
     assert np.array_equal(short, rng.normals(key, b)[:a].view(np.uint64))
 
 
+@settings(max_examples=400, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    replicate=st.integers(0, 2**64 - 1),
+    role=st.sampled_from([rng.ROLE_PATH, rng.ROLE_BM]),
+    count=st.integers(0, 2**12),
+)
+def test_normals_keep_the_bounded_integers_of_the_stream(seed, replicate, role, count):
+    """The top 53 bits of each raw output are what integers(0, 2**53) draws from the stream."""
+    key = rng.derive_key(seed, replicate, role)
+    ints = rng.stream(key).integers(0, 1 << 53, size=count, dtype=np.uint64)
+    expected = ndtri((ints + 0.5) * 2.0**-53)
+    assert np.array_equal(rng.normals(key, count).view(np.uint64), expected.view(np.uint64))
+
+
 @_PROPERTY
 @given(
     kernel=st.sampled_from([*map(CovKernel, _BASE_KINDS), fbm_composite_kernel()]),
@@ -50,6 +66,18 @@ def test_shorter_draw_is_a_prefix_of_longer(seed, replicate, role, sizes):
 def test_dense_covariance_is_psd_on_random_grids(kernel, grid):
     eigs = np.linalg.eigvalsh(build_cov_matrix(kernel, grid))
     assert eigs[0] >= -1e-12 * eigs[-1]
+
+
+@_PROPERTY
+@given(grid=_GRIDS)
+def test_heat_sampler_has_the_dense_covariance_on_random_grids(grid):
+    """The heat sampler's linear map, applied to every normal, has the dense oracle's covariance."""
+    factor = heat_factor(grid)
+    count = factor.normals_per_path
+    out = np.empty((count, factor.dim))
+    factor.synthesize(np.eye(count), out)
+    exact = build_cov_matrix(CovKernel("heat"), grid)
+    assert np.max(np.abs(out.T @ out - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 @_PROPERTY

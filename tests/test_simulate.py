@@ -2,8 +2,11 @@
 
 import importlib.util
 import math
+import os
 import pathlib
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,8 +17,10 @@ import quartic_lab.cli  # noqa: F401  (bench/tracing.py wraps attributes of the 
 import quartic_lab.rng as rng
 import quartic_lab.simulate as simulate
 import quartic_lab.verify as verify
+from quartic_lab.analytic import gamma
 from quartic_lab.errors import DomainError, NotPositiveDefinite
 from quartic_lab.kernels import (
+    FBM_HEAT_SCALE,
     CovKernel,
     Grid,
     build_cov_matrix,
@@ -27,6 +32,7 @@ from quartic_lab.kernels import (
 from quartic_lab.simulate import (
     BrownianFactor,
     CirculantFactor,
+    HeatFactor,
     cached_factor,
     circulant_factor,
     clear_factor_cache,
@@ -184,9 +190,10 @@ class TestSamplePaths:
     @pytest.mark.parametrize("draw", [
         lambda factor: fgn_quarter_autocov(Grid(2**40)),
         lambda factor: cached_factor(fbm_quarter_kernel(), Grid(2**40)),
+        lambda factor: cached_factor(heat_kernel(), Grid(2**40)),
         lambda factor: sample_paths(factor, 2**40, seed=1),
         lambda factor: sample_brownian(Grid(256), 2**40, seed=1),
-    ], ids=["autocov", "circulant", "paths", "brownian"])
+    ], ids=["autocov", "circulant", "heat", "paths", "brownian"])
     def test_oversized_draw_refused_before_allocating(self, draw):
         factor = cached_factor(heat_kernel(), Grid(256))
         tracemalloc.start()
@@ -206,7 +213,7 @@ class TestSamplePaths:
             sample_paths(factor, 4, seed=1, z=z)
 
     def test_triangular_synthesis_matches_matrix_product(self):
-        factor = cached_factor(heat_kernel(), Grid(1024))
+        factor = cached_factor(CovKernel("xi"), Grid(1024))
         z = np.random.default_rng(4).standard_normal((50, 1024))
         expected = (factor.matrix_l @ z.T).T
         out = np.empty_like(z)
@@ -222,7 +229,7 @@ class TestSamplePaths:
 
         monkeypatch.setattr(simulate, "build_cov_matrix", build)
         clear_factor_cache()
-        factor = cached_factor(heat_kernel(), Grid(64))
+        factor = cached_factor(CovKernel("xi"), Grid(64))
         assert factor.matrix_l is built[0]
         assert np.array_equal(np.triu(factor.matrix_l, 1), np.zeros((64, 64)))
 
@@ -230,9 +237,9 @@ class TestSamplePaths:
         clear_factor_cache()
         before = simulate.FACTORIZATION_COUNT
         grid = Grid(64)
-        cached_factor(heat_kernel(), grid)
-        sample_paths(cached_factor(heat_kernel(), grid), 10, seed=1)
-        sample_paths(cached_factor(heat_kernel(), grid), 10, seed=2)
+        cached_factor(CovKernel("xi"), grid)
+        sample_paths(cached_factor(CovKernel("xi"), grid), 10, seed=1)
+        sample_paths(cached_factor(CovKernel("xi"), grid), 10, seed=2)
         assert simulate.FACTORIZATION_COUNT == before + 1
 
 
@@ -327,9 +334,12 @@ class TestCirculantSampler:
         assert simulate.row_blocks(cached_factor(fbm_quarter_kernel(), grid), 70) == [
             (0, 32), (32, 64), (64, 70)
         ]
+        assert simulate.row_blocks(cached_factor(heat_kernel(), grid), 70) == [
+            (0, 32), (32, 64), (64, 70)
+        ]
         assert simulate.row_blocks(BrownianFactor(grid), 5) == [(0, 5)]
-        assert simulate.row_blocks(cached_factor(heat_kernel(), grid), 70) == [(0, 70)]
-        assert simulate.row_blocks(cached_factor(heat_kernel(), grid), 600) == [
+        assert simulate.row_blocks(cached_factor(CovKernel("xi"), grid), 70) == [(0, 70)]
+        assert simulate.row_blocks(cached_factor(CovKernel("xi"), grid), 600) == [
             (0, 256), (256, 512), (512, 600)
         ]
         with pytest.raises(DomainError, match="at least one replicate"):
@@ -346,6 +356,98 @@ class TestCirculantSampler:
         # eigenvalues 1 + 1.8 cos(pi k / 4); the one at k = 4 is -0.8
         with pytest.raises(NotPositiveDefinite):
             circulant_factor([1.0, 0.9, 0.0, 0.0, 0.0])
+
+
+HEAT_GRIDS = pytest.mark.parametrize(
+    "grid", [Grid(2), Grid(3), Grid(8), Grid(64), Grid(1000), Grid(2048), Grid(100, 2.5)], ids=str
+)
+
+
+class TestHeatSampler:
+    @HEAT_GRIDS
+    def test_linear_map_has_the_heat_covariance(self, grid):
+        """Davies-Harte plus the low-rank correction has the dense oracle's covariance."""
+        factor = cached_factor(heat_kernel(), grid)
+        assert isinstance(factor, HeatFactor)
+        exact = build_cov_matrix(heat_kernel(), grid)
+        assert np.max(np.abs(_linear_map(factor) - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    @HEAT_GRIDS
+    def test_stored_residuals_bound_the_set_up(self, grid):
+        """The trace bounds ||K - U U^T||_2 and the CG residual is that of W, both at rounding."""
+        from scipy.linalg import toeplitz
+
+        factor = cached_factor(heat_kernel(), grid)
+        n, r = factor.dim, factor.rank
+        eps = np.finfo(np.float64).eps
+        steps = np.arange(n)
+        hankel = 0.5 * math.sqrt(grid.dt) * gamma(steps[:, None] + steps + 1)
+        basis = factor.basis
+        floor = r * eps * np.trace(hankel)
+        assert factor.trace_residual <= floor
+        assert np.linalg.norm(hankel - basis.T @ basis, 2) <= factor.trace_residual + floor
+        fgn = toeplitz(fgn_quarter_autocov(grid)[:n])
+        rel = np.linalg.norm(factor.solved @ fgn - basis, axis=1) / np.linalg.norm(basis, axis=1)
+        assert factor.cg_residual <= 1e-13
+        assert rel.max() <= 2 * factor.cg_residual + 1e-15
+
+    def test_normal_layout_is_fgn_then_residual(self):
+        """The first 2N normals draw the fBm sampler's increments; the last r only the correction."""
+        grid = Grid(256)
+        heat = cached_factor(heat_kernel(), grid)
+        n, r = heat.dim, heat.rank
+        z = simulate.path_normals(heat, 5, 3)
+        fgn = np.diff(sample_paths(cached_factor(fbm_quarter_kernel(), grid), 5, 3).values, axis=1)
+        paths = sample_paths(heat, 5, 3, z.copy()).values[:, 1:]
+        basis = heat.basis
+        expected = np.cumsum(fgn - (fgn @ heat.solved.T) @ basis, axis=1) / FBM_HEAT_SCALE
+        without = z.copy()
+        without[:, 2 * n :] = 0.0
+        projected = sample_paths(heat, 5, 3, without).values[:, 1:]
+        assert np.max(np.abs(projected - expected)) <= 1e-12
+        assert not np.allclose(paths, projected)
+        assert heat.normals_per_path == 2 * n + r
+
+    def test_no_dense_factor(self):
+        clear_factor_cache()
+        before = simulate.FACTORIZATION_COUNT
+        built = cached_factor(heat_kernel(), Grid(1024))
+        assert simulate.FACTORIZATION_COUNT == before
+        assert built.fgn.certificate > 0
+        assert 20 <= built.rank <= 40
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 33], ids=str)
+    def test_rows_do_not_depend_on_the_tile_or_block(self, monkeypatch, m):
+        factor = cached_factor(heat_kernel(), Grid(4096))
+        whole = sample_paths(factor, 40, 9).values
+        monkeypatch.setattr(simulate, "_SYNTH_ROWS", 3)
+        part = sample_paths(factor, m, 9, first=40 - m).values
+        assert np.array_equal(part.view(np.uint64), whole[40 - m :].view(np.uint64))
+
+
+_THREAD_DIGEST = """
+import hashlib, sys
+from quartic_lab.kernels import Grid, heat_kernel
+from quartic_lab.simulate import cached_factor, sample_paths
+digest = hashlib.sha256()
+for grid in (Grid(4096), Grid(3000, 1.7)):
+    digest.update(sample_paths(cached_factor(heat_kernel(), grid), 40, 7).values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_heat_paths_do_not_depend_on_the_blas_thread_count():
+    """Fresh processes with 1 and 2 OpenBLAS threads draw the same heat paths, bit for bit."""
+    src = str(pathlib.Path(quartic_lab.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _THREAD_DIGEST], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_benchmark_wrapped_attributes_exist():

@@ -507,7 +507,19 @@ class TestLadderExperiments:
             (64, 512),
         ),
         (lambda m: verify_bn_limit(kernel=fbm_quarter_kernel(), n=4096, m=m), (64, 512)),
-    ], ids=["fbm", "bm", "ito-fbm", "bn-fbm"])
+        (
+            lambda m: verify_trapezoid_ucp(
+                kernel=heat_kernel(), g=CUBE, n_list=(1024, 4096), m=m, final_tol=1.0
+            ),
+            (32, 256),
+        ),
+        (
+            lambda m: verify_ito_formula(
+                kernel=heat_kernel(), g=builtin("sine"), n=4096, m=m, seeds=1
+            ),
+            (64, 512),
+        ),
+    ], ids=["fbm", "bm", "ito-fbm", "bn-fbm", "heat", "ito-heat"])
     def test_ladder_memory_does_not_grow_with_m(self, run, sizes):
         """An O(N) sampler's experiment holds one row block of normals and paths, not all m."""
         run(sizes[0])  # factors are built and cached outside the trace
