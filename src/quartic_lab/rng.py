@@ -2,7 +2,7 @@
 
 Every replicate draws from its own counter-based stream whose 128-bit key
 is a hash of (master_seed, replicate_index, stream_role).  Streams are
-therefore independent of how work is divided among workers, and normal
+therefore independent of the row block a replicate is drawn in, and normal
 variates are produced by the inverse CDF applied to uniforms with fixed
 53-bit resolution, so regenerating with the same key is bit-identical on
 any machine running the same numpy/scipy builds.

@@ -8,7 +8,11 @@ factor also declares the row block it synthesizes at once
 `sample_paths` and every experiment of `verify` follow.  Paths are
 drawn jointly exact: there is no approximation beyond float64 linear
 algebra and FFTs, and the deterministic zero at t_0 is reattached after
-synthesis.  There are four backends:
+synthesis.  The one exception is a dense factor that took the jitter
+retry (`CholeskyFactor.jittered`): it draws from the covariance plus
+JITTER_REL * max(diag) on the diagonal.  `xi` takes it (measured at
+n = 64, 256 and 1024): its increment covariance has numerical rank of
+about 20 to 50 (see `HeatFactor`).  There are four backends:
 
 * `BrownianFactor` (`bm`): the path is the cumulative sum of the
   replicate's N normals, each scaled by sqrt(dt).  O(N) per path and no

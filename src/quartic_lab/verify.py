@@ -3,13 +3,15 @@
 Each experiment draws paths, evaluates the discrete functionals, and
 compares them against either closed-form Gaussian moments or an
 independently simulated right-hand side.  Reports carry every statistic,
-threshold, and pass flag; a rerun with the same configuration and seed
-reproduces the summary and CSV byte for byte.  Every experiment draws,
-synthesizes and reduces its paths in the sampler's own row blocks
-(`simulate.row_blocks`), one block after another, through
-`_replicate_columns`, so it holds O(block * N) path data whatever the
-replicate count.  The `workers` argument of each experiment is accepted
-for compatibility and selects nothing.
+threshold, and pass flag.  Every experiment draws, synthesizes and
+reduces its paths in the sampler's own row blocks (`simulate.row_blocks`),
+one block after another, through `_replicate_columns`, so it holds
+O(block * N) path data whatever the replicate count.  A rerun with the
+same configuration and seed on the same numpy/scipy build reproduces
+summary.json and replicates.csv byte for byte, in any row block and under
+any BLAS thread count, except for a kernel drawn through the dense
+Cholesky factor, such as the composite of `verify_fbm_window`: its bytes
+change with the BLAS thread count.
 
 An experiment's parameters are declared once, as the keyword parameters
 of its `verify_*` function, defaults included: the default kernel and
@@ -43,7 +45,7 @@ SUMMARY_SCHEMA = 1
 
 # Keyword parameters of the `verify_*` functions that the caller supplies
 # rather than the experiment's config; the report's config omits them.
-CALL_ONLY = frozenset({"workers", "experiment_name"})
+CALL_ONLY = frozenset({"experiment_name"})
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +112,16 @@ def _config_value(value):
 
 
 def _probe_times(probes):
-    """Probe times as floats; at least one, each positive."""
+    """Probe times as floats; at least one, each positive.
+
+    Reports key a probe's statistics and checks by its label t=f"{t:g}",
+    so two probes with one label would overwrite each other: refused.
+    """
     probes = tuple(float(t) for t in probes)
     if not probes or min(probes) <= 0:
         raise ConfigError("need at least one probe time, each positive")
+    if len({f"{t:g}" for t in probes}) < len(probes):
+        raise ConfigError(f"probe times {list(probes)} must have distinct labels t=%g")
     return probes
 
 
@@ -397,7 +405,6 @@ def verify_ito_formula(
     ks_tol=0.10,
     mean_tol=0.05,
     var_tol=0.15,
-    workers=1,
     experiment_name="ito",
 ):
     """Midpoint sums against the corrected chain rule, in law.
@@ -418,6 +425,8 @@ def verify_ito_formula(
         raise ConfigError("window start must sit inside [0, min probe)")
     if seeds < 1:
         raise ConfigError("need at least one seed")
+    if seed + seeds - 1 >= 1 << 64:
+        raise ConfigError("master seeds seed .. seed + seeds - 1 must stay below 2**64")
     if not g.certifies(*SMOOTHNESS):
         raise DomainError(f"test function {g.fid!r} lacks the smoothness tag for this run")
     config = _config_block(experiment_name, verify_ito_formula, locals())
@@ -538,7 +547,6 @@ def verify_bn_limit(
     seed=7,
     ks_tol=0.06,
     corr_tol=0.1,
-    workers=1,
 ):
     """Normality, independence, and increment checks for bn_process_ensemble.
 
@@ -693,7 +701,6 @@ def verify_trapezoid_ucp(
     seed=7,
     final_tol=None,
     max_inversions=1,
-    workers=1,
 ):
     """Mean-square collapse of the trapezoid sum onto its target.
 
@@ -732,7 +739,6 @@ def verify_expansion_residual(
     probes=(1.0,),
     seed=7,
     max_inversions=1,
-    workers=1,
 ):
     """Mean-square decay of the midpoint-sum expansion residual.
 

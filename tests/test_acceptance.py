@@ -3,11 +3,17 @@
 Every criterion prints one [PASS]/[FAIL] line (collected into the
 terminal summary by conftest).  Monte Carlo criteria run at seed 7; the
 4096-point factors are computed once and shared through the
-module fixtures and the factor cache.
+module fixtures and the factor cache.  Criterion 10 runs its
+experiments in fresh subprocesses, one per BLAS thread count.
 """
 
 import itertools
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -15,6 +21,7 @@ import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES
 
+import quartic_lab
 from quartic_lab.analytic import (
     GaussianMoments,
     audit_cov_table,
@@ -59,12 +66,6 @@ def desk_ensemble():
     grid = Grid(4096)
     values = sample_paths(cached_factor(heat_kernel(), grid), 200, 7).values
     return grid, values
-
-
-@pytest.fixture(scope="module")
-def bn_reports():
-    """The Brownian-limit experiment run under 1 and 4 workers."""
-    return verify_bn_limit(workers=1), verify_bn_limit(workers=4)
 
 
 def test_criterion_01_kappa_value():
@@ -135,8 +136,8 @@ def test_criterion_04_cubic_sums(desk_ensemble):
     )
 
 
-def test_criterion_05_bn_limit(bn_reports):
-    report, _ = bn_reports
+def test_criterion_05_bn_limit():
+    report = verify_bn_limit()
     ks1 = _check_value(report, "ks_normal@t=1")
     corr1 = _check_value(report, "path_corr@t=1")
     incr = _check_value(report, "increment_corr")
@@ -254,14 +255,90 @@ def test_criterion_09_hermite_taylor_suite():
     )
 
 
-def test_criterion_10_worker_determinism(bn_reports):
-    one, four = bn_reports
-    ok = (
-        one.summary_json() == four.summary_json()
-        and one.replicates_csv() == four.replicates_csv()
-    )
+# A fresh interpreter runs each `verify` argv of the JSON object in
+# argv[1] (name -> argv) into a temporary directory; `out` maps the name
+# to the sha256 of its summary.json and replicates.csv.  Exit codes are
+# not compared: a run that fails its gates still writes both files.  The
+# verb's own lines go to stderr, and `_digests_by_blas_threads` prints
+# `out` as the child's only stdout.
+_VERIFY_DIGESTS = """
+import contextlib, hashlib, json, os, sys, tempfile
+from quartic_lab.cli import main
+out = {}
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+    for name, argv in json.loads(sys.argv[1]).items():
+        path = os.path.join(tmp, name)
+        main(["verify", *argv, "--out", path])
+        digest = hashlib.sha256()
+        for fname in ("summary.json", "replicates.csv"):
+            with open(os.path.join(path, fname), "rb") as fh:
+                digest.update(fh.read())
+        out[name] = digest.hexdigest()
+"""
+
+# Heat paths at a power-of-two grid and at an odd size and horizon.
+_HEAT_PATHS = """
+from quartic_lab.kernels import Grid, heat_kernel
+from quartic_lab.simulate import cached_factor, sample_paths
+digest = hashlib.sha256()
+for grid in (Grid(4096), Grid(3000, 1.7)):
+    digest.update(sample_paths(cached_factor(heat_kernel(), grid), 40, 7).values.tobytes())
+out["heat-paths"] = digest.hexdigest()
+"""
+
+# Negative control: the heat kernel at n = 1024 forced onto the dense
+# Cholesky factor, whose bits OpenBLAS rounds differently under 1 and 2
+# threads.  It goes into the child's factor cache before any run.
+_DENSE_HEAT = """
+from quartic_lab import simulate
+from quartic_lab.kernels import Grid, build_cov_matrix, heat_kernel
+grid = Grid(1024)
+simulate._FACTOR_CACHE[("heat", 1024, 1.0)] = simulate.factorize(
+    build_cov_matrix(heat_kernel(), grid), grid=grid, kernel_id="heat", overwrite_a=True
+)
+"""
+
+_FBM_TRAPEZOID = {
+    "kernel": "fbm", "n_list": [1024, 2048], "m": 200, "g": "cube",
+    "tolerances": {"final_tol": 0.15},
+}
+
+
+def _digests_by_blas_threads(script, runs):
+    """The child's digests in fresh processes under OPENBLAS_NUM_THREADS 1 and 2."""
+    src = str(pathlib.Path(quartic_lab.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script + "print(json.dumps(out))\n", json.dumps(runs)],
+            env=env, capture_output=True, text=True, timeout=600, check=True,
+        )
+        digests.append(json.loads(done.stdout))
+    return digests
+
+
+def test_criterion_10_blas_thread_determinism(tmp_path):
+    config = tmp_path / "fbm-trapezoid.json"
+    config.write_text(json.dumps(_FBM_TRAPEZOID))
+    runs = {name: ["--experiment", name] for name in ("ito", "bn", "trapezoid", "expansion")}
+    runs["fbm-trapezoid"] = ["--experiment", "trapezoid", "--config", str(config)]
+    one, two = _digests_by_blas_threads(_VERIFY_DIGESTS + _HEAT_PATHS, runs)
+    differ = sorted(name for name in one.keys() | two.keys() if one.get(name) != two.get(name))
+    ok = len(one) == len(runs) + 1 and not differ
     _verdict(
         ok,
-        "criterion 10: bn rerun with 1 and 4 workers reproduces summary.json "
-        "and replicates.csv byte for byte",
+        f"criterion 10: {len(one) - len(differ)}/{len(runs) + 1} outputs "
+        f"({', '.join(sorted(one))}) byte-identical in fresh processes under "
+        f"OPENBLAS_NUM_THREADS 1 and 2{'; differ: ' + ', '.join(differ) if differ else ''}",
     )
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs one thread on one core"
+)
+def test_criterion_10_fails_on_a_dense_heat_factor():
+    runs = {"bn-dense": ["--experiment", "bn", "--n", "1024", "--M", "200"]}
+    one, two = _digests_by_blas_threads(_DENSE_HEAT + _VERIFY_DIGESTS, runs)
+    assert one.keys() == two.keys() == runs.keys()
+    assert one != two

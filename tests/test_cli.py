@@ -319,23 +319,6 @@ class TestVerifyVerb:
             b = open(os.path.join(outs[1], fname), "rb").read()
             assert a == b
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path, capsys):
-        cfg = self._write_config(
-            tmp_path, "cfg.json",
-            {"n": 256, "m": 300, "seeds": 1,
-             "tolerances": {"ks_tol": 0.15, "mean_tol": 0.15, "var_tol": 0.3}},
-        )
-        out1, out4 = str(tmp_path / "w1"), str(tmp_path / "w4")
-        assert main(["verify", "--experiment", "ito", "--config", cfg,
-                     "--out", out1, "--workers", "1"]) == 0
-        assert main(["verify", "--experiment", "ito", "--config", cfg,
-                     "--out", out4, "--workers", "4"]) == 0
-        capsys.readouterr()
-        for fname in ("summary.json", "replicates.csv"):
-            assert open(os.path.join(out1, fname), "rb").read() == open(
-                os.path.join(out4, fname), "rb"
-            ).read()
-
     def test_failing_experiment_exits_one(self, tmp_path, capsys):
         cfg = self._write_config(
             tmp_path, "cfg.json",
@@ -507,13 +490,41 @@ class TestTypedConfigErrors:
                      "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_workers_below_one_exit_two(self, tmp_path, capsys, workers):
+    def test_workers_is_an_unknown_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_list": [16, 32], "m": 2}))
-        assert main(["verify", "--experiment", "trapezoid", "--config", str(cfg),
-                     "--out", str(tmp_path / "run"), "--workers", workers]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--experiment", "trapezoid", "--config", str(cfg),
+                  "--out", str(tmp_path / "run"), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        # The benchmark's environment record reads this inert default.
+        assert cli.build_parser().parse_args(["verify", "--experiment", "ito"]).workers == 1
+
+    @pytest.mark.parametrize(
+        "experiment, probes",
+        [("trapezoid", [1.0, 1.0]), ("ito", [0.5000001, 0.5000002, 1.0])],
+        ids=["exact-duplicate", "same-label"],
+    )
+    def test_probes_with_one_label_exit_two(self, tmp_path, capsys, experiment, probes):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"probes": probes}))
+        assert main(["verify", "--experiment", experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "run").exists()
+
+    def test_master_seeds_beyond_64_bits_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 2**64 - 2, "seeds": 3}))
+        assert main(["verify", "--experiment", "ito", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert main(["sample", "--seed", str(2**64), "--n", "8", "--M", "2",
+                     "--out", str(tmp_path / "paths.bin")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "paths.bin").exists()
 
 
 # Every config key of some experiment, plus one that none accepts.
@@ -575,7 +586,7 @@ def test_report_config_keys_are_the_signature(experiment):
     function = getattr(verify, function)
     kwargs = {k: v for k, v in rec.items() if k != "tolerances"}
     report = function(**kwargs, **rec.get("tolerances", {}))
-    params = set(inspect.signature(function).parameters) - {"workers", "experiment_name"}
+    params = set(inspect.signature(function).parameters) - {"experiment_name"}
     assert set(report.config) == params | {"experiment"}
 
 

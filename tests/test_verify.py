@@ -293,17 +293,10 @@ class TestItoExperiment:
         assert a.summary_json() == b.summary_json()
         assert a.replicates_csv() == b.replicates_csv()
 
-    def test_worker_count_does_not_change_bytes(self):
-        # m = 300 spans two row blocks; workers is accepted and selects nothing.
-        a = verify_ito_formula(n=256, m=300, seeds=1, workers=1)
-        b = verify_ito_formula(n=256, m=300, seeds=1, workers=4)
-        assert a.summary_json() == b.summary_json()
-        assert a.replicates_csv() == b.replicates_csv()
-
     def test_rhs_rows_pair_each_path_with_its_brownian_motion(self):
         """Chunked evaluation over three row blocks matches one full-ensemble RHS."""
         grid = Grid(32)
-        rep = verify_ito_formula(n=32, m=600, seeds=1, seed=5, workers=3)
+        rep = verify_ito_formula(n=32, m=600, seeds=1, seed=5)
         x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 600, 5), sample_brownian(grid, 600, 5)
         full = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0)
         np.testing.assert_allclose([row[4] for row in rep.replicate_rows], full, rtol=0, atol=1e-12)
@@ -366,9 +359,9 @@ class TestBnExperiment:
         assert rep.stats["moment4_growth_constant"] > 0.0
         assert rep.stats["probes"]["t=1"]["bn_variance"] > 0.0
 
-    def test_rerun_and_workers_deterministic(self):
+    def test_rerun_is_byte_identical(self):
         a = verify_bn_limit(n=256, m=300, probes=(1.0,))
-        b = verify_bn_limit(n=256, m=300, probes=(1.0,), workers=4)
+        b = verify_bn_limit(n=256, m=300, probes=(1.0,))
         assert a.summary_json() == b.summary_json()
         assert a.replicates_csv() == b.replicates_csv()
 
