@@ -318,7 +318,8 @@ def _digests_by_blas_threads(script, runs):
     return digests
 
 
-def test_criterion_10_blas_thread_determinism(tmp_path):
+def test_criterion_10_worker_determinism(tmp_path):
+    """The outputs do not depend on how many OpenBLAS worker threads run."""
     config = tmp_path / "fbm-trapezoid.json"
     config.write_text(json.dumps(_FBM_TRAPEZOID))
     runs = {name: ["--experiment", name] for name in ("ito", "bn", "trapezoid", "expansion")}

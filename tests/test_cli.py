@@ -490,6 +490,17 @@ class TestTypedConfigErrors:
                      "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_two(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_list": [16, 32], "m": 2}))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--experiment", "trapezoid", "--config", str(cfg),
+                  "--out", str(tmp_path / "run"), "--workers", workers])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_workers_is_an_unknown_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_list": [16, 32], "m": 2}))

@@ -2,8 +2,11 @@
 
 import importlib.util
 import math
+import os
 import pathlib
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -420,6 +423,31 @@ class TestHeatSampler:
         monkeypatch.setattr(simulate, "_SYNTH_ROWS", 3)
         part = sample_paths(factor, m, 9, first=40 - m).values
         assert np.array_equal(part.view(np.uint64), whole[40 - m :].view(np.uint64))
+
+
+_THREAD_DIGEST = """
+import hashlib, sys
+from quartic_lab.kernels import Grid, heat_kernel
+from quartic_lab.simulate import cached_factor, sample_paths
+digest = hashlib.sha256()
+for grid in (Grid(4096), Grid(3000, 1.7)):
+    digest.update(sample_paths(cached_factor(heat_kernel(), grid), 40, 7).values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_heat_paths_do_not_depend_on_the_blas_thread_count():
+    """Fresh processes with 1 and 2 OpenBLAS threads draw the same heat paths, bit for bit."""
+    src = str(pathlib.Path(quartic_lab.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _THREAD_DIGEST], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_benchmark_wrapped_attributes_exist():
