@@ -27,8 +27,9 @@ about 20 to 50 (see `HeatFactor`).  There are four backends:
   they fill the half spectrum, scaled by sqrt(lambda), whose length-2N
   inverse real FFT holds the N increments in its first half; their
   cumulative sum is the path.  O(N log N) per path; rows go _SYNTH_ROWS
-  at a time, so the half spectrum and inverse-FFT temporaries are
-  O(_SYNTH_ROWS * N) whatever M is.
+  at a time and their FFTs _TILE_ROWS at a time: a tile's half spectrum
+  fills one reused buffer, and its inverse FFT overwrites the tile's own
+  normals, so the FFT temporaries are O(_TILE_ROWS * N) whatever M is.
 * `HeatFactor` (`heat`): fbm_quarter = c^2 heat + xi with xi independent
   (`kernels`; Lei & Nualart 2009), so the increment covariance of c F
   is T - K: T the fGn Toeplitz matrix that Davies-Harte draws exactly,
@@ -46,9 +47,10 @@ about 20 to 50 (see `HeatFactor`).  There are four backends:
   [2N Davies-Harte | r residual]: X is the fGn drawn from the first 2N
   in the fBm layout above, z' the last r.  O(N (log N + r)) per path,
   O(N r) set-up memory and no dense matrix.  Rows go _SYNTH_ROWS at a
-  time; within a block the rank-r products run over fixed tiles of
-  _TILE_ROWS rows, the last one zero-padded, so that each row's bits
-  depend neither on the row block nor on the BLAS thread count.
+  time; within a block the FFT, the rank-r products and the cumulative
+  sum run over fixed tiles of _TILE_ROWS rows, in place over the tile's
+  normals, the last tile zero-padded, so that each row's bits depend
+  neither on the row block nor on the BLAS thread count.
 * `CholeskyFactor` (every other kernel): values at t_1 .. t_N are L @ z
   with L the dense Cholesky factor of the covariance matrix and z the N
   normals of the replicate's stream.  One 8N^2-byte buffer serves from
@@ -102,11 +104,13 @@ JITTER_REL = 1e-12
 CIRCULANT_NEG_REL = 1e-12
 
 # The O(N) backends synthesize this many rows at a time, which bounds
-# their normals, half spectra and inverse-FFT temporaries.
+# the normals they hold.
 _SYNTH_ROWS = 32
 
-# HeatFactor applies its rank-r products to tiles of this many rows, the
-# last zero-padded: OpenBLAS rounds a row differently as the height of a
+# The Davies-Harte backends and the Toeplitz solve of the heat set-up run
+# their FFTs over tiles of this many rows, which bounds their temporaries.
+# HeatFactor also applies its rank-r products to these tiles, the last
+# zero-padded: OpenBLAS rounds a row differently as the height of a
 # product changes, so a fixed tile keeps each row's bits independent of
 # the row block.  The projection X W goes _TILE_COLS columns of W at a
 # time: with 32 to 48 columns, 2 OpenBLAS threads rounded it differently
@@ -205,6 +209,10 @@ class CirculantFactor:
     certificate: lambda_min / lambda_max before clipping; >= 0 (up to
                  rounding) means the draw is exact.
     grid, kernel_id: optional provenance carried to sampled ensembles.
+
+    `synthesize` goes one tile of _TILE_ROWS rows at a time: `increments`
+    turns the tile's normals into its increments in place, through one
+    reused half-spectrum buffer, and their cumulative sum is the paths.
     """
 
     sqrt_eigs: np.ndarray
@@ -224,27 +232,38 @@ class CirculantFactor:
     def block_rows(self):
         return _SYNTH_ROWS
 
-    def increments(self, z, scale=1.0):
-        """scale times the (M, N) increments from the (M, 2N) normals z; see the module doc.
-
-        A view into the inverse FFT's output, whose other half it keeps alive.
-        """
+    def weights(self, scale=1.0):
+        """Factors that turn normals into the half spectrum of scale times the increments."""
         n = self.dim
         # sqrt(2N) undoes irfft's 1/(2N); interior modes split lambda_k
         # evenly between the real and imaginary parts.
         weights = self.sqrt_eigs * (math.sqrt(n) * scale)
         weights[[0, n]] *= math.sqrt(2.0)
-        spec = np.empty((z.shape[0], n + 1), dtype=np.complex128)
+        return weights
+
+    def increments(self, z, weights, spec):
+        """A tile's increments, in place: see the module doc.
+
+        z holds at most _TILE_ROWS rows whose first 2N columns are normals;
+        they fill the reused (_TILE_ROWS, N+1) complex buffer spec, whose
+        inverse FFT overwrites them.  Returns the view z[:, :N].
+        """
+        n = self.dim
+        spec = spec[: z.shape[0]]
         np.multiply(z[:, 0], weights[0], out=spec.real[:, 0])
         np.multiply(z[:, 1], weights[n], out=spec.real[:, n])
         np.multiply(z[:, 2 : n + 1], weights[1:n], out=spec.real[:, 1:n])
         np.multiply(z[:, n + 1 : 2 * n], weights[1:n], out=spec.imag[:, 1:n])
         spec.imag[:, [0, n]] = 0.0
-        return np.fft.irfft(spec, n=2 * n, axis=1)[:, :n]
+        return np.fft.irfft(spec, n=2 * n, axis=1, out=z[:, : 2 * n])[:, :n]
 
     def synthesize(self, z, out):
-        """Paths from the (M, 2N) normals z into out (M, N); see the module doc."""
-        np.cumsum(self.increments(z), axis=1, out=out)
+        """Paths from the (M, 2N) normals z, which it overwrites, into out (M, N)."""
+        weights = self.weights()
+        spec = np.empty((_TILE_ROWS, self.dim + 1), dtype=np.complex128)
+        for start in range(0, z.shape[0], _TILE_ROWS):
+            tile = slice(start, start + _TILE_ROWS)
+            np.cumsum(self.increments(z[tile], weights, spec), axis=1, out=out[tile])
 
 
 @dataclass(frozen=True)
@@ -254,6 +273,10 @@ class HeatFactor:
     With U the (N, r) Hankel factor, W = T^-1 U and I - U^T W = L L^T, a
     row of increments is y = (x + (z' L^T - x W) U^T) / c, x the fGn row
     and z' the row's r residual normals; S = L^T U^T, as S^T z' = U L z'.
+    `synthesize` makes a tile of _TILE_ROWS rows at a time, the last one
+    zero-padded: x in place over the tile's first N normals
+    (`CirculantFactor.increments`), then the rank-r step and the
+    cumulative sum.
 
     fgn:            `CirculantFactor` of the fGn Toeplitz part T.
     solved:         (r, N) rows of W^T.
@@ -292,28 +315,27 @@ class HeatFactor:
         return _SYNTH_ROWS
 
     def synthesize(self, z, out):
-        """Paths from the (M, 2N + r) normals z into out (M, N); see the module doc."""
+        """Paths from the (M, 2N + r) normals z, which it overwrites, into out (M, N)."""
         n, r = self.dim, self.rank
-        rows = z.shape[0]
-        height = -(-rows // _TILE_ROWS) * _TILE_ROWS
-        inc = np.empty((height, n))
-        inc[:rows] = self.fgn.increments(z, 1.0 / FBM_HEAT_SCALE)
-        inc[rows:] = 0.0
-        residual = np.zeros((height, r))
-        residual[:rows] = z[:, 2 * n :]
+        weights = self.fgn.weights(1.0 / FBM_HEAT_SCALE)
+        spec = np.empty((_TILE_ROWS, n + 1), dtype=np.complex128)
         coef = np.empty((_TILE_ROWS, r))
         proj = np.empty((_TILE_ROWS, r))
         step = np.empty((_TILE_ROWS, n))
-        for start in range(0, height, _TILE_ROWS):
-            tile = slice(start, start + _TILE_ROWS)
+        for start in range(0, z.shape[0], _TILE_ROWS):
+            tile = z[start : start + _TILE_ROWS]
+            rows = tile.shape[0]
+            if rows < _TILE_ROWS:
+                tile = np.pad(tile, ((0, _TILE_ROWS - rows), (0, 0)))
+            inc = self.fgn.increments(tile, weights, spec)
             for col in range(0, r, _TILE_COLS):
                 cols = slice(col, min(col + _TILE_COLS, r))
-                np.matmul(inc[tile], self.solved[cols].T, out=proj[:, cols])
-            np.matmul(residual[tile], self.mixing, out=coef)
+                np.matmul(inc, self.solved[cols].T, out=proj[:, cols])
+            np.matmul(tile[:, 2 * n :], self.mixing, out=coef)
             coef -= proj
             np.matmul(coef, self.basis, out=step)
-            inc[tile] += step
-        np.cumsum(inc[:rows], axis=1, out=out)
+            inc += step
+            np.cumsum(inc[:rows], axis=1, out=out[start : start + rows])
 
 
 def circulant_factor(autocov, grid=None, kernel_id=""):
@@ -387,25 +409,36 @@ def _solve_toeplitz(autocov, eigs, rhs):
     Preconditioned conjugate gradients, one column per row of rhs, each
     with its own step sizes.  T is applied through its 2N circulant
     embedding with eigenvalues eigs, and the preconditioner is T. Chan's
-    optimal circulant, c_k = ((N - k) a_k + k a_{N-k}) / N.  Each column
-    runs until its relative residual is _CG_TOL.  Returns the solution
-    and the largest relative residual of the rows, recomputed from it.
+    optimal circulant, c_k = ((N - k) a_k + k a_{N-k}) / N.  Both run
+    their FFTs _TILE_ROWS rows at a time through reused tile buffers,
+    and the iterates are updated in place, so the solve holds seven
+    (r, N) arrays besides the tiles.  Each column runs until its
+    relative residual is _CG_TOL.  Returns the solution and the largest
+    relative residual of the rows, recomputed from it.
     """
     n = rhs.shape[1]
+    wide = np.empty((_TILE_ROWS, 2 * n))
+    wide_spec = np.empty((_TILE_ROWS, n + 1), dtype=np.complex128)
 
-    def toeplitz(x):
-        spec = np.fft.rfft(x, n=2 * n, axis=1)
+    def tiled(apply, x, out):
+        for start in range(0, x.shape[0], _TILE_ROWS):
+            tile = slice(start, start + _TILE_ROWS)
+            apply(x[tile], out[tile])
+        return out
+
+    def toeplitz(x, out):
+        spec = np.fft.rfft(x, n=2 * n, axis=1, out=wide_spec[: x.shape[0]])
         spec *= eigs
-        return np.fft.irfft(spec, n=2 * n, axis=1)[:, :n]
+        out[...] = np.fft.irfft(spec, n=2 * n, axis=1, out=wide[: x.shape[0]])[:, :n]
 
     lags = np.arange(n)
     chan = ((n - lags) * autocov[:n] + lags * np.concatenate([[0.0], autocov[n - 1 : 0 : -1]])) / n
     chan_eigs = np.fft.rfft(chan).real
 
-    def precondition(x):
-        spec = np.fft.rfft(x, axis=1)
+    def precondition(x, out):
+        spec = np.fft.rfft(x, axis=1, out=wide_spec[: x.shape[0], : n // 2 + 1])
         spec /= chan_eigs
-        return np.fft.irfft(spec, n=n, axis=1)
+        np.fft.irfft(spec, n=n, axis=1, out=out)
 
     def ratio(num, den):
         # A converged column has a zero residual and stays put.
@@ -414,20 +447,24 @@ def _solve_toeplitz(autocov, eigs, rhs):
     scale = np.linalg.norm(rhs, axis=1)
     sol = np.zeros_like(rhs)
     res = rhs.copy()
-    direction = precondition(res)
+    image, pre = np.empty_like(rhs), np.empty_like(rhs)
+    direction = tiled(precondition, res, np.empty_like(rhs))
     rz = np.einsum("ij,ij->i", res, direction)
     for _ in range(_CG_MAX_ITER):
-        image = toeplitz(direction)
+        tiled(toeplitz, direction, image)
         step = ratio(rz, np.einsum("ij,ij->i", direction, image))
-        sol += step * direction
-        res -= step * image
+        # pre is free until the residual is preconditioned.
+        sol += np.multiply(step, direction, out=pre)
+        res -= np.multiply(step, image, out=pre)
         if np.all(np.linalg.norm(res, axis=1) <= _CG_TOL * scale):
             break
-        pre = precondition(res)
+        tiled(precondition, res, pre)
         rz_next = np.einsum("ij,ij->i", res, pre)
-        direction = pre + ratio(rz_next, rz) * direction
+        direction *= ratio(rz_next, rz)
+        direction += pre
         rz = rz_next
-    residual = np.linalg.norm(toeplitz(sol) - rhs, axis=1) / scale
+    tiled(toeplitz, sol, image)
+    residual = np.linalg.norm(np.subtract(image, rhs, out=image), axis=1) / scale
     return sol, float(residual.max())
 
 
@@ -446,8 +483,10 @@ def heat_factor(grid, kernel_id="heat"):
     seq = 0.5 * math.sqrt(grid.dt) * gamma(np.arange(1, 2 * n))
     basis, trace_residual = _hankel_cholesky(seq, n)
     rank = basis.shape[0]
-    # U, W and the CG temporaries, FFTs included: at most 16 (r, N) arrays.
-    _require_memory(8 * rank * n * 16, f"heat sampler tables at N={n}, rank {rank}")
+    # U, W, four CG vectors and a norm's square are seven (r, N) arrays;
+    # the FFT tiles take 4 _TILE_ROWS rows of N and the O(N) tables fewer than 16.
+    tables = 8 * n * (7 * rank + 4 * _TILE_ROWS + 16)
+    _require_memory(tables, f"heat sampler tables at N={n}, rank {rank}")
     solved, cg_residual = _solve_toeplitz(autocov, fgn.sqrt_eigs**2, basis)
     # einsum, not BLAS, whose threads change the bits of this shape (see _TILE_COLS).
     gram = np.einsum("ik,jk->ij", basis, solved)

@@ -273,6 +273,111 @@ def _check_linear_map(kernel, backend, n):
 LINEAR_MAP_SIZES = pytest.mark.parametrize("n", [8, 64, 512, 2048])
 
 
+# Block-wide references: the formulas that the tiled synthesis and solve
+# replaced, kept to pin that tiling moved no bit.
+
+def _block_increments(fgn, z, scale=1.0):
+    """scale times the (M, N) Davies-Harte increments of the (M, 2N) normals z, in one FFT."""
+    n = fgn.dim
+    weights = fgn.sqrt_eigs * (math.sqrt(n) * scale)
+    weights[[0, n]] *= math.sqrt(2.0)
+    spec = np.empty((z.shape[0], n + 1), dtype=np.complex128)
+    np.multiply(z[:, 0], weights[0], out=spec.real[:, 0])
+    np.multiply(z[:, 1], weights[n], out=spec.real[:, n])
+    np.multiply(z[:, 2 : n + 1], weights[1:n], out=spec.real[:, 1:n])
+    np.multiply(z[:, n + 1 : 2 * n], weights[1:n], out=spec.imag[:, 1:n])
+    spec.imag[:, [0, n]] = 0.0
+    return np.fft.irfft(spec, n=2 * n, axis=1)[:, :n]
+
+
+def _block_circulant_paths(factor, z):
+    return np.cumsum(_block_increments(factor, z), axis=1)
+
+
+def _block_heat_paths(factor, z):
+    """Heat paths with the fGn drawn for the whole block and zero-padded to whole tiles."""
+    n, r, tile_rows = factor.dim, factor.rank, simulate._TILE_ROWS
+    rows = z.shape[0]
+    height = -(-rows // tile_rows) * tile_rows
+    inc = np.zeros((height, n))
+    inc[:rows] = _block_increments(factor.fgn, z, 1.0 / FBM_HEAT_SCALE)
+    residual = np.zeros((height, r))
+    residual[:rows] = z[:, 2 * n :]
+    proj = np.empty((tile_rows, r))
+    for start in range(0, height, tile_rows):
+        tile = slice(start, start + tile_rows)
+        for col in range(0, r, simulate._TILE_COLS):
+            cols = slice(col, min(col + simulate._TILE_COLS, r))
+            np.matmul(inc[tile], factor.solved[cols].T, out=proj[:, cols])
+        coef = residual[tile] @ factor.mixing - proj
+        inc[tile] += coef @ factor.basis
+    return np.cumsum(inc[:rows], axis=1)
+
+
+def _block_solve_toeplitz(autocov, eigs, rhs):
+    """Preconditioned CG on T X = rhs with whole-array FFTs and out-of-place updates."""
+    n = rhs.shape[1]
+
+    def toeplitz(x):
+        spec = np.fft.rfft(x, n=2 * n, axis=1)
+        spec *= eigs
+        return np.fft.irfft(spec, n=2 * n, axis=1)[:, :n]
+
+    lags = np.arange(n)
+    chan = ((n - lags) * autocov[:n] + lags * np.concatenate([[0.0], autocov[n - 1 : 0 : -1]])) / n
+    chan_eigs = np.fft.rfft(chan).real
+
+    def precondition(x):
+        spec = np.fft.rfft(x, axis=1)
+        spec /= chan_eigs
+        return np.fft.irfft(spec, n=n, axis=1)
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros_like(num), where=den != 0)[:, None]
+
+    scale = np.linalg.norm(rhs, axis=1)
+    sol = np.zeros_like(rhs)
+    res = rhs.copy()
+    direction = precondition(res)
+    rz = np.einsum("ij,ij->i", res, direction)
+    for _ in range(simulate._CG_MAX_ITER):
+        image = toeplitz(direction)
+        step = ratio(rz, np.einsum("ij,ij->i", direction, image))
+        sol += step * direction
+        res -= step * image
+        if np.all(np.linalg.norm(res, axis=1) <= simulate._CG_TOL * scale):
+            break
+        pre = precondition(res)
+        rz_next = np.einsum("ij,ij->i", res, pre)
+        direction = pre + ratio(rz_next, rz) * direction
+        rz = rz_next
+    residual = np.linalg.norm(toeplitz(sol) - rhs, axis=1) / scale
+    return sol, float(residual.max())
+
+
+def _tiles_match_the_block(kernel, block_paths, n, m):
+    factor = cached_factor(kernel, Grid(n))
+    z = simulate.path_normals(factor, m, 17)
+    expected = block_paths(factor, z.copy())
+    out = np.empty((m, n))
+    factor.synthesize(z, out)
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+TILE_CASES = pytest.mark.parametrize(
+    "n,m", [(n, m) for n in (64, 1000) for m in (1, 7, 8, 9, 31, 33)], ids=lambda v: str(v)
+)
+
+
 class TestBrownianSampler:
     @LINEAR_MAP_SIZES
     def test_linear_map_has_the_bm_covariance(self, n):
@@ -352,6 +457,19 @@ class TestCirculantSampler:
         part = simulate.path_normals(factor, 4, 3, role, first=5)
         assert np.array_equal(part.view(np.uint64), whole[5:].view(np.uint64))
 
+    @TILE_CASES
+    def test_tiles_match_the_block_wide_formula(self, n, m):
+        _tiles_match_the_block(fbm_quarter_kernel(), _block_circulant_paths, n, m)
+
+    def test_block_synthesis_holds_one_tile_spectrum(self):
+        """A 32-row block at N = 8192 allocates one 8-row half spectrum, not the block's FFTs."""
+        n = 8192
+        factor = cached_factor(fbm_quarter_kernel(), Grid(n))
+        z = simulate.path_normals(factor, simulate._SYNTH_ROWS, 1)
+        out = np.empty((z.shape[0], n))
+        peak = _traced_peak(lambda: factor.synthesize(z, out))
+        assert peak <= 16 * simulate._TILE_ROWS * (n + 1) + 2**20
+
     def test_negative_eigenvalue_row_rejected(self):
         # eigenvalues 1 + 1.8 cos(pi k / 4); the one at k = 4 is -0.8
         with pytest.raises(NotPositiveDefinite):
@@ -415,6 +533,36 @@ class TestHeatSampler:
         assert simulate.FACTORIZATION_COUNT == before
         assert built.fgn.certificate > 0
         assert 20 <= built.rank <= 40
+
+    @TILE_CASES
+    def test_tiles_match_the_block_wide_formula(self, n, m):
+        _tiles_match_the_block(heat_kernel(), _block_heat_paths, n, m)
+
+    def test_tiled_solve_matches_the_block_wide_iteration(self):
+        grid = Grid(4096)
+        factor = cached_factor(heat_kernel(), grid)
+        assert factor.rank == 33
+        args = (fgn_quarter_autocov(grid), factor.fgn.sqrt_eigs**2, factor.basis)
+        solved, cg_residual = _block_solve_toeplitz(*args)
+        assert np.array_equal(factor.solved.view(np.uint64), solved.view(np.uint64))
+        assert factor.cg_residual == cg_residual
+        tiled, tiled_residual = simulate._solve_toeplitz(*args)
+        assert np.array_equal(tiled.view(np.uint64), solved.view(np.uint64))
+        assert tiled_residual == cg_residual
+
+    def test_set_up_peak_stays_within_its_guard(self, monkeypatch):
+        """heat_factor(Grid(4096)) allocates at most 9.5 MiB, no more than its guard reserved."""
+        reserved = {}
+        guard = simulate._require_memory
+
+        def record(nbytes, what):
+            reserved[what.split(" at ")[0]] = nbytes
+            guard(nbytes, what)
+
+        monkeypatch.setattr(simulate, "_require_memory", record)
+        peak = _traced_peak(lambda: simulate.heat_factor(Grid(4096)))
+        assert peak <= 9.5 * 2**20
+        assert peak <= reserved["heat sampler tables"]
 
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 33], ids=str)
     def test_rows_do_not_depend_on_the_tile_or_block(self, monkeypatch, m):
