@@ -38,9 +38,10 @@ about 20 to 50 (see `HeatFactor`).  There are four backends:
   factors K ~ U U^T by a pivoted Cholesky that reads only the O(N)
   sequence gamma and stops when the residual trace, a bound on
   ||K - U U^T||_2 because the residual is PSD, is down to the rounding of
-  the tracked diagonal; solves W = T^-1 U by preconditioned conjugate
-  gradients on FFT products (T. Chan's circulant preconditioner); and
-  factors I - U^T W = L L^T, so that S = L^T U^T has S^T S =
+  the tracked diagonal; finds g = T^-1 e_0 by preconditioned conjugate
+  gradients on FFT products (T. Chan's circulant preconditioner), from
+  which the Gohberg-Semencul formula gives W = T^-1 U by FFT products;
+  and factors I - U^T W = L L^T, so that S = L^T U^T has S^T S =
   U (I - U^T W) U^T.  A path is then c dF = X - U W^T X + S^T z' =
   X + U (L z' - W^T X), whose covariance is T - U U^T, followed by a
   cumulative sum.  A replicate's 2N + r normals are laid out as
@@ -123,7 +124,7 @@ _TILE_COLS = 16
 # so a grid that would exceed it is far beyond any physical memory.
 _HANKEL_RANK_CAP = 128
 
-# Conjugate gradients on T W = U stop at this relative residual per column.
+# Conjugate gradients on T g = e_0 stop at this residual.
 _CG_TOL = 1e-15
 _CG_MAX_ITER = 100
 
@@ -285,7 +286,7 @@ class HeatFactor:
     trace_residual: trace of K - U U^T as tracked by the pivoted
                     Cholesky; bounds ||K - U U^T||_2 up to its rounding.
     cg_residual:    largest ||T w - u|| / ||u|| over the columns of W,
-                    recomputed from W after the iteration.
+                    recomputed from W.
     grid, kernel_id: provenance carried to sampled ensembles.
     """
 
@@ -386,11 +387,16 @@ def _hankel_cholesky(seq, n):
     """
     diag = seq[0::2].copy()
     total = float(diag.sum())
-    rows = np.empty((min(n, _HANKEL_RANK_CAP), n))
+    cap = min(n, _HANKEL_RANK_CAP)
+    # Half the cap holds the rank of every N up to about 2^20; past that
+    # the rows grow to the cap.
+    rows = np.empty((min(n, _HANKEL_RANK_CAP // 2), n))
     rank, residual = 0, total
     while rank < n and residual > max(rank, 1) * np.finfo(np.float64).eps * total:
-        if rank == rows.shape[0]:
+        if rank == cap:
             raise DomainError(f"Hankel residual {residual:.3e} unresolved at rank {rank}")
+        if rank == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty((cap - rank, n))])
         pivot = int(np.argmax(diag))
         row = rows[rank]
         row[:] = seq[pivot : pivot + n]
@@ -403,68 +409,93 @@ def _hankel_cholesky(seq, n):
     return rows[:rank].copy(), residual
 
 
-def _solve_toeplitz(autocov, eigs, rhs):
-    """Rows of T^-1 rhs, T the symmetric Toeplitz matrix of autocov(0 .. N-1).
+def _first_column(autocov, eigs):
+    """g = T^-1 e_0, T the symmetric Toeplitz matrix of autocov(0 .. N-1).
 
-    Preconditioned conjugate gradients, one column per row of rhs, each
-    with its own step sizes.  T is applied through its 2N circulant
-    embedding with eigenvalues eigs, and the preconditioner is T. Chan's
-    optimal circulant, c_k = ((N - k) a_k + k a_{N-k}) / N.  Both run
-    their FFTs _TILE_ROWS rows at a time through reused tile buffers,
-    and the iterates are updated in place, so the solve holds seven
-    (r, N) arrays besides the tiles.  Each column runs until its
-    relative residual is _CG_TOL.  Returns the solution and the largest
-    relative residual of the rows, recomputed from it.
+    Preconditioned conjugate gradients on one vector, until the residual
+    is _CG_TOL.  T is applied through its 2N circulant embedding with
+    eigenvalues eigs, and the preconditioner is T. Chan's optimal
+    circulant, c_k = ((N - k) a_k + k a_{N-k}) / N.  Inner products go
+    through einsum, not BLAS, whose threads could change their bits.
     """
-    n = rhs.shape[1]
-    wide = np.empty((_TILE_ROWS, 2 * n))
-    wide_spec = np.empty((_TILE_ROWS, n + 1), dtype=np.complex128)
-
-    def tiled(apply, x, out):
-        for start in range(0, x.shape[0], _TILE_ROWS):
-            tile = slice(start, start + _TILE_ROWS)
-            apply(x[tile], out[tile])
-        return out
-
-    def toeplitz(x, out):
-        spec = np.fft.rfft(x, n=2 * n, axis=1, out=wide_spec[: x.shape[0]])
-        spec *= eigs
-        out[...] = np.fft.irfft(spec, n=2 * n, axis=1, out=wide[: x.shape[0]])[:, :n]
-
+    n = autocov.size - 1
     lags = np.arange(n)
     chan = ((n - lags) * autocov[:n] + lags * np.concatenate([[0.0], autocov[n - 1 : 0 : -1]])) / n
     chan_eigs = np.fft.rfft(chan).real
 
-    def precondition(x, out):
-        spec = np.fft.rfft(x, axis=1, out=wide_spec[: x.shape[0], : n // 2 + 1])
-        spec /= chan_eigs
-        np.fft.irfft(spec, n=n, axis=1, out=out)
+    def dot(x, y):
+        return np.einsum("i,i->", x, y)
 
-    def ratio(num, den):
-        # A converged column has a zero residual and stays put.
-        return np.divide(num, den, out=np.zeros_like(num), where=den != 0)[:, None]
+    def precondition(x):
+        return np.fft.irfft(np.fft.rfft(x) / chan_eigs, n=n)
 
-    scale = np.linalg.norm(rhs, axis=1)
-    sol = np.zeros_like(rhs)
-    res = rhs.copy()
-    image, pre = np.empty_like(rhs), np.empty_like(rhs)
-    direction = tiled(precondition, res, np.empty_like(rhs))
-    rz = np.einsum("ij,ij->i", res, direction)
+    sol, res = np.zeros(n), np.eye(1, n)[0]
+    direction = precondition(res)
+    rz = dot(res, direction)
     for _ in range(_CG_MAX_ITER):
-        tiled(toeplitz, direction, image)
-        step = ratio(rz, np.einsum("ij,ij->i", direction, image))
-        # pre is free until the residual is preconditioned.
-        sol += np.multiply(step, direction, out=pre)
-        res -= np.multiply(step, image, out=pre)
-        if np.all(np.linalg.norm(res, axis=1) <= _CG_TOL * scale):
+        image = np.fft.irfft(np.fft.rfft(direction, n=2 * n) * eigs, n=2 * n)[:n]
+        step = rz / dot(direction, image)
+        sol += step * direction
+        res -= step * image
+        if math.sqrt(dot(res, res)) <= _CG_TOL:
             break
-        tiled(precondition, res, pre)
-        rz_next = np.einsum("ij,ij->i", res, pre)
-        direction *= ratio(rz_next, rz)
-        direction += pre
-        rz = rz_next
-    tiled(toeplitz, sol, image)
-    residual = np.linalg.norm(np.subtract(image, rhs, out=image), axis=1) / scale
+        pre = precondition(res)
+        rz, last = dot(res, pre), rz
+        direction = pre + (rz / last) * direction
+    return sol
+
+
+def _solve_toeplitz(autocov, eigs, rhs):
+    """Rows of T^-1 rhs, T the symmetric Toeplitz matrix of autocov(0 .. N-1).
+
+    With g = T^-1 e_0 (`_first_column`), the Gohberg-Semencul formula
+    gives T^-1 = (L(g) L(g)^T - L(y) L(y)^T) / g_0, y = (0, g_{N-1} ..
+    g_1) and L(v) the lower-triangular Toeplitz matrix with first column
+    v (Gohberg & Semencul 1972).  Every product is a 2N-point FFT product
+    on a zero-padded row: L(v)^T u, a correlation, is the first N entries
+    of irfft(conj(V) rfft(u)), and L(v) x a convolution.  A row takes six
+    transforms, _TILE_ROWS rows at a time through reused tile buffers; the
+    solve runs FFTs and elementwise operations only, so its bits do not
+    depend on the BLAS thread count.  Returns the solution and the largest
+    relative residual ||T w - u|| / ||u|| of its rows, recomputed from it
+    through the circulant embedding with eigenvalues eigs.
+    """
+    n = rhs.shape[1]
+    first = _first_column(autocov, eigs)
+    lower = [np.fft.rfft(v, n=2 * n) for v in (first, np.concatenate([[0.0], first[:0:-1]]))]
+    wide = np.empty((_TILE_ROWS, 2 * n))
+    spec, acc = np.empty((2, _TILE_ROWS, n + 1), dtype=np.complex128)
+
+    def transform(pad, out):
+        # The rfft of pad's first N columns, zero-padded to 2N.
+        pad[:, n:] = 0.0
+        np.fft.rfft(pad, axis=1, out=out)
+
+    def square(pad, fwd, factor, out):
+        # The spectrum of L(v) L(v)^T u from fwd, that of u; pad is scratch.
+        np.multiply(fwd, factor.conj(), out=out)
+        np.fft.irfft(out, n=2 * n, axis=1, out=pad)
+        transform(pad, out)
+        out *= factor
+
+    sol = np.empty_like(rhs)
+    residual = np.empty(rhs.shape[0])
+    for start in range(0, rhs.shape[0], _TILE_ROWS):
+        tile = slice(start, start + _TILE_ROWS)
+        rows = rhs[tile].shape[0]
+        pad, fwd, total = wide[:rows], spec[:rows], acc[:rows]
+        pad[:, :n] = rhs[tile]
+        transform(pad, fwd)
+        square(pad, fwd, lower[0], total)
+        square(pad, fwd, lower[1], fwd)
+        total -= fwd
+        np.fft.irfft(total, n=2 * n, axis=1, out=pad)
+        sol[tile] = np.divide(pad[:, :n], first[0], out=pad[:, :n])
+        transform(pad, fwd)
+        fwd *= eigs
+        np.fft.irfft(fwd, n=2 * n, axis=1, out=pad)
+        image = np.subtract(pad[:, :n], rhs[tile], out=pad[:, :n])
+        residual[tile] = np.linalg.norm(image, axis=1) / np.linalg.norm(rhs[tile], axis=1)
     return sol, float(residual.max())
 
 
@@ -472,7 +503,7 @@ def heat_factor(grid, kernel_id="heat"):
     """`HeatFactor` for the heat slice on the grid; see the module doc.
 
     Raises DomainError, before allocating, when the O(N r) tables and
-    the conjugate-gradient temporaries exceed physical memory, and
+    the Toeplitz solve's temporaries exceed physical memory, and
     NotPositiveDefinite when I - U^T W is not positive definite.
     """
     n = grid.nsteps
@@ -483,9 +514,10 @@ def heat_factor(grid, kernel_id="heat"):
     seq = 0.5 * math.sqrt(grid.dt) * gamma(np.arange(1, 2 * n))
     basis, trace_residual = _hankel_cholesky(seq, n)
     rank = basis.shape[0]
-    # U, W, four CG vectors and a norm's square are seven (r, N) arrays;
-    # the FFT tiles take 4 _TILE_ROWS rows of N and the O(N) tables fewer than 16.
-    tables = 8 * n * (7 * rank + 4 * _TILE_ROWS + 16)
+    # U and W are two (r, N) arrays; the FFT tiles (one of 2N floats, two
+    # of N+1 complex) take 6 _TILE_ROWS rows of N, and the O(N) tables and
+    # conjugate-gradient vectors fewer than 24.
+    tables = 8 * n * (2 * rank + 6 * _TILE_ROWS + 24)
     _require_memory(tables, f"heat sampler tables at N={n}, rank {rank}")
     solved, cg_residual = _solve_toeplitz(autocov, fgn.sqrt_eigs**2, basis)
     # einsum, not BLAS, whose threads change the bits of this shape (see _TILE_COLS).

@@ -273,8 +273,9 @@ def _check_linear_map(kernel, backend, n):
 LINEAR_MAP_SIZES = pytest.mark.parametrize("n", [8, 64, 512, 2048])
 
 
-# Block-wide references: the formulas that the tiled synthesis and solve
-# replaced, kept to pin that tiling moved no bit.
+# Block-wide references: the formulas that the tiled synthesis replaced,
+# kept to pin that tiling moved no bit, and the Toeplitz solve written
+# out of place on the whole block.
 
 def _block_increments(fgn, z, scale=1.0):
     """scale times the (M, N) Davies-Harte increments of the (M, 2N) normals z, in one FFT."""
@@ -314,44 +315,48 @@ def _block_heat_paths(factor, z):
     return np.cumsum(inc[:rows], axis=1)
 
 
-def _block_solve_toeplitz(autocov, eigs, rhs):
-    """Preconditioned CG on T X = rhs with whole-array FFTs and out-of-place updates."""
-    n = rhs.shape[1]
-
-    def toeplitz(x):
-        spec = np.fft.rfft(x, n=2 * n, axis=1)
-        spec *= eigs
-        return np.fft.irfft(spec, n=2 * n, axis=1)[:, :n]
-
+def _first_column(autocov, eigs):
+    """T^-1 e_0 by one-vector PCG with out-of-place updates, and its iteration count."""
+    n = autocov.size - 1
     lags = np.arange(n)
     chan = ((n - lags) * autocov[:n] + lags * np.concatenate([[0.0], autocov[n - 1 : 0 : -1]])) / n
     chan_eigs = np.fft.rfft(chan).real
 
     def precondition(x):
-        spec = np.fft.rfft(x, axis=1)
-        spec /= chan_eigs
-        return np.fft.irfft(spec, n=n, axis=1)
+        return np.fft.irfft(np.fft.rfft(x) / chan_eigs, n=n)
 
-    def ratio(num, den):
-        return np.divide(num, den, out=np.zeros_like(num), where=den != 0)[:, None]
-
-    scale = np.linalg.norm(rhs, axis=1)
-    sol = np.zeros_like(rhs)
-    res = rhs.copy()
+    sol = np.zeros(n)
+    res = np.eye(1, n)[0]
     direction = precondition(res)
-    rz = np.einsum("ij,ij->i", res, direction)
-    for _ in range(simulate._CG_MAX_ITER):
-        image = toeplitz(direction)
-        step = ratio(rz, np.einsum("ij,ij->i", direction, image))
-        sol += step * direction
-        res -= step * image
-        if np.all(np.linalg.norm(res, axis=1) <= simulate._CG_TOL * scale):
+    rz = np.einsum("i,i->", res, direction)
+    for iteration in range(1, simulate._CG_MAX_ITER + 1):
+        image = np.fft.irfft(np.fft.rfft(direction, n=2 * n) * eigs, n=2 * n)[:n]
+        step = rz / np.einsum("i,i->", direction, image)
+        sol = sol + step * direction
+        res = res - step * image
+        if math.sqrt(np.einsum("i,i->", res, res)) <= simulate._CG_TOL:
             break
         pre = precondition(res)
-        rz_next = np.einsum("ij,ij->i", res, pre)
-        direction = pre + ratio(rz_next, rz) * direction
+        rz_next = np.einsum("i,i->", res, pre)
+        direction = pre + (rz_next / rz) * direction
         rz = rz_next
-    residual = np.linalg.norm(toeplitz(sol) - rhs, axis=1) / scale
+    return sol, iteration
+
+
+def _block_solve_toeplitz(autocov, eigs, rhs):
+    """The Gohberg-Semencul formula on the whole block, with out-of-place FFTs."""
+    n = rhs.shape[1]
+    first, _ = _first_column(autocov, eigs)
+    lower = [np.fft.rfft(v, n=2 * n) for v in (first, np.concatenate([[0.0], first[:0:-1]]))]
+
+    def product(spec):
+        return np.fft.irfft(spec, n=2 * n, axis=1)[:, :n]
+
+    fwd = np.fft.rfft(rhs, n=2 * n, axis=1)
+    terms = [np.fft.rfft(product(fwd * v.conj()), n=2 * n, axis=1) * v for v in lower]
+    sol = product(terms[0] - terms[1]) / first[0]
+    image = product(np.fft.rfft(sol, n=2 * n, axis=1) * eigs) - rhs
+    residual = np.linalg.norm(image, axis=1) / np.linalg.norm(rhs, axis=1)
     return sol, float(residual.max())
 
 
@@ -538,7 +543,7 @@ class TestHeatSampler:
     def test_tiles_match_the_block_wide_formula(self, n, m):
         _tiles_match_the_block(heat_kernel(), _block_heat_paths, n, m)
 
-    def test_tiled_solve_matches_the_block_wide_iteration(self):
+    def test_tiled_solve_matches_the_block_wide_formula(self):
         grid = Grid(4096)
         factor = cached_factor(heat_kernel(), grid)
         assert factor.rank == 33
@@ -550,8 +555,26 @@ class TestHeatSampler:
         assert np.array_equal(tiled.view(np.uint64), solved.view(np.uint64))
         assert tiled_residual == cg_residual
 
+    def test_set_up_transforms_eight_rows_per_basis_row(self, monkeypatch):
+        """heat_factor(Grid(4096)) FFTs 8 rows per basis row, 4 per PCG iteration and 8 more."""
+        grid = Grid(4096)
+        factor = cached_factor(heat_kernel(), grid)
+        _, iterations = _first_column(fgn_quarter_autocov(grid), factor.fgn.sqrt_eigs**2)
+        rows = []
+
+        def counted(fft):
+            def call(a, *args, axis=-1, **kwargs):
+                rows.append(np.size(a) // np.shape(a)[axis])
+                return fft(a, *args, axis=axis, **kwargs)
+            return call
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        simulate.heat_factor(grid)
+        assert sum(rows) <= 8 * factor.rank + 4 * iterations + 8
+
     def test_set_up_peak_stays_within_its_guard(self, monkeypatch):
-        """heat_factor(Grid(4096)) allocates at most 9.5 MiB, no more than its guard reserved."""
+        """heat_factor(Grid(4096)) allocates at most 4.5 MiB, no more than its guard reserved."""
         reserved = {}
         guard = simulate._require_memory
 
@@ -561,8 +584,22 @@ class TestHeatSampler:
 
         monkeypatch.setattr(simulate, "_require_memory", record)
         peak = _traced_peak(lambda: simulate.heat_factor(Grid(4096)))
-        assert peak <= 9.5 * 2**20
+        assert peak <= 4.5 * 2**20
         assert peak <= reserved["heat sampler tables"]
+
+    def test_hankel_rows_grow_to_the_cap(self, monkeypatch):
+        """Rows past half the cap go into a grown buffer with the same bits; the cap still stops."""
+        grid = Grid(64)
+        seq = 0.5 * math.sqrt(grid.dt) * gamma(np.arange(1, 128))
+        basis, trace = simulate._hankel_cholesky(seq, 64)
+        assert basis.shape[0] == 17
+        monkeypatch.setattr(simulate, "_HANKEL_RANK_CAP", 24)
+        grown, grown_trace = simulate._hankel_cholesky(seq, 64)
+        assert np.array_equal(grown.view(np.uint64), basis.view(np.uint64))
+        assert grown_trace == trace
+        monkeypatch.setattr(simulate, "_HANKEL_RANK_CAP", 16)
+        with pytest.raises(DomainError, match="unresolved at rank 16"):
+            simulate._hankel_cholesky(seq, 64)
 
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 33], ids=str)
     def test_rows_do_not_depend_on_the_tile_or_block(self, monkeypatch, m):
