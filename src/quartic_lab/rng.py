@@ -67,15 +67,15 @@ def normals(key, count, out=None):
 
     k is the top 53 bits of one raw Philox output.  The uniforms lie
     strictly inside (0, 1).  With out, a float64 array of count entries
-    (a row of a caller's block, say), the cast, the shift, the exact
-    power-of-two scaling and ndtri all work inside it, and out is
-    returned; otherwise a new array is.
+    (a row of a caller's block, say), the shift by 0.5 (fused with the
+    cast to float64, exact as k < 2**53), the exact power-of-two scaling
+    and ndtri all work inside it, and out is returned; otherwise a new
+    array is.
     """
     if out is None:
         out = np.empty(count, dtype=np.float64)
     raw = stream(key).bit_generator.random_raw(count)
     raw >>= np.uint64(11)
-    out[...] = raw
-    out += 0.5
+    np.add(raw, 0.5, out=out)
     out *= 2.0**-53
     return ndtri(out, out=out)

@@ -16,7 +16,7 @@ about 20 to 50 (see `HeatFactor`).  There are four backends:
 
 * `BrownianFactor` (`bm`): the path is the cumulative sum of the
   replicate's N normals, each scaled by sqrt(dt).  O(N) per path and no
-  set-up; rows go _SYNTH_ROWS at a time.
+  set-up.
 * `CirculantFactor` (`fbm_quarter`): Davies-Harte circulant embedding of
   fractional Gaussian noise (Davies & Harte 1987; Dietrich & Newsam 1997).
   The Toeplitz increment covariance is embedded in a 2N circulant whose
@@ -26,10 +26,10 @@ about 20 to 50 (see `HeatFactor`).  There are four backends:
   normals are laid out as [re_0, re_N, Re_1 .. Re_{N-1}, Im_1 .. Im_{N-1}]:
   they fill the half spectrum, scaled by sqrt(lambda), whose length-2N
   inverse real FFT holds the N increments in its first half; their
-  cumulative sum is the path.  O(N log N) per path; rows go _SYNTH_ROWS
-  at a time and their FFTs _TILE_ROWS at a time: a tile's half spectrum
-  fills one reused buffer, and its inverse FFT overwrites the tile's own
-  normals, so the FFT temporaries are O(_TILE_ROWS * N) whatever M is.
+  cumulative sum is the path.  O(N log N) per path; the FFTs go a tile
+  at a time: a tile's half spectrum fills one reused buffer, and its
+  inverse FFT overwrites the tile's own normals, so the FFT temporaries
+  are O(_TILE_ROWS * N) whatever M is.
 * `HeatFactor` (`heat`): fbm_quarter = c^2 heat + xi with xi independent
   (`kernels`; Lei & Nualart 2009), so the increment covariance of c F
   is T - K: T the fGn Toeplitz matrix that Davies-Harte draws exactly,
@@ -47,11 +47,11 @@ about 20 to 50 (see `HeatFactor`).  There are four backends:
   cumulative sum.  A replicate's 2N + r normals are laid out as
   [2N Davies-Harte | r residual]: X is the fGn drawn from the first 2N
   in the fBm layout above, z' the last r.  O(N (log N + r)) per path,
-  O(N r) set-up memory and no dense matrix.  Rows go _SYNTH_ROWS at a
-  time; within a block the FFT, the rank-r products and the cumulative
-  sum run over fixed tiles of _TILE_ROWS rows, in place over the tile's
-  normals, the last tile zero-padded, so that each row's bits depend
-  neither on the row block nor on the BLAS thread count.
+  O(N r) set-up memory and no dense matrix.  The FFT, the rank-r
+  products and the cumulative sum run over fixed tiles of _TILE_ROWS
+  rows, in place over the tile's normals, the last tile zero-padded, so
+  that each row's bits depend neither on the row block nor on the BLAS
+  thread count.
 * `CholeskyFactor` (every other kernel): values at t_1 .. t_N are L @ z
   with L the dense Cholesky factor of the covariance matrix and z the N
   normals of the replicate's stream.  One 8N^2-byte buffer serves from
@@ -63,15 +63,17 @@ about 20 to 50 (see `HeatFactor`).  There are four backends:
   same result; median of 7 on a 2-core VM, OpenBLAS 0.3.31), and the
   block keeps the normals and paths next to the factor at O(256 N).
 
-A cumulative sum or an inverse FFT transforms each row on its own, so
-the O(N) backends give bit for bit the same paths in any row block; the
+The row block of the three O(N) backends is their tile of _TILE_ROWS
+rows.  A cumulative sum or an inverse FFT transforms each row on its
+own, so they give bit for bit the same paths in any row block; the
 triangular multiply gave bitwise the same paths in every block size
 measured.
 
 `sample_paths` synthesizes from an (M, normals_per_path) block of
 normals when one is given; by default it draws each row block's normals
 from the replicates' streams (`path_normals`) just before synthesizing
-it, so a backend holds O(block_rows * N) normals at a time.
+it, so a backend holds one row block of normals at a time, a single
+tile for an O(N) backend.
 Because a stream's shorter draw is a prefix of its longer one (`rng`),
 one block drawn for the largest grid of an MSE ladder serves every grid
 of it: each smaller grid is sampled from a copy of the block's first
@@ -104,12 +106,11 @@ JITTER_REL = 1e-12
 # embedding is not PSD; smaller negatives are rounding and clip to 0.
 CIRCULANT_NEG_REL = 1e-12
 
-# The O(N) backends synthesize this many rows at a time, which bounds
-# the normals they hold.
-_SYNTH_ROWS = 32
-
-# The Davies-Harte backends and the Toeplitz solve of the heat set-up run
-# their FFTs over tiles of this many rows, which bounds their temporaries.
+# The O(N) backends draw, synthesize and hand on paths in row blocks of
+# this many rows, which bounds the normals and paths in flight; the
+# Davies-Harte backends and the Toeplitz solve of the heat set-up also
+# run their FFTs over tiles of this many rows, which bounds their
+# temporaries.
 # HeatFactor also applies its rank-r products to these tiles, the last
 # zero-padded: OpenBLAS rounds a row differently as the height of a
 # product changes, so a fixed tile keeps each row's bits independent of
@@ -155,9 +156,7 @@ class BrownianFactor:
     def normals_per_path(self):
         return self.dim
 
-    @property
-    def block_rows(self):
-        return _SYNTH_ROWS
+    block_rows = _TILE_ROWS
 
     def synthesize(self, z, out):
         """out[m] = cumsum(sqrt(dt) z[m]) for the (M, N) normals z, which it scales."""
@@ -229,9 +228,7 @@ class CirculantFactor:
     def normals_per_path(self):
         return 2 * self.dim
 
-    @property
-    def block_rows(self):
-        return _SYNTH_ROWS
+    block_rows = _TILE_ROWS
 
     def weights(self, scale=1.0):
         """Factors that turn normals into the half spectrum of scale times the increments."""
@@ -311,9 +308,7 @@ class HeatFactor:
     def normals_per_path(self):
         return 2 * self.dim + self.rank
 
-    @property
-    def block_rows(self):
-        return _SYNTH_ROWS
+    block_rows = _TILE_ROWS
 
     def synthesize(self, z, out):
         """Paths from the (M, 2N + r) normals z, which it overwrites, into out (M, N)."""

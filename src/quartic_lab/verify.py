@@ -4,9 +4,10 @@ Each experiment draws paths, evaluates the discrete functionals, and
 compares them against either closed-form Gaussian moments or an
 independently simulated right-hand side.  Reports carry every statistic,
 threshold, and pass flag.  Every experiment draws, synthesizes and
-reduces its paths in the sampler's own row blocks (`simulate.row_blocks`),
-one block after another, through `_replicate_columns`, so it holds
-O(block * N) path data whatever the replicate count.  A rerun with the
+reduces its paths in the sampler's own row blocks (`simulate.row_blocks`:
+the 8-row tile of an O(N) sampler, 256 rows of the dense factor), one
+block after another, through `_replicate_columns`, so it holds one
+block's normals and paths whatever the replicate count.  A rerun with the
 same configuration and seed on the same numpy/scipy build reproduces
 summary.json and replicates.csv byte for byte, in any row block and under
 any BLAS thread count, except for a kernel drawn through the dense
@@ -205,21 +206,26 @@ def _replicate_columns(kernel, grids, m, seed, reduce, shape, brownian=False):
     the (len(grids), m, *shape) array of those columns.
 
     The loop runs over the row blocks of the finest (last) grid's factor
-    (`simulate.row_blocks`).  For each block it draws each replicate's
-    path stream once, at the finest grid's normals_per_path; every
-    coarser grid samples a copy of the block's leading columns (the `rng`
-    prefix contract) and the finest grid the block itself.  Only the
-    result outlives the block, so an experiment holds O(block_rows * N)
-    paths whatever m is.  Each row depends on its own streams only, so
-    the result is the same in any block.
+    (`simulate.row_blocks`): one tile of _TILE_ROWS rows for an O(N)
+    backend.  For each block it draws each replicate's path stream once,
+    at the finest grid's normals_per_path; every coarser grid samples a
+    copy of the block's leading columns (the `rng` prefix contract) and
+    the finest grid the block itself.  Only the result outlives the
+    block, so an experiment holds O(block_rows * N) normals and paths
+    whatever m is.  Each row depends on its own streams only, so the
+    result is the same in any block.  The factors and drifts are looked
+    up once, before the loop.
     """
-    finest = cached_factor(kernel, grids[-1])
+    factors = [cached_factor(kernel, grid) for grid in grids]
+    means = [kernel.mean_at(grid.times()) if kernel.mean_coeffs else None for grid in grids]
+    finest = factors[-1]
     shape = (len(grids), m, *shape)
     _require_memory(8 * math.prod(shape), f"columns of {m} replicates")
     out = np.empty(shape, dtype=np.float64)
     for start, stop in row_blocks(finest, m):
-        z = path_normals(finest, stop - start, seed, first=start)
-        for grid, cols in zip(grids, out):
+        rows = stop - start
+        z = path_normals(finest, rows, seed, first=start)
+        for grid, factor, mean, cols in zip(grids, factors, means, out):
             # Synthesis overwrites its normals: a coarser grid gets a copy
             # of the block's prefix, the finest the block itself, whose
             # last reference goes with `rung`; a grid's paths go before
@@ -227,11 +233,13 @@ def _replicate_columns(kernel, grids, m, seed, reduce, shape, brownian=False):
             if grid is grids[-1]:
                 rung, z = z, None
             else:
-                rung = z[:, : cached_factor(kernel, grid).normals_per_path].copy()
-            x = draw_ensemble(kernel, grid, stop - start, seed, rung).values
+                rung = z[:, : factor.normals_per_path].copy()
+            x = sample_paths(factor, rows, seed, rung).values
             del rung
-            b = sample_brownian(grid, stop - start, seed, first=start).values if brownian else None
-            cols[start:stop] = np.moveaxis(np.array(reduce(x, b, grid)), -1, 0)
+            if mean is not None:
+                x += mean  # as `draw_ensemble` adds a drift
+            b = sample_brownian(grid, rows, seed, first=start).values if brownian else None
+            cols[start:stop] = np.array(reduce(x, b, grid)).transpose(2, 0, 1)
             del x, b
     return out
 
@@ -242,11 +250,12 @@ def _replicate_columns(kernel, grids, m, seed, reduce, shape, brownian=False):
 
 def _head_minus_time_ensemble(x_values, grid, g, k0, k1):
     """g(X,t) increment minus the trapezoid time integral, per replicate."""
-    times = grid.times()
-    head = np.asarray(g.eval(x_values[:, k1], times[k1]), dtype=np.float64)
-    head = head - np.asarray(g.eval(x_values[:, k0], times[k0]), dtype=np.float64)
+    # k / n is grid.times()[k] bit for bit: both round the exact quotient.
+    head = np.asarray(g.eval(x_values[:, k1], k1 / grid.n), dtype=np.float64)
+    head = head - np.asarray(g.eval(x_values[:, k0], k0 / grid.n), dtype=np.float64)
     # Subtracting the zero integral of a time-independent g changes no bit.
     if k1 > k0 and g._dtdx is not _zero_dtdx:
+        times = grid.times()
         gt = np.asarray(g.dtdx(0, x_values[:, k0 : k1 + 1], times[None, k0 : k1 + 1]))
         if gt.shape != x_values[:, k0 : k1 + 1].shape:
             gt = np.broadcast_to(gt, x_values[:, k0 : k1 + 1].shape)
@@ -640,7 +649,7 @@ def _mse_ladder(experiment, function, args, block, columns, residual, threshold=
 
     Every grid of the ladder is drawn from one normal block per row
     block of replicates, by `_replicate_columns`, so the ladder holds
-    O(block_rows * N_max) normals and paths whatever m is.
+    the normals and paths of one row block at N_max whatever m is.
     """
     kernel, g = args["kernel"], args["g"]
     if not g.certifies(7, 3):

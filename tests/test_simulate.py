@@ -427,26 +427,23 @@ class TestCirculantSampler:
         assert factor.normals_per_path == 2 * factor.dim == 2048
 
     @pytest.mark.parametrize(
-        "m", [1, simulate._SYNTH_ROWS - 1, simulate._SYNTH_ROWS + 1, 200],
+        "m", [1, CirculantFactor.block_rows - 1, CirculantFactor.block_rows + 1, 200],
         ids=["1", "block-1", "block+1", "200"],
     )
     def test_row_blocks_match_one_whole_block(self, monkeypatch, m):
         factor = cached_factor(fbm_quarter_kernel(), Grid(256))
         blocked = sample_paths(factor, m, 5).values
         given = sample_paths(factor, m, 5, simulate.path_normals(factor, m, 5)).values
-        monkeypatch.setattr(simulate, "_SYNTH_ROWS", m)
+        monkeypatch.setattr(CirculantFactor, "block_rows", m)
         whole = sample_paths(factor, m, 5).values
         assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
         assert np.array_equal(given.view(np.uint64), whole.view(np.uint64))
 
     def test_row_blocks_follow_the_backend(self):
         grid = Grid(64)
-        assert simulate.row_blocks(cached_factor(fbm_quarter_kernel(), grid), 70) == [
-            (0, 32), (32, 64), (64, 70)
-        ]
-        assert simulate.row_blocks(cached_factor(heat_kernel(), grid), 70) == [
-            (0, 32), (32, 64), (64, 70)
-        ]
+        tiles = [(0, 8), (8, 16), (16, 24), (24, 32), (32, 40), (40, 48), (48, 56), (56, 64), (64, 70)]
+        assert simulate.row_blocks(cached_factor(fbm_quarter_kernel(), grid), 70) == tiles
+        assert simulate.row_blocks(cached_factor(heat_kernel(), grid), 70) == tiles
         assert simulate.row_blocks(BrownianFactor(grid), 5) == [(0, 5)]
         assert simulate.row_blocks(cached_factor(CovKernel("xi"), grid), 70) == [(0, 70)]
         assert simulate.row_blocks(cached_factor(CovKernel("xi"), grid), 600) == [
@@ -470,7 +467,7 @@ class TestCirculantSampler:
         """A 32-row block at N = 8192 allocates one 8-row half spectrum, not the block's FFTs."""
         n = 8192
         factor = cached_factor(fbm_quarter_kernel(), Grid(n))
-        z = simulate.path_normals(factor, simulate._SYNTH_ROWS, 1)
+        z = simulate.path_normals(factor, 4 * simulate._TILE_ROWS, 1)
         out = np.empty((z.shape[0], n))
         peak = _traced_peak(lambda: factor.synthesize(z, out))
         assert peak <= 16 * simulate._TILE_ROWS * (n + 1) + 2**20
@@ -605,7 +602,7 @@ class TestHeatSampler:
     def test_rows_do_not_depend_on_the_tile_or_block(self, monkeypatch, m):
         factor = cached_factor(heat_kernel(), Grid(4096))
         whole = sample_paths(factor, 40, 9).values
-        monkeypatch.setattr(simulate, "_SYNTH_ROWS", 3)
+        monkeypatch.setattr(simulate.HeatFactor, "block_rows", 3)
         part = sample_paths(factor, m, 9, first=40 - m).values
         assert np.array_equal(part.view(np.uint64), whole[40 - m :].view(np.uint64))
 

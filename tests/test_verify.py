@@ -474,8 +474,11 @@ class TestLadderExperiments:
 
         default = report()
         for rows in (2, 3):
-            monkeypatch.setattr(simulate, "_SYNTH_ROWS", rows)
-            monkeypatch.setattr(simulate.CholeskyFactor, "block_rows", rows)
+            for backend in (
+                simulate.BrownianFactor, simulate.CirculantFactor, simulate.HeatFactor,
+                simulate.CholeskyFactor,
+            ):
+                monkeypatch.setattr(backend, "block_rows", rows)
             blocks = simulate.row_blocks(cached_factor(kernel, Grid(64)), 7)
             assert len(blocks) == math.ceil(7 / rows)
             assert report() == default
@@ -525,6 +528,27 @@ class TestLadderExperiments:
             finally:
                 tracemalloc.stop()
         assert peaks[sizes[1]] <= 1.25 * peaks[sizes[0]]
+
+    def test_warm_fbm_ladder_holds_one_tile_of_paths(self):
+        """A warm fBm ladder to N = 8192 holds one 8-row tile of normals and paths.
+
+        That is about 2.6 MiB traced; a 32-row block would hold 7.6 MiB.
+        """
+
+        def run():
+            verify_trapezoid_ucp(
+                kernel=fbm_quarter_kernel(), g=CUBE, n_list=(1024, 2048, 4096, 8192), m=200,
+                final_tol=0.15,
+            )
+
+        run()  # factors are built and cached outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2**20
 
     def test_ladder_validation(self):
         with pytest.raises(ConfigError):
