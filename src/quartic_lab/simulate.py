@@ -51,7 +51,7 @@ about 20 to 50 (see `HeatFactor`).  There are four backends:
   products and the cumulative sum run over fixed tiles of _TILE_ROWS
   rows, in place over the tile's normals, the last tile zero-padded, so
   that each row's bits depend neither on the row block nor on the BLAS
-  thread count.
+  thread count; the rank-r step reuses the tile spectrum's memory.
 * `CholeskyFactor` (every other kernel): values at t_1 .. t_N are L @ z
   with L the dense Cholesky factor of the covariance matrix and z the N
   normals of the replicate's stream.  One 8N^2-byte buffer serves from
@@ -315,9 +315,11 @@ class HeatFactor:
         n, r = self.dim, self.rank
         weights = self.fgn.weights(1.0 / FBM_HEAT_SCALE)
         spec = np.empty((_TILE_ROWS, n + 1), dtype=np.complex128)
+        # The rank-r step goes into the spectrum's memory, which the
+        # tile's inverse FFT has consumed by then.
+        step = spec.reshape(-1).view(np.float64)[: _TILE_ROWS * n].reshape(_TILE_ROWS, n)
         coef = np.empty((_TILE_ROWS, r))
         proj = np.empty((_TILE_ROWS, r))
-        step = np.empty((_TILE_ROWS, n))
         for start in range(0, z.shape[0], _TILE_ROWS):
             tile = z[start : start + _TILE_ROWS]
             rows = tile.shape[0]

@@ -213,19 +213,15 @@ def _replicate_columns(kernel, grids, m, seed, reduce, shape, brownian=False):
     the finest grid the block itself.  Only the result outlives the
     block, so an experiment holds O(block_rows * N) normals and paths
     whatever m is.  Each row depends on its own streams only, so the
-    result is the same in any block.  The factors and drifts are looked
-    up once, before the loop.
+    result is the same in any block.
     """
-    factors = [cached_factor(kernel, grid) for grid in grids]
-    means = [kernel.mean_at(grid.times()) if kernel.mean_coeffs else None for grid in grids]
-    finest = factors[-1]
+    finest = cached_factor(kernel, grids[-1])
     shape = (len(grids), m, *shape)
     _require_memory(8 * math.prod(shape), f"columns of {m} replicates")
     out = np.empty(shape, dtype=np.float64)
     for start, stop in row_blocks(finest, m):
-        rows = stop - start
-        z = path_normals(finest, rows, seed, first=start)
-        for grid, factor, mean, cols in zip(grids, factors, means, out):
+        z = path_normals(finest, stop - start, seed, first=start)
+        for grid, cols in zip(grids, out):
             # Synthesis overwrites its normals: a coarser grid gets a copy
             # of the block's prefix, the finest the block itself, whose
             # last reference goes with `rung`; a grid's paths go before
@@ -233,13 +229,11 @@ def _replicate_columns(kernel, grids, m, seed, reduce, shape, brownian=False):
             if grid is grids[-1]:
                 rung, z = z, None
             else:
-                rung = z[:, : factor.normals_per_path].copy()
-            x = sample_paths(factor, rows, seed, rung).values
+                rung = z[:, : cached_factor(kernel, grid).normals_per_path].copy()
+            x = draw_ensemble(kernel, grid, stop - start, seed, rung).values
             del rung
-            if mean is not None:
-                x += mean  # as `draw_ensemble` adds a drift
-            b = sample_brownian(grid, rows, seed, first=start).values if brownian else None
-            cols[start:stop] = np.array(reduce(x, b, grid)).transpose(2, 0, 1)
+            b = sample_brownian(grid, stop - start, seed, first=start).values if brownian else None
+            cols[start:stop] = np.moveaxis(np.array(reduce(x, b, grid)), -1, 0)
             del x, b
     return out
 
@@ -250,12 +244,11 @@ def _replicate_columns(kernel, grids, m, seed, reduce, shape, brownian=False):
 
 def _head_minus_time_ensemble(x_values, grid, g, k0, k1):
     """g(X,t) increment minus the trapezoid time integral, per replicate."""
-    # k / n is grid.times()[k] bit for bit: both round the exact quotient.
-    head = np.asarray(g.eval(x_values[:, k1], k1 / grid.n), dtype=np.float64)
-    head = head - np.asarray(g.eval(x_values[:, k0], k0 / grid.n), dtype=np.float64)
+    times = grid.times()
+    head = np.asarray(g.eval(x_values[:, k1], times[k1]), dtype=np.float64)
+    head = head - np.asarray(g.eval(x_values[:, k0], times[k0]), dtype=np.float64)
     # Subtracting the zero integral of a time-independent g changes no bit.
     if k1 > k0 and g._dtdx is not _zero_dtdx:
-        times = grid.times()
         gt = np.asarray(g.dtdx(0, x_values[:, k0 : k1 + 1], times[None, k0 : k1 + 1]))
         if gt.shape != x_values[:, k0 : k1 + 1].shape:
             gt = np.broadcast_to(gt, x_values[:, k0 : k1 + 1].shape)

@@ -19,4 +19,4 @@ def test_prints_one_json_line_per_kernel_and_size(capsys):
     assert lines[0]["n_list"] == [8, 16, 32, 64]
     for line in lines:
         assert line["m"] == 200
-        assert line["run_s"] > 0 and line["peak_mib"] > 0
+        assert line["run_s"] > 0 and line["peak_mib"] > 0 and line["minflt"] >= 0

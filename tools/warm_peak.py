@@ -5,14 +5,16 @@
 prints one JSON line per kernel (fbm, heat) and finest N (default 8192,
 65536): the ladder n_list = N/8, N/4, N/2, N with g = cube and m = 200
 replicates for N <= 8192, 64 above; the wall time in seconds of one warm
-`verify_trapezoid_ucp` call (best of 3) and the tracemalloc peak of one
-more, in MiB.  A first, untimed call builds and caches the factors, so
-neither figure includes set-up.
+`verify_trapezoid_ucp` call (best of 3), the minor page faults of the
+median timed call, and the tracemalloc peak of one more, in MiB.  A
+first, untimed call builds and caches the factors, so no figure
+includes set-up.
 """
 
 from __future__ import annotations
 
 import json
+import resource
 import sys
 import time
 import tracemalloc
@@ -27,7 +29,7 @@ REPEATS = 3
 
 
 def measure(name, n):
-    """{kernel, n_list, m, run_s, peak_mib} of a warm ladder ending at N = n."""
+    """{kernel, n_list, m, run_s, minflt, peak_mib} of a warm ladder ending at N = n."""
     n_list = (n // 8, n // 4, n // 2, n)
     m = 200 if n <= 8192 else 64
     kernel, g = KERNELS[name](), builtin("cube")
@@ -36,11 +38,13 @@ def measure(name, n):
         verify_trapezoid_ucp(kernel=kernel, g=g, n_list=n_list, m=m)
 
     ladder()
-    times = []
+    times, faults = [], []
     for _ in range(REPEATS):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         ladder()
         times.append(time.perf_counter() - start)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     tracemalloc.start()
     try:
         ladder()
@@ -52,6 +56,7 @@ def measure(name, n):
         "n_list": list(n_list),
         "m": m,
         "run_s": round(min(times), 4),
+        "minflt": sorted(faults)[REPEATS // 2],
         "peak_mib": round(peak / 2**20, 2),
     }
 
