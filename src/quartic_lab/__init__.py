@@ -45,6 +45,8 @@ from .simulate import (
     BrownianFactor,
     CholeskyFactor,
     CirculantFactor,
+    CompositeFactor,
+    HankelFactor,
     HeatFactor,
     PathEnsemble,
     cached_factor,

@@ -10,7 +10,7 @@ class DomainError(QuarticLabError):
 
 
 class NotPositiveDefinite(QuarticLabError):
-    """Cholesky factorization failed even after the single jitter retry.
+    """A covariance or factorization that must be positive (semi)definite is not.
 
     `pivot_index` is the 0-based row of the offending pivot when known.
     """

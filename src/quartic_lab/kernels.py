@@ -32,7 +32,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 
@@ -284,8 +283,7 @@ def fbm_composite_kernel():
     )
 
 
-# Rows per block of the covariance build; a composite's second component
-# is evaluated one block at a time into a block-sized scratch.
+# Rows per block of the covariance build, which bound its temporaries.
 _BUILD_BLOCK_ROWS = 256
 
 
@@ -310,65 +308,26 @@ def _require_memory(need, what, hint=""):
         )
 
 
-def _fill_block(kernel, tables, rows, out):
-    """out = rho(t_i, t_j) for i in rows, with the float operations of kernel.rho."""
-    root, hankel, toeplitz, times = tables
-    if kernel.kind == "heat":
-        np.subtract(hankel[rows], toeplitz[rows], out=out)
-        out /= _SQRT_2PI
-    elif kernel.kind in ("xi", "fbm_quarter"):
-        np.add(root[rows, None], root, out=out)
-        out -= (hankel if kernel.kind == "xi" else toeplitz)[rows]
-        out *= 0.5
-    elif kernel.kind == "bm":
-        np.minimum(times[rows, None], times, out=out)
-    else:
-        _fill_block(kernel.components[0], tables, rows, out)
-        out *= kernel.c**2
-        if len(kernel.components) == 2:
-            second = np.empty_like(out)
-            _fill_block(kernel.components[1], tables, rows, second)
-            out += second
-
-
 def build_cov_matrix(kernel, grid):
-    """Dense covariance matrix on grid times t_1 .. t_N.
+    """Dense covariance matrix on grid times t_1 .. t_N: the tests' oracle.
 
     t_0 = 0 is excluded: every kernel here vanishes at 0, so including it
     would make the matrix exactly singular.  Paths reattach the zero at
-    sampling time.
-
-    Entry (i, j) (0-based, time t_{i+1}) applies the float operations of
-    `kernel.rho`, but every square root comes from the single table
-    r_k = sqrt(k/n), k = 0 .. 2N: sqrt(s + t), sqrt|t - s| and sqrt(s)
-    are r at i+j+2, |i-j| and i+1, read through Hankel and Toeplitz
-    sliding windows.  That is 2N+1 square roots, not N^2.  Where k/n is
-    exact (n a power of two) the matrix equals `kernel.rho` on the grid
-    bit for bit; elsewhere s + t and t - s are rounded once where rho
-    rounds t_i and t_j first, which moves entries by a few ulp.
-
-    The buffer is filled in C order and returned transposed: by exact
-    symmetry the same matrix, and F-contiguous, so `factorize` can
-    factor it in place.  Raises DomainError, before allocating, when its
-    8 N^2 bytes exceed the machine's physical memory.
+    sampling time.  Entry (i, j) (0-based) is `kernel.rho` at t_{i+1}
+    and t_{j+1}, bit for bit, evaluated _BUILD_BLOCK_ROWS rows at a
+    time; no sampler builds this matrix.  Raises DomainError, before
+    allocating, when its 8 N^2 bytes exceed the machine's physical
+    memory.
     """
     size = grid.nsteps
     _require_memory(
         8 * size * size,
         f"dense covariance of kernel {kernel.canonical_id()!r} at N={size}",
-        "; heat (circulant plus low rank), fbm_quarter (circulant) and bm (cumulative sum) "
-        "have O(N) samplers",
+        "; the samplers (circulant, low rank and cumulative sum) need no dense matrix",
     )
-    roots = np.sqrt(np.arange(2 * size + 1, dtype=np.float64) / grid.n)
-    mirrored = np.concatenate([roots[size - 1 : 0 : -1], roots[:size]])
-    tables = (
-        roots[1 : size + 1],
-        sliding_window_view(roots[2:], size),
-        sliding_window_view(mirrored, size)[::-1],
-        grid.times()[1:],
-    )
+    times = grid.times()[1:]
     buf = np.empty((size, size), dtype=np.float64)
     for start in range(0, size, _BUILD_BLOCK_ROWS):
-        rows = slice(start, min(start + _BUILD_BLOCK_ROWS, size))
-        _fill_block(kernel, tables, rows, buf[rows])
-    return buf.T
+        rows = slice(start, start + _BUILD_BLOCK_ROWS)
+        buf[rows] = kernel.rho(times[rows, None], times)
+    return buf

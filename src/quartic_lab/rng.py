@@ -14,9 +14,11 @@ sampler asks for (`simulate`), per kernel:
 * `fbm_quarter`: 2N, laid out as [re_0, re_N, Re_1 .. Re_{N-1},
   Im_1 .. Im_{N-1}] over the FFT modes 0 .. N of the circulant sampler;
 * `heat`: 2N + r, the 2N of the fbm_quarter layout, then the r normals
-  of the rank-r residual correction (r about 20 to 50);
-* `xi` and composites: N for the dense Cholesky factor, where normal j
-  drives grid step j.
+  of the rank-r residual correction (r about 17 to 50);
+* `xi`: r, one per row of its rank-r Hankel factor (17 at n = 64, 22 at
+  256, 26 at 1000);
+* composites: laid out as [part 0 | part 1], each component's count in
+  its own layout above (2N + r + r for c^2 heat + xi).
 
 A ROLE_BM stream feeds the Brownian backend, the N increments of the
 motion coupled to a replicate's path.
@@ -65,17 +67,23 @@ def stream(key):
 def normals(key, count, out=None):
     """count standard normals: ndtri of (k + 0.5) / 2**53 for 53-bit integers k.
 
-    k is the top 53 bits of one raw Philox output.  The uniforms lie
-    strictly inside (0, 1).  With out, a float64 array of count entries
-    (a row of a caller's block, say), the shift by 0.5 (fused with the
-    cast to float64, exact as k < 2**53), the exact power-of-two scaling
-    and ndtri all work inside it, and out is returned; otherwise a new
-    array is.
+    k is the top 53 bits of one raw Philox output.  The shift by 0.5 is
+    fused with the cast to float64.  It is exact for k < 2**52; from
+    2**52 on, float64 steps by 1, so k + 0.5 is a tie that rounds to the
+    even one of k and k + 1.  For k = 2**53 - 1 that is 2**53, a uniform
+    of 1 and an infinite normal, so the shifted value is capped at
+    2**53 - 1, which no other k reaches: its uniform is 1 - 2**-53 and
+    every other draw is untouched.  So the uniforms lie strictly inside
+    (0, 1).  With out, a float64 array of count entries (a row of a
+    caller's block, say), the shift, the cap, the exact power-of-two
+    scaling and ndtri all work inside it, and out is returned; otherwise
+    a new array is.
     """
     if out is None:
         out = np.empty(count, dtype=np.float64)
     raw = stream(key).bit_generator.random_raw(count)
     raw >>= np.uint64(11)
     np.add(raw, 0.5, out=out)
+    np.minimum(out, 2.0**53 - 1, out=out)
     out *= 2.0**-53
     return ndtri(out, out=out)

@@ -2,17 +2,12 @@
 
 `cached_factor(kernel, grid)` picks the sampler for a kernel, and is the
 one place that choice is made; every factor draws paths through the same
-`synthesize(z, out)` call, so `sample_paths` knows no kernel.  Each
-factor also declares the row block it synthesizes at once
-(`block_rows`), and `row_blocks` is the one blocking rule that
-`sample_paths` and every experiment of `verify` follow.  Paths are
-drawn jointly exact: there is no approximation beyond float64 linear
-algebra and FFTs, and the deterministic zero at t_0 is reattached after
-synthesis.  The one exception is a dense factor that took the jitter
-retry (`CholeskyFactor.jittered`): it draws from the covariance plus
-JITTER_REL * max(diag) on the diagonal.  `xi` takes it (measured at
-n = 64, 256 and 1024): its increment covariance has numerical rank of
-about 20 to 50 (see `HeatFactor`).  There are four backends:
+`synthesize(z, out)` call, so `sample_paths` knows no kernel.  Every
+kernel the package accepts, composites and drift included, gets a
+factor of O(N r) memory or less: none builds or factors a dense matrix.
+Paths are drawn jointly exact: there is no approximation beyond float64
+linear algebra and FFTs, and the deterministic zero at t_0 is reattached
+after synthesis.  There are five backends:
 
 * `BrownianFactor` (`bm`): the path is the cumulative sum of the
   replicate's N normals, each scaled by sqrt(dt).  O(N) per path and no
@@ -30,50 +25,46 @@ about 20 to 50 (see `HeatFactor`).  There are four backends:
   at a time: a tile's half spectrum fills one reused buffer, and its
   inverse FFT overwrites the tile's own normals, so the FFT temporaries
   are O(_TILE_ROWS * N) whatever M is.
+* `HankelFactor` (`xi`): the increment covariance of xi is the PSD
+  Hankel matrix K_ij = sqrt(dt) gamma(i+j+1) / 2, of numerical rank r
+  of about 17 to 50 (17 at n = 64, 22 at 256, 26 at 1000).  Set-up
+  factors K ~ U U^T by a pivoted Cholesky that reads only the O(N)
+  sequence gamma and stops when the residual trace, a bound on
+  ||K - U U^T||_2 because the residual is PSD, is down to the rounding
+  of the tracked diagonal.  A path is the cumulative sum of U z', z' the
+  replicate's r normals.  O(N r) per path and in set-up memory.
 * `HeatFactor` (`heat`): fbm_quarter = c^2 heat + xi with xi independent
   (`kernels`; Lei & Nualart 2009), so the increment covariance of c F
   is T - K: T the fGn Toeplitz matrix that Davies-Harte draws exactly,
-  K_ij = sqrt(dt) gamma(i+j+1) / 2 the increment covariance of xi, a
-  PSD Hankel matrix of numerical rank r of about 20 to 50.  Set-up
-  factors K ~ U U^T by a pivoted Cholesky that reads only the O(N)
-  sequence gamma and stops when the residual trace, a bound on
-  ||K - U U^T||_2 because the residual is PSD, is down to the rounding of
-  the tracked diagonal; finds g = T^-1 e_0 by preconditioned conjugate
-  gradients on FFT products (T. Chan's circulant preconditioner), from
-  which the Gohberg-Semencul formula gives W = T^-1 U by FFT products;
-  and factors I - U^T W = L L^T, so that S = L^T U^T has S^T S =
-  U (I - U^T W) U^T.  A path is then c dF = X - U W^T X + S^T z' =
-  X + U (L z' - W^T X), whose covariance is T - U U^T, followed by a
-  cumulative sum.  A replicate's 2N + r normals are laid out as
-  [2N Davies-Harte | r residual]: X is the fGn drawn from the first 2N
-  in the fBm layout above, z' the last r.  O(N (log N + r)) per path,
-  O(N r) set-up memory and no dense matrix.  The FFT, the rank-r
-  products and the cumulative sum run over fixed tiles of _TILE_ROWS
-  rows, in place over the tile's normals, the last tile zero-padded, so
-  that each row's bits depend neither on the row block nor on the BLAS
-  thread count; the rank-r step reuses the tile spectrum's memory.
-* `CholeskyFactor` (every other kernel): values at t_1 .. t_N are L @ z
-  with L the dense Cholesky factor of the covariance matrix and z the N
-  normals of the replicate's stream.  One 8N^2-byte buffer serves from
-  build to synthesis: `build_cov_matrix` fills it from O(N) square root
-  tables, `dpotrf` factors it in place, and a triangular multiply
-  (`dtrmm`) applies it to the normals in place.  O(N^3) set-up.  Rows
-  go 256 at a time: at N=4096 and M=1000 one `dtrmm` over the whole
-  ensemble takes 0.21 s, against 0.24 s in 256-row blocks (bitwise the
-  same result; median of 7 on a 2-core VM, OpenBLAS 0.3.31), and the
-  block keeps the normals and paths next to the factor at O(256 N).
+  K the Hankel matrix of xi, factored as for `HankelFactor`.  Set-up
+  finds g = T^-1 e_0 by preconditioned conjugate gradients on FFT
+  products (T. Chan's circulant preconditioner), from which the
+  Gohberg-Semencul formula gives W = T^-1 U by FFT products; and factors
+  I - U^T W = L L^T, so that S = L^T U^T has S^T S = U (I - U^T W) U^T.
+  A path is then c dF = X - U W^T X + S^T z' = X + U (L z' - W^T X),
+  whose covariance is T - U U^T, followed by a cumulative sum.  A
+  replicate's 2N + r normals are laid out as [2N Davies-Harte | r
+  residual]: X is the fGn drawn from the first 2N in the fBm layout
+  above, z' the last r.  O(N (log N + r)) per path and O(N r) set-up
+  memory.
+* `CompositeFactor` (kind `composite`): c^2 rho_0 + rho_1 is drawn as
+  c X_0 + X_1, X_0 and X_1 independent paths of the components' own
+  factors.  A replicate's normals are laid out as [part 0 | part 1],
+  each part in its own layout above.  Components do not nest
+  (`kernels`), so every part is one of the four backends above.
 
-The row block of the three O(N) backends is their tile of _TILE_ROWS
-rows.  A cumulative sum or an inverse FFT transforms each row on its
-own, so they give bit for bit the same paths in any row block; the
-triangular multiply gave bitwise the same paths in every block size
-measured.
+The rank-r products of `HankelFactor` and `HeatFactor` run over fixed
+tiles of _TILE_ROWS rows, the last tile zero-padded, so that each row's
+bits depend neither on the row block nor on the BLAS thread count.  A
+cumulative sum or an inverse FFT transforms each row on its own.  So
+every backend gives bit for bit the same paths in any row block, and
+`row_blocks`, blocks of _TILE_ROWS rows, is the one blocking rule that
+`sample_paths` and every experiment of `verify` follow.
 
 `sample_paths` synthesizes from an (M, normals_per_path) block of
 normals when one is given; by default it draws each row block's normals
 from the replicates' streams (`path_normals`) just before synthesizing
-it, so a backend holds one row block of normals at a time, a single
-tile for an O(N) backend.
+it, so a backend holds one tile of normals at a time.
 Because a stream's shorter draw is a prefix of its longer one (`rng`),
 one block drawn for the largest grid of an MSE ladder serves every grid
 of it: each smaller grid is sampled from a copy of the block's first
@@ -84,6 +75,9 @@ replicate, the driving noise of the corrected change-of-variable
 formula: `sample_paths` on a `BrownianFactor`, drawing from the disjoint
 ROLE_BM streams.  Both take the index of their first replicate (`first`),
 so a row block of an experiment draws the rows a whole draw would.
+
+`factorize`, a dense Cholesky factor, and `build_cov_matrix` (`kernels`)
+are the tests' reference; no sampler calls them.
 """
 
 from __future__ import annotations
@@ -97,26 +91,25 @@ import numpy as np
 from . import rng
 from .analytic import gamma
 from .errors import DomainError, NotPositiveDefinite
-from .kernels import FBM_HEAT_SCALE, CovKernel, Grid, _require_memory, build_cov_matrix
-
-# Pivots below JITTER_REL * max(diag) trigger one diagonal jitter retry.
-JITTER_REL = 1e-12
+# build_cov_matrix, the tests' dense oracle, is imported for bench/tracing.py to wrap.
+from .kernels import FBM_HEAT_SCALE, Grid, _require_memory, build_cov_matrix  # noqa: F401
 
 # Circulant eigenvalues below -CIRCULANT_NEG_REL * lambda_max mean the
 # embedding is not PSD; smaller negatives are rounding and clip to 0.
 CIRCULANT_NEG_REL = 1e-12
 
-# The O(N) backends draw, synthesize and hand on paths in row blocks of
+# Every backend draws, synthesizes and hands on paths in row blocks of
 # this many rows, which bounds the normals and paths in flight; the
 # Davies-Harte backends and the Toeplitz solve of the heat set-up also
 # run their FFTs over tiles of this many rows, which bounds their
 # temporaries.
-# HeatFactor also applies its rank-r products to these tiles, the last
-# zero-padded: OpenBLAS rounds a row differently as the height of a
-# product changes, so a fixed tile keeps each row's bits independent of
-# the row block.  The projection X W goes _TILE_COLS columns of W at a
-# time: with 32 to 48 columns, 2 OpenBLAS threads rounded it differently
-# from 1 at most N from 3576 to 69017 tried; 16 columns never did.
+# HankelFactor and HeatFactor also apply their rank-r products to these
+# tiles, the last zero-padded: OpenBLAS rounds a row differently as the
+# height of a product changes, so a fixed tile keeps each row's bits
+# independent of the row block.  The projection X W goes _TILE_COLS
+# columns of W at a time: with 32 to 48 columns, 2 OpenBLAS threads
+# rounded it differently from 1 at most N from 3576 to 69017 tried; 16
+# columns never did.
 _TILE_ROWS = 8
 _TILE_COLS = 16
 
@@ -129,13 +122,19 @@ _HANKEL_RANK_CAP = 128
 _CG_TOL = 1e-15
 _CG_MAX_ITER = 100
 
-# Counts calls that actually run the dense factorization; lets tests
-# assert the "factor once, sample many" contract.
-FACTORIZATION_COUNT = 0
-
 _BIN_MAGIC = b"QLABENS1"
 _BIN_VERSION = 1
 _BIN_HEAD = "<IQdQQI"
+
+
+def _padded_tiles(z):
+    """(start, rows, tile) of each _TILE_ROWS-row tile of z, the last zero-padded to full height."""
+    for start in range(0, z.shape[0], _TILE_ROWS):
+        tile = z[start : start + _TILE_ROWS]
+        rows = tile.shape[0]
+        if rows < _TILE_ROWS:
+            tile = np.pad(tile, ((0, _TILE_ROWS - rows), (0, 0)))
+        yield start, rows, tile
 
 
 @dataclass(frozen=True)
@@ -156,48 +155,10 @@ class BrownianFactor:
     def normals_per_path(self):
         return self.dim
 
-    block_rows = _TILE_ROWS
-
     def synthesize(self, z, out):
         """out[m] = cumsum(sqrt(dt) z[m]) for the (M, N) normals z, which it scales."""
         z *= math.sqrt(self.grid.dt)
         np.cumsum(z, axis=1, out=out)
-
-
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor with provenance.
-
-    matrix_l:    L with L @ L.T equal to the source matrix.
-    jittered:    True when the single diagonal jitter retry was used.
-    grid, kernel_id: optional provenance carried to sampled ensembles.
-    """
-
-    matrix_l: np.ndarray
-    jittered: bool = False
-    grid: Grid | None = None
-    kernel_id: str = ""
-
-    @property
-    def dim(self):
-        return self.matrix_l.shape[0]
-
-    @property
-    def normals_per_path(self):
-        return self.dim
-
-    # Rows synthesized by one triangular multiply (see the module doc).
-    block_rows = 256
-
-    def synthesize(self, z, out):
-        """out[m] = L @ z[m] for the (M, N) normals z, which it overwrites.
-
-        One triangular multiply (BLAS dtrmm) in place on z.T, which is
-        F-contiguous for C-ordered z, so no (N, M) temporary is made.
-        """
-        from scipy.linalg import blas
-
-        out[...] = blas.dtrmm(1.0, self.matrix_l, z.T, lower=1, overwrite_b=1).T
 
 
 @dataclass(frozen=True)
@@ -227,8 +188,6 @@ class CirculantFactor:
     @property
     def normals_per_path(self):
         return 2 * self.dim
-
-    block_rows = _TILE_ROWS
 
     def weights(self, scale=1.0):
         """Factors that turn normals into the half spectrum of scale times the increments."""
@@ -265,6 +224,42 @@ class CirculantFactor:
 
 
 @dataclass(frozen=True)
+class HankelFactor:
+    """The remainder process `xi`: paths are the cumulative sums of U z' (module doc).
+
+    basis:          (r, N) rows of U^T, K ~ U U^T the Hankel increment
+                    covariance.
+    trace_residual: trace of K - U U^T as tracked by the pivoted
+                    Cholesky; bounds ||K - U U^T||_2 up to its rounding.
+    grid, kernel_id: provenance carried to sampled ensembles.
+    """
+
+    basis: np.ndarray
+    trace_residual: float
+    grid: Grid | None = None
+    kernel_id: str = ""
+
+    @property
+    def dim(self):
+        return self.basis.shape[1]
+
+    @property
+    def rank(self):
+        return self.basis.shape[0]
+
+    @property
+    def normals_per_path(self):
+        return self.rank
+
+    def synthesize(self, z, out):
+        """Paths from the (M, r) normals z into out (M, N), a padded tile at a time."""
+        step = np.empty((_TILE_ROWS, self.dim))
+        for start, rows, tile in _padded_tiles(z):
+            np.matmul(tile, self.basis, out=step)
+            np.cumsum(step[:rows], axis=1, out=out[start : start + rows])
+
+
+@dataclass(frozen=True)
 class HeatFactor:
     """Davies-Harte fGn minus a low-rank Hankel part: the heat slice (module doc).
 
@@ -278,12 +273,14 @@ class HeatFactor:
 
     fgn:            `CirculantFactor` of the fGn Toeplitz part T.
     solved:         (r, N) rows of W^T.
-    basis:          (r, N) rows of U^T.
+    basis:          (r, N) rows of U^T, those of `HankelFactor`.
     mixing:         L^T / c, (r, r).
-    trace_residual: trace of K - U U^T as tracked by the pivoted
-                    Cholesky; bounds ||K - U U^T||_2 up to its rounding.
+    trace_residual: trace of K - U U^T (`HankelFactor`).
     cg_residual:    largest ||T w - u|| / ||u|| over the columns of W,
-                    recomputed from W.
+                    recomputed from W.  It grows with N, within
+                    max(1e-13, N eps / 8) with eps = 2^-52: it reads
+                    1.1e-14 at N = 2048, 3.3e-14 at 16384 and 1.7e-13
+                    at 65536.
     grid, kernel_id: provenance carried to sampled ensembles.
     """
 
@@ -308,8 +305,6 @@ class HeatFactor:
     def normals_per_path(self):
         return 2 * self.dim + self.rank
 
-    block_rows = _TILE_ROWS
-
     def synthesize(self, z, out):
         """Paths from the (M, 2N + r) normals z, which it overwrites, into out (M, N)."""
         n, r = self.dim, self.rank
@@ -320,11 +315,7 @@ class HeatFactor:
         step = spec.reshape(-1).view(np.float64)[: _TILE_ROWS * n].reshape(_TILE_ROWS, n)
         coef = np.empty((_TILE_ROWS, r))
         proj = np.empty((_TILE_ROWS, r))
-        for start in range(0, z.shape[0], _TILE_ROWS):
-            tile = z[start : start + _TILE_ROWS]
-            rows = tile.shape[0]
-            if rows < _TILE_ROWS:
-                tile = np.pad(tile, ((0, _TILE_ROWS - rows), (0, 0)))
+        for start, rows, tile in _padded_tiles(z):
             inc = self.fgn.increments(tile, weights, spec)
             for col in range(0, r, _TILE_COLS):
                 cols = slice(col, min(col + _TILE_COLS, r))
@@ -334,6 +325,40 @@ class HeatFactor:
             np.matmul(coef, self.basis, out=step)
             inc += step
             np.cumsum(inc[:rows], axis=1, out=out[start : start + rows])
+
+
+@dataclass(frozen=True)
+class CompositeFactor:
+    """c X_0 + X_1 from independent part factors: a composite kernel (module doc).
+
+    parts:  the factors of the one or two components, in order.
+    scale:  c, applied to the first part.
+    grid, kernel_id: provenance carried to sampled ensembles.
+    """
+
+    parts: tuple
+    scale: float
+    grid: Grid | None = None
+    kernel_id: str = ""
+
+    @property
+    def dim(self):
+        return self.parts[0].dim
+
+    @property
+    def normals_per_path(self):
+        return sum(part.normals_per_path for part in self.parts)
+
+    def synthesize(self, z, out):
+        """Paths from the (M, normals_per_path) normals z, which it overwrites, into out (M, N)."""
+        first, *rest = self.parts
+        count = first.normals_per_path
+        first.synthesize(z[:, :count], out)
+        out *= self.scale
+        for part in rest:
+            second = np.empty_like(out)
+            part.synthesize(z[:, count:], second)
+            out += second
 
 
 def circulant_factor(autocov, grid=None, kernel_id=""):
@@ -404,6 +429,18 @@ def _hankel_cholesky(seq, n):
         rank += 1
         residual = float(np.maximum(diag, 0.0).sum())
     return rows[:rank].copy(), residual
+
+
+def hankel_factor(grid, kernel_id="xi"):
+    """`HankelFactor` of `xi` on the grid; see the module doc.
+
+    Raises DomainError, before allocating, when the Hankel sequence, its
+    diagonal and the pivoted Cholesky's rows exceed physical memory.
+    """
+    n = grid.nsteps
+    _require_memory(8 * n * (min(n, _HANKEL_RANK_CAP) + 3), f"Hankel factor at N={n}")
+    seq = 0.5 * math.sqrt(grid.dt) * gamma(np.arange(1, 2 * n))
+    return HankelFactor(*_hankel_cholesky(seq, n), grid, kernel_id)
 
 
 def _first_column(autocov, eigs):
@@ -504,13 +541,10 @@ def heat_factor(grid, kernel_id="heat"):
     NotPositiveDefinite when I - U^T W is not positive definite.
     """
     n = grid.nsteps
-    # The Hankel sequence, its diagonal and the pivoted Cholesky's rows.
-    _require_memory(8 * n * (min(n, _HANKEL_RANK_CAP) + 3), f"Hankel factor at N={n}")
+    hankel = hankel_factor(grid)
+    basis, rank = hankel.basis, hankel.rank
     autocov = fgn_quarter_autocov(grid)
     fgn = circulant_factor(autocov, grid, "fbm_quarter")
-    seq = 0.5 * math.sqrt(grid.dt) * gamma(np.arange(1, 2 * n))
-    basis, trace_residual = _hankel_cholesky(seq, n)
-    rank = basis.shape[0]
     # U and W are two (r, N) arrays; the FFT tiles (one of 2N floats, two
     # of N+1 complex) take 6 _TILE_ROWS rows of N, and the O(N) tables and
     # conjugate-gradient vectors fewer than 24.
@@ -525,7 +559,9 @@ def heat_factor(grid, kernel_id="heat"):
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"I - U^T T^-1 U is not positive definite at N={n}") from exc
     mixing = lower.T / FBM_HEAT_SCALE
-    return HeatFactor(fgn, solved, basis, mixing, trace_residual, cg_residual, grid, kernel_id)
+    return HeatFactor(
+        fgn, solved, basis, mixing, hankel.trace_residual, cg_residual, grid, kernel_id
+    )
 
 
 @dataclass(frozen=True)
@@ -548,72 +584,48 @@ class PathEnsemble:
         return self.values.shape[0]
 
 
-def factorize(matrix, grid=None, kernel_id="", overwrite_a=False):
-    """Cholesky-factor a PSD matrix with a single jitter retry.
+@dataclass(frozen=True)
+class CholeskyFactor:
+    """A dense lower Cholesky factor from `factorize`, the tests' reference.
 
-    A pivot below 1e-12 * max(diag) (LAPACK failure included) triggers one
-    retry with that same jitter added to the whole diagonal; a second
-    failure raises NotPositiveDefinite naming the pivot index.  An exactly
-    zero matrix factors to zero.  Only the lower triangle is read.
-
-    With overwrite_a=True a writeable F-contiguous float64 matrix is
-    factored in place and becomes the factor's storage (its contents are
-    lost, also when this raises); any other input is copied first, as
-    every input is by default.
+    matrix_l: L with L @ L.T equal to the source matrix.
+    jittered: always False, as `factorize` adds no jitter; bench/tracing.py
+              counts it.
     """
-    global FACTORIZATION_COUNT
-    from scipy.linalg import lapack
 
+    matrix_l: np.ndarray
+    jittered = False
+
+
+def factorize(matrix):
+    """Dense Cholesky factor of a positive definite matrix, the tests' reference.
+
+    Column by column (left-looking), reading only the lower triangle.  A
+    pivot that is not positive raises NotPositiveDefinite naming its
+    0-based index, the order of the first leading minor that is not
+    positive definite; an exactly zero matrix factors to zero.  The
+    input is not changed.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError("factorize expects a square matrix")
-    FACTORIZATION_COUNT += 1
-
-    diag = matrix.diagonal().copy()
-    max_diag = float(np.max(diag)) if diag.size else 0.0
-    if max_diag < 0:
-        raise NotPositiveDefinite("negative diagonal entry", pivot_index=int(np.argmin(diag)))
-    if max_diag == 0.0 and np.any(matrix != 0.0):
-        raise NotPositiveDefinite("zero diagonal with nonzero off-diagonal entries")
-    in_place = overwrite_a and matrix.flags.f_contiguous and matrix.flags.writeable
-    work = matrix if in_place else np.array(matrix, order="F")
-    if max_diag == 0.0:
-        return CholeskyFactor(work, False, grid, kernel_id)
-
-    threshold = JITTER_REL * max_diag
-    dim = work.shape[0]
-
-    def attempt():
-        # clean=0 leaves the strict upper triangle untouched even on failure,
-        # so the lower one can be restored from it for the retry.
-        _, info = lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
-        if info < 0:
-            raise DomainError(f"dpotrf rejected argument {-info}")
-        if info > 0:
-            # LAPACK reports the 1-based order of the failing leading minor.
-            return info - 1
-        bad = np.nonzero(work.diagonal() ** 2 < threshold)[0]
-        return int(bad[0]) if bad.size else None
-
-    pivot = attempt()
-    jittered = pivot is not None
-    if jittered:
-        for col in range(dim - 1):
-            work[col + 1 :, col] = work[col, col + 1 :]
-        np.fill_diagonal(work, diag + threshold)
-        pivot2 = attempt()
-        if pivot2 is not None:
+    lower = np.tril(matrix)
+    if not lower.any():
+        return CholeskyFactor(lower)
+    for col in range(lower.shape[0]):
+        rest = lower[col:, col]
+        rest -= lower[col:, :col] @ lower[col, :col]
+        if not rest[0] > 0:
             raise NotPositiveDefinite(
-                f"matrix is not positive definite near pivot {pivot2} even after jitter",
-                pivot_index=pivot2,
+                f"matrix is not positive definite at pivot {col}", pivot_index=col
             )
-    for col in range(1, dim):
-        work[:col, col] = 0.0
-    return CholeskyFactor(work, jittered, grid, kernel_id)
+        rest /= math.sqrt(rest[0])
+    return CholeskyFactor(lower)
 
 
 _FACTOR_CACHE: dict[
-    tuple[str, int, float], BrownianFactor | CholeskyFactor | CirculantFactor | HeatFactor
+    tuple[str, int, float],
+    BrownianFactor | CirculantFactor | HankelFactor | HeatFactor | CompositeFactor,
 ] = {}
 
 
@@ -621,24 +633,27 @@ def cached_factor(kernel, grid):
     """Factor for (kernel, grid), computed once per process.
 
     `bm` gets the cumulative-sum `BrownianFactor`, `fbm_quarter` the
-    Davies-Harte `CirculantFactor`, `heat` the Davies-Harte plus
-    low-rank `HeatFactor` and every other kernel the dense
-    `CholeskyFactor`.  Large experiments share factors through this
-    cache, so a pipeline factors each kernel exactly once no matter how
-    many ensembles it draws.
+    Davies-Harte `CirculantFactor`, `xi` the low-rank `HankelFactor`,
+    `heat` the Davies-Harte plus low-rank `HeatFactor` and a composite a
+    `CompositeFactor` of its components' cached factors.  Large
+    experiments share factors through this cache, so a pipeline factors
+    each kernel exactly once no matter how many ensembles it draws.
     """
     key = (kernel.canonical_id(), grid.n, grid.horizon)
     factor = _FACTOR_CACHE.get(key)
     if factor is None:
+        kernel_id = kernel.canonical_id()
         if kernel.kind == "bm":
-            factor = BrownianFactor(grid, kernel.canonical_id())
+            factor = BrownianFactor(grid, kernel_id)
         elif kernel.kind == "fbm_quarter":
-            factor = circulant_factor(fgn_quarter_autocov(grid), grid, kernel.canonical_id())
+            factor = circulant_factor(fgn_quarter_autocov(grid), grid, kernel_id)
+        elif kernel.kind == "xi":
+            factor = hankel_factor(grid, kernel_id)
         elif kernel.kind == "heat":
-            factor = heat_factor(grid, kernel.canonical_id())
+            factor = heat_factor(grid, kernel_id)
         else:
-            cov = build_cov_matrix(kernel, grid)
-            factor = factorize(cov, grid=grid, kernel_id=kernel.canonical_id(), overwrite_a=True)
+            parts = tuple(cached_factor(comp, grid) for comp in kernel.components)
+            factor = CompositeFactor(parts, kernel.c, grid, kernel_id)
         _FACTOR_CACHE[key] = factor
     return factor
 
@@ -647,12 +662,11 @@ def clear_factor_cache():
     _FACTOR_CACHE.clear()
 
 
-def row_blocks(factor, m):
-    """(start, stop) of each row block, in order, that the factor synthesizes at once."""
+def row_blocks(m):
+    """(start, stop) of each row block of _TILE_ROWS rows, in order: the one blocking rule."""
     if m < 1:
         raise DomainError("need at least one replicate")
-    step = factor.block_rows
-    return [(start, min(start + step, m)) for start in range(0, m, step)]
+    return [(start, min(start + _TILE_ROWS, m)) for start in range(0, m, _TILE_ROWS)]
 
 
 def path_normals(factor, m, seed, role=rng.ROLE_PATH, first=0):
@@ -698,7 +712,7 @@ def sample_paths(factor, m, seed, z=None, role=rng.ROLE_PATH, first=0):
     _require_memory(8 * m * (grid.nsteps + 1), f"{m} paths at N={grid.nsteps}")
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
     values[:, 0] = 0.0
-    for start, stop in row_blocks(factor, m):
+    for start, stop in row_blocks(m):
         if z is None:
             block = path_normals(factor, stop - start, seed, role, first + start)
         else:

@@ -4,15 +4,12 @@ Each experiment draws paths, evaluates the discrete functionals, and
 compares them against either closed-form Gaussian moments or an
 independently simulated right-hand side.  Reports carry every statistic,
 threshold, and pass flag.  Every experiment draws, synthesizes and
-reduces its paths in the sampler's own row blocks (`simulate.row_blocks`:
-the 8-row tile of an O(N) sampler, 256 rows of the dense factor), one
-block after another, through `_replicate_columns`, so it holds one
-block's normals and paths whatever the replicate count.  A rerun with the
-same configuration and seed on the same numpy/scipy build reproduces
-summary.json and replicates.csv byte for byte, in any row block and under
-any BLAS thread count, except for a kernel drawn through the dense
-Cholesky factor, such as the composite of `verify_fbm_window`: its bytes
-change with the BLAS thread count.
+reduces its paths in row blocks (`simulate.row_blocks`: the 8-row tile
+of every sampler), one block after another, through
+`_replicate_columns`, so it holds one block's normals and paths whatever
+the replicate count.  A rerun with the same configuration and seed on
+the same numpy/scipy build reproduces summary.json and replicates.csv
+byte for byte, in any row block and under any BLAS thread count.
 
 An experiment's parameters are declared once, as the keyword parameters
 of its `verify_*` function, defaults included: the default kernel and
@@ -205,21 +202,20 @@ def _replicate_columns(kernel, grids, m, seed, reduce, shape, brownian=False):
     shape[0] tuples of shape[1] columns of length rows.  The result is
     the (len(grids), m, *shape) array of those columns.
 
-    The loop runs over the row blocks of the finest (last) grid's factor
-    (`simulate.row_blocks`): one tile of _TILE_ROWS rows for an O(N)
-    backend.  For each block it draws each replicate's path stream once,
-    at the finest grid's normals_per_path; every coarser grid samples a
-    copy of the block's leading columns (the `rng` prefix contract) and
-    the finest grid the block itself.  Only the result outlives the
-    block, so an experiment holds O(block_rows * N) normals and paths
-    whatever m is.  Each row depends on its own streams only, so the
-    result is the same in any block.
+    The loop runs over the row blocks of `simulate.row_blocks`, tiles of
+    _TILE_ROWS rows.  For each block it draws each replicate's path
+    stream once, at the finest grid's normals_per_path; every coarser
+    grid samples a copy of the block's leading columns (the `rng` prefix
+    contract) and the finest grid the block itself.  Only the result
+    outlives the block, so an experiment holds O(_TILE_ROWS * N) normals
+    and paths whatever m is.  Each row depends on its own streams only,
+    so the result is the same in any block.
     """
     finest = cached_factor(kernel, grids[-1])
     shape = (len(grids), m, *shape)
     _require_memory(8 * math.prod(shape), f"columns of {m} replicates")
     out = np.empty(shape, dtype=np.float64)
-    for start, stop in row_blocks(finest, m):
+    for start, stop in row_blocks(m):
         z = path_normals(finest, stop - start, seed, first=start)
         for grid, cols in zip(grids, out):
             # Synthesis overwrites its normals: a coarser grid gets a copy

@@ -286,16 +286,29 @@ for grid in (Grid(4096), Grid(3000, 1.7)):
 out["heat-paths"] = digest.hexdigest()
 """
 
-# Negative control: the heat kernel at n = 1024 forced onto the dense
-# Cholesky factor, whose bits OpenBLAS rounds differently under 1 and 2
-# threads.  It goes into the child's factor cache before any run.
+# Negative control: the heat kernel at n = 1024 forced onto a dense
+# Cholesky factor built here, whose LAPACK factorization OpenBLAS rounds
+# differently under 1 and 2 threads.  It goes into the child's factor
+# cache before any run.
 _DENSE_HEAT = """
+from dataclasses import dataclass
+import numpy as np
 from quartic_lab import simulate
 from quartic_lab.kernels import Grid, build_cov_matrix, heat_kernel
+
+@dataclass(frozen=True)
+class DenseFactor:
+    lower: np.ndarray
+    grid: Grid
+    kernel_id: str = "heat"
+    dim = normals_per_path = 1024
+
+    def synthesize(self, z, out):
+        np.matmul(z, self.lower.T, out=out)
+
 grid = Grid(1024)
-simulate._FACTOR_CACHE[("heat", 1024, 1.0)] = simulate.factorize(
-    build_cov_matrix(heat_kernel(), grid), grid=grid, kernel_id="heat", overwrite_a=True
-)
+lower = np.linalg.cholesky(build_cov_matrix(heat_kernel(), grid))
+simulate._FACTOR_CACHE[("heat", 1024, 1.0)] = DenseFactor(lower, grid)
 """
 
 _FBM_TRAPEZOID = {
@@ -322,7 +335,10 @@ def test_criterion_10_worker_determinism(tmp_path):
     """The outputs do not depend on how many OpenBLAS worker threads run."""
     config = tmp_path / "fbm-trapezoid.json"
     config.write_text(json.dumps(_FBM_TRAPEZOID))
-    runs = {name: ["--experiment", name] for name in ("ito", "bn", "trapezoid", "expansion")}
+    runs = {
+        name: ["--experiment", name]
+        for name in ("ito", "bn", "trapezoid", "expansion", "fbm-window")
+    }
     runs["fbm-trapezoid"] = ["--experiment", "trapezoid", "--config", str(config)]
     one, two = _digests_by_blas_threads(_VERIFY_DIGESTS + _HEAT_PATHS, runs)
     differ = sorted(name for name in one.keys() | two.keys() if one.get(name) != two.get(name))

@@ -655,8 +655,16 @@ def _run_fresh_python(code):
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    """scipy.linalg loads with the first dense factor, not with the CLI."""
-    _run_fresh_python("import sys, quartic_lab.cli; assert 'scipy.linalg' not in sys.modules")
+    """Neither the CLI nor a draw of any kernel kind, composites included, loads scipy.linalg."""
+    _run_fresh_python(
+        "import sys, quartic_lab.cli\n"
+        "from quartic_lab.kernels import KERNEL_KINDS, CovKernel, Grid, fbm_composite_kernel\n"
+        "from quartic_lab.verify import draw_ensemble\n"
+        "kinds = [CovKernel(kind) for kind in KERNEL_KINDS if kind != 'composite']\n"
+        "for kernel in kinds + [fbm_composite_kernel()]:\n"
+        "    draw_ensemble(kernel, Grid(64), 9, 1)\n"
+        "assert 'scipy.linalg' not in sys.modules"
+    )
 
 
 def test_ladder_run_leaves_scipy_stats_unloaded(tmp_path):

@@ -1,5 +1,7 @@
 """Property tests: PSD covariances, the exact parity split, record round trips."""
 
+import types
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from scipy.special import ndtri
 from quartic_lab import functions, rng
 from quartic_lab.functions import builtin, from_spec
 from quartic_lab.kernels import KERNEL_KINDS, CovKernel, Grid, build_cov_matrix, fbm_composite_kernel
-from quartic_lab.simulate import PathEnsemble, heat_factor, load_ensemble, save_ensemble
+from quartic_lab.simulate import PathEnsemble, cached_factor, heat_factor, load_ensemble, save_ensemble
 from quartic_lab.sums import power_sum_ensemble
 
 _PROPERTY = settings(max_examples=40, deadline=None, database=None)
@@ -58,6 +60,24 @@ def test_normals_keep_the_bounded_integers_of_the_stream(seed, replicate, role, 
     assert np.array_equal(rng.normals(key, count).view(np.uint64), expected.view(np.uint64))
 
 
+def test_the_top_53_bit_integer_draws_a_finite_normal(monkeypatch):
+    """k = 2**53 - 1 would shift to 2**53, a uniform of 1; it is capped and no other draw moves.
+
+    The stubbed stream hands out raw outputs whose top 53 bits are k;
+    from 2**52 on, k + 0.5 rounds half to even.
+    """
+    ks = np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 3, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    raw = (ks << np.uint64(11)) | np.uint64(2**11 - 1)
+    assert raw[-1] == 2**64 - 1
+    bits = types.SimpleNamespace(random_raw=lambda count: raw[:count].copy())
+    monkeypatch.setattr(rng, "stream", lambda key: types.SimpleNamespace(bit_generator=bits))
+    z = rng.normals(0, ks.size)
+    assert np.all(np.isfinite(z))
+    assert z[-1] == ndtri(1.0 - 2.0**-53) > z[-2] == z[-3]
+    expected = ndtri((ks[:-1] + 0.5) * 2.0**-53)
+    assert np.array_equal(z[:-1].view(np.uint64), expected.view(np.uint64))
+
+
 @_PROPERTY
 @given(
     kernel=st.sampled_from([*map(CovKernel, _BASE_KINDS), fbm_composite_kernel()]),
@@ -77,6 +97,18 @@ def test_heat_sampler_has_the_dense_covariance_on_random_grids(grid):
     out = np.empty((count, factor.dim))
     factor.synthesize(np.eye(count), out)
     exact = build_cov_matrix(CovKernel("heat"), grid)
+    assert np.max(np.abs(out.T @ out - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@_PROPERTY
+@given(kernel=st.one_of(st.just(CovKernel("xi")), _COMPOSITES), grid=_GRIDS)
+def test_xi_and_composite_samplers_have_the_dense_covariance_on_random_grids(kernel, grid):
+    """Composites of every kind, scale and drift draw through their parts' factors exactly."""
+    factor = cached_factor(kernel, grid)
+    count = factor.normals_per_path
+    out = np.empty((count, factor.dim))
+    factor.synthesize(np.eye(count), out)
+    exact = build_cov_matrix(kernel, grid)
     assert np.max(np.abs(out.T @ out - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 

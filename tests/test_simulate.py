@@ -14,6 +14,7 @@ import pytest
 
 import quartic_lab
 import quartic_lab.cli  # noqa: F401  (bench/tracing.py wraps attributes of the cli module)
+import quartic_lab.kernels as kernels
 import quartic_lab.rng as rng
 import quartic_lab.simulate as simulate
 import quartic_lab.verify as verify
@@ -21,6 +22,7 @@ from quartic_lab.analytic import gamma
 from quartic_lab.errors import DomainError, NotPositiveDefinite
 from quartic_lab.kernels import (
     FBM_HEAT_SCALE,
+    KERNEL_KINDS,
     CovKernel,
     Grid,
     build_cov_matrix,
@@ -32,6 +34,8 @@ from quartic_lab.kernels import (
 from quartic_lab.simulate import (
     BrownianFactor,
     CirculantFactor,
+    CompositeFactor,
+    HankelFactor,
     HeatFactor,
     cached_factor,
     circulant_factor,
@@ -46,8 +50,17 @@ from quartic_lab.simulate import (
 )
 
 
-# Every time twice: a 16 x 16 heat covariance of rank 8, singular but PSD.
-_REPEATED_TIMES = np.repeat(np.arange(1, 9) / 8, 2)
+@pytest.fixture
+def no_dense(monkeypatch):
+    """The dense oracle and the reference factor raise if anything calls them."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense covariance matrix was built or factored")
+
+    for owner in (simulate, kernels):
+        monkeypatch.setattr(owner, "build_cov_matrix", refuse)
+    monkeypatch.setattr(simulate, "factorize", refuse)
+    clear_factor_cache()
 
 
 class TestFactorize:
@@ -71,12 +84,11 @@ class TestFactorize:
         np.testing.assert_array_equal(factor.matrix_l, np.zeros((3, 3)))
         assert not factor.jittered
 
-    def test_singular_psd_takes_jitter_path(self):
-        # rank-1 matrix: exact Cholesky fails at the second pivot
-        factor = factorize(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert factor.jittered
-        recon = factor.matrix_l @ factor.matrix_l.T
-        np.testing.assert_allclose(recon, [[1.0, 1.0], [1.0, 1.0]], atol=1e-6)
+    def test_singular_psd_raises_at_its_zero_pivot(self):
+        # rank-1 matrix: the second pivot is exactly zero
+        with pytest.raises(NotPositiveDefinite) as exc_info:
+            factorize(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert exc_info.value.pivot_index == 1
 
     def test_indefinite_matrix_raises_with_pivot(self):
         with pytest.raises(NotPositiveDefinite) as exc_info:
@@ -95,38 +107,12 @@ class TestFactorize:
         with pytest.raises(DomainError):
             factorize(np.zeros((2, 3)))
 
-    @pytest.mark.parametrize(
-        "matrix",
-        [
-            np.array([[1.0, 1.0], [1.0, 1.0]]),
-            rho_heat(_REPEATED_TIMES[:, None], _REPEATED_TIMES),
-            build_cov_matrix(heat_kernel(), Grid(256)),
-        ],
-        ids=["rank1", "repeated_times", "heat256"],
-    )
-    def test_in_place_is_bitwise_the_default(self, matrix):
-        original = matrix.copy()
-        expected = factorize(matrix)
-        assert np.array_equal(matrix, original)
-        work = np.asfortranarray(original.copy())
-        factor = factorize(work, overwrite_a=True)
-        assert factor.matrix_l is work
-        assert np.array_equal(factor.matrix_l, expected.matrix_l)
-        assert factor.jittered == expected.jittered
-
-    @pytest.mark.parametrize(
-        "matrix, pivot",
-        [(np.array([[1.0, 2.0], [2.0, 1.0]]), 1), (np.eye(5) + 1.5 * (np.eye(5, k=2) + np.eye(5, k=-2)), 2)],
-        ids=["2x2", "5x5"],
-    )
-    def test_in_place_indefinite_raises_the_same_pivot(self, matrix, pivot):
-        original = matrix.copy()
-        for overwrite_a in (False, True):
-            with pytest.raises(NotPositiveDefinite) as exc_info:
-                factorize(np.asfortranarray(matrix) if overwrite_a else matrix, overwrite_a=overwrite_a)
-            assert exc_info.value.pivot_index == pivot
-            if not overwrite_a:
-                assert np.array_equal(matrix, original)
+    def test_reads_only_the_lower_triangle_and_keeps_the_input(self):
+        cov = build_cov_matrix(heat_kernel(), Grid(64))
+        skewed = np.tril(cov) + np.triu(np.full_like(cov, np.nan), 1)
+        original = skewed.copy()
+        assert np.array_equal(factorize(skewed).matrix_l, factorize(cov).matrix_l)
+        assert np.array_equal(skewed, original, equal_nan=True)
 
 
 SAMPLED_KERNELS = pytest.mark.parametrize(
@@ -185,7 +171,7 @@ class TestSamplePaths:
 
     def test_bare_factor_needs_a_grid(self):
         with pytest.raises(DomainError, match="needs a grid"):
-            sample_paths(factorize(np.eye(3)), 2, seed=1)
+            sample_paths(circulant_factor([1.0, 0.0, 0.0]), 2, seed=1)
 
     @pytest.mark.parametrize("draw", [
         lambda factor: fgn_quarter_autocov(Grid(2**40)),
@@ -213,34 +199,43 @@ class TestSamplePaths:
             sample_paths(factor, 4, seed=1, z=z)
 
     def test_triangular_synthesis_matches_matrix_product(self):
+        """xi's paths are the lower-triangular matrix of ones times U z'."""
         factor = cached_factor(CovKernel("xi"), Grid(1024))
-        z = np.random.default_rng(4).standard_normal((50, 1024))
-        expected = (factor.matrix_l @ z.T).T
-        out = np.empty_like(z)
+        z = np.random.default_rng(4).standard_normal((50, factor.rank))
+        expected = (np.tril(np.ones((1024, 1024))) @ factor.basis.T @ z.T).T
+        out = np.empty((50, 1024))
         factor.synthesize(z.copy(), out)
         assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    def test_cached_factor_factors_the_built_buffer_in_place(self, monkeypatch):
-        built = []
-
-        def build(kernel, grid):
-            built.append(build_cov_matrix(kernel, grid))
-            return built[-1]
-
-        monkeypatch.setattr(simulate, "build_cov_matrix", build)
-        clear_factor_cache()
-        factor = cached_factor(CovKernel("xi"), Grid(64))
-        assert factor.matrix_l is built[0]
-        assert np.array_equal(np.triu(factor.matrix_l, 1), np.zeros((64, 64)))
-
-    def test_factor_cache_reuses_work(self):
-        clear_factor_cache()
-        before = simulate.FACTORIZATION_COUNT
+    def test_cached_factor_builds_no_dense_matrix(self, no_dense):
+        """Every kernel kind, each composite of them and a drift are drawn without a dense matrix."""
         grid = Grid(64)
-        cached_factor(CovKernel("xi"), grid)
+        base = [CovKernel(kind) for kind in KERNEL_KINDS if kind != "composite"]
+        composites = [CovKernel("composite", c=0.5, components=(part,)) for part in base] + [
+            CovKernel("composite", c=-1.5, components=(a, b), mean_coeffs=(0.0, 1.0))
+            for a in base
+            for b in base
+        ]
+        for kernel in base + composites:
+            values = verify.draw_ensemble(kernel, grid, 9, 1).values
+            assert values.shape == (9, 65) and np.all(np.isfinite(values))
+
+    def test_factor_cache_reuses_work(self, monkeypatch):
+        """xi is factored once however often it is drawn, and a composite reuses its parts."""
+        calls = []
+        hankel = simulate._hankel_cholesky
+        monkeypatch.setattr(simulate, "_hankel_cholesky", lambda *args: calls.append(1) or hankel(*args))
+        clear_factor_cache()
+        grid = Grid(64)
+        xi = cached_factor(CovKernel("xi"), grid)
         sample_paths(cached_factor(CovKernel("xi"), grid), 10, seed=1)
-        sample_paths(cached_factor(CovKernel("xi"), grid), 10, seed=2)
-        assert simulate.FACTORIZATION_COUNT == before + 1
+        composite = cached_factor(fbm_composite_kernel(), grid)
+        sample_paths(composite, 10, seed=2)
+        sample_paths(cached_factor(fbm_composite_kernel(), grid), 10, seed=3)
+        assert composite.parts[0] is cached_factor(heat_kernel(), grid)
+        assert composite.parts[1] is xi
+        # Once for xi and once inside the heat set-up.
+        assert len(calls) == 2
 
 
 def _linear_map(factor, block=512):
@@ -369,6 +364,11 @@ def _tiles_match_the_block(kernel, block_paths, n, m):
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
+def _blocks_of(rows):
+    """A row_blocks that cuts blocks of the given height instead of the tile."""
+    return lambda m: [(start, min(start + rows, m)) for start in range(0, m, rows)]
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
@@ -388,11 +388,8 @@ class TestBrownianSampler:
     def test_linear_map_has_the_bm_covariance(self, n):
         _check_linear_map(CovKernel("bm"), BrownianFactor, n)
 
-    def test_no_dense_factor(self):
-        clear_factor_cache()
-        before = simulate.FACTORIZATION_COUNT
+    def test_no_dense_factor(self, no_dense):
         factor = cached_factor(CovKernel("bm"), Grid(1024))
-        assert simulate.FACTORIZATION_COUNT == before
         assert factor.normals_per_path == factor.dim == 1024
 
     def test_coupled_motion_is_the_scaled_cumsum_of_its_stream(self):
@@ -418,39 +415,30 @@ class TestCirculantSampler:
     def test_linear_map_has_the_fbm_covariance(self, n):
         _check_linear_map(fbm_quarter_kernel(), CirculantFactor, n)
 
-    def test_certificate_stored_and_no_dense_factor(self):
-        clear_factor_cache()
-        before = simulate.FACTORIZATION_COUNT
+    def test_certificate_stored_and_no_dense_factor(self, no_dense):
         factor = cached_factor(fbm_quarter_kernel(), Grid(1024))
-        assert simulate.FACTORIZATION_COUNT == before
         assert factor.certificate > 0
         assert factor.normals_per_path == 2 * factor.dim == 2048
 
     @pytest.mark.parametrize(
-        "m", [1, CirculantFactor.block_rows - 1, CirculantFactor.block_rows + 1, 200],
+        "m", [1, simulate._TILE_ROWS - 1, simulate._TILE_ROWS + 1, 200],
         ids=["1", "block-1", "block+1", "200"],
     )
     def test_row_blocks_match_one_whole_block(self, monkeypatch, m):
         factor = cached_factor(fbm_quarter_kernel(), Grid(256))
         blocked = sample_paths(factor, m, 5).values
         given = sample_paths(factor, m, 5, simulate.path_normals(factor, m, 5)).values
-        monkeypatch.setattr(CirculantFactor, "block_rows", m)
+        monkeypatch.setattr(simulate, "row_blocks", _blocks_of(m))
         whole = sample_paths(factor, m, 5).values
         assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
         assert np.array_equal(given.view(np.uint64), whole.view(np.uint64))
 
-    def test_row_blocks_follow_the_backend(self):
-        grid = Grid(64)
+    def test_row_blocks_are_tiles(self):
         tiles = [(0, 8), (8, 16), (16, 24), (24, 32), (32, 40), (40, 48), (48, 56), (56, 64), (64, 70)]
-        assert simulate.row_blocks(cached_factor(fbm_quarter_kernel(), grid), 70) == tiles
-        assert simulate.row_blocks(cached_factor(heat_kernel(), grid), 70) == tiles
-        assert simulate.row_blocks(BrownianFactor(grid), 5) == [(0, 5)]
-        assert simulate.row_blocks(cached_factor(CovKernel("xi"), grid), 70) == [(0, 70)]
-        assert simulate.row_blocks(cached_factor(CovKernel("xi"), grid), 600) == [
-            (0, 256), (256, 512), (512, 600)
-        ]
+        assert simulate.row_blocks(70) == tiles
+        assert simulate.row_blocks(5) == [(0, 5)]
         with pytest.raises(DomainError, match="at least one replicate"):
-            simulate.row_blocks(BrownianFactor(grid), 0)
+            simulate.row_blocks(0)
 
     @pytest.mark.parametrize("role", [rng.ROLE_PATH, rng.ROLE_BM])
     def test_normals_from_an_offset_are_the_rows_of_the_whole_block(self, role):
@@ -511,6 +499,25 @@ class TestHeatSampler:
         assert factor.cg_residual <= 1e-13
         assert rel.max() <= 2 * factor.cg_residual + 1e-15
 
+    def test_stored_cg_residual_stays_within_its_bound_of_n(self):
+        """At N = 16384 the stored residual is that of W and within max(1e-13, N eps / 8).
+
+        T W^T goes through a full-length complex FFT convolution, not the
+        set-up's circulant embedding and not a dense matrix.
+        """
+        n = 16384
+        grid = Grid(n)
+        factor = cached_factor(heat_kernel(), grid)
+        autocov = fgn_quarter_autocov(grid)
+        lags = np.concatenate([autocov[n - 1 : 0 : -1], autocov[:n]])
+        spectrum = np.fft.fft(factor.solved, 4 * n, axis=1) * np.fft.fft(lags, 4 * n)
+        image = np.fft.ifft(spectrum, axis=1).real[:, n - 1 : 2 * n - 1]
+        rel = np.linalg.norm(image - factor.basis, axis=1) / np.linalg.norm(factor.basis, axis=1)
+        bound = n * np.finfo(np.float64).eps / 8
+        assert bound > 1e-13
+        assert factor.cg_residual <= bound
+        assert rel.max() <= 2 * factor.cg_residual + 1e-15
+
     def test_normal_layout_is_fgn_then_residual(self):
         """The first 2N normals draw the fBm sampler's increments; the last r only the correction."""
         grid = Grid(256)
@@ -528,11 +535,8 @@ class TestHeatSampler:
         assert not np.allclose(paths, projected)
         assert heat.normals_per_path == 2 * n + r
 
-    def test_no_dense_factor(self):
-        clear_factor_cache()
-        before = simulate.FACTORIZATION_COUNT
+    def test_no_dense_factor(self, no_dense):
         built = cached_factor(heat_kernel(), Grid(1024))
-        assert simulate.FACTORIZATION_COUNT == before
         assert built.fgn.certificate > 0
         assert 20 <= built.rank <= 40
 
@@ -602,9 +606,68 @@ class TestHeatSampler:
     def test_rows_do_not_depend_on_the_tile_or_block(self, monkeypatch, m):
         factor = cached_factor(heat_kernel(), Grid(4096))
         whole = sample_paths(factor, 40, 9).values
-        monkeypatch.setattr(simulate.HeatFactor, "block_rows", 3)
+        monkeypatch.setattr(simulate, "row_blocks", _blocks_of(3))
         part = sample_paths(factor, m, 9, first=40 - m).values
         assert np.array_equal(part.view(np.uint64), whole[40 - m :].view(np.uint64))
+
+
+# xi, on its Hankel factor, and composites, as sums of independent parts.
+PART_KERNELS = pytest.mark.parametrize(
+    "kernel",
+    [
+        CovKernel("xi"),
+        fbm_composite_kernel(),
+        CovKernel("composite", c=-1.3, components=(fbm_quarter_kernel(), CovKernel("bm"))),
+    ],
+    ids=["xi", "fbm-composite", "signed-composite"],
+)
+
+
+@PART_KERNELS
+@pytest.mark.parametrize(
+    "grid", [Grid(64), Grid(256), Grid(1000), Grid(2048), Grid(100, 2.5)], ids=str
+)
+def test_linear_map_has_the_oracle_covariance(kernel, grid):
+    """xi and the composite draw the dense oracle's covariance, to 1e-13 of its largest entry."""
+    factor = cached_factor(kernel, grid)
+    assert isinstance(factor, HankelFactor if kernel.kind == "xi" else CompositeFactor)
+    exact = build_cov_matrix(kernel, grid)
+    assert np.max(np.abs(_linear_map(factor) - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@PART_KERNELS
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 33], ids=str)
+def test_part_rows_do_not_depend_on_the_tile_or_block(monkeypatch, kernel, m):
+    factor = cached_factor(kernel, Grid(4096))
+    whole = sample_paths(factor, 40, 9).values
+    monkeypatch.setattr(simulate, "row_blocks", _blocks_of(3))
+    part = sample_paths(factor, m, 9, first=40 - m).values
+    assert np.array_equal(part.view(np.uint64), whole[40 - m :].view(np.uint64))
+
+
+def test_xi_draws_the_heat_set_up_hankel_factor():
+    """xi draws r normals through the rows U^T that the heat set-up builds, bit for bit."""
+    for n, rank in ((64, 17), (256, 22), (1000, 26)):
+        xi = cached_factor(CovKernel("xi"), Grid(n))
+        heat = cached_factor(heat_kernel(), Grid(n))
+        assert xi.normals_per_path == xi.rank == heat.rank == rank
+        assert np.array_equal(xi.basis.view(np.uint64), heat.basis.view(np.uint64))
+
+
+def test_composite_normals_are_part_0_then_part_1():
+    """A row is c times part 0 drawn from its leading normals plus part 1 drawn from the rest."""
+    grid = Grid(256)
+    kernel = fbm_composite_kernel()
+    factor = cached_factor(kernel, grid)
+    heat, xi = factor.parts
+    z = simulate.path_normals(factor, 5, 3)
+    first, second = np.empty((2, 5, 256))
+    heat.synthesize(z[:, : heat.normals_per_path].copy(), first)
+    xi.synthesize(z[:, heat.normals_per_path :].copy(), second)
+    expected = kernel.c * first + second
+    paths = sample_paths(factor, 5, 3).values[:, 1:]
+    assert np.array_equal(paths.view(np.uint64), expected.view(np.uint64))
+    assert factor.normals_per_path == 2 * 256 + 2 * heat.rank
 
 
 _THREAD_DIGEST = """

@@ -464,7 +464,9 @@ class TestLadderExperiments:
         ("ito", heat_kernel()),
         ("bn", fbm_quarter_kernel()),
         ("bn", heat_kernel()),
-    ], ids=["fbm", "bm", "ito-fbm", "ito-heat", "bn-fbm", "bn-heat"])
+        ("ito", fbm_composite_kernel()),
+        ("ito", CovKernel("xi")),
+    ], ids=["fbm", "bm", "ito-fbm", "ito-heat", "bn-fbm", "bn-heat", "ito-composite", "ito-xi"])
     def test_ladder_report_does_not_depend_on_the_row_block(self, monkeypatch, run, kernel):
         """Row blocks of 2 and 3 replicates give the report of the default block."""
 
@@ -472,15 +474,14 @@ class TestLadderExperiments:
             rep = self._RUNS[run](kernel, 7)
             return rep.summary_json(), rep.replicates_csv()
 
+        def blocks_of(rows):
+            return lambda m: [(start, min(start + rows, m)) for start in range(0, m, rows)]
+
         default = report()
         for rows in (2, 3):
-            for backend in (
-                simulate.BrownianFactor, simulate.CirculantFactor, simulate.HeatFactor,
-                simulate.CholeskyFactor,
-            ):
-                monkeypatch.setattr(backend, "block_rows", rows)
-            blocks = simulate.row_blocks(cached_factor(kernel, Grid(64)), 7)
-            assert len(blocks) == math.ceil(7 / rows)
+            for owner in (verify, simulate):
+                monkeypatch.setattr(owner, "row_blocks", blocks_of(rows))
+            assert len(verify.row_blocks(7)) == math.ceil(7 / rows)
             assert report() == default
 
     @pytest.mark.parametrize("run, sizes", [
@@ -593,7 +594,9 @@ class TestLadderExperiments:
 
 class TestFbmWindowExperiment:
     def test_small_windowed_run(self):
-        rep = verify_fbm_window(n=512, m=200, seeds=1, ks_tol=0.15, mean_tol=0.2, var_tol=0.4)
+        # m is the experiment's default.  At m = 200 the mean gate is 1.6 SE
+        # and failed at 5 to 7 of seeds 0-39; at m = 1000 it is 3.6 SE.
+        rep = verify_fbm_window(n=512, m=1000, seeds=1, ks_tol=0.15, mean_tol=0.2, var_tol=0.4)
         assert rep.passed
         assert rep.experiment == "fbm-window"
         assert rep.config["experiment"] == "fbm-window"
