@@ -8,6 +8,7 @@ module.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -681,3 +682,28 @@ def test_audit_dict_keys_are_its_fields_and_ok():
     report = audit_cov_table(32)
     fields = {f.name for f in dataclasses.fields(report)}
     assert set(report.to_dict()) == fields | {"ok"}
+
+
+# A drifted two-part composite: no default run has a drift or a partial
+# last tile (m = 200 and 1000 are multiples of the 8-row tile), so these
+# digests pin both.  They were computed before the sampling loop was
+# rewritten as one generator and must not move with it.
+_PINNED_KERNEL = CovKernel(
+    "composite", c=1.3, components=(CovKernel("heat"), CovKernel("xi")),
+    mean_coeffs=(0.5, -1.0, 2.0),
+)
+
+
+def test_drifted_composite_draw_is_pinned():
+    ens = draw_ensemble(_PINNED_KERNEL, Grid(100, 2.5), 13, 5)
+    assert ens.kernel_id == "composite(c=1.3;heat+xi)|mean=[0.5, -1.0, 2.0]|drift"
+    digest = hashlib.sha256(ens.kernel_id.encode() + ens.values.tobytes()).hexdigest()
+    assert digest == "f105625d3085a37a33020275ee4ecc645e4d053ff5da27cade50bb420ee8c3bc"
+
+
+def test_drifted_composite_ladder_is_pinned():
+    rep = verify_expansion_residual(
+        kernel=_PINNED_KERNEL, g=builtin("sine"), n_list=(64, 128, 256), m=21, seed=5
+    )
+    digest = hashlib.sha256((rep.summary_json() + rep.replicates_csv()).encode()).hexdigest()
+    assert digest == "b5170ad87e73ffc179fb4301a7308661536306243a9e5646dd669ebea0565461"
