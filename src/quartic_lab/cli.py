@@ -14,7 +14,7 @@ entry, and those of `cov-table` through `_COV_TABLE_CHECKS`.  All
 randomness flows from the single seed in the config (or --seed).
 Rerunning any verb with the same inputs on the same numpy/scipy build
 reproduces its output files byte for byte (for `verify`, summary.json
-and replicates.csv), in any row block and under any BLAS thread count.
+and replicates.csv), under any BLAS thread count.
 """
 
 from __future__ import annotations

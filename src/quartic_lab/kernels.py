@@ -170,10 +170,11 @@ class CovKernel:
     """Tagged covariance kernel.
 
     kind: one of "heat", "xi", "fbm_quarter", "bm", "composite".
-    c: scale applied (squared) to the first component of a composite.
+    c: finite scale applied (squared) to the first component of a composite.
     components: sub-kernels of a composite; rho = c^2*rho_0 (+ rho_1).
-    mean_coeffs: optional polynomial-in-t deterministic mean, added to
-        sampled paths after the Gaussian draw; empty means centered.
+    mean_coeffs: optional polynomial-in-t deterministic mean with finite
+        coefficients, added to sampled paths after the Gaussian draw;
+        empty means centered.
     """
 
     kind: str
@@ -194,6 +195,8 @@ class CovKernel:
             for comp in self.components:
                 if comp.kind == "composite":
                     raise DomainError("composite kernels do not nest")
+            if not all(map(math.isfinite, (self.c, *self.mean_coeffs))):
+                raise DomainError("composite scale c and mean coefficients must be finite")
         else:
             if self.c is not None:
                 raise DomainError(f"kernel {self.kind!r} takes no scale c")
@@ -258,12 +261,12 @@ class CovKernel:
                 raise DomainError(f"kernel {kind!r} takes only a 'kind' tag")
             return CovKernel(kind)
         comps = tuple(CovKernel.from_dict(c) for c in rec.get("components", []))
-        return CovKernel(
-            "composite",
-            c=float(rec.get("c", 1.0)),
-            components=comps,
-            mean_coeffs=tuple(float(v) for v in rec.get("mean_coeffs", ())),
-        )
+        try:
+            c = float(rec.get("c", 1.0))
+            mean_coeffs = tuple(float(v) for v in rec.get("mean_coeffs", ()))
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise DomainError(f"composite c and mean_coeffs must be numbers: {exc}") from exc
+        return CovKernel("composite", c=c, components=comps, mean_coeffs=mean_coeffs)
 
 
 def heat_kernel():

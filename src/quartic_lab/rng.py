@@ -2,7 +2,7 @@
 
 Every replicate draws from its own counter-based stream whose 128-bit key
 is a hash of (master_seed, replicate_index, stream_role).  Streams are
-therefore independent of the row block a replicate is drawn in, and normal
+therefore independent of the tile a replicate is drawn in, and normal
 variates are produced by the inverse CDF applied to uniforms with fixed
 53-bit resolution, so regenerating with the same key is bit-identical on
 any machine running the same numpy/scipy builds.
@@ -25,9 +25,10 @@ motion coupled to a replicate's path.
 
 Prefix contract: normals(key, a) is bit for bit normals(key, b)[:a] for
 every a <= b.  Each normal costs exactly one 64-bit Philox output, of
-which it keeps the top 53 bits.  So a longer draw only appends.  An MSE
-ladder relies on this: it draws each replicate's stream once, at its
-largest grid, and every smaller grid reads a prefix.  The top 53 bits,
+which it keeps the top 53 bits.  So a longer draw only appends.
+`simulate.path_tiles` relies on this: it draws each replicate's stream
+once, at the last (finest) grid of an MSE ladder, and every coarser grid
+synthesizes a copy of that draw's prefix.  The top 53 bits,
 raw >> 11, are what `integers(0, 2**53)` returns: its Lemire method
 multiplies by 2**53, and as 2**53 divides 2**64 it never rejects.
 """

@@ -2,7 +2,7 @@
 
 `cached_factor(kernel, grid)` picks the sampler for a kernel, and is the
 one place that choice is made; every factor draws paths through the same
-`synthesize(z, out)` call, so `sample_paths` knows no kernel.  Every
+`synthesize(z, out)` call, so `path_tiles` knows no kernel.  Every
 kernel the package accepts, composites and drift included, gets a
 factor of O(N r) memory or less: none builds or factors a dense matrix.
 Paths are drawn jointly exact: there is no approximation beyond float64
@@ -21,10 +21,9 @@ after synthesis.  There are five backends:
   normals are laid out as [re_0, re_N, Re_1 .. Re_{N-1}, Im_1 .. Im_{N-1}]:
   they fill the half spectrum, scaled by sqrt(lambda), whose length-2N
   inverse real FFT holds the N increments in its first half; their
-  cumulative sum is the path.  O(N log N) per path; the FFTs go a tile
-  at a time: a tile's half spectrum fills one reused buffer, and its
-  inverse FFT overwrites the tile's own normals, so the FFT temporaries
-  are O(_TILE_ROWS * N) whatever M is.
+  cumulative sum is the path.  O(N log N) per path; a tile's half
+  spectrum fills one buffer, and its inverse FFT overwrites the tile's
+  own normals, so the FFT temporaries are O(_TILE_ROWS * N).
 * `HankelFactor` (`xi`): the increment covariance of xi is the PSD
   Hankel matrix K_ij = sqrt(dt) gamma(i+j+1) / 2, of numerical rank r
   of about 17 to 50 (17 at n = 64, 22 at 256, 26 at 1000).  Set-up
@@ -51,30 +50,31 @@ after synthesis.  There are five backends:
   c X_0 + X_1, X_0 and X_1 independent paths of the components' own
   factors.  A replicate's normals are laid out as [part 0 | part 1],
   each part in its own layout above.  Components do not nest
-  (`kernels`), so every part is one of the four backends above.
+  (`kernels`), so every part is one of the four backends above.  A
+  drifted composite also carries its mean on the grid, t_0 included.
 
-The rank-r products of `HankelFactor` and `HeatFactor` run over fixed
-tiles of _TILE_ROWS rows, the last tile zero-padded, so that each row's
-bits depend neither on the row block nor on the BLAS thread count.  A
-cumulative sum or an inverse FFT transforms each row on its own.  So
-every backend gives bit for bit the same paths in any row block, and
-`row_blocks`, blocks of _TILE_ROWS rows, is the one blocking rule that
-`sample_paths` and every experiment of `verify` follow.
+Every backend maps one tile: `synthesize(z, out)` turns the
+(_TILE_ROWS, normals_per_path) normals z of one tile of replicates into
+their (_TILE_ROWS, N) paths.  A cumulative sum or an inverse FFT
+transforms each row on its own, and the rank-r products of
+`HankelFactor` and `HeatFactor` always have the tile's height, so a
+row's bits depend on its own normals only.
 
-`sample_paths` synthesizes from an (M, normals_per_path) block of
-normals when one is given; by default it draws each row block's normals
-from the replicates' streams (`path_normals`) just before synthesizing
-it, so a backend holds one tile of normals at a time.
-Because a stream's shorter draw is a prefix of its longer one (`rng`),
-one block drawn for the largest grid of an MSE ladder serves every grid
-of it: each smaller grid is sampled from a copy of the block's first
-normals_per_path columns, the largest from the block itself.
+`path_tiles` is the one loop that cuts replicates into tiles.  For each
+tile it draws each replicate's stream once, at the normals_per_path of
+its last (finest) factor, into a zero-padded block.  Because a stream's
+shorter draw is a prefix of its longer one (`rng`), that block serves
+every grid of an MSE ladder: each coarser factor synthesizes a copy of
+the block's first normals_per_path columns, the finest the block itself.
+It then adds a drifted composite's mean and hands on each factor's paths,
+so it holds one tile of normals and paths whatever M is.
+`sample_paths` collects the tiles of one factor into an ensemble.
 
 `sample_brownian` draws the independent standard Brownian motion of each
 replicate, the driving noise of the corrected change-of-variable
 formula: `sample_paths` on a `BrownianFactor`, drawing from the disjoint
 ROLE_BM streams.  Both take the index of their first replicate (`first`),
-so a row block of an experiment draws the rows a whole draw would.
+so a tile of an experiment draws the rows a whole draw would.
 
 `factorize`, a dense Cholesky factor, and `build_cov_matrix` (`kernels`)
 are the tests' reference; no sampler calls them.
@@ -83,6 +83,7 @@ are the tests' reference; no sampler calls them.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -98,18 +99,16 @@ from .kernels import FBM_HEAT_SCALE, Grid, _require_memory, build_cov_matrix  # 
 # embedding is not PSD; smaller negatives are rounding and clip to 0.
 CIRCULANT_NEG_REL = 1e-12
 
-# Every backend draws, synthesizes and hands on paths in row blocks of
-# this many rows, which bounds the normals and paths in flight; the
-# Davies-Harte backends and the Toeplitz solve of the heat set-up also
-# run their FFTs over tiles of this many rows, which bounds their
-# temporaries.
-# HankelFactor and HeatFactor also apply their rank-r products to these
-# tiles, the last zero-padded: OpenBLAS rounds a row differently as the
-# height of a product changes, so a fixed tile keeps each row's bits
-# independent of the row block.  The projection X W goes _TILE_COLS
-# columns of W at a time: with 32 to 48 columns, 2 OpenBLAS threads
-# rounded it differently from 1 at most N from 3576 to 69017 tried; 16
-# columns never did.
+# `path_tiles` draws, synthesizes and hands on paths in tiles of this
+# many rows, the last zero-padded, which bounds the normals and paths in
+# flight; the Toeplitz solve of the heat set-up runs its FFTs over tiles
+# of this many rows too, which bounds its temporaries.
+# OpenBLAS rounds a row differently as the height of a product changes,
+# so the fixed tile keeps each row's bits of the rank-r products of
+# HankelFactor and HeatFactor independent of M.  The projection X W goes
+# _TILE_COLS columns of W at a time: with 32 to 48 columns, 2 OpenBLAS
+# threads rounded it differently from 1 at most N from 3576 to 69017
+# tried; 16 columns never did.
 _TILE_ROWS = 8
 _TILE_COLS = 16
 
@@ -125,16 +124,6 @@ _CG_MAX_ITER = 100
 _BIN_MAGIC = b"QLABENS1"
 _BIN_VERSION = 1
 _BIN_HEAD = "<IQdQQI"
-
-
-def _padded_tiles(z):
-    """(start, rows, tile) of each _TILE_ROWS-row tile of z, the last zero-padded to full height."""
-    for start in range(0, z.shape[0], _TILE_ROWS):
-        tile = z[start : start + _TILE_ROWS]
-        rows = tile.shape[0]
-        if rows < _TILE_ROWS:
-            tile = np.pad(tile, ((0, _TILE_ROWS - rows), (0, 0)))
-        yield start, rows, tile
 
 
 @dataclass(frozen=True)
@@ -156,7 +145,7 @@ class BrownianFactor:
         return self.dim
 
     def synthesize(self, z, out):
-        """out[m] = cumsum(sqrt(dt) z[m]) for the (M, N) normals z, which it scales."""
+        """out[m] = cumsum(sqrt(dt) z[m]) for one tile of normals z, which it scales."""
         z *= math.sqrt(self.grid.dt)
         np.cumsum(z, axis=1, out=out)
 
@@ -171,9 +160,8 @@ class CirculantFactor:
                  rounding) means the draw is exact.
     grid, kernel_id: optional provenance carried to sampled ensembles.
 
-    `synthesize` goes one tile of _TILE_ROWS rows at a time: `increments`
-    turns the tile's normals into its increments in place, through one
-    reused half-spectrum buffer, and their cumulative sum is the paths.
+    `synthesize` maps one tile: `increments` turns its normals into its
+    increments in place, and their cumulative sum is the paths.
     """
 
     sqrt_eigs: np.ndarray
@@ -198,15 +186,15 @@ class CirculantFactor:
         weights[[0, n]] *= math.sqrt(2.0)
         return weights
 
-    def increments(self, z, weights, spec):
+    def increments(self, z, weights):
         """A tile's increments, in place: see the module doc.
 
-        z holds at most _TILE_ROWS rows whose first 2N columns are normals;
-        they fill the reused (_TILE_ROWS, N+1) complex buffer spec, whose
-        inverse FFT overwrites them.  Returns the view z[:, :N].
+        The first 2N columns of z, normals, fill a (_TILE_ROWS, N+1)
+        complex half spectrum whose inverse FFT overwrites them.  Returns
+        the view z[:, :N].
         """
         n = self.dim
-        spec = spec[: z.shape[0]]
+        spec = np.empty((z.shape[0], n + 1), dtype=np.complex128)
         np.multiply(z[:, 0], weights[0], out=spec.real[:, 0])
         np.multiply(z[:, 1], weights[n], out=spec.real[:, n])
         np.multiply(z[:, 2 : n + 1], weights[1:n], out=spec.real[:, 1:n])
@@ -215,12 +203,8 @@ class CirculantFactor:
         return np.fft.irfft(spec, n=2 * n, axis=1, out=z[:, : 2 * n])[:, :n]
 
     def synthesize(self, z, out):
-        """Paths from the (M, 2N) normals z, which it overwrites, into out (M, N)."""
-        weights = self.weights()
-        spec = np.empty((_TILE_ROWS, self.dim + 1), dtype=np.complex128)
-        for start in range(0, z.shape[0], _TILE_ROWS):
-            tile = slice(start, start + _TILE_ROWS)
-            np.cumsum(self.increments(z[tile], weights, spec), axis=1, out=out[tile])
+        """Paths from a tile of (_TILE_ROWS, 2N) normals z, which it overwrites, into out."""
+        np.cumsum(self.increments(z, self.weights()), axis=1, out=out)
 
 
 @dataclass(frozen=True)
@@ -252,11 +236,8 @@ class HankelFactor:
         return self.rank
 
     def synthesize(self, z, out):
-        """Paths from the (M, r) normals z into out (M, N), a padded tile at a time."""
-        step = np.empty((_TILE_ROWS, self.dim))
-        for start, rows, tile in _padded_tiles(z):
-            np.matmul(tile, self.basis, out=step)
-            np.cumsum(step[:rows], axis=1, out=out[start : start + rows])
+        """Paths from a tile of (_TILE_ROWS, r) normals z into out (_TILE_ROWS, N)."""
+        np.cumsum(np.matmul(z, self.basis, out=out), axis=1, out=out)
 
 
 @dataclass(frozen=True)
@@ -266,10 +247,9 @@ class HeatFactor:
     With U the (N, r) Hankel factor, W = T^-1 U and I - U^T W = L L^T, a
     row of increments is y = (x + (z' L^T - x W) U^T) / c, x the fGn row
     and z' the row's r residual normals; S = L^T U^T, as S^T z' = U L z'.
-    `synthesize` makes a tile of _TILE_ROWS rows at a time, the last one
-    zero-padded: x in place over the tile's first N normals
-    (`CirculantFactor.increments`), then the rank-r step and the
-    cumulative sum.
+    `synthesize` maps one tile: x in place over its first 2N normals
+    (`CirculantFactor.increments`), then the rank-r step, which goes
+    straight into out, and the cumulative sum.
 
     fgn:            `CirculantFactor` of the fGn Toeplitz part T.
     solved:         (r, N) rows of W^T.
@@ -306,25 +286,18 @@ class HeatFactor:
         return 2 * self.dim + self.rank
 
     def synthesize(self, z, out):
-        """Paths from the (M, 2N + r) normals z, which it overwrites, into out (M, N)."""
+        """Paths from a tile of (_TILE_ROWS, 2N + r) normals z, which it overwrites, into out."""
         n, r = self.dim, self.rank
-        weights = self.fgn.weights(1.0 / FBM_HEAT_SCALE)
-        spec = np.empty((_TILE_ROWS, n + 1), dtype=np.complex128)
-        # The rank-r step goes into the spectrum's memory, which the
-        # tile's inverse FFT has consumed by then.
-        step = spec.reshape(-1).view(np.float64)[: _TILE_ROWS * n].reshape(_TILE_ROWS, n)
-        coef = np.empty((_TILE_ROWS, r))
+        inc = self.fgn.increments(z, self.fgn.weights(1.0 / FBM_HEAT_SCALE))
         proj = np.empty((_TILE_ROWS, r))
-        for start, rows, tile in _padded_tiles(z):
-            inc = self.fgn.increments(tile, weights, spec)
-            for col in range(0, r, _TILE_COLS):
-                cols = slice(col, min(col + _TILE_COLS, r))
-                np.matmul(inc, self.solved[cols].T, out=proj[:, cols])
-            np.matmul(tile[:, 2 * n :], self.mixing, out=coef)
-            coef -= proj
-            np.matmul(coef, self.basis, out=step)
-            inc += step
-            np.cumsum(inc[:rows], axis=1, out=out[start : start + rows])
+        for col in range(0, r, _TILE_COLS):
+            cols = slice(col, min(col + _TILE_COLS, r))
+            np.matmul(inc, self.solved[cols].T, out=proj[:, cols])
+        coef = z[:, 2 * n :] @ self.mixing
+        coef -= proj
+        np.matmul(coef, self.basis, out=out)
+        out += inc
+        np.cumsum(out, axis=1, out=out)
 
 
 @dataclass(frozen=True)
@@ -334,12 +307,15 @@ class CompositeFactor:
     parts:  the factors of the one or two components, in order.
     scale:  c, applied to the first part.
     grid, kernel_id: provenance carried to sampled ensembles.
+    mean:   a drifted kernel's mean at t_0 .. t_N, which `path_tiles`
+            adds to the paths; None when centered.
     """
 
     parts: tuple
     scale: float
     grid: Grid | None = None
     kernel_id: str = ""
+    mean: np.ndarray | None = None
 
     @property
     def dim(self):
@@ -350,7 +326,7 @@ class CompositeFactor:
         return sum(part.normals_per_path for part in self.parts)
 
     def synthesize(self, z, out):
-        """Paths from the (M, normals_per_path) normals z, which it overwrites, into out (M, N)."""
+        """Paths from one tile of normals z, which it overwrites, into out."""
         first, *rest = self.parts
         count = first.normals_per_path
         first.synthesize(z[:, :count], out)
@@ -635,7 +611,8 @@ def cached_factor(kernel, grid):
     `bm` gets the cumulative-sum `BrownianFactor`, `fbm_quarter` the
     Davies-Harte `CirculantFactor`, `xi` the low-rank `HankelFactor`,
     `heat` the Davies-Harte plus low-rank `HeatFactor` and a composite a
-    `CompositeFactor` of its components' cached factors.  Large
+    `CompositeFactor` of its components' cached factors; a drifted
+    composite's carries its mean and a "|drift" suffix on its id.  Large
     experiments share factors through this cache, so a pipeline factors
     each kernel exactly once no matter how many ensembles it draws.
     """
@@ -653,7 +630,9 @@ def cached_factor(kernel, grid):
             factor = heat_factor(grid, kernel_id)
         else:
             parts = tuple(cached_factor(comp, grid) for comp in kernel.components)
-            factor = CompositeFactor(parts, kernel.c, grid, kernel_id)
+            mean = kernel.mean_at(grid.times()) if kernel.mean_coeffs else None
+            drift = "|drift" if kernel.mean_coeffs else ""
+            factor = CompositeFactor(parts, kernel.c, grid, kernel_id + drift, mean)
         _FACTOR_CACHE[key] = factor
     return factor
 
@@ -662,21 +641,14 @@ def clear_factor_cache():
     _FACTOR_CACHE.clear()
 
 
-def row_blocks(m):
-    """(start, stop) of each row block of _TILE_ROWS rows, in order: the one blocking rule."""
-    if m < 1:
-        raise DomainError("need at least one replicate")
-    return [(start, min(start + _TILE_ROWS, m)) for start in range(0, m, _TILE_ROWS)]
-
-
-def path_normals(factor, m, seed, role=rng.ROLE_PATH, first=0):
+def path_normals(factor, m, seed, role=rng.ROLE_PATH, first=0, out=None):
     """The (M, normals_per_path) normals of replicates first .. first + M - 1.
 
     Row r comes from the replicate-(first + r) stream of the given role;
     by the prefix contract its first k columns are what a factor with k
-    normals per path draws.  Raises DomainError, before allocating, when
-    the block and the (M, N+1) path array drawn from it exceed physical
-    memory.
+    normals per path draws.  They go into out when it is given.  Raises
+    DomainError, before allocating, when the block and the (M, N+1) path
+    array drawn from it exceed physical memory.
     """
     if factor.grid is None:
         raise DomainError("sample_paths needs a grid; factors from cached_factor carry one")
@@ -684,40 +656,61 @@ def path_normals(factor, m, seed, role=rng.ROLE_PATH, first=0):
         raise DomainError("need at least one replicate")
     count, nsteps = factor.normals_per_path, factor.grid.nsteps
     _require_memory(8 * m * (count + nsteps + 1), f"{m} paths at N={nsteps}")
-    z = np.empty((m, count), dtype=np.float64)
+    z = np.empty((m, count), dtype=np.float64) if out is None else out
     for rep in range(m):
         rng.normals(rng.derive_key(seed, first + rep, role), count, out=z[rep])
     return z
 
 
-def sample_paths(factor, m, seed, z=None, role=rng.ROLE_PATH, first=0):
-    """Draw M exact paths from a factor (`cached_factor`), one row block at a time.
+def path_tiles(factors, m, seed, role=rng.ROLE_PATH, first=0):
+    """(start, stop, k, paths) for each tile of M replicates and each factor k, in order.
 
-    The grid and kernel id are the ones the factor carries.  z is the
-    C-ordered (M, normals_per_path) normal block to synthesize from, and
-    it is overwritten; by default each row block's normals are drawn
-    from the streams of `role` (`path_normals`) as the block's turn
-    comes, row r from replicate first + r.  Each path depends on its own
-    row of normals only, so results do not depend on the row block.
+    The one loop that cuts replicates into tiles (module doc).  factors
+    are those of an MSE ladder's grids, the finest last, or just one;
+    paths holds the (stop - start, N + 1) values on factors[k] of
+    replicates first + start .. first + stop - 1, drawn from their
+    streams of `role`: the zero at t_0, the synthesized path and a
+    drifted composite's mean.  Each row depends on its own streams
+    only, so it is the same in any tile.
     """
-    shape = (m, factor.normals_per_path)
-    if factor.grid is None or m < 1 or (
-        z is not None and (z.shape != shape or not z.flags.c_contiguous)
-    ):
-        raise DomainError(
-            f"sample_paths needs a grid, at least one replicate and, if given, "
-            f"a C-ordered {shape} block"
-        )
+    if m < 1:
+        raise DomainError("need at least one replicate")
+    finest = factors[-1]
+    for start in range(0, m, _TILE_ROWS):
+        stop = min(start + _TILE_ROWS, m)
+        block = np.zeros((_TILE_ROWS, finest.normals_per_path))
+        path_normals(finest, stop - start, seed, role, first + start, out=block[: stop - start])
+        for k, factor in enumerate(factors):
+            # Synthesis overwrites its normals: a coarser factor gets a copy
+            # of the block's prefix, the finest the block itself.
+            if factor is finest:
+                tile, block = block, None
+            else:
+                tile = block[:, : factor.normals_per_path].copy()
+            paths = np.empty((_TILE_ROWS, factor.dim + 1))
+            paths[:, 0] = 0.0
+            factor.synthesize(tile, paths[:, 1:])
+            del tile
+            if getattr(factor, "mean", None) is not None:
+                paths += factor.mean
+            yield start, stop, k, paths[: stop - start]
+            # A consumer that drops the tile, too, frees it before the next is drawn.
+            del paths
+
+
+def sample_paths(factor, m, seed, role=rng.ROLE_PATH, first=0):
+    """Draw M exact paths from a factor (`cached_factor`): its `path_tiles`, collected.
+
+    The grid and kernel id are the ones the factor carries; row r comes
+    from the stream of replicate first + r of `role`.
+    """
+    if factor.grid is None or m < 1:
+        raise DomainError("sample_paths needs a grid and at least one replicate")
     grid = factor.grid
     _require_memory(8 * m * (grid.nsteps + 1), f"{m} paths at N={grid.nsteps}")
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
-    values[:, 0] = 0.0
-    for start, stop in row_blocks(m):
-        if z is None:
-            block = path_normals(factor, stop - start, seed, role, first + start)
-        else:
-            block = z[start:stop]
-        factor.synthesize(block, values[start:stop, 1:])
+    for start, stop, _, paths in path_tiles([factor], m, seed, role, first):
+        values[start:stop] = paths
     return PathEnsemble(grid, values, factor.kernel_id, int(seed))
 
 
@@ -749,7 +742,9 @@ def load_ensemble(path):
 
     A short header, a kernel id that is not UTF-8, a grid that `Grid`
     rejects or a body whose length is not m * (N + 1) float64 values
-    raises DomainError.
+    raises DomainError.  The body's length is checked against the file
+    size and its memory against physical memory before it is read,
+    straight into the ensemble's array.
     """
     head_size = struct.calcsize(_BIN_HEAD)
     with open(path, "rb") as fh:
@@ -770,14 +765,17 @@ def load_ensemble(path):
         except UnicodeDecodeError as exc:
             raise DomainError(f"ensemble kernel id is not UTF-8: {exc}") from exc
         grid = Grid(int(n), float(horizon))
-        body = fh.read()
-    expected = int(m) * (grid.nsteps + 1) * 8
-    if len(body) != expected:
-        raise DomainError(
-            f"ensemble body has {len(body)} bytes; the header implies {expected} "
-            f"(m={m}, N={grid.nsteps})"
-        )
-    values = np.frombuffer(body, dtype=np.float64).reshape(int(m), grid.nsteps + 1).copy()
+        expected = int(m) * (grid.nsteps + 1) * 8
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise DomainError(
+                f"ensemble body has {size} bytes; the header implies {expected} "
+                f"(m={m}, N={grid.nsteps})"
+            )
+        _require_memory(expected, f"ensemble of {m} paths at N={grid.nsteps}")
+        values = np.empty((int(m), grid.nsteps + 1), dtype=np.float64)
+        if fh.readinto(values) != expected:
+            raise DomainError("ensemble body changed while it was read")
     return PathEnsemble(grid, values, kernel_id, int(seed))
 
 

@@ -3,13 +3,13 @@
 Each experiment draws paths, evaluates the discrete functionals, and
 compares them against either closed-form Gaussian moments or an
 independently simulated right-hand side.  Reports carry every statistic,
-threshold, and pass flag.  Every experiment draws, synthesizes and
-reduces its paths in row blocks (`simulate.row_blocks`: the 8-row tile
-of every sampler), one block after another, through
-`_replicate_columns`, so it holds one block's normals and paths whatever
-the replicate count.  A rerun with the same configuration and seed on
-the same numpy/scipy build reproduces summary.json and replicates.csv
-byte for byte, in any row block and under any BLAS thread count.
+threshold, and pass flag.  Every experiment reduces its paths through
+`_replicate_columns`, one tile at a time as `simulate.path_tiles`, the
+one loop that cuts replicates into 8-row tiles, draws them; so it holds
+one tile's normals and paths whatever the replicate count.  A rerun with
+the same configuration and seed on the same numpy/scipy build reproduces
+summary.json and replicates.csv byte for byte, under any BLAS thread
+count.
 
 An experiment's parameters are declared once, as the keyword parameters
 of its `verify_*` function, defaults included: the default kernel and
@@ -28,7 +28,7 @@ import inspect
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .analytic import GaussianMoments, kappa_reference, poly_diff, poly_from_coe
 from .errors import ConfigError, DomainError
 from .functions import SMOOTHNESS, TestFunction, _zero_dtdx, builtin
 from .kernels import CovKernel, Grid, _require_memory, fbm_composite_kernel, heat_kernel
-from .simulate import cached_factor, path_normals, row_blocks, sample_brownian, sample_paths
+from .simulate import cached_factor, path_tiles, sample_brownian, sample_paths
 
 SUMMARY_SCHEMA = 1
 
@@ -180,57 +180,29 @@ class ExperimentReport:
 # Sampling and the replicate loop.
 # ---------------------------------------------------------------------------
 
-def draw_ensemble(kernel, grid, m, seed, z=None):
-    """Exact-covariance ensemble for the kernel, drift applied if any.
-
-    z, when given, is the normal block `sample_paths` consumes.  A
-    kernel's deterministic mean is added to the fresh values in place,
-    and its kernel id gains a "|drift" suffix.
-    """
-    ens = sample_paths(cached_factor(kernel, grid), m, seed, z)
-    if kernel.mean_coeffs:
-        np.add(ens.values, kernel.mean_at(grid.times()), out=ens.values)
-        ens = replace(ens, kernel_id=ens.kernel_id + "|drift")
-    return ens
+def draw_ensemble(kernel, grid, m, seed):
+    """Exact-covariance ensemble for the kernel, its drift included (`cached_factor`)."""
+    return sample_paths(cached_factor(kernel, grid), m, seed)
 
 
 def _replicate_columns(kernel, grids, m, seed, reduce, shape, brownian=False):
-    """Per-replicate columns on each grid, one row block of paths at a time.
+    """Per-replicate columns on each grid, one tile of paths at a time.
 
-    reduce(x, b, grid) maps a block's (rows, N+1) paths x, and the same
+    reduce(x, b, grid) maps a tile's (rows, N+1) paths x, and the same
     rows' Brownian motions b when `brownian` (None otherwise), to
     shape[0] tuples of shape[1] columns of length rows.  The result is
-    the (len(grids), m, *shape) array of those columns.
-
-    The loop runs over the row blocks of `simulate.row_blocks`, tiles of
-    _TILE_ROWS rows.  For each block it draws each replicate's path
-    stream once, at the finest grid's normals_per_path; every coarser
-    grid samples a copy of the block's leading columns (the `rng` prefix
-    contract) and the finest grid the block itself.  Only the result
-    outlives the block, so an experiment holds O(_TILE_ROWS * N) normals
-    and paths whatever m is.  Each row depends on its own streams only,
-    so the result is the same in any block.
+    the (len(grids), m, *shape) array of those columns.  The tiles are
+    those of `simulate.path_tiles`, which draws every grid of a ladder
+    from one stream draw per replicate.
     """
-    finest = cached_factor(kernel, grids[-1])
     shape = (len(grids), m, *shape)
     _require_memory(8 * math.prod(shape), f"columns of {m} replicates")
     out = np.empty(shape, dtype=np.float64)
-    for start, stop in row_blocks(m):
-        z = path_normals(finest, stop - start, seed, first=start)
-        for grid, cols in zip(grids, out):
-            # Synthesis overwrites its normals: a coarser grid gets a copy
-            # of the block's prefix, the finest the block itself, whose
-            # last reference goes with `rung`; a grid's paths go before
-            # the next grid is drawn.
-            if grid is grids[-1]:
-                rung, z = z, None
-            else:
-                rung = z[:, : cached_factor(kernel, grid).normals_per_path].copy()
-            x = draw_ensemble(kernel, grid, stop - start, seed, rung).values
-            del rung
-            b = sample_brownian(grid, stop - start, seed, first=start).values if brownian else None
-            cols[start:stop] = np.moveaxis(np.array(reduce(x, b, grid)), -1, 0)
-            del x, b
+    factors = [cached_factor(kernel, grid) for grid in grids]
+    for start, stop, k, x in path_tiles(factors, m, seed):
+        b = sample_brownian(grids[k], stop - start, seed, first=start).values if brownian else None
+        out[k, start:stop] = np.moveaxis(np.array(reduce(x, b, grids[k])), -1, 0)
+        del x, b
     return out
 
 
@@ -618,27 +590,26 @@ def verify_bn_limit(
 # ---------------------------------------------------------------------------
 
 def _count_inversions(mses):
-    # Exact zeros (telescoping integrands) must not read as inversions.
-    count = 0
-    for prev, cur in zip(mses, mses[1:]):
-        if cur > prev * (1.0 + 1e-9) + 1e-24:
-            count += 1
-    return count
+    # Exact zeros (telescoping integrands) must not read as inversions.  A
+    # non-finite MSE leaves the count undefined: NaN, which fails its gate.
+    if not all(map(math.isfinite, mses)):
+        return math.nan
+    return sum(cur > prev * (1.0 + 1e-9) + 1e-24 for prev, cur in zip(mses, mses[1:]))
 
 
 def _mse_ladder(experiment, function, args, block, columns, residual, threshold=None):
     """Mean-square convergence of one per-replicate residual along n_list.
 
     args holds the arguments of the experiment's verify `function`.
-    block(x, grid, g, probes) maps a row block of paths to one tuple of
+    block(x, grid, g, probes) maps a tile of paths to one tuple of
     replicate columns per probe; residual maps the (m, len(columns)) array
     of one probe to the residual whose mean square is gated.  threshold,
     when given, maps (kernel, g, t) to the threshold of the finest grid's
     MSE at probe t.
 
-    Every grid of the ladder is drawn from one normal block per row
-    block of replicates, by `_replicate_columns`, so the ladder holds
-    the normals and paths of one row block at N_max whatever m is.
+    Every grid of the ladder is drawn from one stream draw per
+    replicate, by `_replicate_columns`, so the ladder holds the normals
+    and paths of one tile at N_max whatever m is.
     """
     kernel, g = args["kernel"], args["g"]
     if not g.certifies(7, 3):

@@ -304,6 +304,7 @@ class DenseFactor:
     dim = normals_per_path = 1024
 
     def synthesize(self, z, out):
+        # One tile of normals, as every factor gets them.
         np.matmul(z, self.lower.T, out=out)
 
 grid = Grid(1024)

@@ -348,6 +348,35 @@ class TestVerifyVerb:
         assert "[FAIL] mse_final@t=1" in stdout
         assert "experiment trapezoid: FAIL" in stdout
 
+    @pytest.mark.parametrize("experiment", ["expansion", "trapezoid"])
+    def test_non_finite_mse_fails_the_monotone_gate(self, tmp_path, capsys, experiment):
+        """g = 1e308 x^3 overflows every rung's MSE to NaN, which no ladder may pass."""
+        cfg = self._write_config(tmp_path, "cfg.json", {
+            "kernel": "heat", "g": {"id": "poly_k", "coeffs": [0, 0, 0, 1e308]},
+            "n_list": [16, 32, 64], "m": 8,
+        })
+        with np.errstate(all="ignore"):
+            code = main(["verify", "--experiment", experiment, "--config", cfg,
+                         "--out", str(tmp_path / "run")])
+        assert code == 1
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert all(np.isnan(summary["stats"]["mse"]["t=1"]))
+        (monotone,) = [c for c in summary["checks"] if c["name"] == "mse_monotone@t=1"]
+        assert monotone["passed"] is False
+        assert "[FAIL] mse_monotone@t=1" in capsys.readouterr().out
+
+    def test_non_finite_kernel_scale_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kernel": {"kind": "composite", "c": float("nan"), "components": [{"kind": "heat"}]},
+            "n_list": [16, 32], "m": 2,
+        }))
+        code = main(["verify", "--experiment", "trapezoid", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, "cfg.json", {"n": 64, "bogus": 1})
         code = main(["verify", "--experiment", "bn", "--config", cfg,

@@ -198,6 +198,21 @@ class TestCovKernel:
         with pytest.raises(DomainError):
             CovKernel.from_dict(["heat"])
 
+    @pytest.mark.parametrize("c, mean_coeffs", [
+        (math.nan, ()), (math.inf, ()), (1.0, (0.0, math.nan)), (1.0, (-math.inf,)),
+    ], ids=["c-nan", "c-inf", "mean-nan", "mean-inf"])
+    def test_composite_numbers_must_be_finite(self, c, mean_coeffs):
+        with pytest.raises(DomainError, match="must be finite"):
+            CovKernel("composite", c=c, components=(CovKernel("heat"),), mean_coeffs=mean_coeffs)
+
+    @pytest.mark.parametrize("extra", [
+        {"c": "x"}, {"mean_coeffs": ["a"]}, {"mean_coeffs": 5}, {"c": 10**400},
+    ], ids=["c-text", "mean-text", "mean-scalar", "c-beyond-float"])
+    def test_from_dict_non_numbers_are_domain_errors(self, extra):
+        rec = {"kind": "composite", "c": 1.0, "components": [{"kind": "heat"}]} | extra
+        with pytest.raises(DomainError, match="must be numbers"):
+            CovKernel.from_dict(rec)
+
 
 _DENSE_KERNELS = (heat_kernel(), CovKernel("xi"), fbm_quarter_kernel(), CovKernel("bm"), fbm_composite_kernel())
 DENSE_KERNELS = pytest.mark.parametrize("kernel", _DENSE_KERNELS, ids=lambda k: k.kind)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from conftest import synthesize_rows
 from quartic_lab import functions, rng
 from quartic_lab.functions import builtin, from_spec
 from quartic_lab.kernels import KERNEL_KINDS, CovKernel, Grid, build_cov_matrix, fbm_composite_kernel
@@ -93,9 +94,7 @@ def test_dense_covariance_is_psd_on_random_grids(kernel, grid):
 def test_heat_sampler_has_the_dense_covariance_on_random_grids(grid):
     """The heat sampler's linear map, applied to every normal, has the dense oracle's covariance."""
     factor = heat_factor(grid)
-    count = factor.normals_per_path
-    out = np.empty((count, factor.dim))
-    factor.synthesize(np.eye(count), out)
+    out = synthesize_rows(factor, np.eye(factor.normals_per_path))
     exact = build_cov_matrix(CovKernel("heat"), grid)
     assert np.max(np.abs(out.T @ out - exact)) <= 1e-13 * np.max(np.abs(exact))
 
@@ -105,9 +104,7 @@ def test_heat_sampler_has_the_dense_covariance_on_random_grids(grid):
 def test_xi_and_composite_samplers_have_the_dense_covariance_on_random_grids(kernel, grid):
     """Composites of every kind, scale and drift draw through their parts' factors exactly."""
     factor = cached_factor(kernel, grid)
-    count = factor.normals_per_path
-    out = np.empty((count, factor.dim))
-    factor.synthesize(np.eye(count), out)
+    out = synthesize_rows(factor, np.eye(factor.normals_per_path))
     exact = build_cov_matrix(kernel, grid)
     assert np.max(np.abs(out.T @ out - exact)) <= 1e-13 * np.max(np.abs(exact))
 

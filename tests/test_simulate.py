@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import synthesize_rows
 
 import quartic_lab
 import quartic_lab.cli  # noqa: F401  (bench/tracing.py wraps attributes of the cli module)
@@ -191,20 +192,12 @@ class TestSamplePaths:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("z", [np.zeros((3, 32)), np.zeros((4, 31)), np.zeros((32, 4)).T],
-                             ids=["rows", "columns", "fortran"])
-    def test_given_block_must_fit_the_factor(self, z):
-        factor = cached_factor(heat_kernel(), Grid(32))
-        with pytest.raises(DomainError, match="C-ordered"):
-            sample_paths(factor, 4, seed=1, z=z)
-
     def test_triangular_synthesis_matches_matrix_product(self):
         """xi's paths are the lower-triangular matrix of ones times U z'."""
         factor = cached_factor(CovKernel("xi"), Grid(1024))
         z = np.random.default_rng(4).standard_normal((50, factor.rank))
         expected = (np.tril(np.ones((1024, 1024))) @ factor.basis.T @ z.T).T
-        out = np.empty((50, 1024))
-        factor.synthesize(z.copy(), out)
+        out = synthesize_rows(factor, z)
         assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_cached_factor_builds_no_dense_matrix(self, no_dense):
@@ -246,13 +239,12 @@ def _linear_map(factor, block=512):
     """
     count = factor.normals_per_path
     cov = np.zeros((factor.dim, factor.dim))
-    out = np.empty((block, factor.dim))
     for start in range(0, count, block):
         rows = min(block, count - start)
         basis = np.zeros((rows, count))
         basis[np.arange(rows), start + np.arange(rows)] = 1.0
-        factor.synthesize(basis, out[:rows])
-        cov += out[:rows].T @ out[:rows]
+        out = synthesize_rows(factor, basis)
+        cov += out.T @ out
     return cov
 
 
@@ -357,16 +349,9 @@ def _block_solve_toeplitz(autocov, eigs, rhs):
 
 def _tiles_match_the_block(kernel, block_paths, n, m):
     factor = cached_factor(kernel, Grid(n))
-    z = simulate.path_normals(factor, m, 17)
-    expected = block_paths(factor, z.copy())
-    out = np.empty((m, n))
-    factor.synthesize(z, out)
+    expected = block_paths(factor, simulate.path_normals(factor, m, 17))
+    out = sample_paths(factor, m, 17).values[:, 1:]
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
-
-
-def _blocks_of(rows):
-    """A row_blocks that cuts blocks of the given height instead of the tile."""
-    return lambda m: [(start, min(start + rows, m)) for start in range(0, m, rows)]
 
 
 def _traced_peak(call):
@@ -425,20 +410,14 @@ class TestCirculantSampler:
         ids=["1", "block-1", "block+1", "200"],
     )
     def test_row_blocks_match_one_whole_block(self, monkeypatch, m):
+        """The Davies-Harte rows are the same in 8-row tiles and in one tile of all m rows."""
         factor = cached_factor(fbm_quarter_kernel(), Grid(256))
         blocked = sample_paths(factor, m, 5).values
-        given = sample_paths(factor, m, 5, simulate.path_normals(factor, m, 5)).values
-        monkeypatch.setattr(simulate, "row_blocks", _blocks_of(m))
+        given = synthesize_rows(factor, simulate.path_normals(factor, m, 5))
+        monkeypatch.setattr(simulate, "_TILE_ROWS", m)
         whole = sample_paths(factor, m, 5).values
         assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
-        assert np.array_equal(given.view(np.uint64), whole.view(np.uint64))
-
-    def test_row_blocks_are_tiles(self):
-        tiles = [(0, 8), (8, 16), (16, 24), (24, 32), (32, 40), (40, 48), (48, 56), (56, 64), (64, 70)]
-        assert simulate.row_blocks(70) == tiles
-        assert simulate.row_blocks(5) == [(0, 5)]
-        with pytest.raises(DomainError, match="at least one replicate"):
-            simulate.row_blocks(0)
+        assert np.array_equal(given.view(np.uint64), whole[:, 1:].view(np.uint64))
 
     @pytest.mark.parametrize("role", [rng.ROLE_PATH, rng.ROLE_BM])
     def test_normals_from_an_offset_are_the_rows_of_the_whole_block(self, role):
@@ -452,10 +431,10 @@ class TestCirculantSampler:
         _tiles_match_the_block(fbm_quarter_kernel(), _block_circulant_paths, n, m)
 
     def test_block_synthesis_holds_one_tile_spectrum(self):
-        """A 32-row block at N = 8192 allocates one 8-row half spectrum, not the block's FFTs."""
+        """A tile at N = 8192 allocates one 8-row half spectrum and no other FFT temporary."""
         n = 8192
         factor = cached_factor(fbm_quarter_kernel(), Grid(n))
-        z = simulate.path_normals(factor, 4 * simulate._TILE_ROWS, 1)
+        z = simulate.path_normals(factor, simulate._TILE_ROWS, 1)
         out = np.empty((z.shape[0], n))
         peak = _traced_peak(lambda: factor.synthesize(z, out))
         assert peak <= 16 * simulate._TILE_ROWS * (n + 1) + 2**20
@@ -525,12 +504,12 @@ class TestHeatSampler:
         n, r = heat.dim, heat.rank
         z = simulate.path_normals(heat, 5, 3)
         fgn = np.diff(sample_paths(cached_factor(fbm_quarter_kernel(), grid), 5, 3).values, axis=1)
-        paths = sample_paths(heat, 5, 3, z.copy()).values[:, 1:]
+        paths = synthesize_rows(heat, z)
         basis = heat.basis
         expected = np.cumsum(fgn - (fgn @ heat.solved.T) @ basis, axis=1) / FBM_HEAT_SCALE
         without = z.copy()
         without[:, 2 * n :] = 0.0
-        projected = sample_paths(heat, 5, 3, without).values[:, 1:]
+        projected = synthesize_rows(heat, without)
         assert np.max(np.abs(projected - expected)) <= 1e-12
         assert not np.allclose(paths, projected)
         assert heat.normals_per_path == 2 * n + r
@@ -603,10 +582,10 @@ class TestHeatSampler:
             simulate._hankel_cholesky(seq, 64)
 
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 33], ids=str)
-    def test_rows_do_not_depend_on_the_tile_or_block(self, monkeypatch, m):
+    def test_rows_do_not_depend_on_the_tile_or_block(self, m):
+        """Row 40 - m + r sits at another place of another tile in each draw."""
         factor = cached_factor(heat_kernel(), Grid(4096))
         whole = sample_paths(factor, 40, 9).values
-        monkeypatch.setattr(simulate, "row_blocks", _blocks_of(3))
         part = sample_paths(factor, m, 9, first=40 - m).values
         assert np.array_equal(part.view(np.uint64), whole[40 - m :].view(np.uint64))
 
@@ -637,10 +616,9 @@ def test_linear_map_has_the_oracle_covariance(kernel, grid):
 
 @PART_KERNELS
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 33], ids=str)
-def test_part_rows_do_not_depend_on_the_tile_or_block(monkeypatch, kernel, m):
+def test_part_rows_do_not_depend_on_the_tile_or_block(kernel, m):
     factor = cached_factor(kernel, Grid(4096))
     whole = sample_paths(factor, 40, 9).values
-    monkeypatch.setattr(simulate, "row_blocks", _blocks_of(3))
     part = sample_paths(factor, m, 9, first=40 - m).values
     assert np.array_equal(part.view(np.uint64), whole[40 - m :].view(np.uint64))
 
@@ -661,9 +639,8 @@ def test_composite_normals_are_part_0_then_part_1():
     factor = cached_factor(kernel, grid)
     heat, xi = factor.parts
     z = simulate.path_normals(factor, 5, 3)
-    first, second = np.empty((2, 5, 256))
-    heat.synthesize(z[:, : heat.normals_per_path].copy(), first)
-    xi.synthesize(z[:, heat.normals_per_path :].copy(), second)
+    first = synthesize_rows(heat, z[:, : heat.normals_per_path])
+    second = synthesize_rows(xi, z[:, heat.normals_per_path :])
     expected = kernel.c * first + second
     paths = sample_paths(factor, 5, 3).values[:, 1:]
     assert np.array_equal(paths.view(np.uint64), expected.view(np.uint64))
@@ -755,17 +732,17 @@ class TestDrift:
     def test_zero_drift_is_identity(self):
         grid = Grid(8)
         kernel = _drifted(0.0)
-        ens = sample_paths(cached_factor(kernel, grid), 4, seed=6)
+        ens = sample_paths(cached_factor(_drifted(), grid), 4, seed=6)
         shifted = verify.draw_ensemble(kernel, grid, 4, 6)
         assert np.array_equal(shifted.values, ens.values)
 
     def test_linear_drift_shifts_columns(self):
         grid = Grid(2)
         kernel = _drifted(0.0, 1.0)
-        ens = sample_paths(cached_factor(kernel, grid), 3, seed=6)
+        ens = sample_paths(cached_factor(_drifted(), grid), 3, seed=6)
         shifted = verify.draw_ensemble(kernel, grid, 3, 6)
         np.testing.assert_allclose(shifted.values - ens.values, np.tile([0.0, 0.5, 1.0], (3, 1)))
-        assert shifted.kernel_id == ens.kernel_id + "|drift"
+        assert shifted.kernel_id == kernel.canonical_id() + "|drift"
 
     def test_scaled_heat_plus_drift_matches_composite_law(self):
         """c*F + m(t) and the composite kernel agree in mean and variance."""
@@ -778,8 +755,9 @@ class TestDrift:
         manual = sample_paths(factor_h, 10000, seed=12)
         manual_final = c * manual.values[:, -1] + 1.0
         factor_c = cached_factor(composite, grid)
+        # The composite's factor carries its drift.
         drawn = sample_paths(factor_c, 10000, seed=13)
-        drawn_final = drawn.values[:, -1] + composite.mean_at(1.0)
+        drawn_final = drawn.values[:, -1]
         var_exact = c * c / math.sqrt(math.pi)
         se_var = var_exact * math.sqrt(2.0 / 9999)
         se_mean = math.sqrt(var_exact / 10000)
@@ -804,6 +782,27 @@ class TestPersistence:
         target.write_bytes(b"NOTANENS" + b"\0" * 64)
         with pytest.raises(DomainError):
             load_ensemble(target)
+
+    def test_long_body_refused_before_it_is_read(self, tmp_path):
+        """A 64 MiB sparse tail is caught by the file size; the body is not read."""
+        ens = sample_paths(cached_factor(heat_kernel(), Grid(8)), 3, seed=4)
+        target = tmp_path / "ens.bin"
+        save_ensemble(ens, target)
+        os.truncate(target, target.stat().st_size + 2**26)
+
+        def refused():
+            with pytest.raises(DomainError, match="header implies"):
+                load_ensemble(target)
+
+        assert _traced_peak(refused) < 2**20
+
+    def test_load_holds_one_copy_of_the_body(self, tmp_path):
+        values = np.random.default_rng(3).standard_normal((200, 4097))
+        target = tmp_path / "ens.bin"
+        save_ensemble(simulate.PathEnsemble(Grid(4096), values, "heat", 1), target)
+        peak = _traced_peak(lambda: load_ensemble(target))
+        assert values.nbytes <= peak <= 1.05 * values.nbytes
+        assert np.array_equal(load_ensemble(target).values, values)
 
     @pytest.mark.parametrize("damage", ["header_cut", "body_cut", "kernel_id_bytes", "inf_horizon"])
     def test_damaged_file_rejected(self, tmp_path, damage):

@@ -408,7 +408,7 @@ class TestLadderExperiments:
         rep = verify_trapezoid_ucp(g=builtin("sine"), n_list=(16, 32), m=8, final_tol=1.0)
         assert rep.experiment == "trapezoid"
 
-    # A composite with a drift, so the ladder's draw_ensemble adds one.
+    # A composite with a drift, so the ladder's factors carry one.
     _DRIFTED = CovKernel(
         "composite", c=0.5, components=(CovKernel("heat"), CovKernel("bm")), mean_coeffs=(0.0, 1.0)
     )
@@ -424,13 +424,12 @@ class TestLadderExperiments:
         """The ladder's one normal block gives every grid the paths a fresh draw gives."""
         drawn = []
 
-        def record(factor, m, seed, z=None):
-            ens = sample_paths(factor, m, seed, z)
-            # A copy: draw_ensemble adds a kernel's drift to the values in place.
-            drawn.append((ens.grid, ens.values.copy()))
-            return ens
+        def record(factors, m, seed, *args):
+            for start, stop, k, paths in simulate.path_tiles(factors, m, seed, *args):
+                drawn.append((factors[k].grid, paths))
+                yield start, stop, k, paths
 
-        monkeypatch.setattr(verify, "sample_paths", record)
+        monkeypatch.setattr(verify, "path_tiles", record)
         verify_expansion_residual(kernel=kernel, n_list=n_list, m=5, probes=probes, seed=4)
         assert [grid.n for grid, _ in drawn] == list(n_list)
         for grid, values in drawn:
@@ -469,21 +468,19 @@ class TestLadderExperiments:
         ("ito", CovKernel("xi")),
     ], ids=["fbm", "bm", "ito-fbm", "ito-heat", "bn-fbm", "bn-heat", "ito-composite", "ito-xi"])
     def test_ladder_report_does_not_depend_on_the_row_block(self, monkeypatch, run, kernel):
-        """Row blocks of 2 and 3 replicates give the report of the default block."""
+        """Each grid reduced as one block of all m fresh rows gives the report of the tiles."""
 
         def report():
-            rep = self._RUNS[run](kernel, 7)
+            rep = self._RUNS[run](kernel, 11)
             return rep.summary_json(), rep.replicates_csv()
 
-        def blocks_of(rows):
-            return lambda m: [(start, min(start + rows, m)) for start in range(0, m, rows)]
+        def whole(factors, m, seed, *args):
+            for k, factor in enumerate(factors):
+                yield 0, m, k, sample_paths(factor, m, seed, *args).values
 
         default = report()
-        for rows in (2, 3):
-            for owner in (verify, simulate):
-                monkeypatch.setattr(owner, "row_blocks", blocks_of(rows))
-            assert len(verify.row_blocks(7)) == math.ceil(7 / rows)
-            assert report() == default
+        monkeypatch.setattr(verify, "path_tiles", whole)
+        assert report() == default
 
     @pytest.mark.parametrize("run, sizes", [
         (
@@ -519,7 +516,7 @@ class TestLadderExperiments:
         ),
     ], ids=["fbm", "bm", "ito-fbm", "bn-fbm", "heat", "ito-heat"])
     def test_ladder_memory_does_not_grow_with_m(self, run, sizes):
-        """An O(N) sampler's experiment holds one row block of normals and paths, not all m."""
+        """An O(N) sampler's experiment holds one tile of normals and paths, not all m."""
         run(sizes[0])  # factors are built and cached outside the trace
         peaks = {}
         for m in sizes:
