@@ -583,7 +583,7 @@ class TestHeatSampler:
 
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 33], ids=str)
     def test_rows_do_not_depend_on_the_tile_or_block(self, m):
-        """Row 40 - m + r sits at another place of another tile in each draw."""
+        """A row drawn among rows 40 - m .. 39 equals the row drawn among all 40."""
         factor = cached_factor(heat_kernel(), Grid(4096))
         whole = sample_paths(factor, 40, 9).values
         part = sample_paths(factor, m, 9, first=40 - m).values
