@@ -8,9 +8,13 @@ parameters of its `verify_*` function, so the schema and the function
 cannot drift apart: a `_SPECS` row is just that function's name and its
 tolerance keys.  A new experiment parameter is declared in that
 signature, plus a `_CHECKS` entry for its value and, if it is a
-tolerance, its key in the experiment's `_SPECS` row.  The flags of
-`sample` and `sums` that set a config key go through the same `_CHECKS`
-entry, and those of `cov-table` through `_COV_TABLE_CHECKS`.  All
+tolerance, its key in the experiment's `_SPECS` row.  Each flag is
+checked once, as argparse parses it: a numeric flag of `sample` and
+`sums` that sets a config key gets that key's `_CHECKS` entry as its
+argparse `type` (`_flag`), those of `cov-table` an integer bound, and a
+failed check is a ConfigError that `main` reports as a config error.
+`verify` copies its flags into the config, whose own checks cover them.
+Every real number read from outside passes `kernels.finite_number`.  All
 randomness flows from the single seed in the config (or --seed).
 Rerunning any verb with the same inputs on the same numpy/scipy build
 reproduces its output files byte for byte (for `verify`, summary.json
@@ -31,7 +35,7 @@ from dataclasses import field, make_dataclass
 
 import numpy as np
 
-from . import analytic, functions, sums, verify
+from . import analytic, functions, kernels, sums, verify
 from .errors import ConfigError, DomainError, QuarticLabError
 from .kernels import CovKernel, Grid, fbm_composite_kernel, fbm_quarter_kernel, heat_kernel
 from .simulate import save_ensemble, write_ensemble_csv
@@ -70,13 +74,11 @@ def _g_from(value):
 
 
 def _float_list(text):
+    """The floats of a comma list; an empty list is left to the check of what it sets."""
     try:
-        values = [float(v) for v in str(text).split(",") if v != ""]
+        return [float(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
         raise ConfigError(f"expected a comma-separated float list, got {text!r}") from exc
-    if not values:
-        raise ConfigError("expected at least one value in the list")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +121,7 @@ def _int_from(low, below=math.inf):
 
 def _float_from(ok, what):
     def check(key, value):
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        # abs(nan) and abs(inf) fail this bound; so do ints beyond float range.
-        if not (number and abs(value) <= sys.float_info.max and ok(value)):
+        if not (kernels.finite_number(value) and ok(value)):
             raise ConfigError(f"{key} must be a finite {what}number, got {value!r}")
         return float(value)
 
@@ -236,31 +236,18 @@ def run_experiment(config):
 # Verbs.
 # ---------------------------------------------------------------------------
 
-# Flags that set a config key, dest -> (flag, key): `sample` and `sums`
-# check them by that key's `_CHECKS` entry, `verify` copies them into
-# its config.
-_FLAG_KEYS = {
-    "n": ("--n", "n"),
-    "replicates": ("--M", "m"),
-    "horizon": ("--T", "horizon"),
-    "seed": ("--seed", "seed"),
-}
-_FLAG_CHECKS = {dest: (flag, _CHECKS[key]) for dest, (flag, key) in _FLAG_KEYS.items()}
+def _flag(flag, check, parse=int):
+    """An argparse type: parse the flag's text, then `check` it under the flag's name.
 
-# The flags of `cov-table`, which set no config key: dest -> (flag, check).
-_COV_TABLE_CHECKS = {
-    "n": ("--n", _int_from(1)),
-    "maxj": ("--maxj", _int_from(1)),
-    "lag": ("--lag", _int_from(0)),
-}
+    A failed check raises ConfigError out of parse_args; text that `parse`
+    rejects stays argparse's own "invalid <type> value" usage error.
+    """
 
+    def convert(text):
+        return check(flag, parse(text))
 
-def _check_flags(args, checks):
-    """Validate and normalize each given flag; checks maps dest -> (flag, check)."""
-    for dest, (flag, check) in checks.items():
-        value = getattr(args, dest)
-        if value is not None:
-            setattr(args, dest, check(flag, value))
+    convert.__name__ = parse.__name__
+    return convert
 
 
 def _cmd_compute_kappa(args):
@@ -272,7 +259,6 @@ def _cmd_compute_kappa(args):
 
 
 def _cmd_cov_table(args):
-    _check_flags(args, _COV_TABLE_CHECKS)
     table = analytic.discrete_cov_table(args.n, maxj=args.maxj, lag=args.lag)
     report = analytic.audit_cov_table(args.n, maxj=args.maxj)
     os.makedirs(args.out, exist_ok=True)
@@ -301,7 +287,6 @@ def _cmd_cov_table(args):
 
 
 def _cmd_sample(args):
-    _check_flags(args, _FLAG_CHECKS)
     kernel = _kernel_from(args.kernel)
     grid = Grid(args.n, args.horizon)
     ens = verify.draw_ensemble(kernel, grid, args.replicates, args.seed)
@@ -349,9 +334,8 @@ def _cmd_sums(args):
             raise ConfigError(f"{flag} does not apply to functional {args.functional!r}")
     if "p" in params and args.p not in (3, 4):
         raise ConfigError("--p must be 3 or 4 for the power functional")
-    _check_flags(args, _FLAG_CHECKS)
 
-    probes = _CHECKS["probes"]("--t", _float_list(args.t)) if args.t else (1.0,)
+    probes = args.t
     horizon = args.horizon if args.horizon is not None else max(probes)
     if max(probes) > horizon + 1e-12:
         raise ConfigError("probe times must not exceed the horizon")
@@ -393,8 +377,7 @@ def _cmd_verify(args):
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(rec, dict):
             raise ConfigError("config file must hold a JSON object")
-    flags = {key: getattr(args, dest, None) for dest, (_, key) in _FLAG_KEYS.items()}
-    rec |= {key: value for key, value in flags.items() if value is not None}
+    rec |= {key: getattr(args, key) for key in ("seed", "n", "m") if getattr(args, key) is not None}
     config = ExperimentConfig.from_dict(args.experiment, rec)
 
     report = run_experiment(config)
@@ -432,18 +415,18 @@ def build_parser():
     p.set_defaults(func=_cmd_compute_kappa)
 
     p = sub.add_parser("cov-table", help="increment covariance table and inequality audit")
-    p.add_argument("--n", type=int, default=4096)
-    p.add_argument("--maxj", type=int, default=None)
-    p.add_argument("--lag", type=int, default=None)
+    p.add_argument("--n", type=_flag("--n", _int_from(1)), default=4096)
+    p.add_argument("--maxj", type=_flag("--maxj", _int_from(1)), default=None)
+    p.add_argument("--lag", type=_flag("--lag", _int_from(0)), default=None)
     p.add_argument("--out", default="cov-table")
     p.set_defaults(func=_cmd_cov_table)
 
     p = sub.add_parser("sample", help="draw an exact-covariance path ensemble")
     p.add_argument("--kernel", default="heat")
-    p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--T", dest="horizon", type=float, default=1.0)
-    p.add_argument("--M", dest="replicates", type=int, default=100)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--n", type=_flag("--n", _CHECKS["n"]), default=1024)
+    p.add_argument("--T", dest="horizon", type=_flag("--T", _CHECKS["horizon"], float), default=1.0)
+    p.add_argument("--M", dest="replicates", type=_flag("--M", _CHECKS["m"]), default=100)
+    p.add_argument("--seed", type=_flag("--seed", _CHECKS["seed"]), default=7)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
     p.set_defaults(func=_cmd_sample)
@@ -456,11 +439,13 @@ def build_parser():
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--parity", choices=("odd", "even", "all"), default=None)
     p.add_argument("--eval-point", dest="eval_point", choices=("left", "right"), default=None)
-    p.add_argument("--t", default=None, help="comma list of probe times (default 1.0)")
-    p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--T", dest="horizon", type=float, default=None)
-    p.add_argument("--M", dest="replicates", type=int, default=100)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--t", type=_flag("--t", _CHECKS["probes"], _float_list), default="1.0",
+                   help="comma list of probe times (default 1.0)")
+    p.add_argument("--n", type=_flag("--n", _CHECKS["n"]), default=1024)
+    p.add_argument("--T", dest="horizon", type=_flag("--T", _CHECKS["horizon"], float),
+                   default=None)
+    p.add_argument("--M", dest="replicates", type=_flag("--M", _CHECKS["m"]), default=100)
+    p.add_argument("--seed", type=_flag("--seed", _CHECKS["seed"]), default=7)
     p.add_argument("--kernel", default="heat")
     p.add_argument("--out", default="sums.csv")
     p.set_defaults(func=_cmd_sums)
@@ -469,9 +454,10 @@ def build_parser():
     p.add_argument("--experiment", required=True, choices=EXPERIMENTS)
     p.add_argument("--config", default=None, help="JSON config file (strict schema)")
     p.add_argument("--out", default=None, help="output directory for summary.json + CSV")
+    # Copied into the config by key (`_cmd_verify`), whose checks cover them.
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--M", dest="replicates", type=int, default=None)
+    p.add_argument("--M", dest="m", type=int, default=None)
     # `workers` is no flag (`--workers` is an unrecognized argument); the
     # benchmark's environment record (bench/child.py) still reads this
     # inert default, and nothing else does.
@@ -506,14 +492,13 @@ def _pin_malloc_thresholds():
 
 def main(argv=None):
     _pin_malloc_thresholds()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except QuarticLabError as exc:
+    except (QuarticLabError, OSError) as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(diagnostic, sort_keys=True), file=sys.stderr)
         return 1

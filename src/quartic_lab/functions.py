@@ -17,8 +17,6 @@ its own branch in `builtin`.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,6 +24,7 @@ import numpy as np
 
 from .analytic import hermite_eval
 from .errors import DomainError
+from .kernels import finite_number
 
 MAX_DX_ORDER = 9
 MAX_DTDX_ORDER = 4
@@ -177,18 +176,8 @@ def builtin(name, **params):
         coeffs = params.pop("coeffs", None)
         if params or coeffs is None:
             raise DomainError("poly_k needs coefficients and no other parameter: coeffs=[c_0, ...]")
-        # Finite real numbers only: a string or a bool is not a coefficient,
-        # and abs() of nan, inf or an int beyond float range fails the bound.
-        if not (
-            isinstance(coeffs, (list, tuple))
-            and coeffs
-            and all(
-                isinstance(c, numbers.Real)
-                and not isinstance(c, bool)
-                and abs(c) <= sys.float_info.max
-                for c in coeffs
-            )
-        ):
+        # Coefficients follow the package's one number rule, `finite_number`.
+        if not (isinstance(coeffs, (list, tuple)) and coeffs and all(map(finite_number, coeffs))):
             raise DomainError(
                 f"poly_k coeffs must be a nonempty list of finite real numbers, got {coeffs!r}"
             )

@@ -27,6 +27,7 @@ times t_1 .. t_N, never t_0 = 0.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -41,6 +42,20 @@ FBM_HEAT_SCALE = (math.pi / 2.0) ** 0.25
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 KERNEL_KINDS = ("heat", "xi", "fbm_quarter", "bm", "composite")
+
+
+def finite_number(value):
+    """Whether an outside value is a finite real number.
+
+    The package's one number rule, applied to config numbers (`cli`), a
+    composite's scale and mean coefficients (`CovKernel` and its
+    `from_dict`) and poly_k coefficients: a real number that is not a
+    bool, with abs() at most the largest float, which nan, +-inf and ints
+    beyond float range all fail.  So a string or True is never a number,
+    and float(value) of a passing value is finite.
+    """
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return bool(number and abs(value) <= sys.float_info.max)
 
 
 def _check_nonnegative(s, t):
@@ -195,8 +210,8 @@ class CovKernel:
             for comp in self.components:
                 if comp.kind == "composite":
                     raise DomainError("composite kernels do not nest")
-            if not all(map(math.isfinite, (self.c, *self.mean_coeffs))):
-                raise DomainError("composite scale c and mean coefficients must be finite")
+            if not all(map(finite_number, (self.c, *self.mean_coeffs))):
+                raise DomainError("composite scale c and mean coefficients must be finite numbers")
         else:
             if self.c is not None:
                 raise DomainError(f"kernel {self.kind!r} takes no scale c")
@@ -249,6 +264,7 @@ class CovKernel:
 
     @staticmethod
     def from_dict(rec):
+        """Kernel of a record; its c and mean_coeffs must pass `finite_number`."""
         if not isinstance(rec, dict) or "kind" not in rec:
             raise DomainError("kernel record must be a dict with a 'kind' tag")
         known = {"kind", "c", "components", "mean_coeffs"}
@@ -260,13 +276,14 @@ class CovKernel:
             if set(rec) - {"kind"}:
                 raise DomainError(f"kernel {kind!r} takes only a 'kind' tag")
             return CovKernel(kind)
-        comps = tuple(CovKernel.from_dict(c) for c in rec.get("components", []))
-        try:
-            c = float(rec.get("c", 1.0))
-            mean_coeffs = tuple(float(v) for v in rec.get("mean_coeffs", ()))
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise DomainError(f"composite c and mean_coeffs must be numbers: {exc}") from exc
-        return CovKernel("composite", c=c, components=comps, mean_coeffs=mean_coeffs)
+        comps, c, mean = rec.get("components", []), rec.get("c", 1.0), rec.get("mean_coeffs", ())
+        if not isinstance(comps, (list, tuple)):
+            raise DomainError(f"composite components must be a list of records, got {comps!r}")
+        comps = tuple(map(CovKernel.from_dict, comps))
+        if not isinstance(mean, (list, tuple)) or not all(map(finite_number, (c, *mean))):
+            raise DomainError(f"composite c and mean_coeffs must be numbers, got {c!r}, {mean!r}")
+        mean = tuple(map(float, mean))
+        return CovKernel("composite", c=float(c), components=comps, mean_coeffs=mean)
 
 
 def heat_kernel():

@@ -77,16 +77,11 @@ class CheckResult:
         return asdict(self)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value
+def _tolist(value):
+    """`json.dumps` fallback: a numpy scalar or array as its Python value."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _config_block(experiment, function, args):
@@ -149,14 +144,14 @@ class ExperimentReport:
             "schema": SUMMARY_SCHEMA,
             "package": __version__,
             "experiment": self.experiment,
-            "config": _jsonable(self.config),
+            "config": self.config,
             "checks": [c.to_dict() for c in self.checks],
-            "stats": _jsonable(self.stats),
+            "stats": self.stats,
             "passed": self.passed,
         }
 
     def summary_json(self):
-        return json.dumps(self.to_summary_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_summary_dict(), sort_keys=True, indent=2, default=_tolist) + "\n"
 
     def replicates_csv(self):
         lines = [",".join(self.replicate_columns)]

@@ -146,6 +146,37 @@ def test_bad_path_flags_are_config_errors(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_flags_are_checked_before_the_functional_options(tmp_path, capsys):
+    argv = ["sums", "--functional", "qn", "--p", "5", "--n", "1", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: --n must be an integer >= 2")
+
+
+# An output path that cannot be written is an OS error: one JSON diagnostic
+# line on stderr and exit 1, not a traceback.
+_TRAPEZOID_CONFIG = {"n_list": [16, 32], "m": 2}
+
+
+@pytest.mark.parametrize("verb, out, error", [
+    (["sample", "--n", "8", "--M", "2"], "dir", "IsADirectoryError"),
+    (["sums", "--functional", "qn", "--n", "8", "--M", "2"], "missing/x.csv",
+     "FileNotFoundError"),
+    (["verify", "--experiment", "trapezoid"], "file", "FileExistsError"),
+    (["cov-table", "--n", "16"], "file", "FileExistsError"),
+], ids=["sample", "sums", "verify", "cov-table"])
+def test_unwritable_output_is_a_diagnostic(tmp_path, capsys, verb, out, error):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_TRAPEZOID_CONFIG))
+    config = ["--config", str(cfg)] if verb[0] == "verify" else []
+    assert main([*verb, *config, "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+    assert (tmp_path / "file").read_text() == "" and not (tmp_path / "missing").exists()
+
+
 # Every `sums --functional` choice (power at p 3 and 4): its flags and the
 # library call whose values the CSV must hold.
 _SUMS_CASES = [
@@ -372,6 +403,20 @@ class TestVerifyVerb:
             "n_list": [16, 32], "m": 2,
         }))
         code = main(["verify", "--experiment", "trapezoid", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("numbers", [{"c": "1.5"}, {"mean_coeffs": [True, "2"]}],
+                             ids=["c-text", "mean-bool-text"])
+    def test_kernel_record_non_numbers_exit_two(self, tmp_path, capsys, numbers):
+        kernel = {"kind": "composite", "c": 1.0, "components": [{"kind": "heat"}]} | numbers
+        with pytest.raises(ConfigError, match="must be numbers"):
+            ExperimentConfig.from_dict("trapezoid", {"kernel": kernel})
+        cfg = self._write_config(tmp_path, "cfg.json", {"kernel": kernel, "n_list": [16, 32],
+                                                        "m": 2})
+        code = main(["verify", "--experiment", "trapezoid", "--config", cfg,
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")

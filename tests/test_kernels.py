@@ -6,6 +6,7 @@ integral, arbitrary-precision evaluation of the defining formulas).
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from quartic_lab.kernels import (
     build_cov_matrix,
     fbm_composite_kernel,
     fbm_quarter_kernel,
+    finite_number,
     heat_kernel,
     rho_bm,
     rho_fbm_quarter,
@@ -200,18 +202,44 @@ class TestCovKernel:
 
     @pytest.mark.parametrize("c, mean_coeffs", [
         (math.nan, ()), (math.inf, ()), (1.0, (0.0, math.nan)), (1.0, (-math.inf,)),
-    ], ids=["c-nan", "c-inf", "mean-nan", "mean-inf"])
+        ("x", ()), (True, ()), ([1.0], ()), (1.0, (False,)),
+    ], ids=["c-nan", "c-inf", "mean-nan", "mean-inf", "c-text", "c-bool", "c-list",
+            "mean-bool"])
     def test_composite_numbers_must_be_finite(self, c, mean_coeffs):
         with pytest.raises(DomainError, match="must be finite"):
             CovKernel("composite", c=c, components=(CovKernel("heat"),), mean_coeffs=mean_coeffs)
 
     @pytest.mark.parametrize("extra", [
         {"c": "x"}, {"mean_coeffs": ["a"]}, {"mean_coeffs": 5}, {"c": 10**400},
-    ], ids=["c-text", "mean-text", "mean-scalar", "c-beyond-float"])
+        {"c": "1.5"}, {"c": True}, {"mean_coeffs": [True, "2"]}, {"mean_coeffs": "12"},
+        {"c": math.nan}, {"mean_coeffs": [math.inf]},
+    ], ids=["c-text", "mean-text", "mean-scalar", "c-beyond-float", "c-numeric-text", "c-bool",
+            "mean-bool-text", "mean-string", "c-nan", "mean-inf"])
     def test_from_dict_non_numbers_are_domain_errors(self, extra):
         rec = {"kind": "composite", "c": 1.0, "components": [{"kind": "heat"}]} | extra
         with pytest.raises(DomainError, match="must be numbers"):
             CovKernel.from_dict(rec)
+
+    @pytest.mark.parametrize("components", [5, "heat", {"kind": "heat"}])
+    def test_from_dict_components_must_be_a_list(self, components):
+        with pytest.raises(DomainError, match="components must be a list"):
+            CovKernel.from_dict({"kind": "composite", "c": 1.0, "components": components})
+
+    def test_from_dict_int_scale_keeps_the_float_id(self):
+        rec = {"kind": "composite", "c": 1, "components": [{"kind": "heat"}], "mean_coeffs": [0]}
+        kernel = CovKernel.from_dict(rec)
+        assert kernel.c == 1.0 and kernel.mean_coeffs == (0.0,)
+        assert kernel.canonical_id() == "composite(c=1.0;heat)|mean=[0.0]"
+
+
+@pytest.mark.parametrize("value, ok", [
+    (0, True), (-2.5, True), (np.float64(1e300), True), (np.int64(7), True),
+    (sys.float_info.max, True), (10**308, True), (10**400, False), (math.nan, False),
+    (-math.inf, False), (True, False), (np.bool_(False), False), ("1", False), (None, False),
+    (1j, False),
+])
+def test_finite_number_is_the_one_number_rule(value, ok):
+    assert finite_number(value) is ok
 
 
 _DENSE_KERNELS = (heat_kernel(), CovKernel("xi"), fbm_quarter_kernel(), CovKernel("bm"), fbm_composite_kernel())

@@ -637,6 +637,18 @@ class TestReportEmission:
         assert {c["name"] for c in doc["checks"]} == {"mse_monotone@t=1", "mse_final@t=1"}
         assert doc["config"]["n_list"] == [16, 32]
 
+    def test_summary_json_writes_numpy_values_as_python_ones(self):
+        rep = dataclasses.replace(self._tiny_report(), stats={
+            "f64": np.float64(0.1), "f32": np.float32(0.5), "i": np.int64(3),
+            "b": np.bool_(True), "a": np.array([1.5, np.nan]), "t": (1, 2),
+        })
+        stats = json.loads(rep.summary_json())["stats"]
+        assert stats == {"f64": 0.1, "f32": 0.5, "i": 3, "b": True, "a": [1.5, stats["a"][1]],
+                         "t": [1, 2]}
+        assert math.isnan(stats["a"][1]) and '"f64": 0.1,' in rep.summary_json()
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            dataclasses.replace(rep, stats={"s": {1}}).summary_json()
+
     def test_csv_cells_round_trip(self):
         rep = self._tiny_report()
         lines = rep.replicates_csv().strip().split("\n")

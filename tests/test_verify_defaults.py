@@ -20,3 +20,17 @@ def test_prints_one_json_line_per_thread_count(capsys):
     for line in lines:
         assert line["wall_s"] > 0 and line["peak_mib"] > 0
         assert len(line["sha256"]) == 64 and line["scipy_linalg"] is False
+
+
+def test_a_workload_runs_at_both_seeds(capsys):
+    assert verify_defaults.main(["ladder-heat"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(line["workload"], line["seed"], line["threads"]) for line in lines] == [
+        ("ladder-heat", seed, threads) for seed in (3, 11) for threads in (1, 2)
+    ]
+    assert {line["experiment"] for line in lines} == {"trapezoid"}
+    # The benchmark's bytes for this workload: one digest per seed, under
+    # either thread count.
+    assert [line["sha256"] for line in lines] == 2 * [
+        "93590ded8c2e287b2714ec324b5fda5fc63840381f49f0fa6c4af917209f8c62"
+    ] + 2 * ["1f06469ec595659c02617db3bf0489c71755e6264a884c7a899ff21dc482c44d"]
