@@ -9,16 +9,20 @@ cannot drift apart: a `_SPECS` row is just that function's name and its
 tolerance keys.  A new experiment parameter is declared in that
 signature, plus a `_CHECKS` entry for its value and, if it is a
 tolerance, its key in the experiment's `_SPECS` row.  Each flag is
-checked once, as argparse parses it: a numeric flag of `sample` and
-`sums` that sets a config key gets that key's `_CHECKS` entry as its
-argparse `type` (`_flag`), those of `cov-table` an integer bound, and a
-failed check is a ConfigError that `main` reports as a config error.
-`verify` copies its flags into the config, whose own checks cover them.
-Every real number read from outside passes `kernels.finite_number`.  All
-randomness flows from the single seed in the config (or --seed).
-Rerunning any verb with the same inputs on the same numpy/scipy build
-reproduces its output files byte for byte (for `verify`, summary.json
-and replicates.csv), under any BLAS thread count.
+checked once, as argparse parses it: a numeric flag of `sample`, `sums`
+and `verify` that sets a config key gets that key's `_CHECKS` entry as
+its argparse `type` (`_flag`), those of `cov-table` an integer bound and
+`compute-kappa --tol` its certifiable range, and a failed check is a
+ConfigError that `main` reports as a config error naming the flag.
+`verify` then copies its flags into the config, and refuses by name a
+flag whose key the experiment lacks.  Every real number read from
+outside passes `kernels.finite_number`.  All randomness flows from the
+single seed in the config (or --seed).  Rerunning any verb with the same
+inputs on the same numpy and scipy builds, on a CPU that numpy dispatches
+to the same loops (its float64 log differs between its AVX-512 and
+baseline loops, see `rng`), reproduces its output files byte for byte
+(for `verify`, summary.json and replicates.csv), under any BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -74,11 +78,15 @@ def _g_from(value):
 
 
 def _float_list(text):
-    """The floats of a comma list; an empty list is left to the check of what it sets."""
+    """The floats of a comma list; an empty list is left to the check of what it sets.
+
+    An argparse type: text that does not parse is argparse's usage error
+    (exit 2), which names the flag.
+    """
     try:
         return [float(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated float list, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected a comma-separated float list, got {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +130,7 @@ def _int_from(low, below=math.inf):
 def _float_from(ok, what):
     def check(key, value):
         if not (kernels.finite_number(value) and ok(value)):
-            raise ConfigError(f"{key} must be a finite {what}number, got {value!r}")
+            raise ConfigError(f"{key} must be a finite {what}, got {value!r}")
         return float(value)
 
     return check
@@ -147,14 +155,18 @@ def _parsed(parse):
     return check
 
 
-_POSITIVE = _float_from(lambda v: v > 0, "positive ")
+_POSITIVE = _float_from(lambda v: v > 0, "positive number")
+
+# compute-kappa's tolerance: float64 certifies no bound below KAPPA_MIN_TOL.
+_KAPPA_TOL = _float_from(lambda v: analytic.KAPPA_MIN_TOL <= v <= 0.5,
+                         f"number in [{analytic.KAPPA_MIN_TOL:g}, 0.5]")
 
 # Validator and normalizer per config or tolerance key; each raises
 # ConfigError.  Tolerances without an entry must be positive numbers.
 _CHECKS = {
     "kernel": _parsed(_kernel_from),
     "g": _parsed(_g_from),
-    "c": _float_from(lambda v: True, ""),
+    "c": _float_from(lambda v: True, "number"),
     "n": _int_from(2),
     "n_list": _list_of(_int_from(2)),
     "m": _int_from(1),
@@ -163,7 +175,7 @@ _CHECKS = {
     # A master seed is one 64-bit component of a stream key (`rng`).
     "seed": _int_from(0, 1 << 64),
     "seeds": _int_from(1),
-    "window_start": _float_from(lambda v: v >= 0, "nonnegative "),
+    "window_start": _float_from(lambda v: v >= 0, "nonnegative number"),
     "max_inversions": _int_from(0),
 }
 
@@ -342,8 +354,8 @@ def _cmd_sums(args):
     kernel = _kernel_from(args.kernel)
     grid = Grid(args.n, horizon)
     spec = {"id": args.g or "const"}
-    if args.coeffs:
-        spec["coeffs"] = _float_list(args.coeffs)
+    if args.coeffs is not None:
+        spec["coeffs"] = args.coeffs
     g = _CHECKS["g"]("--g", spec)
     if "g" in params:
         options["g"] = g
@@ -365,6 +377,10 @@ def _cmd_sums(args):
     return 0
 
 
+# Flags of `verify`, by the config key each sets.
+_VERIFY_FLAGS = {"seed": "--seed", "n": "--n", "m": "--M"}
+
+
 def _cmd_verify(args):
     rec = {}
     if args.config:
@@ -377,7 +393,10 @@ def _cmd_verify(args):
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(rec, dict):
             raise ConfigError("config file must hold a JSON object")
-    rec |= {key: getattr(args, key) for key in ("seed", "n", "m") if getattr(args, key) is not None}
+    flags = {key: getattr(args, key) for key in _VERIFY_FLAGS if getattr(args, key) is not None}
+    for key in sorted(flags.keys() - _DEFAULTS[args.experiment].keys()):
+        raise ConfigError(f"{_VERIFY_FLAGS[key]} does not apply to experiment {args.experiment!r}")
+    rec |= flags
     config = ExperimentConfig.from_dict(args.experiment, rec)
 
     report = run_experiment(config)
@@ -411,7 +430,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("compute-kappa", help="series constant with a certified error bound")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_flag("--tol", _KAPPA_TOL, float), default=1e-6)
     p.set_defaults(func=_cmd_compute_kappa)
 
     p = sub.add_parser("cov-table", help="increment covariance table and inequality audit")
@@ -434,7 +453,8 @@ def build_parser():
     p = sub.add_parser("sums", help="evaluate a discrete functional over an ensemble")
     p.add_argument("--functional", required=True, choices=tuple(_SUMS))
     p.add_argument("--g", default=None)
-    p.add_argument("--coeffs", default=None, help="comma list, only with --g poly_k")
+    p.add_argument("--coeffs", type=_float_list, default=None,
+                   help="comma list, only with --g poly_k")
     p.add_argument("--deriv", dest="deriv_order", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--parity", choices=("odd", "even", "all"), default=None)
@@ -454,10 +474,9 @@ def build_parser():
     p.add_argument("--experiment", required=True, choices=EXPERIMENTS)
     p.add_argument("--config", default=None, help="JSON config file (strict schema)")
     p.add_argument("--out", default=None, help="output directory for summary.json + CSV")
-    # Copied into the config by key (`_cmd_verify`), whose checks cover them.
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--M", dest="m", type=int, default=None)
+    # Checked as they parse, then copied into the config by key (`_cmd_verify`).
+    for key, flag in _VERIFY_FLAGS.items():
+        p.add_argument(flag, dest=key, type=_flag(flag, _CHECKS[key]), default=None)
     # `workers` is no flag (`--workers` is an unrecognized argument); the
     # benchmark's environment record (bench/child.py) still reads this
     # inert default, and nothing else does.

@@ -10,9 +10,23 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import ndtr, stdtrit
 
 from .errors import DomainError
+
+# The Student-t quantile at 0.975 for dof 1 .. 30, the rate fit's CI
+# factor: scipy.special.stdtrit(dof, 0.975), which is what
+# scipy.stats.t.ppf(0.975, dof) returns, bit for bit.  A table, so that
+# a fit on up to 32 sizes imports neither scipy.special nor scipy.stats.
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378,
+)
 
 
 def _clean_sample(a, name):
@@ -45,6 +59,10 @@ def ks_one_sample_normal(a, mean=0.0, sd=1.0):
     Both one-sided gaps are taken at every sample point: the ECDF exceeds
     the CDF just after a jump and undershoots just before it.
     """
+    # Imported here, so that only the runs that take this statistic (bn)
+    # load scipy.special.
+    from scipy.special import ndtr
+
     if not sd > 0:
         raise DomainError("sd must be positive")
     a = np.sort(_clean_sample(a, "a"))
@@ -69,6 +87,13 @@ class RateFit:
         return asdict(self)
 
 
+def _t975(dof):
+    """stdtrit(dof, 0.975), for a fit beyond the table: it imports scipy.special."""
+    from scipy.special import stdtrit
+
+    return float(stdtrit(dof, 0.975))
+
+
 def loglog_rate(xs, ys):
     """Empirical order of convergence from (size, error) pairs."""
     xs = np.asarray(xs, dtype=np.float64)
@@ -85,9 +110,7 @@ def loglog_rate(xs, ys):
     sxx = float(np.sum((lx - lx.mean()) ** 2))
     s2 = float(np.sum(resid**2)) / dof
     stderr = math.sqrt(s2 / sxx)
-    # The Student-t quantile that scipy.stats.t.ppf(0.975, dof) returns,
-    # bit for bit, without importing scipy.stats.
-    half = float(stdtrit(dof, 0.975)) * stderr
+    half = (_T975[dof - 1] if dof <= len(_T975) else _t975(dof)) * stderr
     return RateFit(
         slope=float(slope),
         intercept=float(intercept),

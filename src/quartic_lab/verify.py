@@ -7,7 +7,8 @@ threshold, and pass flag.  Every experiment reduces its paths through
 `_replicate_columns`, one tile at a time as `simulate.path_tiles`, the
 one loop that cuts replicates into 8-row tiles, draws them; so it holds
 one tile's normals and paths whatever the replicate count.  A rerun with
-the same configuration and seed on the same numpy/scipy build reproduces
+the same configuration and seed on the same numpy and scipy builds, on a
+CPU that numpy dispatches to the same loops (see `rng`), reproduces
 summary.json and replicates.csv byte for byte, under any BLAS thread
 count.
 

@@ -9,14 +9,13 @@ import dataclasses
 import inspect
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_fresh_python
 from quartic_lab import analytic, cli, sums, verify
 from quartic_lab.cli import EXPERIMENTS, ExperimentConfig, main, run_experiment
 from quartic_lab.errors import ConfigError
@@ -40,6 +39,19 @@ class TestComputeKappa:
     def test_default_tolerance(self, capsys):
         assert main(["compute-kappa"]) == 0
         assert "kappa = 1.0293453852" in capsys.readouterr().out
+
+    # Checked as --tol parses: float64 certifies no bound below KAPPA_MIN_TOL.
+    @pytest.mark.parametrize("tol, reason", [
+        ("inf", "--tol must be a finite number in [1e-15, 0.5], got inf"),
+        ("nan", "--tol must be a finite number in [1e-15, 0.5], got nan"),
+        ("1", "--tol must be a finite number in [1e-15, 0.5], got 1.0"),
+        ("0", "--tol must be a finite number in [1e-15, 0.5], got 0.0"),
+        ("1e-20", "--tol must be a finite number in [1e-15, 0.5], got 1e-20"),
+        ("1e-300", "--tol must be a finite number in [1e-15, 0.5], got 1e-300"),
+    ], ids=["inf", "nan", "one", "zero", "kappa-terms", "kappa-size"])
+    def test_tol_is_checked_as_it_parses(self, capsys, tol, reason):
+        assert main(["compute-kappa", "--tol", tol]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {reason}")
 
 
 class TestCovTable:
@@ -117,14 +129,12 @@ class TestSample:
         (["cov-table", "--n", "64", "--maxj", "100000000000"], "physical memory"),
         (["cov-table", "--n", "64", "--maxj", "1000", "--lag", "100000000000"],
          "physical memory"),
-        (["compute-kappa", "--tol", "1e-20"], "float64 cannot certify"),
-        (["compute-kappa", "--tol", "1e-300"], "float64 cannot certify"),
         (["sample", "--kernel", "heat", "--n", _BEYOND_FLOAT, "--out", "x.bin"], "float range"),
         (["verify", "--experiment", "ito", "--n", _BEYOND_FLOAT, "--M", "2"], "float range"),
         (["sums", "--functional", "qn", "--n", _BEYOND_FLOAT, "--out", "x.csv"], "float range"),
         (["cov-table", "--n", _BEYOND_FLOAT, "--maxj", "4"], "float range"),
     ], ids=["fbm-circulant", "heat-normals", "ito-grid", "cov-table-maxj", "cov-table-lag",
-            "kappa-terms", "kappa-size", "sample-n-overflow", "ito-n-overflow",
+            "sample-n-overflow", "ito-n-overflow",
             "sums-n-overflow", "cov-table-n-overflow"])
     def test_oversized_draw_is_domain_error(self, tmp_path, monkeypatch, capsys, argv, reason):
         monkeypatch.chdir(tmp_path)
@@ -144,6 +154,32 @@ class TestSample:
 def test_bad_path_flags_are_config_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+# A list flag whose text does not parse is argparse's usage error, which
+# names the flag (exit 2).
+@pytest.mark.parametrize("argv, flag", [
+    (["--t", "a"], "--t"),
+    (["--g", "poly_k", "--coeffs", "a"], "--coeffs"),
+])
+def test_unparsable_list_flags_name_the_flag(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["sums", "--functional", "offset", *argv, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a comma-separated float list, got 'a'" in err
+    assert not (tmp_path / "x").exists()
+
+
+# `verify` flags are refused under their own names, not their config keys.
+@pytest.mark.parametrize("argv, message", [
+    (["--M", "0"], "config error: --M must be an integer >= 1, got 0"),
+    (["--n", "16"], "config error: --n does not apply to experiment 'trapezoid'"),
+])
+def test_verify_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
+    assert main(["verify", "--experiment", "trapezoid", *argv, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "run").exists()
 
 
 def test_flags_are_checked_before_the_functional_options(tmp_path, capsys):
@@ -720,17 +756,9 @@ def test_malloc_pinning_needs_glibc(monkeypatch):
     assert len(calls) == 2
 
 
-def _run_fresh_python(code):
-    """Run code in a new interpreter that imports this checkout's package."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    path = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
 def test_cli_import_leaves_scipy_linalg_unloaded():
     """Neither the CLI nor a draw of any kernel kind, composites included, loads scipy.linalg."""
-    _run_fresh_python(
+    run_fresh_python(
         "import sys, quartic_lab.cli\n"
         "from quartic_lab.kernels import KERNEL_KINDS, CovKernel, Grid, fbm_composite_kernel\n"
         "from quartic_lab.verify import draw_ensemble\n"
@@ -742,13 +770,41 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
 
 
 def test_ladder_run_leaves_scipy_stats_unloaded(tmp_path):
-    """The rate fit's Student-t quantile comes from scipy.special, not scipy.stats."""
+    """The rate fit's Student-t quantile comes from a table, not scipy.stats or scipy.special."""
     config = tmp_path / "ladder.json"
     config.write_text(json.dumps({"kernel": "fbm", "g": "cube", "n_list": [64, 128, 256], "m": 20}))
     argv = ["verify", "--experiment", "trapezoid", "--config", str(config), "--out", str(tmp_path)]
-    _run_fresh_python(
+    run_fresh_python(
         "import sys, quartic_lab.cli\n"
         f"assert quartic_lab.cli.main({argv!r}) == 0\n"
-        "assert 'scipy.stats' not in sys.modules"
+        "assert 'scipy.stats' not in sys.modules\n"
+        "assert 'scipy.special' not in sys.modules"
     )
     assert json.loads((tmp_path / "summary.json").read_text())["stats"]["rate"]
+
+
+def test_draws_and_every_run_but_bn_leave_scipy_special_unloaded(tmp_path):
+    """Normals come from rng's own ndtri: only bn's KS statistic loads scipy.special."""
+    small = {
+        "trapezoid": {"n_list": [16, 32, 64], "m": 8},
+        "expansion": {"n_list": [16, 32, 64], "m": 8},
+        "ito": {"n": 64, "m": 8, "seeds": 1},
+        "fbm-window": {"n": 64, "m": 8, "seeds": 1},
+    }
+    for name, config in small.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    run_fresh_python(
+        "import sys, quartic_lab.cli\n"
+        "from quartic_lab.kernels import KERNEL_KINDS, CovKernel, Grid, fbm_composite_kernel\n"
+        "from quartic_lab.verify import draw_ensemble\n"
+        "kinds = [CovKernel(kind) for kind in KERNEL_KINDS if kind != 'composite']\n"
+        "for kernel in kinds + [fbm_composite_kernel()]:\n"
+        "    draw_ensemble(kernel, Grid(64), 9, 1)\n"
+        f"for name in {list(small)!r}:\n"
+        f"    argv = ['verify', '--experiment', name, '--config', {str(tmp_path)!r} + f'/{{name}}.json',\n"
+        f"            '--out', {str(tmp_path)!r} + f'/{{name}}']\n"
+        "    assert quartic_lab.cli.main(argv) in (0, 1)\n"
+        "assert 'scipy.special' not in sys.modules"
+    )
+    for name in small:
+        assert (tmp_path / name / "summary.json").exists()

@@ -1,13 +1,10 @@
 """Property tests: PSD covariances, the exact parity split, record round trips."""
 
-import types
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
 
-from conftest import synthesize_rows
+from conftest import assert_is_ndtri, rerun_under_libm_log, synthesize_rows
 from quartic_lab import functions, rng
 from quartic_lab.functions import builtin, from_spec
 from quartic_lab.kernels import KERNEL_KINDS, CovKernel, Grid, build_cov_matrix, fbm_composite_kernel
@@ -56,27 +53,40 @@ def test_shorter_draw_is_a_prefix_of_longer(seed, replicate, role, sizes):
 def test_normals_keep_the_bounded_integers_of_the_stream(seed, replicate, role, count):
     """The top 53 bits of each raw output are what integers(0, 2**53) draws from the stream."""
     key = rng.derive_key(seed, replicate, role)
-    ints = rng.stream(key).integers(0, 1 << 53, size=count, dtype=np.uint64)
-    expected = ndtri((ints + 0.5) * 2.0**-53)
-    assert np.array_equal(rng.normals(key, count).view(np.uint64), expected.view(np.uint64))
+    philox = np.random.Generator(np.random.Philox(key=key))
+    ints = philox.integers(0, 1 << 53, size=count, dtype=np.uint64)
+    assert_is_ndtri(rng.normals(key, count), (ints + 0.5) * 2.0**-53)
 
 
 def test_the_top_53_bit_integer_draws_a_finite_normal(monkeypatch):
     """k = 2**53 - 1 would shift to 2**53, a uniform of 1; it is capped and no other draw moves.
 
     The stubbed stream hands out raw outputs whose top 53 bits are k;
-    from 2**52 on, k + 0.5 rounds half to even.
+    from 2**52 on, k + 0.5 rounds half to even.  k = 0, 1 and the top
+    three take Cephes' far-tail branch (sqrt(-2 log y) >= 8).
     """
     ks = np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 3, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
     raw = (ks << np.uint64(11)) | np.uint64(2**11 - 1)
     assert raw[-1] == 2**64 - 1
-    bits = types.SimpleNamespace(random_raw=lambda count: raw[:count].copy())
-    monkeypatch.setattr(rng, "stream", lambda key: types.SimpleNamespace(bit_generator=bits))
+    monkeypatch.setattr(rng, "stream", lambda key, count: raw[:count].copy())
     z = rng.normals(0, ks.size)
     assert np.all(np.isfinite(z))
-    assert z[-1] == ndtri(1.0 - 2.0**-53) > z[-2] == z[-3]
-    expected = ndtri((ks[:-1] + 0.5) * 2.0**-53)
-    assert np.array_equal(z[:-1].view(np.uint64), expected.view(np.uint64))
+    assert z[-1] > z[-2] == z[-3]
+    assert_is_ndtri(z[-1:], np.array([1.0 - 2.0**-53]))
+    assert_is_ndtri(z[:-1], (ks[:-1] + 0.5) * 2.0**-53)
+
+
+def test_normals_are_scipy_ndtri_bit_for_bit_under_the_libm_log_dispatch():
+    """The two tests above, rerun where numpy's log is libm's, hold bit for bit."""
+    rerun_under_libm_log(__file__, "bounded_integers_of_the_stream", "top_53_bit_integer")
+
+
+@_PROPERTY
+@given(key=st.integers(0, 2**128 - 1), count=st.integers(0, 2**10))
+def test_stream_is_philox_of_the_key(key, count):
+    """A rekeyed Philox gives Philox(key=key)'s raw outputs, whatever was drawn before."""
+    rng.stream(key ^ 1, 3)
+    assert np.array_equal(rng.stream(key, count), np.random.Philox(key=key).random_raw(count))
 
 
 @_PROPERTY

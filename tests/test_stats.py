@@ -12,6 +12,7 @@ import pytest
 from scipy import stats as sps
 from scipy.special import stdtrit
 
+from quartic_lab import stats
 from quartic_lab.errors import DomainError
 from quartic_lab.stats import (
     CorrelationResult,
@@ -145,6 +146,20 @@ class TestLoglogRate:
         dof = np.arange(1, 51)
         ours = np.array([stdtrit(d, 0.975) for d in dof])
         assert np.array_equal(ours.view(np.uint64), sps.t.ppf(0.975, dof).view(np.uint64))
+
+    def test_quantile_table_is_bitwise_stdtrit(self):
+        """The committed quantiles for dof 1 .. 30 are stdtrit's, bit for bit."""
+        dof = np.arange(1, len(stats._T975) + 1)
+        table = np.array(stats._T975)
+        assert np.array_equal(table.view(np.uint64), stdtrit(dof, 0.975).view(np.uint64))
+
+    @pytest.mark.parametrize("sizes", [3, 32, 33, 40])
+    def test_ci_uses_the_t_quantile_of_its_dof(self, sizes):
+        """Up to 32 sizes from the table, beyond from stdtrit: the same quantile either way."""
+        xs = 2.0 ** np.arange(3, 3 + sizes)
+        ys = xs**-0.5 * np.exp(np.random.default_rng(sizes).normal(scale=0.1, size=sizes))
+        fit = loglog_rate(xs, ys)
+        assert fit.ci_high == fit.slope + float(stdtrit(sizes - 2, 0.975)) * fit.stderr
 
     def test_to_dict_round_trip(self):
         fit = loglog_rate([2.0, 4.0, 8.0], [1.0, 0.5, 0.25])

@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import NUMPY_LOG_IS_LIBM, rerun_under_libm_log
 from quartic_lab import rng, simulate, sums, verify
 from quartic_lab.analytic import audit_cov_table, kappa_reference
 from quartic_lab.errors import ConfigError, DomainError
@@ -440,9 +441,9 @@ class TestLadderExperiments:
         opened = []
         open_stream = rng.stream
 
-        def stream(key):
+        def stream(key, count):
             opened.append(key)
-            return open_stream(key)
+            return open_stream(key, count)
 
         monkeypatch.setattr(rng, "stream", stream)
         verify_trapezoid_ucp(g=CUBE, n_list=(16, 32, 64), m=6, final_tol=1.0)
@@ -696,7 +697,9 @@ def test_audit_dict_keys_are_its_fields_and_ok():
 # A drifted two-part composite: no default run has a drift or a partial
 # last tile (m = 200 and 1000 are multiples of the 8-row tile), so these
 # digests pin both.  They were computed before the sampling loop was
-# rewritten as one generator and must not move with it.
+# rewritten as one generator and must not move with it.  Each pin is keyed
+# by NUMPY_LOG_IS_LIBM: True is scipy.special.ndtri's bits, which the
+# numpy ndtri reproduces under libm's log; False is numpy's AVX-512 log.
 _PINNED_KERNEL = CovKernel(
     "composite", c=1.3, components=(CovKernel("heat"), CovKernel("xi")),
     mean_coeffs=(0.5, -1.0, 2.0),
@@ -707,7 +710,10 @@ def test_drifted_composite_draw_is_pinned():
     ens = draw_ensemble(_PINNED_KERNEL, Grid(100, 2.5), 13, 5)
     assert ens.kernel_id == "composite(c=1.3;heat+xi)|mean=[0.5, -1.0, 2.0]|drift"
     digest = hashlib.sha256(ens.kernel_id.encode() + ens.values.tobytes()).hexdigest()
-    assert digest == "f105625d3085a37a33020275ee4ecc645e4d053ff5da27cade50bb420ee8c3bc"
+    assert digest == {
+        True: "f105625d3085a37a33020275ee4ecc645e4d053ff5da27cade50bb420ee8c3bc",
+        False: "12067cb8e7450e3d58846b47501779c47b32e740aabb9a395fa9534d6bf2c67e",
+    }[NUMPY_LOG_IS_LIBM]
 
 
 def test_drifted_composite_ladder_is_pinned():
@@ -715,4 +721,13 @@ def test_drifted_composite_ladder_is_pinned():
         kernel=_PINNED_KERNEL, g=builtin("sine"), n_list=(64, 128, 256), m=21, seed=5
     )
     digest = hashlib.sha256((rep.summary_json() + rep.replicates_csv()).encode()).hexdigest()
-    assert digest == "b5170ad87e73ffc179fb4301a7308661536306243a9e5646dd669ebea0565461"
+    assert digest == {
+        True: "b5170ad87e73ffc179fb4301a7308661536306243a9e5646dd669ebea0565461",
+        False: "33b0a453a5fc1f5d125c1eb01ecdf75b0efe5033b48094e3381f70836bd6e3d6",
+    }[NUMPY_LOG_IS_LIBM]
+
+
+def test_the_pins_hold_under_the_libm_log_dispatch():
+    rerun_under_libm_log(
+        __file__, "drifted_composite_draw_is_pinned", "drifted_composite_ladder_is_pinned"
+    )

@@ -8,11 +8,13 @@ bench/workloads.py, run at its resolved config for seeds 3 and 11
 line per run and OpenBLAS thread count: the wall time in seconds of the
 child process, imports included; the child's own peak RSS in MiB; the
 sha256 of its summary.json and replicates.csv, the files under the
-byte-identity contract; and whether the run imported `scipy.linalg`.  A
-workload's line also names the workload and its seed.  Each child runs
-the package this script imports, with OPENBLAS_NUM_THREADS set, and
-writes its report to a temporary directory.  So one command shows that a
-change keeps the bytes of every default and benchmark config.
+byte-identity contract; and whether the run imported `scipy.linalg` and
+`scipy.special`.  Only `bn` reads true for `scipy.special`: its KS
+statistic takes the normal CDF from it.  A workload's line also names
+the workload and its seed.  Each child runs the package this script
+imports, with OPENBLAS_NUM_THREADS set, and writes its report to a
+temporary directory.  So one command shows that a change keeps the bytes
+of every default and benchmark config.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ print(json.dumps({
     "peak_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     "sha256": digest.hexdigest(),
     "scipy_linalg": "scipy.linalg" in sys.modules,
+    "scipy_special": "scipy.special" in sys.modules,
 }))
 """
 
@@ -67,7 +70,7 @@ def load_workloads():
 
 
 def measure(experiment, threads, config=None):
-    """{experiment, threads, wall_s, peak_mib, sha256, scipy_linalg} of one fresh run.
+    """{experiment, threads, wall_s, peak_mib, sha256, scipy_linalg, scipy_special} of one fresh run.
 
     config is the run's config record; None runs the experiment's default.
     """
