@@ -11,18 +11,18 @@ signature, plus a `_CHECKS` entry for its value and, if it is a
 tolerance, its key in the experiment's `_SPECS` row.  Each flag is
 checked once, as argparse parses it: a numeric flag of `sample`, `sums`
 and `verify` that sets a config key gets that key's `_CHECKS` entry as
-its argparse `type` (`_flag`), those of `cov-table` an integer bound and
-`compute-kappa --tol` its certifiable range, and a failed check is a
-ConfigError that `main` reports as a config error naming the flag.
-`verify` then copies its flags into the config, and refuses by name a
-flag whose key the experiment lacks.  Every real number read from
-outside passes `kernels.finite_number`.  All randomness flows from the
-single seed in the config (or --seed).  Rerunning any verb with the same
-inputs on the same numpy and scipy builds, on a CPU that numpy dispatches
-to the same loops (its float64 log differs between its AVX-512 and
-baseline loops, see `rng`), reproduces its output files byte for byte
-(for `verify`, summary.json and replicates.csv), under any BLAS thread
-count.
+its argparse `type` (`_flag`), those of `cov-table` and `sums --deriv`
+an integer bound and `compute-kappa --tol` its certifiable range, and a
+failed check is a ConfigError that `main` reports as a config error
+naming the flag.  `verify` then copies its flags into the config, and
+refuses by name a flag whose key the experiment lacks.  Every real
+number read from outside passes `kernels.finite_number`.  All randomness
+flows from the single seed in the config (or --seed).  Rerunning any
+verb with the same inputs on the same numpy and scipy builds, on a CPU
+that numpy dispatches to the same loops (its float64 log differs between
+its AVX-512 and baseline loops, see `rng`), reproduces its output files
+byte for byte (for `verify`, summary.json and replicates.csv), under any
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -455,7 +455,8 @@ def build_parser():
     p.add_argument("--g", default=None)
     p.add_argument("--coeffs", type=_float_list, default=None,
                    help="comma list, only with --g poly_k")
-    p.add_argument("--deriv", dest="deriv_order", type=int, default=None)
+    p.add_argument("--deriv", dest="deriv_order", default=None,
+                   type=_flag("--deriv", _int_from(0, functions.MAX_DX_ORDER + 1)))
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--parity", choices=("odd", "even", "all"), default=None)
     p.add_argument("--eval-point", dest="eval_point", choices=("left", "right"), default=None)

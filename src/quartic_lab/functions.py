@@ -5,10 +5,9 @@ for 0 <= j <= 9 and mixed derivatives dtdx(j) = d/dt d^j/dx^j for
 0 <= j <= 4.  The closed forms are deliberately independent of any
 numeric differentiation so they can serve as oracles for it.
 
-All builtins are smooth, so every one certifies the largest class the
-interface exposes; the `smoothness` tag (k, r) means the function
-guarantees spatial derivatives through order k with continuous mixed
-derivatives through order r.
+Every builtin is smooth and has closed forms of every order the
+interface exposes, so a function carries no smoothness tag: the
+oracles themselves are what `derivative_consistency_report` checks.
 
 `_BUILTINS` maps each parameterless id to its constructor, so a new
 builtin is one entry there; only poly_k, which takes coefficients, has
@@ -29,9 +28,6 @@ from .kernels import finite_number
 MAX_DX_ORDER = 9
 MAX_DTDX_ORDER = 4
 
-# Smoothness tag of every builtin: all derivatives the interface exposes.
-SMOOTHNESS = (MAX_DX_ORDER, MAX_DTDX_ORDER)
-
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -45,7 +41,6 @@ class TestFunction:
     __test__ = False  # not a pytest class, despite the name
 
     fid: str
-    smoothness: tuple[int, int]
     _dx: Callable
     _dtdx: Callable
     poly_coeffs: tuple[float, ...] | None = None
@@ -65,9 +60,6 @@ class TestFunction:
         if not 0 <= j <= MAX_DTDX_ORDER:
             raise DomainError(f"dtdx order must be in [0, {MAX_DTDX_ORDER}]")
         return self._dtdx(j, x, t)
-
-    def certifies(self, k, r):
-        return self.smoothness[0] >= k and self.smoothness[1] >= r
 
     def spec(self):
         """Serializable reference: id plus construction parameters."""
@@ -115,7 +107,7 @@ def _make_polynomial(fid, coeffs, params):
     def dx(j, x, t):
         return _poly_eval(derivs[j], x)
 
-    return TestFunction(fid, SMOOTHNESS, dx, _zero_dtdx, poly_coeffs=coeffs, params=params)
+    return TestFunction(fid, dx, _zero_dtdx, poly_coeffs=coeffs, params=params)
 
 
 # d^j/dx^j sin x, by j % 4.
@@ -126,7 +118,7 @@ def _make_sine():
     def dx(j, x, t):
         return _scalar_or_array(_SINE_CYCLE[j % 4](np.asarray(x, dtype=np.float64)))
 
-    return TestFunction("sine", SMOOTHNESS, dx, _zero_dtdx)
+    return TestFunction("sine", dx, _zero_dtdx)
 
 
 def _make_gauss_bump():
@@ -136,7 +128,7 @@ def _make_gauss_bump():
         x = np.asarray(x, dtype=np.float64)
         return _scalar_or_array((-1.0) ** j * hermite_eval(j, x) * np.exp(-0.5 * x * x))
 
-    return TestFunction("gauss_bump", SMOOTHNESS, dx, _zero_dtdx)
+    return TestFunction("gauss_bump", dx, _zero_dtdx)
 
 
 def _make_poly_xt():
@@ -151,7 +143,7 @@ def _make_poly_xt():
         t = np.asarray(t, dtype=np.float64)
         return _scalar_or_array(np.asarray(cube.dx(j, x, t)) + np.zeros_like(t))
 
-    return TestFunction("poly_xt", SMOOTHNESS, dx, dtdx)
+    return TestFunction("poly_xt", dx, dtdx)
 
 
 # Constructor of each builtin that takes no parameters.

@@ -22,10 +22,16 @@ Hurst index 1/4, and the three kernels tie together exactly:
 All kernels are positive semidefinite on nonnegative times and vanish
 when either argument is 0, so covariance matrices are built on the grid
 times t_1 .. t_N, never t_0 = 0.
+
+`KERNEL_RHO` is the one covariance table: it maps each kind, Brownian
+motion's `bm` included, to its rho.  `KERNEL_KINDS` is its kinds and
+"composite", and `CovKernel.rho` looks a kind up in it, so a new kind
+is one entry there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -40,8 +46,6 @@ from .errors import DomainError
 FBM_HEAT_SCALE = (math.pi / 2.0) ** 0.25
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-KERNEL_KINDS = ("heat", "xi", "fbm_quarter", "bm", "composite")
 
 
 def finite_number(value):
@@ -63,39 +67,50 @@ def _check_nonnegative(s, t):
         raise DomainError("covariance kernels are defined for s, t >= 0")
 
 
+def _covariance(formula):
+    """A kernel's rho from its formula on float64 arrays s, t.
+
+    The rho checks s, t >= 0, converts both to float64 and returns a
+    float for scalar input, elementwise arrays otherwise.
+    """
+
+    @functools.wraps(formula)
+    def rho(s, t):
+        _check_nonnegative(s, t)
+        out = formula(np.asarray(s, dtype=np.float64), np.asarray(t, dtype=np.float64))
+        return out if out.ndim else float(out)
+
+    return rho
+
+
+@_covariance
 def rho_heat(s, t):
     """Heat-kernel time-slice covariance; scalar or elementwise on arrays."""
-    _check_nonnegative(s, t)
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    out = (np.sqrt(s + t) - np.sqrt(np.abs(t - s))) / _SQRT_2PI
-    return out if out.ndim else float(out)
+    return (np.sqrt(s + t) - np.sqrt(np.abs(t - s))) / _SQRT_2PI
 
+
+@_covariance
 def rho_xi_lei_nualart(s, t):
     """Covariance of the smooth remainder process, closed form."""
-    _check_nonnegative(s, t)
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    out = 0.5 * (np.sqrt(s) + np.sqrt(t) - np.sqrt(s + t))
-    return out if out.ndim else float(out)
+    return 0.5 * (np.sqrt(s) + np.sqrt(t) - np.sqrt(s + t))
 
 
+@_covariance
 def rho_fbm_quarter(s, t):
     """Fractional Brownian motion covariance at Hurst index 1/4."""
-    _check_nonnegative(s, t)
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    out = 0.5 * (np.sqrt(s) + np.sqrt(t) - np.sqrt(np.abs(t - s)))
-    return out if out.ndim else float(out)
+    return 0.5 * (np.sqrt(s) + np.sqrt(t) - np.sqrt(np.abs(t - s)))
 
 
+@_covariance
 def rho_bm(s, t):
     """Standard Brownian motion covariance min(s, t)."""
-    _check_nonnegative(s, t)
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    out = np.minimum(s, t)
-    return out if out.ndim else float(out)
+    return np.minimum(s, t)
+
+
+# The one covariance table: every kind but "composite" and its rho.
+KERNEL_RHO = {"heat": rho_heat, "xi": rho_xi_lei_nualart,
+              "fbm_quarter": rho_fbm_quarter, "bm": rho_bm}
+KERNEL_KINDS = (*KERNEL_RHO, "composite")
 
 
 def xi_cov_quadrature(s, t, epsabs=1e-10):
@@ -222,14 +237,8 @@ class CovKernel:
 
     def rho(self, s, t):
         """Covariance rho(s, t); elementwise on array input."""
-        if self.kind == "heat":
-            return rho_heat(s, t)
-        if self.kind == "xi":
-            return rho_xi_lei_nualart(s, t)
-        if self.kind == "fbm_quarter":
-            return rho_fbm_quarter(s, t)
-        if self.kind == "bm":
-            return rho_bm(s, t)
+        if self.kind in KERNEL_RHO:
+            return KERNEL_RHO[self.kind](s, t)
         value = self.c**2 * self.components[0].rho(s, t)
         if len(self.components) == 2:
             value = value + self.components[1].rho(s, t)

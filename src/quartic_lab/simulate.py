@@ -35,17 +35,19 @@ after synthesis.  There are five backends:
 * `HeatFactor` (`heat`): fbm_quarter = c^2 heat + xi with xi independent
   (`kernels`; Lei & Nualart 2009), so the increment covariance of c F
   is T - K: T the fGn Toeplitz matrix that Davies-Harte draws exactly,
-  K the Hankel matrix of xi, factored as for `HankelFactor`.  Set-up
-  finds g = T^-1 e_0 by preconditioned conjugate gradients on FFT
-  products (T. Chan's circulant preconditioner), from which the
-  Gohberg-Semencul formula gives W = T^-1 U by FFT products; and factors
-  I - U^T W = L L^T, so that S = L^T U^T has S^T S = U (I - U^T W) U^T.
-  A path is then c dF = X - U W^T X + S^T z' = X + U (L z' - W^T X),
-  whose covariance is T - U U^T, followed by a cumulative sum.  A
-  replicate's 2N + r normals are laid out as [2N Davies-Harte | r
-  residual]: X is the fGn drawn from the first 2N in the fBm layout
-  above, z' the last r.  O(N (log N + r)) per path and O(N r) set-up
-  memory.
+  K the Hankel matrix of xi.  The heat factor is built on the grid's
+  cached `fbm_quarter` and `xi` factors of that identity and holds them,
+  so a grid has one fGn spectrum and one Hankel factor whichever kernels
+  draw from them.  Set-up finds g = T^-1 e_0 by preconditioned conjugate
+  gradients on FFT products (T. Chan's circulant preconditioner), from
+  which the Gohberg-Semencul formula gives W = T^-1 U by FFT products;
+  and factors I - U^T W = L L^T, so that S = L^T U^T has
+  S^T S = U (I - U^T W) U^T.  A path is then
+  c dF = X - U W^T X + S^T z' = X + U (L z' - W^T X), whose covariance
+  is T - U U^T, followed by a cumulative sum.  A replicate's 2N + r
+  normals are laid out as [2N Davies-Harte | r residual]: X is the fGn
+  drawn from the first 2N in the fBm layout above, z' the last r.
+  O(N (log N + r)) per path and O(N r) set-up memory.
 * `CompositeFactor` (kind `composite`): c^2 rho_0 + rho_1 is drawn as
   c X_0 + X_1, X_0 and X_1 independent paths of the components' own
   factors.  A replicate's normals are laid out as [part 0 | part 1],
@@ -93,7 +95,7 @@ from . import rng
 from .analytic import gamma
 from .errors import DomainError, NotPositiveDefinite
 # build_cov_matrix, the tests' dense oracle, is imported for bench/tracing.py to wrap.
-from .kernels import FBM_HEAT_SCALE, Grid, _require_memory, build_cov_matrix  # noqa: F401
+from .kernels import FBM_HEAT_SCALE, CovKernel, Grid, _require_memory, build_cov_matrix  # noqa: F401
 
 # Circulant eigenvalues below -CIRCULANT_NEG_REL * lambda_max mean the
 # embedding is not PSD; smaller negatives are rounding and clip to 0.
@@ -242,7 +244,7 @@ class HankelFactor:
 
 @dataclass(frozen=True)
 class HeatFactor:
-    """Davies-Harte fGn minus a low-rank Hankel part: the heat slice (module doc).
+    """The heat slice: the grid's fGn factor minus a low-rank part of its xi factor (module doc).
 
     With U the (N, r) Hankel factor, W = T^-1 U and I - U^T W = L L^T, a
     row of increments is y = (x + (z' L^T - x W) U^T) / c, x the fGn row
@@ -251,11 +253,12 @@ class HeatFactor:
     (`CirculantFactor.increments`), then the rank-r step, which goes
     straight into out, and the cumulative sum.
 
-    fgn:            `CirculantFactor` of the fGn Toeplitz part T.
+    fgn:            `CirculantFactor` of the fGn Toeplitz part T, the
+                    grid's `fbm_quarter` factor.
+    hankel:         `HankelFactor` of K, the grid's `xi` factor: its
+                    basis holds the rows of U^T.
     solved:         (r, N) rows of W^T.
-    basis:          (r, N) rows of U^T, those of `HankelFactor`.
     mixing:         L^T / c, (r, r).
-    trace_residual: trace of K - U U^T (`HankelFactor`).
     cg_residual:    largest ||T w - u|| / ||u|| over the columns of W,
                     recomputed from W.  It grows with N, within
                     max(1e-13, N eps / 8) with eps = 2^-52: it reads
@@ -265,10 +268,9 @@ class HeatFactor:
     """
 
     fgn: CirculantFactor
+    hankel: HankelFactor
     solved: np.ndarray
-    basis: np.ndarray
     mixing: np.ndarray
-    trace_residual: float
     cg_residual: float
     grid: Grid | None = None
     kernel_id: str = ""
@@ -279,7 +281,7 @@ class HeatFactor:
 
     @property
     def rank(self):
-        return self.basis.shape[0]
+        return self.hankel.rank
 
     @property
     def normals_per_path(self):
@@ -295,7 +297,7 @@ class HeatFactor:
             np.matmul(inc, self.solved[cols].T, out=proj[:, cols])
         coef = z[:, 2 * n :] @ self.mixing
         coef -= proj
-        np.matmul(coef, self.basis, out=out)
+        np.matmul(coef, self.hankel.basis, out=out)
         out += inc
         np.cumsum(out, axis=1, out=out)
 
@@ -509,24 +511,24 @@ def _solve_toeplitz(autocov, eigs, rhs):
     return sol, float(residual.max())
 
 
-def heat_factor(grid, kernel_id="heat"):
-    """`HeatFactor` for the heat slice on the grid; see the module doc.
+def heat_factor(fgn, hankel, kernel_id="heat"):
+    """`HeatFactor` for the heat slice on the grid of fgn and hankel; see the module doc.
 
-    Raises DomainError, before allocating, when the O(N r) tables and
-    the Toeplitz solve's temporaries exceed physical memory, and
-    NotPositiveDefinite when I - U^T W is not positive definite.
+    fgn and hankel are the `fbm_quarter` and `xi` factors of one grid,
+    which `cached_factor` passes in from its cache; the heat factor
+    holds them, not copies.  Raises DomainError, before allocating, when
+    the O(N r) tables and the Toeplitz solve's temporaries exceed
+    physical memory, and NotPositiveDefinite when I - U^T W is not
+    positive definite.
     """
-    n = grid.nsteps
-    hankel = hankel_factor(grid)
+    grid, n = fgn.grid, fgn.dim
     basis, rank = hankel.basis, hankel.rank
-    autocov = fgn_quarter_autocov(grid)
-    fgn = circulant_factor(autocov, grid, "fbm_quarter")
     # U and W are two (r, N) arrays; the FFT tiles (one of 2N floats, two
     # of N+1 complex) take 6 _TILE_ROWS rows of N, and the O(N) tables and
     # conjugate-gradient vectors fewer than 24.
     tables = 8 * n * (2 * rank + 6 * _TILE_ROWS + 24)
     _require_memory(tables, f"heat sampler tables at N={n}, rank {rank}")
-    solved, cg_residual = _solve_toeplitz(autocov, fgn.sqrt_eigs**2, basis)
+    solved, cg_residual = _solve_toeplitz(fgn_quarter_autocov(grid), fgn.sqrt_eigs**2, basis)
     # einsum, not BLAS, whose threads change the bits of this shape (see _TILE_COLS).
     gram = np.einsum("ik,jk->ij", basis, solved)
     inner = np.eye(rank) - 0.5 * (gram + gram.T)
@@ -535,9 +537,7 @@ def heat_factor(grid, kernel_id="heat"):
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"I - U^T T^-1 U is not positive definite at N={n}") from exc
     mixing = lower.T / FBM_HEAT_SCALE
-    return HeatFactor(
-        fgn, solved, basis, mixing, hankel.trace_residual, cg_residual, grid, kernel_id
-    )
+    return HeatFactor(fgn, hankel, solved, mixing, cg_residual, grid, kernel_id)
 
 
 @dataclass(frozen=True)
@@ -610,8 +610,9 @@ def cached_factor(kernel, grid):
 
     `bm` gets the cumulative-sum `BrownianFactor`, `fbm_quarter` the
     Davies-Harte `CirculantFactor`, `xi` the low-rank `HankelFactor`,
-    `heat` the Davies-Harte plus low-rank `HeatFactor` and a composite a
-    `CompositeFactor` of its components' cached factors; a drifted
+    `heat` the `HeatFactor` built on the cached `fbm_quarter` and `xi`
+    factors and a composite a `CompositeFactor` of its components'
+    cached factors; a drifted
     composite's carries its mean and a "|drift" suffix on its id.  Large
     experiments share factors through this cache, so a pipeline factors
     each kernel exactly once no matter how many ensembles it draws.
@@ -627,7 +628,8 @@ def cached_factor(kernel, grid):
         elif kernel.kind == "xi":
             factor = hankel_factor(grid, kernel_id)
         elif kernel.kind == "heat":
-            factor = heat_factor(grid, kernel_id)
+            parts = [cached_factor(CovKernel(kind), grid) for kind in ("fbm_quarter", "xi")]
+            factor = heat_factor(*parts, kernel_id)
         else:
             parts = tuple(cached_factor(comp, grid) for comp in kernel.components)
             mean = kernel.mean_at(grid.times()) if kernel.mean_coeffs else None

@@ -23,6 +23,8 @@ dX_j = X(t_j) - X(t_{j-1}):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .analytic import kappa_reference
@@ -123,12 +125,8 @@ def bn_process_ensemble(values, grid):
 
 
 def floor_fourth_root(n):
-    m = int(round(float(n) ** 0.25))
-    while (m + 1) ** 4 <= n:
-        m += 1
-    while m > 0 and m**4 > n:
-        m -= 1
-    return m
+    """floor(n^(1/4)) of an integer n >= 0, exactly: isqrt of isqrt."""
+    return math.isqrt(math.isqrt(n))
 
 
 def bn_smoothed_ensemble(values, grid):

@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__, analytic, stats, sums
 from .analytic import GaussianMoments, kappa_reference, poly_diff, poly_from_coeffs, poly_mul
 from .errors import ConfigError, DomainError
-from .functions import SMOOTHNESS, TestFunction, _zero_dtdx, builtin
+from .functions import TestFunction, _zero_dtdx, builtin
 from .kernels import CovKernel, Grid, _require_memory, fbm_composite_kernel, heat_kernel
 from .simulate import cached_factor, path_tiles, sample_brownian, sample_paths
 
@@ -393,8 +393,8 @@ def verify_ito_formula(
         raise ConfigError("need at least one seed")
     if seed + seeds - 1 >= 1 << 64:
         raise ConfigError("master seeds seed .. seed + seeds - 1 must stay below 2**64")
-    if not g.certifies(*SMOOTHNESS):
-        raise DomainError(f"test function {g.fid!r} lacks the smoothness tag for this run")
+    if m < 2:
+        raise ConfigError(f"{experiment_name} needs m >= 2 replicates for its sample variances")
     config = _config_block(experiment_name, verify_ito_formula, locals())
     grid = Grid(int(n), horizon)
     times = grid.times()
@@ -522,6 +522,8 @@ def verify_bn_limit(
     increment are computed at the final probe.
     """
     probes = _probe_times(probes)
+    if m < 4:
+        raise ConfigError("bn needs m >= 4 replicates for its correlations")
     config = _config_block("bn", verify_bn_limit, locals())
     horizon = max(probes)
     grid = Grid(int(n), horizon)
@@ -608,8 +610,6 @@ def _mse_ladder(experiment, function, args, block, columns, residual, threshold=
     and paths of one tile at N_max whatever m is.
     """
     kernel, g = args["kernel"], args["g"]
-    if not g.certifies(7, 3):
-        raise DomainError(f"test function {g.fid!r} lacks the smoothness tag for this run")
     n_list = tuple(int(v) for v in args["n_list"])
     if len(n_list) < 2 or list(n_list) != sorted(set(n_list)):
         raise ConfigError("n_list must be strictly increasing with at least two sizes")

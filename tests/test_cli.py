@@ -182,6 +182,32 @@ def test_verify_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
     assert not (tmp_path / "run").exists()
 
 
+# `sums --deriv` is an order of dx that the integrands have, checked as it parses.
+@pytest.mark.parametrize("order", ["10", "-1"])
+def test_deriv_is_checked_before_any_draw(tmp_path, capsys, monkeypatch, order):
+    monkeypatch.setattr(verify, "draw_ensemble", lambda *args: pytest.fail("drew an ensemble"))
+    argv = ["sums", "--functional", "midpoint", "--g", "cube", "--deriv", order,
+            "--n", "16", "--M", "2", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    message = f"config error: --deriv must be an integer >= 0 and < 10, got {order}"
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "x.csv").exists()
+
+
+# A replicate count that an experiment's statistics cannot use is refused
+# before any draw, and nothing is written.
+@pytest.mark.parametrize("experiment, m, message", [
+    ("ito", "1", "ito needs m >= 2 replicates"),
+    ("fbm-window", "1", "fbm-window needs m >= 2 replicates"),
+    ("bn", "3", "bn needs m >= 4 replicates"),
+])
+def test_unusable_replicate_counts_are_refused(tmp_path, capsys, experiment, m, message):
+    out = tmp_path / "run"
+    assert main(["verify", "--experiment", experiment, "--n", "16", "--M", m, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
 def test_flags_are_checked_before_the_functional_options(tmp_path, capsys):
     argv = ["sums", "--functional", "qn", "--p", "5", "--n", "1", "--out", str(tmp_path / "x")]
     assert main(argv) == 2

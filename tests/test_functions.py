@@ -77,19 +77,6 @@ class TestBuiltins:
             np.testing.assert_array_equal(g.dx(0, xs, 0.4), g.eval(xs, 0.4))
 
 
-class TestSmoothnessTags:
-    def test_all_builtins_certify_requirements(self):
-        for name in ALL_IDS:
-            g = builtin(name)
-            assert g.certifies(9, 4)
-            assert g.certifies(7, 3)
-
-    def test_certifies_is_monotone(self):
-        g = builtin("square")
-        assert g.certifies(1, 0)
-        assert not g.certifies(10, 4)
-
-
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("name", ALL_IDS)
     def test_fd_certification(self, name):
@@ -139,7 +126,7 @@ class TestCustomFunction:
                 np.asarray(x, dtype=float)
             )
 
-        g = TestFunction("time_only", (9, 4), dx, dtdx)
+        g = TestFunction("time_only", dx, dtdx)
         assert float(g.eval(5.0, 0.25)) == 0.25
         assert float(g.dtdx(0, 5.0, 0.9)) == 1.0
         assert float(g.dx(2, 5.0, 0.9)) == 0.0

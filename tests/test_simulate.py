@@ -214,7 +214,7 @@ class TestSamplePaths:
             assert values.shape == (9, 65) and np.all(np.isfinite(values))
 
     def test_factor_cache_reuses_work(self, monkeypatch):
-        """xi is factored once however often it is drawn, and a composite reuses its parts."""
+        """xi is factored once however often it is drawn, and a composite and heat reuse it."""
         calls = []
         hankel = simulate._hankel_cholesky
         monkeypatch.setattr(simulate, "_hankel_cholesky", lambda *args: calls.append(1) or hankel(*args))
@@ -227,8 +227,8 @@ class TestSamplePaths:
         sample_paths(cached_factor(fbm_composite_kernel(), grid), 10, seed=3)
         assert composite.parts[0] is cached_factor(heat_kernel(), grid)
         assert composite.parts[1] is xi
-        # Once for xi and once inside the heat set-up.
-        assert len(calls) == 2
+        # Once, for xi: the heat set-up takes the cached xi factor.
+        assert len(calls) == 1
 
 
 def _linear_map(factor, block=512):
@@ -298,7 +298,7 @@ def _block_heat_paths(factor, z):
             cols = slice(col, min(col + simulate._TILE_COLS, r))
             np.matmul(inc[tile], factor.solved[cols].T, out=proj[:, cols])
         coef = residual[tile] @ factor.mixing - proj
-        inc[tile] += coef @ factor.basis
+        inc[tile] += coef @ factor.hankel.basis
     return np.cumsum(inc[:rows], axis=1)
 
 
@@ -469,10 +469,10 @@ class TestHeatSampler:
         eps = np.finfo(np.float64).eps
         steps = np.arange(n)
         hankel = 0.5 * math.sqrt(grid.dt) * gamma(steps[:, None] + steps + 1)
-        basis = factor.basis
+        basis = factor.hankel.basis
         floor = r * eps * np.trace(hankel)
-        assert factor.trace_residual <= floor
-        assert np.linalg.norm(hankel - basis.T @ basis, 2) <= factor.trace_residual + floor
+        assert factor.hankel.trace_residual <= floor
+        assert np.linalg.norm(hankel - basis.T @ basis, 2) <= factor.hankel.trace_residual + floor
         fgn = toeplitz(fgn_quarter_autocov(grid)[:n])
         rel = np.linalg.norm(factor.solved @ fgn - basis, axis=1) / np.linalg.norm(basis, axis=1)
         assert factor.cg_residual <= 1e-13
@@ -491,7 +491,8 @@ class TestHeatSampler:
         lags = np.concatenate([autocov[n - 1 : 0 : -1], autocov[:n]])
         spectrum = np.fft.fft(factor.solved, 4 * n, axis=1) * np.fft.fft(lags, 4 * n)
         image = np.fft.ifft(spectrum, axis=1).real[:, n - 1 : 2 * n - 1]
-        rel = np.linalg.norm(image - factor.basis, axis=1) / np.linalg.norm(factor.basis, axis=1)
+        basis = factor.hankel.basis
+        rel = np.linalg.norm(image - basis, axis=1) / np.linalg.norm(basis, axis=1)
         bound = n * np.finfo(np.float64).eps / 8
         assert bound > 1e-13
         assert factor.cg_residual <= bound
@@ -505,7 +506,7 @@ class TestHeatSampler:
         z = simulate.path_normals(heat, 5, 3)
         fgn = np.diff(sample_paths(cached_factor(fbm_quarter_kernel(), grid), 5, 3).values, axis=1)
         paths = synthesize_rows(heat, z)
-        basis = heat.basis
+        basis = heat.hankel.basis
         expected = np.cumsum(fgn - (fgn @ heat.solved.T) @ basis, axis=1) / FBM_HEAT_SCALE
         without = z.copy()
         without[:, 2 * n :] = 0.0
@@ -527,7 +528,7 @@ class TestHeatSampler:
         grid = Grid(4096)
         factor = cached_factor(heat_kernel(), grid)
         assert factor.rank == 33
-        args = (fgn_quarter_autocov(grid), factor.fgn.sqrt_eigs**2, factor.basis)
+        args = (fgn_quarter_autocov(grid), factor.fgn.sqrt_eigs**2, factor.hankel.basis)
         solved, cg_residual = _block_solve_toeplitz(*args)
         assert np.array_equal(factor.solved.view(np.uint64), solved.view(np.uint64))
         assert factor.cg_residual == cg_residual
@@ -536,7 +537,8 @@ class TestHeatSampler:
         assert tiled_residual == cg_residual
 
     def test_set_up_transforms_eight_rows_per_basis_row(self, monkeypatch):
-        """heat_factor(Grid(4096)) FFTs 8 rows per basis row, 4 per PCG iteration and 8 more."""
+        """The heat set-up at Grid(4096), fGn and Hankel included, FFTs 8 rows per basis row,
+        4 per PCG iteration and 8 more."""
         grid = Grid(4096)
         factor = cached_factor(heat_kernel(), grid)
         _, iterations = _first_column(fgn_quarter_autocov(grid), factor.fgn.sqrt_eigs**2)
@@ -548,13 +550,15 @@ class TestHeatSampler:
                 return fft(a, *args, axis=axis, **kwargs)
             return call
 
+        clear_factor_cache()
         for name in ("rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-        simulate.heat_factor(grid)
+        cached_factor(heat_kernel(), grid)
         assert sum(rows) <= 8 * factor.rank + 4 * iterations + 8
 
     def test_set_up_peak_stays_within_its_guard(self, monkeypatch):
-        """heat_factor(Grid(4096)) allocates at most 4.5 MiB, no more than its guard reserved."""
+        """The heat set-up at Grid(4096), fGn and Hankel included, allocates at most 4.5 MiB,
+        no more than its guard reserved."""
         reserved = {}
         guard = simulate._require_memory
 
@@ -563,7 +567,8 @@ class TestHeatSampler:
             guard(nbytes, what)
 
         monkeypatch.setattr(simulate, "_require_memory", record)
-        peak = _traced_peak(lambda: simulate.heat_factor(Grid(4096)))
+        clear_factor_cache()
+        peak = _traced_peak(lambda: cached_factor(heat_kernel(), Grid(4096)))
         assert peak <= 4.5 * 2**20
         assert peak <= reserved["heat sampler tables"]
 
@@ -624,12 +629,26 @@ def test_part_rows_do_not_depend_on_the_tile_or_block(kernel, m):
 
 
 def test_xi_draws_the_heat_set_up_hankel_factor():
-    """xi draws r normals through the rows U^T that the heat set-up builds, bit for bit."""
+    """xi draws r normals through the very Hankel factor that the heat set-up holds."""
     for n, rank in ((64, 17), (256, 22), (1000, 26)):
         xi = cached_factor(CovKernel("xi"), Grid(n))
         heat = cached_factor(heat_kernel(), Grid(n))
         assert xi.normals_per_path == xi.rank == heat.rank == rank
-        assert np.array_equal(xi.basis.view(np.uint64), heat.basis.view(np.uint64))
+        assert heat.hankel is xi
+
+
+def test_heat_and_the_composite_share_the_grid_factors():
+    """A grid has one fGn spectrum and one Hankel factor, whichever kernel draws from them."""
+    for grid in (Grid(64), Grid(1000), Grid(300, 1.7)):
+        clear_factor_cache()
+        heat = cached_factor(heat_kernel(), grid)
+        assert heat.fgn is cached_factor(fbm_quarter_kernel(), grid)
+        assert heat.hankel is cached_factor(CovKernel("xi"), grid)
+        clear_factor_cache()
+        part, xi = cached_factor(fbm_composite_kernel(), grid).parts
+        assert part is cached_factor(heat_kernel(), grid)
+        assert part.hankel is xi
+        assert part.fgn is cached_factor(fbm_quarter_kernel(), grid)
 
 
 def test_composite_normals_are_part_0_then_part_1():

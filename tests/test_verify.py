@@ -60,7 +60,7 @@ def _time_only():
         x = np.asarray(x, dtype=float)
         return np.ones_like(x) if j == 0 else np.zeros_like(x)
 
-    return TestFunction("time_only", (9, 4), dx, dtdx)
+    return TestFunction("time_only", dx, dtdx)
 
 
 def _x_times_t():
@@ -80,7 +80,7 @@ def _x_times_t():
             return np.ones_like(x)
         return np.zeros_like(x)
 
-    return TestFunction("x_times_t", (9, 4), dx, dtdx)
+    return TestFunction("x_times_t", dx, dtdx)
 
 
 class TestRhsFormula:
@@ -131,7 +131,7 @@ class TestRhsFormula:
         def dx(j, x, t):
             return (0.5 * x**2, x, 1.0)[j] if j < 3 else 0.0
 
-        half_square = TestFunction("half_square", (9, 4), dx, lambda j, x, t: 0.0)
+        half_square = TestFunction("half_square", dx, lambda j, x, t: 0.0)
         grid = Grid(32)
         x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 8, 5), sample_brownian(grid, 8, 5)
         rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, grid, half_square, 1.0, c=0.5)
@@ -337,11 +337,6 @@ class TestItoExperiment:
             verify_ito_formula(probes=(2.0,), horizon=1.0)
         with pytest.raises(ConfigError):
             verify_ito_formula(seeds=0)
-
-    def test_smoothness_tag_enforced(self):
-        rough = TestFunction("rough", (5, 2), lambda j, x, t: np.zeros_like(x), lambda j, x, t: np.zeros_like(x))
-        with pytest.raises(DomainError):
-            verify_ito_formula(g=rough, n=16, m=2)
 
 
 class TestBnExperiment:
@@ -582,13 +577,6 @@ class TestLadderExperiments:
     def test_probes_must_be_positive(self, run, probes):
         with pytest.raises(ConfigError):
             run(n_list=(16, 32), m=2, probes=probes)
-
-    def test_smoothness_tags_enforced(self):
-        rough = TestFunction("rough", (5, 2), lambda j, x, t: np.zeros_like(x), lambda j, x, t: np.zeros_like(x))
-        with pytest.raises(DomainError):
-            verify_trapezoid_ucp(g=rough, n_list=(16, 32), m=2, final_tol=1.0)
-        with pytest.raises(DomainError):
-            verify_expansion_residual(g=rough, n_list=(16, 32), m=2)
 
 
 class TestFbmWindowExperiment:
