@@ -149,14 +149,16 @@ def xi_cov_quadrature(s, t, epsabs=1e-10):
 class Grid:
     """Uniform time grid with n steps per unit time on [0, horizon].
 
-    Grid times are t_j = j/n for 0 <= j <= floor(n*horizon).  At least
-    two steps are required.
+    Grid times are t_j = j/n for 0 <= j <= floor(n*horizon).  n must be an
+    integer (a bool is not), and at least two steps are required.
     """
 
     n: int
     horizon: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise DomainError(f"grid n (steps per unit time) must be an integer, got {self.n!r}")
         if self.n < 1:
             raise DomainError("grid needs n >= 1 steps per unit time")
         if self.n > sys.float_info.max:

@@ -2,7 +2,7 @@
 
 `cached_factor(kernel, grid)` picks the sampler for a kernel, and is the
 one place that choice is made; every factor draws paths through the same
-`synthesize(z, out)` call, so `path_tiles` knows no kernel.  Every
+`synthesize(z)` call, so `path_tiles` knows no kernel.  Every
 kernel the package accepts, composites and drift included, gets a
 factor of O(N r) memory or less: none builds or factors a dense matrix.
 Paths are drawn jointly exact: there is no approximation beyond float64
@@ -40,14 +40,15 @@ after synthesis.  There are five backends:
   so a grid has one fGn spectrum and one Hankel factor whichever kernels
   draw from them.  Set-up finds g = T^-1 e_0 by preconditioned conjugate
   gradients on FFT products (T. Chan's circulant preconditioner), from
-  which the Gohberg-Semencul formula gives W = T^-1 U by FFT products;
-  and factors I - U^T W = L L^T, so that S = L^T U^T has
-  S^T S = U (I - U^T W) U^T.  A path is then
-  c dF = X - U W^T X + S^T z' = X + U (L z' - W^T X), whose covariance
-  is T - U U^T, followed by a cumulative sum.  A replicate's 2N + r
-  normals are laid out as [2N Davies-Harte | r residual]: X is the fGn
-  drawn from the first 2N in the fBm layout above, z' the last r.
-  O(N (log N + r)) per path and O(N r) set-up memory.
+  which the Gohberg-Semencul formula gives W = T^-1 U by FFT products,
+  on tiles of _SOLVE_ROWS rows, narrower than a path tile; and factors
+  I - U^T W = L L^T, so that S = L^T U^T has S^T S = U (I - U^T W) U^T.
+  A path is then c dF = X - U W^T X + S^T z' = X + U (L z' - W^T X),
+  whose covariance is T - U U^T, followed by a cumulative sum.  A
+  replicate's 2N + r normals are laid out as [2N Davies-Harte | r
+  residual]: X is the fGn drawn from the first 2N in the fBm layout
+  above, z' the last r.  O(N (log N + r)) per path and O(N r) set-up
+  memory.
 * `CompositeFactor` (kind `composite`): c^2 rho_0 + rho_1 is drawn as
   c X_0 + X_1, X_0 and X_1 independent paths of the components' own
   factors.  A replicate's normals are laid out as [part 0 | part 1],
@@ -55,12 +56,14 @@ after synthesis.  There are five backends:
   (`kernels`), so every part is one of the four backends above.  A
   drifted composite also carries its mean on the grid, t_0 included.
 
-Every backend maps one tile: `synthesize(z, out)` turns the
+Every backend maps one tile: `synthesize(z)` turns the
 (_TILE_ROWS, normals_per_path) normals z of one tile of replicates into
-their (_TILE_ROWS, N) paths.  A cumulative sum or an inverse FFT
-transforms each row on its own, and the rank-r products of
-`HankelFactor` and `HeatFactor` always have the tile's height, so a
-row's bits depend on its own normals only.
+their (_TILE_ROWS, N + 1) paths, column 0 the zero at t_0, which it
+allocates and returns once its own transients, such as the half
+spectrum of an inverse FFT, are freed, so the two are never held at
+once.  A cumulative sum or an inverse FFT transforms each row on its
+own, and the rank-r products of `HankelFactor` and `HeatFactor` always
+have the tile's height, so a row's bits depend on its own normals only.
 
 `path_tiles` is the one loop that cuts replicates into tiles.  For each
 tile it draws each replicate's stream once, at the normals_per_path of
@@ -68,8 +71,8 @@ its last (finest) factor, into a zero-padded block.  Because a stream's
 shorter draw is a prefix of its longer one (`rng`), that block serves
 every grid of an MSE ladder: each coarser factor synthesizes a copy of
 the block's first normals_per_path columns, the finest the block itself.
-It then adds a drifted composite's mean and hands on each factor's paths,
-so it holds one tile of normals and paths whatever M is.
+It then adds a drifted composite's mean to the paths a factor returns and
+hands them on, so it holds one tile of normals and paths whatever M is.
 `sample_paths` collects the tiles of one factor into an ensemble.
 
 `sample_brownian` draws the independent standard Brownian motion of each
@@ -84,6 +87,7 @@ are the tests' reference; no sampler calls them.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -103,8 +107,7 @@ CIRCULANT_NEG_REL = 1e-12
 
 # `path_tiles` draws, synthesizes and hands on paths in tiles of this
 # many rows, the last zero-padded, which bounds the normals and paths in
-# flight; the Toeplitz solve of the heat set-up runs its FFTs over tiles
-# of this many rows too, which bounds its temporaries.
+# flight.
 # OpenBLAS rounds a row differently as the height of a product changes,
 # so the fixed tile keeps each row's bits of the rank-r products of
 # HankelFactor and HeatFactor independent of M.  The projection X W goes
@@ -113,6 +116,11 @@ CIRCULANT_NEG_REL = 1e-12
 # tried; 16 columns never did.
 _TILE_ROWS = 8
 _TILE_COLS = 16
+
+# The Toeplitz solve of the heat set-up runs its FFTs on tiles of its own,
+# this many rows of 2N floats and 2 (N+1) complex values: 6 MiB at N = 65536.
+# Each row is transformed on its own, so no bit depends on this height.
+_SOLVE_ROWS = 2
 
 # The pivoted Cholesky of the Hankel part stops at this rank at the
 # latest.  The rank grows by about 4 per doubling of N (49 at N = 65536),
@@ -124,8 +132,9 @@ _CG_TOL = 1e-15
 _CG_MAX_ITER = 100
 
 _BIN_MAGIC = b"QLABENS1"
-_BIN_VERSION = 1
+_BIN_VERSION = 2
 _BIN_HEAD = "<IQdQQI"
+_BIN_DIGEST = 16
 
 
 @dataclass(frozen=True)
@@ -146,10 +155,12 @@ class BrownianFactor:
     def normals_per_path(self):
         return self.dim
 
-    def synthesize(self, z, out):
-        """out[m] = cumsum(sqrt(dt) z[m]) for one tile of normals z, which it scales."""
+    def synthesize(self, z):
+        """Paths cumsum(sqrt(dt) z[m]) of one tile of normals z, which it scales."""
         z *= math.sqrt(self.grid.dt)
-        np.cumsum(z, axis=1, out=out)
+        paths = _new_paths(z.shape[0], self.dim)
+        np.cumsum(z, axis=1, out=paths[:, 1:])
+        return paths
 
 
 @dataclass(frozen=True)
@@ -163,7 +174,8 @@ class CirculantFactor:
     grid, kernel_id: optional provenance carried to sampled ensembles.
 
     `synthesize` maps one tile: `increments` turns its normals into its
-    increments in place, and their cumulative sum is the paths.
+    increments in place and frees its half spectrum, and their
+    cumulative sum is the paths, allocated after.
     """
 
     sqrt_eigs: np.ndarray
@@ -204,9 +216,15 @@ class CirculantFactor:
         spec.imag[:, [0, n]] = 0.0
         return np.fft.irfft(spec, n=2 * n, axis=1, out=z[:, : 2 * n])[:, :n]
 
-    def synthesize(self, z, out):
-        """Paths from a tile of (_TILE_ROWS, 2N) normals z, which it overwrites, into out."""
-        np.cumsum(self.increments(z, self.weights()), axis=1, out=out)
+    def synthesize(self, z):
+        """Paths of a tile of (_TILE_ROWS, 2N) normals z, which it overwrites.
+
+        The paths are allocated once `increments` has freed its half spectrum.
+        """
+        inc = self.increments(z, self.weights())
+        paths = _new_paths(z.shape[0], self.dim)
+        np.cumsum(inc, axis=1, out=paths[:, 1:])
+        return paths
 
 
 @dataclass(frozen=True)
@@ -237,9 +255,12 @@ class HankelFactor:
     def normals_per_path(self):
         return self.rank
 
-    def synthesize(self, z, out):
-        """Paths from a tile of (_TILE_ROWS, r) normals z into out (_TILE_ROWS, N)."""
-        np.cumsum(np.matmul(z, self.basis, out=out), axis=1, out=out)
+    def synthesize(self, z):
+        """Paths of a tile of (_TILE_ROWS, r) normals z."""
+        paths = _new_paths(z.shape[0], self.dim)
+        inc = np.matmul(z, self.basis, out=paths[:, 1:])
+        np.cumsum(inc, axis=1, out=inc)
+        return paths
 
 
 @dataclass(frozen=True)
@@ -250,8 +271,9 @@ class HeatFactor:
     row of increments is y = (x + (z' L^T - x W) U^T) / c, x the fGn row
     and z' the row's r residual normals; S = L^T U^T, as S^T z' = U L z'.
     `synthesize` maps one tile: x in place over its first 2N normals
-    (`CirculantFactor.increments`), then the rank-r step, which goes
-    straight into out, and the cumulative sum.
+    (`CirculantFactor.increments`, whose half spectrum is freed on
+    return), then the rank-r step, which goes straight into the paths it
+    allocates after, and the cumulative sum.
 
     fgn:            `CirculantFactor` of the fGn Toeplitz part T, the
                     grid's `fbm_quarter` factor.
@@ -287,8 +309,11 @@ class HeatFactor:
     def normals_per_path(self):
         return 2 * self.dim + self.rank
 
-    def synthesize(self, z, out):
-        """Paths from a tile of (_TILE_ROWS, 2N + r) normals z, which it overwrites, into out."""
+    def synthesize(self, z):
+        """Paths of a tile of (_TILE_ROWS, 2N + r) normals z, which it overwrites.
+
+        The paths are allocated once `increments` has freed its half spectrum.
+        """
         n, r = self.dim, self.rank
         inc = self.fgn.increments(z, self.fgn.weights(1.0 / FBM_HEAT_SCALE))
         proj = np.empty((_TILE_ROWS, r))
@@ -297,9 +322,11 @@ class HeatFactor:
             np.matmul(inc, self.solved[cols].T, out=proj[:, cols])
         coef = z[:, 2 * n :] @ self.mixing
         coef -= proj
-        np.matmul(coef, self.hankel.basis, out=out)
+        paths = _new_paths(z.shape[0], n)
+        out = np.matmul(coef, self.hankel.basis, out=paths[:, 1:])
         out += inc
         np.cumsum(out, axis=1, out=out)
+        return paths
 
 
 @dataclass(frozen=True)
@@ -327,16 +354,23 @@ class CompositeFactor:
     def normals_per_path(self):
         return sum(part.normals_per_path for part in self.parts)
 
-    def synthesize(self, z, out):
-        """Paths from one tile of normals z, which it overwrites, into out."""
+    def synthesize(self, z):
+        """Paths of one tile of normals z, which it overwrites, without the mean."""
         first, *rest = self.parts
         count = first.normals_per_path
-        first.synthesize(z[:, :count], out)
-        out *= self.scale
+        paths = first.synthesize(z[:, :count])
+        # Column 0 stays +0.0, which a negative scale would turn to -0.0.
+        paths[:, 1:] *= self.scale
         for part in rest:
-            second = np.empty_like(out)
-            part.synthesize(z[:, count:], second)
-            out += second
+            paths += part.synthesize(z[:, count:])
+        return paths
+
+
+def _new_paths(rows, n):
+    """An uninitialized (rows, N + 1) path array whose column 0, t_0, is zero."""
+    paths = np.empty((rows, n + 1))
+    paths[:, 0] = 0.0
+    return paths
 
 
 def circulant_factor(autocov, grid=None, kernel_id=""):
@@ -383,7 +417,8 @@ def _hankel_cholesky(seq, n):
     r * eps * trace(K): each of the r downdates rounds a diagonal entry
     by up to eps of it, so a smaller trace is not resolved.  The residual
     is a Schur complement and so PSD, which makes its trace a bound on
-    its 2-norm.  Returns U and that trace.
+    its 2-norm.  Returns U, its row buffer shrunk in place to r rows, and
+    that trace.
     """
     diag = seq[0::2].copy()
     total = float(diag.sum())
@@ -396,7 +431,10 @@ def _hankel_cholesky(seq, n):
         if rank == cap:
             raise DomainError(f"Hankel residual {residual:.3e} unresolved at rank {rank}")
         if rank == rows.shape[0]:
-            rows = np.concatenate([rows, np.empty((cap - rank, n))])
+            # Both resizes keep the rows in place: refcheck is off because
+            # `row`, the one view of rows, is dead at each.
+            _require_memory(8 * n * (rank + cap), f"Hankel rows at N={n}, rank {cap}")
+            rows.resize((cap, n), refcheck=False)
         pivot = int(np.argmax(diag))
         row = rows[rank]
         row[:] = seq[pivot : pivot + n]
@@ -406,17 +444,21 @@ def _hankel_cholesky(seq, n):
         diag[pivot] = 0.0
         rank += 1
         residual = float(np.maximum(diag, 0.0).sum())
-    return rows[:rank].copy(), residual
+    # A copy of the first rank rows would stack on the buffer; shrinking it
+    # frees the tail for the solve that follows.
+    rows.resize((rank, n), refcheck=False)
+    return rows, residual
 
 
 def hankel_factor(grid, kernel_id="xi"):
     """`HankelFactor` of `xi` on the grid; see the module doc.
 
     Raises DomainError, before allocating, when the Hankel sequence, its
-    diagonal and the pivoted Cholesky's rows exceed physical memory.
+    diagonal and the pivoted Cholesky's first buffer of rows exceed
+    physical memory; `_hankel_cholesky` checks again before it grows them.
     """
     n = grid.nsteps
-    _require_memory(8 * n * (min(n, _HANKEL_RANK_CAP) + 3), f"Hankel factor at N={n}")
+    _require_memory(8 * n * (min(n, _HANKEL_RANK_CAP // 2) + 3), f"Hankel factor at N={n}")
     seq = 0.5 * math.sqrt(grid.dt) * gamma(np.arange(1, 2 * n))
     return HankelFactor(*_hankel_cholesky(seq, n), grid, kernel_id)
 
@@ -466,7 +508,7 @@ def _solve_toeplitz(autocov, eigs, rhs):
     v (Gohberg & Semencul 1972).  Every product is a 2N-point FFT product
     on a zero-padded row: L(v)^T u, a correlation, is the first N entries
     of irfft(conj(V) rfft(u)), and L(v) x a convolution.  A row takes six
-    transforms, _TILE_ROWS rows at a time through reused tile buffers; the
+    transforms, _SOLVE_ROWS rows at a time through reused tile buffers; the
     solve runs FFTs and elementwise operations only, so its bits do not
     depend on the BLAS thread count.  Returns the solution and the largest
     relative residual ||T w - u|| / ||u|| of its rows, recomputed from it
@@ -475,8 +517,8 @@ def _solve_toeplitz(autocov, eigs, rhs):
     n = rhs.shape[1]
     first = _first_column(autocov, eigs)
     lower = [np.fft.rfft(v, n=2 * n) for v in (first, np.concatenate([[0.0], first[:0:-1]]))]
-    wide = np.empty((_TILE_ROWS, 2 * n))
-    spec, acc = np.empty((2, _TILE_ROWS, n + 1), dtype=np.complex128)
+    wide = np.empty((_SOLVE_ROWS, 2 * n))
+    spec, acc = np.empty((2, _SOLVE_ROWS, n + 1), dtype=np.complex128)
 
     def transform(pad, out):
         # The rfft of pad's first N columns, zero-padded to 2N.
@@ -492,8 +534,8 @@ def _solve_toeplitz(autocov, eigs, rhs):
 
     sol = np.empty_like(rhs)
     residual = np.empty(rhs.shape[0])
-    for start in range(0, rhs.shape[0], _TILE_ROWS):
-        tile = slice(start, start + _TILE_ROWS)
+    for start in range(0, rhs.shape[0], _SOLVE_ROWS):
+        tile = slice(start, start + _SOLVE_ROWS)
         rows = rhs[tile].shape[0]
         pad, fwd, total = wide[:rows], spec[:rows], acc[:rows]
         pad[:, :n] = rhs[tile]
@@ -524,9 +566,9 @@ def heat_factor(fgn, hankel, kernel_id="heat"):
     grid, n = fgn.grid, fgn.dim
     basis, rank = hankel.basis, hankel.rank
     # U and W are two (r, N) arrays; the FFT tiles (one of 2N floats, two
-    # of N+1 complex) take 6 _TILE_ROWS rows of N, and the O(N) tables and
+    # of N+1 complex) take 6 _SOLVE_ROWS rows of N, and the O(N) tables and
     # conjugate-gradient vectors fewer than 24.
-    tables = 8 * n * (2 * rank + 6 * _TILE_ROWS + 24)
+    tables = 8 * n * (2 * rank + 6 * _SOLVE_ROWS + 24)
     _require_memory(tables, f"heat sampler tables at N={n}, rank {rank}")
     solved, cg_residual = _solve_toeplitz(fgn_quarter_autocov(grid), fgn.sqrt_eigs**2, basis)
     # einsum, not BLAS, whose threads change the bits of this shape (see _TILE_COLS).
@@ -671,9 +713,9 @@ def path_tiles(factors, m, seed, role=rng.ROLE_PATH, first=0):
     are those of an MSE ladder's grids, the finest last, or just one;
     paths holds the (stop - start, N + 1) values on factors[k] of
     replicates first + start .. first + stop - 1, drawn from their
-    streams of `role`: the zero at t_0, the synthesized path and a
-    drifted composite's mean.  Each row depends on its own streams
-    only, so it is the same in any tile.
+    streams of `role`: the paths that `synthesize` allocates, zero at
+    t_0, plus a drifted composite's mean.  Each row depends on its own
+    streams only, so it is the same in any tile.
     """
     if m < 1:
         raise DomainError("need at least one replicate")
@@ -689,9 +731,7 @@ def path_tiles(factors, m, seed, role=rng.ROLE_PATH, first=0):
                 tile, block = block, None
             else:
                 tile = block[:, : factor.normals_per_path].copy()
-            paths = np.empty((_TILE_ROWS, factor.dim + 1))
-            paths[:, 0] = 0.0
-            factor.synthesize(tile, paths[:, 1:])
+            paths = factor.synthesize(tile)
             del tile
             if getattr(factor, "mean", None) is not None:
                 paths += factor.mean
@@ -721,9 +761,19 @@ def sample_brownian(grid, m, seed, first=0):
     return sample_paths(BrownianFactor(grid), m, seed, role=rng.ROLE_BM, first=first)
 
 
+def _body_digest(values):
+    """The 16-byte blake2b of an ensemble file's body, hashed from the array's own buffer."""
+    return hashlib.blake2b(values, digest_size=_BIN_DIGEST).digest()
+
+
 def save_ensemble(ensemble, path):
-    """Write the flat binary layout: fixed header, then row-major float64."""
+    """Write the flat binary layout: header, then row-major float64.
+
+    The header is the magic, the fixed fields of _BIN_HEAD, the kernel id
+    and the blake2b digest of the body.
+    """
     kernel_bytes = ensemble.kernel_id.encode("utf-8")
+    body = np.ascontiguousarray(ensemble.values)
     header = _BIN_MAGIC + struct.pack(
         _BIN_HEAD,
         _BIN_VERSION,
@@ -736,17 +786,19 @@ def save_ensemble(ensemble, path):
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(kernel_bytes)
-        fh.write(np.ascontiguousarray(ensemble.values).tobytes())
+        fh.write(_body_digest(body))
+        fh.write(body.tobytes())
 
 
 def load_ensemble(path):
     """Read an ensemble written by save_ensemble.
 
-    A short header, a kernel id that is not UTF-8, a grid that `Grid`
-    rejects or a body whose length is not m * (N + 1) float64 values
+    A short header, a format version other than _BIN_VERSION, a kernel
+    id that is not UTF-8, a grid that `Grid` rejects, a body whose length
+    is not m * (N + 1) float64 values or whose digest is not the header's
     raises DomainError.  The body's length is checked against the file
     size and its memory against physical memory before it is read,
-    straight into the ensemble's array.
+    straight into the ensemble's array, which is then hashed in place.
     """
     head_size = struct.calcsize(_BIN_HEAD)
     with open(path, "rb") as fh:
@@ -766,6 +818,8 @@ def load_ensemble(path):
             kernel_id = kernel_bytes.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DomainError(f"ensemble kernel id is not UTF-8: {exc}") from exc
+        # A digest cut short leaves no body, which the length check refuses.
+        digest = fh.read(_BIN_DIGEST)
         grid = Grid(int(n), float(horizon))
         expected = int(m) * (grid.nsteps + 1) * 8
         size = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -778,6 +832,8 @@ def load_ensemble(path):
         values = np.empty((int(m), grid.nsteps + 1), dtype=np.float64)
         if fh.readinto(values) != expected:
             raise DomainError("ensemble body changed while it was read")
+    if _body_digest(values) != digest:
+        raise DomainError("ensemble body does not match the digest in its header")
     return PathEnsemble(grid, values, kernel_id, int(seed))
 
 

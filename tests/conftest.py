@@ -37,9 +37,8 @@ def synthesize_rows(factor, z):
         stop = min(start + tile_rows, rows)
         tile = np.zeros((tile_rows, z.shape[1]))
         tile[: stop - start] = z[start:stop]
-        paths = np.empty((tile_rows, factor.dim))
-        factor.synthesize(tile, paths)
-        out[start:stop] = paths[: stop - start]
+        paths = factor.synthesize(tile)
+        out[start:stop] = paths[: stop - start, 1:]
     return out
 
 

@@ -303,9 +303,11 @@ class DenseFactor:
     kernel_id: str = "heat"
     dim = normals_per_path = 1024
 
-    def synthesize(self, z, out):
+    def synthesize(self, z):
         # One tile of normals, as every factor gets them.
-        np.matmul(z, self.lower.T, out=out)
+        paths = np.zeros((z.shape[0], self.dim + 1))
+        np.matmul(z, self.lower.T, out=paths[:, 1:])
+        return paths
 
 grid = Grid(1024)
 lower = np.linalg.cholesky(build_cov_matrix(heat_kernel(), grid))

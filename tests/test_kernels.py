@@ -155,6 +155,12 @@ class TestGrid:
         with pytest.raises(DomainError):
             Grid(0)
 
+    @pytest.mark.parametrize("n", [256.5, 256.0], ids=str)
+    def test_non_integer_n_rejected(self, n):
+        """A float n, even a whole one, is refused by name before dt = 1/n is used."""
+        with pytest.raises(DomainError, match=f"must be an integer, got {n}"):
+            Grid(n)
+
 
 class TestCovKernel:
     def test_kind_validation(self):

@@ -431,13 +431,19 @@ class TestCirculantSampler:
         _tiles_match_the_block(fbm_quarter_kernel(), _block_circulant_paths, n, m)
 
     def test_block_synthesis_holds_one_tile_spectrum(self):
-        """A tile at N = 8192 allocates one 8-row half spectrum and no other FFT temporary."""
+        """A tile at N = 8192 allocates one 8-row half spectrum and no other FFT temporary.
+
+        Its paths are allocated once the spectrum is freed, so they do not
+        count on top of it: the peak is the spectrum, the N + 1 weights and
+        a 64 KiB margin, 0.5 MiB short of the spectrum and the paths.
+        """
         n = 8192
         factor = cached_factor(fbm_quarter_kernel(), Grid(n))
         z = simulate.path_normals(factor, simulate._TILE_ROWS, 1)
-        out = np.empty((z.shape[0], n))
-        peak = _traced_peak(lambda: factor.synthesize(z, out))
-        assert peak <= 16 * simulate._TILE_ROWS * (n + 1) + 2**20
+        paths = []
+        peak = _traced_peak(lambda: paths.append(factor.synthesize(z)))
+        assert peak <= 16 * simulate._TILE_ROWS * (n + 1) + 8 * (n + 1) + 2**16
+        assert paths[0].shape == (simulate._TILE_ROWS, n + 1) and not paths[0][:, 0].any()
 
     def test_negative_eigenvalue_row_rejected(self):
         # eigenvalues 1 + 1.8 cos(pi k / 4); the one at k = 4 is -0.8
@@ -557,8 +563,12 @@ class TestHeatSampler:
         assert sum(rows) <= 8 * factor.rank + 4 * iterations + 8
 
     def test_set_up_peak_stays_within_its_guard(self, monkeypatch):
-        """The heat set-up at Grid(4096), fGn and Hankel included, allocates at most 4.5 MiB,
-        no more than its guard reserved."""
+        """The heat set-up at Grid(4096), fGn and Hankel included, allocates at most 3 MiB,
+        no more than its guard reserved.
+
+        It reads 2.87 MiB; the margin is 4 rows of N.  A Hankel basis copied
+        out of its buffer reads 3.27 MiB, and a solve on 8-row tiles 4.19 MiB.
+        """
         reserved = {}
         guard = simulate._require_memory
 
@@ -569,22 +579,45 @@ class TestHeatSampler:
         monkeypatch.setattr(simulate, "_require_memory", record)
         clear_factor_cache()
         peak = _traced_peak(lambda: cached_factor(heat_kernel(), Grid(4096)))
-        assert peak <= 4.5 * 2**20
+        assert peak <= 3.0 * 2**20
         assert peak <= reserved["heat sampler tables"]
 
     def test_hankel_rows_grow_to_the_cap(self, monkeypatch):
-        """Rows past half the cap go into a grown buffer with the same bits; the cap still stops."""
+        """Rows past half the cap go into a grown buffer with the same bits; the cap still stops.
+
+        Either buffer is shrunk in place to the rank: the basis owns its
+        data and has the bits of a buffer of exactly 17 rows, half a cap of 34.
+        """
         grid = Grid(64)
         seq = 0.5 * math.sqrt(grid.dt) * gamma(np.arange(1, 128))
         basis, trace = simulate._hankel_cholesky(seq, 64)
-        assert basis.shape[0] == 17
+        assert basis.shape == (17, 64) and basis.base is None
         monkeypatch.setattr(simulate, "_HANKEL_RANK_CAP", 24)
         grown, grown_trace = simulate._hankel_cholesky(seq, 64)
+        assert grown.shape == (17, 64) and grown.base is None
         assert np.array_equal(grown.view(np.uint64), basis.view(np.uint64))
         assert grown_trace == trace
+        monkeypatch.setattr(simulate, "_HANKEL_RANK_CAP", 34)
+        exact, exact_trace = simulate._hankel_cholesky(seq, 64)
+        assert np.array_equal(exact.view(np.uint64), basis.view(np.uint64))
+        assert exact_trace == trace
         monkeypatch.setattr(simulate, "_HANKEL_RANK_CAP", 16)
         with pytest.raises(DomainError, match="unresolved at rank 16"):
             simulate._hankel_cholesky(seq, 64)
+
+    def test_hankel_basis_is_its_buffer_shrunk_in_place(self):
+        """At N = 4096 the pivoted Cholesky holds its 64-row buffer and O(N) vectors, no copy.
+
+        The rank-33 basis is the buffer's first rows: a copy of them would
+        add 33 rows of N on top of the 64.
+        """
+        n = 4096
+        seq = 0.5 * math.sqrt(Grid(n).dt) * gamma(np.arange(1, 2 * n))
+        held = []
+        peak = _traced_peak(lambda: held.append(simulate._hankel_cholesky(seq, n)))
+        basis = held[0][0]
+        assert basis.shape == (33, n) and basis.base is None
+        assert peak <= 8 * n * (simulate._HANKEL_RANK_CAP // 2 + 4)
 
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 33], ids=str)
     def test_rows_do_not_depend_on_the_tile_or_block(self, m):
@@ -823,7 +856,9 @@ class TestPersistence:
         assert values.nbytes <= peak <= 1.05 * values.nbytes
         assert np.array_equal(load_ensemble(target).values, values)
 
-    @pytest.mark.parametrize("damage", ["header_cut", "body_cut", "kernel_id_bytes", "inf_horizon"])
+    @pytest.mark.parametrize(
+        "damage", ["header_cut", "body_cut", "kernel_id_bytes", "inf_horizon", "body_bit", "version_1"]
+    )
     def test_damaged_file_rejected(self, tmp_path, damage):
         grid = Grid(8)
         ens = sample_paths(cached_factor(heat_kernel(), grid), 3, seed=4)
@@ -837,6 +872,12 @@ class TestPersistence:
         elif damage == "inf_horizon":
             # the float64 horizon sits at bytes 20-27, after magic, version and n
             data = data[:20] + struct.pack("<d", math.inf) + data[28:]
+        elif damage == "body_bit":
+            # one flipped bit in the body still parses as finite floats; the digest catches it
+            data = data[:-16] + bytes([data[-16] ^ 1]) + data[-15:]
+        elif damage == "version_1":
+            # the uint32 version sits at bytes 8-11: the format before the body digest
+            data = data[:8] + struct.pack("<I", 1) + data[12:]
         else:
             # the kernel id "heat" starts right after the 48-byte header
             data = data[:48] + b"\xff" + data[49:]

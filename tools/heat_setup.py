@@ -8,7 +8,10 @@ peak of one more build in MiB and the stored Toeplitz-solve residual
 `cg_residual`.  A set-up is the fGn spectrum (`circulant_factor`), the
 Hankel factor (`hankel_factor`) and the solve (`heat_factor`), built
 afresh each time: it reads only the package, and the factor cache, which
-would share the first two across builds, is not used.
+would share the first two across builds, is not used.  The peak is that
+of the pivoted Cholesky's row buffer, which it shrinks in place to the
+rank, or of the solve's narrow FFT tiles on top of U and W; at N = 4096
+and 65536 it reads 2.75 and 60.0 MiB (2-vCPU Xeon VM, numpy 2.4.6).
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ replicates for N <= 8192, 64 above; the wall time in seconds of one warm
 `verify_trapezoid_ucp` call (best of 3), the minor page faults of the
 median timed call, and the tracemalloc peak of one more, in MiB.  A
 first, untimed call builds and caches the factors, so no figure
-includes set-up.
+includes set-up.  The peak is one tile's normals with either its half
+spectrum or its paths, which `synthesize` allocates after the spectrum
+is freed; at N = 8192 and 65536 it reads 2.09 and 16.5 MiB on either
+kernel (2-vCPU Xeon VM, numpy 2.4.6).
 """
 
 from __future__ import annotations
