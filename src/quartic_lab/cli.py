@@ -404,15 +404,10 @@ def _cmd_verify(args):
     summary_path, csv_path = report.write(outdir)
 
     for check in report.checks:
-        if check.passed is None:
-            verdict = "INFO"
-        elif check.passed:
-            verdict = "pass"
-        else:
-            verdict = "FAIL"
+        verdict = "pass" if check.passed else "FAIL"
         flag = "  [flagged]" if check.flagged else ""
-        bound = "-" if check.threshold is None else f"{check.threshold:g}"
-        print(f"  [{verdict}] {check.name}: {check.value:.6g} (threshold {bound}){flag}")
+        bound = f"(threshold {check.threshold:g})"
+        print(f"  [{verdict}] {check.name}: {check.value:.6g} {bound}{flag}")
     print(f"wrote {summary_path} and {csv_path}")
     print(f"experiment {config.experiment}: {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1

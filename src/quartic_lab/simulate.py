@@ -2,9 +2,10 @@
 
 `cached_factor(kernel, grid)` picks the sampler for a kernel, and is the
 one place that choice is made; every factor draws paths through the same
-`synthesize(z)` call, so `path_tiles` knows no kernel.  Every
-kernel the package accepts, composites and drift included, gets a
-factor of O(N r) memory or less: none builds or factors a dense matrix.
+`synthesize(z)` call, which returns the kernel's paths, drift included,
+so `path_tiles` knows no kernel.  Every kernel the package accepts,
+composites and drift included, gets a factor of O(N r) memory or less:
+none builds or factors a dense matrix.
 Paths are drawn jointly exact: there is no approximation beyond float64
 linear algebra and FFTs, and the deterministic zero at t_0 is reattached
 after synthesis.  There are five backends:
@@ -54,26 +55,30 @@ after synthesis.  There are five backends:
   factors.  A replicate's normals are laid out as [part 0 | part 1],
   each part in its own layout above.  Components do not nest
   (`kernels`), so every part is one of the four backends above.  A
-  drifted composite also carries its mean on the grid, t_0 included.
+  drifted composite also carries its mean on the grid, t_0 included, and
+  adds it to the paths it returns.
 
 Every backend maps one tile: `synthesize(z)` turns the
 (_TILE_ROWS, normals_per_path) normals z of one tile of replicates into
-their (_TILE_ROWS, N + 1) paths, column 0 the zero at t_0, which it
-allocates and returns once its own transients, such as the half
-spectrum of an inverse FFT, are freed, so the two are never held at
-once.  A cumulative sum or an inverse FFT transforms each row on its
-own, and the rank-r products of `HankelFactor` and `HeatFactor` always
-have the tile's height, so a row's bits depend on its own normals only.
+their (_TILE_ROWS, N + 1) paths, column 0 the zero at t_0 (a drifted
+composite then adds its mean to every column).  It allocates and
+returns them once its own transients, such as the half spectrum of an
+inverse FFT, are freed, so the two are never held at once.  A
+cumulative sum or an inverse FFT transforms each row on its own, and
+the rank-r products of `HankelFactor` and `HeatFactor` always have the
+tile's height, so a row's bits depend on its own normals only.
 
-`path_tiles` is the one loop that cuts replicates into tiles.  For each
+`path_tiles` is the one loop that draws normals and cuts replicates into
+tiles.  Before it allocates anything it checks that one full tile of
+normals and paths at the finest grid fits in physical memory.  For each
 tile it draws each replicate's stream once, at the normals_per_path of
 its last (finest) factor, into a zero-padded block.  Because a stream's
 shorter draw is a prefix of its longer one (`rng`), that block serves
 every grid of an MSE ladder: each coarser factor synthesizes a copy of
 the block's first normals_per_path columns, the finest the block itself.
-It then adds a drifted composite's mean to the paths a factor returns and
-hands them on, so it holds one tile of normals and paths whatever M is.
-`sample_paths` collects the tiles of one factor into an ensemble.
+It hands on the paths each factor returns, so it holds one tile of
+normals and paths whatever M is.  `sample_paths` collects the tiles of
+one factor into an ensemble.
 
 `sample_brownian` draws the independent standard Brownian motion of each
 replicate, the driving noise of the corrected change-of-variable
@@ -336,7 +341,7 @@ class CompositeFactor:
     parts:  the factors of the one or two components, in order.
     scale:  c, applied to the first part.
     grid, kernel_id: provenance carried to sampled ensembles.
-    mean:   a drifted kernel's mean at t_0 .. t_N, which `path_tiles`
+    mean:   a drifted kernel's mean at t_0 .. t_N, which `synthesize`
             adds to the paths; None when centered.
     """
 
@@ -355,7 +360,7 @@ class CompositeFactor:
         return sum(part.normals_per_path for part in self.parts)
 
     def synthesize(self, z):
-        """Paths of one tile of normals z, which it overwrites, without the mean."""
+        """Paths of one tile of normals z, which it overwrites, the mean included."""
         first, *rest = self.parts
         count = first.normals_per_path
         paths = first.synthesize(z[:, :count])
@@ -363,6 +368,8 @@ class CompositeFactor:
         paths[:, 1:] *= self.scale
         for part in rest:
             paths += part.synthesize(z[:, count:])
+        if self.mean is not None:
+            paths += self.mean
         return paths
 
 
@@ -685,45 +692,29 @@ def clear_factor_cache():
     _FACTOR_CACHE.clear()
 
 
-def path_normals(factor, m, seed, role=rng.ROLE_PATH, first=0, out=None):
-    """The (M, normals_per_path) normals of replicates first .. first + M - 1.
-
-    Row r comes from the replicate-(first + r) stream of the given role;
-    by the prefix contract its first k columns are what a factor with k
-    normals per path draws.  They go into out when it is given.  Raises
-    DomainError, before allocating, when the block and the (M, N+1) path
-    array drawn from it exceed physical memory.
-    """
-    if factor.grid is None:
-        raise DomainError("sample_paths needs a grid; factors from cached_factor carry one")
-    if m < 1:
-        raise DomainError("need at least one replicate")
-    count, nsteps = factor.normals_per_path, factor.grid.nsteps
-    _require_memory(8 * m * (count + nsteps + 1), f"{m} paths at N={nsteps}")
-    z = np.empty((m, count), dtype=np.float64) if out is None else out
-    for rep in range(m):
-        rng.normals(rng.derive_key(seed, first + rep, role), count, out=z[rep])
-    return z
-
-
 def path_tiles(factors, m, seed, role=rng.ROLE_PATH, first=0):
     """(start, stop, k, paths) for each tile of M replicates and each factor k, in order.
 
-    The one loop that cuts replicates into tiles (module doc).  factors
-    are those of an MSE ladder's grids, the finest last, or just one;
-    paths holds the (stop - start, N + 1) values on factors[k] of
-    replicates first + start .. first + stop - 1, drawn from their
-    streams of `role`: the paths that `synthesize` allocates, zero at
-    t_0, plus a drifted composite's mean.  Each row depends on its own
-    streams only, so it is the same in any tile.
+    The one loop that draws normals and cuts replicates into tiles (module
+    doc).  factors are those of an MSE ladder's grids, the finest last, or
+    just one; paths holds the (stop - start, N + 1) values on factors[k]
+    of replicates first + start .. first + stop - 1, drawn from their
+    streams of `role`: the paths that `synthesize` returns.  Each row
+    depends on its own streams only, so it is the same in any tile.
+    Raises DomainError, before allocating, when one tile's normals and
+    paths at the finest grid exceed physical memory.
     """
-    if m < 1:
-        raise DomainError("need at least one replicate")
     finest = factors[-1]
+    if finest.grid is None or m < 1:
+        raise DomainError("path_tiles needs a grid and at least one replicate")
+    count, nsteps = finest.normals_per_path, finest.grid.nsteps
+    tile_bytes = 8 * _TILE_ROWS * (count + nsteps + 1)
+    _require_memory(tile_bytes, f"a tile of {_TILE_ROWS} paths at N={nsteps}")
     for start in range(0, m, _TILE_ROWS):
         stop = min(start + _TILE_ROWS, m)
-        block = np.zeros((_TILE_ROWS, finest.normals_per_path))
-        path_normals(finest, stop - start, seed, role, first + start, out=block[: stop - start])
+        block = np.zeros((_TILE_ROWS, count))
+        for row in range(stop - start):
+            rng.normals(rng.derive_key(seed, first + start + row, role), count, out=block[row])
         for k, factor in enumerate(factors):
             # Synthesis overwrites its normals: a coarser factor gets a copy
             # of the block's prefix, the finest the block itself.
@@ -733,8 +724,6 @@ def path_tiles(factors, m, seed, role=rng.ROLE_PATH, first=0):
                 tile = block[:, : factor.normals_per_path].copy()
             paths = factor.synthesize(tile)
             del tile
-            if getattr(factor, "mean", None) is not None:
-                paths += factor.mean
             yield start, stop, k, paths[: stop - start]
             # A consumer that drops the tile, too, frees it before the next is drawn.
             del paths
@@ -787,7 +776,7 @@ def save_ensemble(ensemble, path):
         fh.write(header)
         fh.write(kernel_bytes)
         fh.write(_body_digest(body))
-        fh.write(body.tobytes())
+        fh.write(body)
 
 
 def load_ensemble(path):

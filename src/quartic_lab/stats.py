@@ -145,7 +145,7 @@ def correlation(a, b):
         raise DomainError("correlation undefined for a constant sample")
     r = float(np.sum(da * db)) / denom
     r = max(-1.0, min(1.0, r))
-    if abs(r) == 1.0 or a.size <= 3:
+    if abs(r) == 1.0:
         return CorrelationResult(r=r, ci_low=r, ci_high=r, count=a.size)
     z = math.atanh(r)
     half = 1.959963984540054 / math.sqrt(a.size - 3)

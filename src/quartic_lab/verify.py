@@ -55,16 +55,16 @@ CALL_ONLY = frozenset({"experiment_name"})
 class CheckResult:
     """One named statistic compared against one pre-registered threshold.
 
-    passed is None for report-only values.  gates=False marks per-seed
-    sub-checks whose verdicts feed a majority rule instead of the overall
-    pass flag.  flagged marks a statistic inside (threshold, 1.5x]; the
-    strict threshold still decides passed.
+    passed is a bool.  gates=False marks per-seed sub-checks whose
+    verdicts feed a majority rule instead of the overall pass flag.
+    flagged marks a statistic inside (threshold, 1.5x]; the strict
+    threshold still decides passed.
     """
 
     name: str
     value: float
-    threshold: float | None
-    passed: bool | None
+    threshold: float
+    passed: bool
     flagged: bool = False
     gates: bool = True
 
@@ -72,7 +72,7 @@ class CheckResult:
     def at_most(name, value, threshold, flag=False, gates=True):
         """Passes when value <= threshold; flag=True marks (threshold, 1.5x]."""
         flagged = flag and threshold < value <= 1.5 * threshold
-        return CheckResult(name, value, threshold, value <= threshold, flagged, gates)
+        return CheckResult(name, value, threshold, bool(value <= threshold), flagged, gates)
 
     def to_dict(self):
         return asdict(self)
@@ -138,7 +138,7 @@ class ExperimentReport:
 
     @property
     def passed(self):
-        return all(c.passed is not False for c in self.checks if c.gates)
+        return all(c.passed for c in self.checks if c.gates)
 
     def to_summary_dict(self):
         return {
@@ -341,10 +341,8 @@ def formula_reference_moments(kernel, g, grid, t_end, t_start=0.0, c=1.0):
     head = head_reference_moments(kernel, g, times[k1], times[k0])
     if head is None:
         return None
-    ito_var = ito_term_variance(kernel, g, grid, times[k1], times[k0], c=c)
-    if ito_var is None:
-        return None
-    return head[0], head[1] + ito_var
+    # ito_term_variance is None exactly where head_reference_moments is.
+    return head[0], head[1] + ito_term_variance(kernel, g, grid, times[k1], times[k0], c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +613,8 @@ def _mse_ladder(experiment, function, args, block, columns, residual, threshold=
         raise ConfigError("n_list must be strictly increasing with at least two sizes")
     probes = _probe_times(args["probes"])
     m, seed, max_inversions = args["m"], args["seed"], args["max_inversions"]
+    if m < 1:
+        raise ConfigError(f"{experiment} needs m >= 1 replicates")
     config = _config_block(experiment, function, args | {"n_list": n_list, "probes": probes})
     horizon = max(probes)
     tol_by_probe = {} if threshold is None else {t: threshold(kernel, g, t) for t in probes}

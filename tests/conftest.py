@@ -18,18 +18,29 @@ import sys
 
 import numpy as np
 
-from quartic_lab import simulate
+from quartic_lab import rng, simulate
 
 LIBM_LOG_ENV = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 ACCEPTANCE_LINES = []
 
 
-def synthesize_rows(factor, z):
-    """The (M, N) paths of the (M, normals_per_path) normals z, without a drift.
+def stream_normals(factor, m, seed, role=rng.ROLE_PATH, first=0):
+    """The (M, normals_per_path) normals that replicates first .. first + M - 1 draw.
 
-    A factor maps one tile of normals, so z goes to it one zero-padded
-    tile at a time.  z is not changed.
+    Row r is the replicate-(first + r) stream of `role`, as
+    `simulate.path_tiles` draws it.
+    """
+    count = factor.normals_per_path
+    return np.array([rng.normals(rng.derive_key(seed, first + r, role), count) for r in range(m)])
+
+
+def synthesize_rows(factor, z):
+    """The (M, N) paths at t_1 .. t_N of the (M, normals_per_path) normals z.
+
+    A drifted composite's rows include its mean.  A factor maps one tile of
+    normals, so z goes to it one zero-padded tile at a time.  z is not
+    changed.
     """
     rows, tile_rows = z.shape[0], simulate._TILE_ROWS
     out = np.empty((rows, factor.dim))

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, NUMPY_LOG_IS_LIBM
 
 import quartic_lab
 from quartic_lab.analytic import (
@@ -314,6 +314,31 @@ lower = np.linalg.cholesky(build_cov_matrix(heat_kernel(), grid))
 simulate._FACTOR_CACHE[("heat", 1024, 1.0)] = DenseFactor(lower, grid)
 """
 
+# The bytes of criterion 10's outputs: the sha256 that `_VERIFY_DIGESTS`
+# and `_HEAT_PATHS` print, the same as tools/verify_defaults.py's for the
+# five defaults.  True is where numpy's log is libm's (scipy's ndtri
+# bits), False numpy's AVX-512 log (`conftest.NUMPY_LOG_IS_LIBM`).
+_PINNED_DIGESTS = {
+    True: {
+        "ito": "3eef47901d90ad403954d4d0542538997102956940c29e19ad60b23c710f4ac0",
+        "bn": "fcaf7a0b198fc647cc4882e0ae36cb93df1f52490ebe4d4ad455fb2ba78abedb",
+        "trapezoid": "7081e85228363f870b9d0cfdade7cbde391769ef46480b7d905bfe9108b8c8e8",
+        "expansion": "2250d0c6143f454ef915217a61a32455d7c620bc6cd4ea21850403d7b3784939",
+        "fbm-window": "280a3d7139e3dcae63590ebdd4514c47297016f50ffcae65f75286aa9b9a6b11",
+        "fbm-trapezoid": "ed586ea61ed034155d8e13e05e9f43521511e512d632409fdb422c6f8339dc53",
+        "heat-paths": "d72d39f9df5aed73698dad6580d11572338b7ba3d4655f14c5852796d8979e3d",
+    },
+    False: {
+        "ito": "cb0532c1a2f121ce998a3250744d3a0bfb25dd26682445cb3913186071a4c285",
+        "bn": "8f6ea8b744519c50dc7812891f01765c1d7d589d339fb7b7cf861a9703902aaa",
+        "trapezoid": "724e4af43c6b558a32f55ee49669e1806d286aa7ec2fd6341f473f6e60bb66c4",
+        "expansion": "914c837ecba9addbe713ee977d93cef9984b83659e7bfe7acdae4bc1b4d31232",
+        "fbm-window": "4dba636f65774787cd7d6e003b08cd3e1180b1cc99693ff3f571d2ad4bf97597",
+        "fbm-trapezoid": "27f95cac00685baf021671465a35e5303bc45139dd3b11a485f308757ba325f3",
+        "heat-paths": "e71a67e03eed3a13433d220134660a1aa9178a0df403a8df18dc6d5ce5ad54a3",
+    },
+}
+
 _FBM_TRAPEZOID = {
     "kernel": "fbm", "n_list": [1024, 2048], "m": 200, "g": "cube",
     "tolerances": {"final_tol": 0.15},
@@ -334,16 +359,22 @@ def _digests_by_blas_threads(script, runs):
     return digests
 
 
-def test_criterion_10_worker_determinism(tmp_path):
-    """The outputs do not depend on how many OpenBLAS worker threads run."""
-    config = tmp_path / "fbm-trapezoid.json"
+@pytest.fixture(scope="module")
+def criterion_10_digests(tmp_path_factory):
+    """(runs, [digests under 1 thread, under 2]) of criterion 10, each run drawn once."""
+    config = tmp_path_factory.mktemp("criterion-10") / "fbm-trapezoid.json"
     config.write_text(json.dumps(_FBM_TRAPEZOID))
     runs = {
         name: ["--experiment", name]
         for name in ("ito", "bn", "trapezoid", "expansion", "fbm-window")
     }
     runs["fbm-trapezoid"] = ["--experiment", "trapezoid", "--config", str(config)]
-    one, two = _digests_by_blas_threads(_VERIFY_DIGESTS + _HEAT_PATHS, runs)
+    return runs, _digests_by_blas_threads(_VERIFY_DIGESTS + _HEAT_PATHS, runs)
+
+
+def test_criterion_10_worker_determinism(criterion_10_digests):
+    """The outputs do not depend on how many OpenBLAS worker threads run."""
+    runs, (one, two) = criterion_10_digests
     differ = sorted(name for name in one.keys() | two.keys() if one.get(name) != two.get(name))
     ok = len(one) == len(runs) + 1 and not differ
     _verdict(
@@ -352,6 +383,12 @@ def test_criterion_10_worker_determinism(tmp_path):
         f"({', '.join(sorted(one))}) byte-identical in fresh processes under "
         f"OPENBLAS_NUM_THREADS 1 and 2{'; differ: ' + ', '.join(differ) if differ else ''}",
     )
+
+
+def test_criterion_10_outputs_keep_their_pinned_bytes(criterion_10_digests):
+    """Under one thread, every output has the bytes pinned for this numpy log dispatch."""
+    _, (one, _) = criterion_10_digests
+    assert one == _PINNED_DIGESTS[NUMPY_LOG_IS_LIBM]
 
 
 @pytest.mark.skipif(

@@ -143,6 +143,23 @@ class TestSample:
         assert err["error"] == "DomainError" and reason in err["message"]
 
 
+def test_oversized_ladder_tile_is_domain_error(tmp_path, capsys):
+    """A bm ladder whose finest tile of normals exceeds physical memory is refused before
+    the tile is allocated, with one JSON line, and writes nothing."""
+    config = tmp_path / "bm.json"
+    config.write_text(json.dumps({
+        "kernel": "bm", "g": "cube", "n_list": [2, 2**40], "m": 1,
+        "tolerances": {"final_tol": 1.0},
+    }))
+    out = tmp_path / "run"
+    argv = ["verify", "--experiment", "trapezoid", "--config", str(config), "--out", str(out)]
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "DomainError" and "physical memory" in err["message"]
+    assert not out.exists()
+
+
 # Path-drawing flags take the config checks of the keys they set, so a bad
 # value is a config error (exit 2), as it is in a verify config.
 @pytest.mark.parametrize("argv", [

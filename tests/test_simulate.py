@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import synthesize_rows
+from conftest import stream_normals, synthesize_rows
 
 import quartic_lab
 import quartic_lab.cli  # noqa: F401  (bench/tracing.py wraps attributes of the cli module)
@@ -180,7 +180,10 @@ class TestSamplePaths:
         lambda factor: cached_factor(heat_kernel(), Grid(2**40)),
         lambda factor: sample_paths(factor, 2**40, seed=1),
         lambda factor: sample_brownian(Grid(256), 2**40, seed=1),
-    ], ids=["autocov", "circulant", "heat", "paths", "brownian"])
+        lambda factor: next(
+            simulate.path_tiles([cached_factor(CovKernel("bm"), Grid(2**40))], 1, seed=1)
+        ),
+    ], ids=["autocov", "circulant", "heat", "paths", "brownian", "bm-tile"])
     def test_oversized_draw_refused_before_allocating(self, draw):
         factor = cached_factor(heat_kernel(), Grid(256))
         tracemalloc.start()
@@ -349,7 +352,7 @@ def _block_solve_toeplitz(autocov, eigs, rhs):
 
 def _tiles_match_the_block(kernel, block_paths, n, m):
     factor = cached_factor(kernel, Grid(n))
-    expected = block_paths(factor, simulate.path_normals(factor, m, 17))
+    expected = block_paths(factor, stream_normals(factor, m, 17))
     out = sample_paths(factor, m, 17).values[:, 1:]
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
@@ -413,7 +416,7 @@ class TestCirculantSampler:
         """The Davies-Harte rows are the same in 8-row tiles and in one tile of all m rows."""
         factor = cached_factor(fbm_quarter_kernel(), Grid(256))
         blocked = sample_paths(factor, m, 5).values
-        given = synthesize_rows(factor, simulate.path_normals(factor, m, 5))
+        given = synthesize_rows(factor, stream_normals(factor, m, 5))
         monkeypatch.setattr(simulate, "_TILE_ROWS", m)
         whole = sample_paths(factor, m, 5).values
         assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
@@ -422,8 +425,8 @@ class TestCirculantSampler:
     @pytest.mark.parametrize("role", [rng.ROLE_PATH, rng.ROLE_BM])
     def test_normals_from_an_offset_are_the_rows_of_the_whole_block(self, role):
         factor = cached_factor(fbm_quarter_kernel(), Grid(64))
-        whole = simulate.path_normals(factor, 9, 3, role)
-        part = simulate.path_normals(factor, 4, 3, role, first=5)
+        whole = sample_paths(factor, 9, 3, role).values
+        part = sample_paths(factor, 4, 3, role, first=5).values
         assert np.array_equal(part.view(np.uint64), whole[5:].view(np.uint64))
 
     @TILE_CASES
@@ -439,7 +442,7 @@ class TestCirculantSampler:
         """
         n = 8192
         factor = cached_factor(fbm_quarter_kernel(), Grid(n))
-        z = simulate.path_normals(factor, simulate._TILE_ROWS, 1)
+        z = stream_normals(factor, simulate._TILE_ROWS, 1)
         paths = []
         peak = _traced_peak(lambda: paths.append(factor.synthesize(z)))
         assert peak <= 16 * simulate._TILE_ROWS * (n + 1) + 8 * (n + 1) + 2**16
@@ -509,7 +512,7 @@ class TestHeatSampler:
         grid = Grid(256)
         heat = cached_factor(heat_kernel(), grid)
         n, r = heat.dim, heat.rank
-        z = simulate.path_normals(heat, 5, 3)
+        z = stream_normals(heat, 5, 3)
         fgn = np.diff(sample_paths(cached_factor(fbm_quarter_kernel(), grid), 5, 3).values, axis=1)
         paths = synthesize_rows(heat, z)
         basis = heat.hankel.basis
@@ -690,7 +693,7 @@ def test_composite_normals_are_part_0_then_part_1():
     kernel = fbm_composite_kernel()
     factor = cached_factor(kernel, grid)
     heat, xi = factor.parts
-    z = simulate.path_normals(factor, 5, 3)
+    z = stream_normals(factor, 5, 3)
     first = synthesize_rows(heat, z[:, : heat.normals_per_path])
     second = synthesize_rows(xi, z[:, heat.normals_per_path :])
     expected = kernel.c * first + second
@@ -855,6 +858,14 @@ class TestPersistence:
         peak = _traced_peak(lambda: load_ensemble(target))
         assert values.nbytes <= peak <= 1.05 * values.nbytes
         assert np.array_equal(load_ensemble(target).values, values)
+
+    def test_save_writes_the_body_without_copying_it(self, tmp_path):
+        """The save allocates at most 5% of the body: it writes the array, not a copy of it."""
+        values = np.random.default_rng(3).standard_normal((200, 4097))
+        target = tmp_path / "ens.bin"
+        ens = simulate.PathEnsemble(Grid(4096), values, "heat", 1)
+        assert _traced_peak(lambda: save_ensemble(ens, target)) <= 0.05 * values.nbytes
+        assert target.read_bytes().endswith(values.tobytes())
 
     @pytest.mark.parametrize(
         "damage", ["header_cut", "body_cut", "kernel_id_bytes", "inf_horizon", "body_bit", "version_1"]

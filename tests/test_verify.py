@@ -553,6 +553,16 @@ class TestLadderExperiments:
         with pytest.raises(ConfigError):
             verify_expansion_residual(n_list=(1024, 256), m=2)
 
+    @pytest.mark.parametrize("m", [0, -1], ids=str)
+    @pytest.mark.parametrize("run", [verify_trapezoid_ucp, verify_expansion_residual])
+    def test_unusable_replicate_count_refused_before_allocating(self, monkeypatch, run, m):
+        def no_columns(*args, **kwargs):
+            raise AssertionError("columns allocated")
+
+        monkeypatch.setattr(verify, "_replicate_columns", no_columns)
+        with pytest.raises(ConfigError, match="needs m >= 1 replicates"):
+            run(n_list=(16, 32), m=m)
+
     def test_expansion_cube_mse_decreases(self):
         rep = verify_expansion_residual(g=CUBE, n_list=(64, 256), m=100)
         assert rep.passed
@@ -598,13 +608,9 @@ class TestReportEmission:
     def _tiny_report(self):
         return verify_trapezoid_ucp(n_list=(16, 32), m=2)
 
-    def test_passed_ignores_non_gating_checks(self):
-        base = dict(value=1.0, threshold=0.5, flagged=False)
-        gating_fail = CheckResult(name="a", passed=False, **base)
-        advisory_fail = CheckResult(name="b", passed=False, gates=False, **base)
-        report_only = CheckResult(name="c", passed=None, **base)
-        ok = CheckResult(name="d", passed=True, **base)
-        mk = lambda checks: ExperimentReport(
+    @staticmethod
+    def _report(checks):
+        return ExperimentReport(
             experiment="x",
             config={},
             checks=tuple(checks),
@@ -612,8 +618,20 @@ class TestReportEmission:
             replicate_columns=("v",),
             replicate_rows=(),
         )
-        assert mk([ok, report_only, advisory_fail]).passed
-        assert not mk([ok, gating_fail]).passed
+
+    def test_passed_ignores_non_gating_checks(self):
+        base = dict(value=1.0, threshold=0.5, flagged=False)
+        gating_fail = CheckResult(name="a", passed=False, **base)
+        advisory_fail = CheckResult(name="b", passed=False, gates=False, **base)
+        ok = CheckResult(name="d", passed=True, **base)
+        assert self._report([ok, advisory_fail]).passed
+        assert not self._report([ok, gating_fail]).passed
+
+    def test_a_failing_gate_on_a_numpy_value_fails_the_report(self):
+        report = self._report([CheckResult.at_most("x", np.float64(2.0), 1.0)])
+        assert report.passed is False
+        assert json.loads(report.summary_json())["passed"] is False
+        assert report.checks[0].passed is False
 
     def test_summary_json_shape(self):
         rep = self._tiny_report()
