@@ -24,7 +24,6 @@ from .analytic import (
     hermite_eval,
     kappa,
     kappa_reference,
-    monomial_in_hermite,
     offset_increment_cov,
 )
 from .errors import ConfigError, DomainError, NotPositiveDefinite, QuarticLabError

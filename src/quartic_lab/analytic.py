@@ -7,14 +7,18 @@ recursion), the Gaussian Taylor expansion built on top of it, and the
 discrete covariances of the heat-slice process together with an audit
 of the inequalities they must satisfy.
 
-The moment evaluator keeps whatever arithmetic it is given: Fractions
-in, Fractions out, so identity tests can be run with zero rounding.
+`GaussianMoments` is the package's one exact-moment evaluator: every
+closed-form Gaussian moment, E[Z^k] of one standard normal included,
+is its `monomial` or `expectation` of a polynomial built with the
+sparse-polynomial algebra here.  It keeps whatever arithmetic it is
+given: Fractions in, Fractions out, so identity tests can be run with
+zero rounding.  The step count n of the covariance tables follows
+`kernels.step_count`, the rule `Grid` applies.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .kernels import _require_memory, rho_heat
+from .kernels import _require_memory, rho_heat, step_count
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -158,31 +162,6 @@ def hermite_eval(n, x):
     return cur if cur.ndim else float(cur)
 
 
-def double_factorial(n):
-    """(n)!! with (-1)!! = 1."""
-    if n < -1:
-        raise DomainError("double factorial needs n >= -1")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def monomial_in_hermite(n):
-    """Hermite expansion of x^n as a coefficient list, all integers.
-
-    Entry j is the coefficient of h_{n-2j}(x), j = 0 .. n//2:
-
-        x^n = sum_j C(n, 2j) (2j-1)!! h_{n-2j}(x).
-    """
-    if n < 0:
-        raise DomainError("monomial_in_hermite needs n >= 0")
-    return [
-        math.comb(n, 2 * j) * double_factorial(2 * j - 1) for j in range(n // 2 + 1)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials: {exponent tuple: coefficient}.
 # ---------------------------------------------------------------------------
@@ -255,15 +234,12 @@ def poly_diff_multi(poly, alpha):
 
 
 def poly_product_disjoint(f, h):
-    """f(x_1..x_d) * h(y) as a polynomial in (x_1..x_d, y)."""
-    d = poly_nvars(f)
+    """f(x_1..x_d) * h(y) as a polynomial in (x_1..x_d, y); {} when either is zero."""
     out = {}
     for a, ca in f.items():
         for b, cb in h.items():
             key = a + b
             out[key] = out.get(key, 0) + ca * cb
-    if not f:
-        out = {(0,) * d + b: cb for b, cb in h.items()}
     return out
 
 
@@ -483,14 +459,12 @@ def _lag_cross(t, ell):
 def discrete_cov_table(n, maxj=None, lag=None):
     """Increment covariance table of the heat-slice process, by bilinearity.
 
-    Raises DomainError, before allocating, when the (maxj, lag) cross
-    table and the length-(maxj+1) work arrays (14 live at the peak)
-    exceed physical memory.
+    n follows `kernels.step_count`, the rule `Grid` applies.  Raises
+    DomainError, before allocating, when the (maxj, lag) cross table and
+    the length-(maxj+1) work arrays (14 live at the peak) exceed
+    physical memory.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if n > sys.float_info.max:
-        raise DomainError("n (steps per unit time) is beyond float range")
+    step_count(n)
     maxj = int(maxj) if maxj is not None else int(n)
     if maxj < 1:
         raise DomainError("maxj must be >= 1")
@@ -513,6 +487,7 @@ def discrete_cov_table(n, maxj=None, lag=None):
 
 def offset_increment_cov(n, c, i, j):
     """E[(F(t_{i-1}) - F(t_c)) dF_j] for 0 <= c <= i-1, computed exactly."""
+    step_count(n)
     if not (0 <= c < i <= j):
         raise DomainError("need 0 <= c < i <= j")
     tc, ti1 = c / n, (i - 1) / n
@@ -568,9 +543,11 @@ def audit_cov_table(n, maxj=None):
 
     The cross-covariance checks cover every pair i < j <= maxj, one lag
     at a time, so memory stays O(maxj) while the pair count is maxj^2/2.
-    Raises DomainError, before allocating, when its length-(maxj+1) work
-    arrays (18 live at the peak) exceed physical memory.
+    n follows `kernels.step_count`.  Raises DomainError, before
+    allocating, when its length-(maxj+1) work arrays (18 live at the
+    peak) exceed physical memory.
     """
+    step_count(n)
     maxj = int(maxj) if maxj is not None else int(n)
     _require_memory(8 * 18 * (maxj + 1), f"covariance audit at maxj={maxj}")
     table = discrete_cov_table(n, maxj=maxj, lag=1)

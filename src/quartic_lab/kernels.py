@@ -23,6 +23,9 @@ All kernels are positive semidefinite on nonnegative times and vanish
 when either argument is 0, so covariance matrices are built on the grid
 times t_1 .. t_N, never t_0 = 0.
 
+`finite_number` is the package's one rule for an outside real number,
+and `step_count` its one rule for the step count n per unit time.
+
 `KERNEL_RHO` is the one covariance table: it maps each kind, Brownian
 motion's `bm` included, to its rho.  `KERNEL_KINDS` is its kinds and
 "composite", and `CovKernel.rho` looks a kind up in it, so a new kind
@@ -60,6 +63,21 @@ def finite_number(value):
     """
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     return bool(number and abs(value) <= sys.float_info.max)
+
+
+def step_count(n):
+    """Raise DomainError unless n is a usable step count per unit time.
+
+    The package's one n rule, applied by `Grid` and by `analytic`'s
+    covariance tables: an integer (numpy's included, a bool not), at
+    least 1 and within float range.  So nan, 64.5 and 10**400 all fail.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"n (steps per unit time) must be an integer, got {n!r}")
+    if n < 1:
+        raise DomainError(f"n (steps per unit time) must be >= 1, got {n!r}")
+    if n > sys.float_info.max:
+        raise DomainError("n (steps per unit time) is beyond float range")
 
 
 def _check_nonnegative(s, t):
@@ -149,20 +167,15 @@ def xi_cov_quadrature(s, t, epsabs=1e-10):
 class Grid:
     """Uniform time grid with n steps per unit time on [0, horizon].
 
-    Grid times are t_j = j/n for 0 <= j <= floor(n*horizon).  n must be an
-    integer (a bool is not), and at least two steps are required.
+    Grid times are t_j = j/n for 0 <= j <= floor(n*horizon).  n follows
+    `step_count`, and at least two steps are required.
     """
 
     n: int
     horizon: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise DomainError(f"grid n (steps per unit time) must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise DomainError("grid needs n >= 1 steps per unit time")
-        if self.n > sys.float_info.max:
-            raise DomainError("grid n (steps per unit time) is beyond float range")
+        step_count(self.n)
         if not (self.horizon > 0 and math.isfinite(self.n * self.horizon)):
             raise DomainError("grid horizon must be positive, with n * horizon finite")
         if self.nsteps < 2:
@@ -187,13 +200,13 @@ class Grid:
         return np.arange(self.nsteps + 1, dtype=np.float64) / self.n
 
     def index_at(self, t):
-        """Largest j with t_j <= t, clipped to N.
+        """Largest j with t_j <= t, clipped to N; t must be finite and >= 0.
 
         The 1e-9 slack heals float representation of t = j/n; callers
         probe at (multiples of) grid times.
         """
-        if t < 0:
-            raise DomainError("time must be nonnegative")
+        if not 0 <= t < math.inf:
+            raise DomainError(f"time must be finite and nonnegative, got {t}")
         return min(int(math.floor(self.n * t + 1e-9)), self.nsteps)
 
 

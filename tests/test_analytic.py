@@ -17,7 +17,6 @@ from quartic_lab.analytic import (
     audit_cov_table,
     binom,
     discrete_cov_table,
-    double_factorial,
     gamma,
     gamma_partial_sum,
     gauss_taylor,
@@ -25,7 +24,6 @@ from quartic_lab.analytic import (
     hermite_poly,
     kappa,
     kappa_reference,
-    monomial_in_hermite,
     multi_binom,
     offset_increment_cov,
     poly_add,
@@ -157,26 +155,15 @@ class TestHermite:
         for n in range(1, 12):
             assert poly_diff(hermite_poly(n), 0) == poly_scale(hermite_poly(n - 1), n)
 
-    def test_monomial_expansion_examples(self):
-        assert monomial_in_hermite(1) == [1]
-        assert monomial_in_hermite(3) == [1, 3]
-        assert monomial_in_hermite(4) == [1, 6, 3]
-
     def test_monomial_reconstruction(self):
-        """x^n = sum_j C(n,2j)(2j-1)!! h_{n-2j}, exact integer algebra."""
+        """x^n = sum_j C(n,2j) E[Z^2j] h_{n-2j}, exact integer algebra."""
+        z = GaussianMoments(((1,),))
         for n in range(0, 12):
-            coeffs = monomial_in_hermite(n)
             acc = {}
-            for j, coeff in enumerate(coeffs):
-                assert coeff == binom(n, 2 * j) * double_factorial(2 * j - 1)
+            for j in range(n // 2 + 1):
+                coeff = binom(n, 2 * j) * z.monomial((2 * j,))
                 acc = poly_add(acc, poly_scale(hermite_poly(n - 2 * j), coeff))
             assert acc == {(n,): 1}
-
-    def test_double_factorial(self):
-        assert double_factorial(-1) == 1
-        assert double_factorial(0) == 1
-        assert double_factorial(5) == 15
-        assert double_factorial(7) == 105
 
 
 class TestGaussianMoments:
@@ -314,6 +301,11 @@ class TestGaussTaylor:
         assert res.exact == c12 + 2 * r1 * r2
         assert res.remainder == 0
 
+    def test_zero_f_gives_zero(self):
+        # The zero polynomial times h is the zero polynomial, not h.
+        res = gauss_taylor({}, {(2,): Fraction(1)}, ((Fraction(1),),), (Fraction(1, 3),), 2)
+        assert (res.expansion, res.exact, res.remainder) == (0, 0, 0)
+
     def test_validation(self):
         one = ((Fraction(1),),)
         with pytest.raises(DomainError):
@@ -420,6 +412,17 @@ class TestDiscreteCovTable:
         with pytest.raises(DomainError, match="covariance audit .* physical memory"):
             audit_cov_table(64, maxj=2**40)
 
+    @pytest.mark.parametrize("n", [64.5, math.nan], ids=str)
+    def test_step_count_follows_the_grid_rule(self, n):
+        # A table at a resolution that `Grid` refuses would compute nothing
+        # a sampled path can be compared with.
+        with pytest.raises(DomainError):
+            kernels.Grid(n)
+        with pytest.raises(DomainError, match="must be an integer"):
+            discrete_cov_table(n)
+        with pytest.raises(DomainError, match="must be an integer"):
+            audit_cov_table(n)
+
 
 class TestOffsetIncrementCov:
     def test_reduces_to_sigma_hat(self):
@@ -445,6 +448,10 @@ class TestOffsetIncrementCov:
             offset_increment_cov(8, 2, 2, 5)
         with pytest.raises(DomainError):
             offset_increment_cov(8, 0, 5, 4)
+
+    def test_fractional_step_count_refused(self):
+        with pytest.raises(DomainError, match="must be an integer"):
+            offset_increment_cov(64.5, 0, 1, 2)
 
 
 class TestCovAudit:

@@ -147,6 +147,11 @@ class TestGrid:
         with pytest.raises(DomainError):
             Grid(4).index_at(-0.5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf], ids=str)
+    def test_index_at_rejects_non_finite_times(self, t):
+        with pytest.raises(DomainError, match="finite"):
+            Grid(64).index_at(t)
+
     def test_too_short_grid_rejected(self):
         with pytest.raises(DomainError):
             Grid(1)

@@ -241,6 +241,11 @@ class TestReferenceMoments:
         assert formula_reference_moments(heat_kernel(), builtin("sine"), grid, 1.0) is None
         assert ito_term_variance(heat_kernel(), builtin("sine"), grid, 1.0) is None
 
+    def test_zero_g_has_zero_moments(self):
+        zero = builtin("poly_k", coeffs=[0.0])
+        assert head_reference_moments(heat_kernel(), zero, 1.0, 0.25) == (0.0, 0.0)
+        assert formula_reference_moments(heat_kernel(), zero, Grid(16), 1.0) == (0.0, 0.0)
+
     def test_drifted_kernel_has_no_closed_form(self):
         drift = CovKernel(
             kind="composite", c=1.0, components=(heat_kernel(),), mean_coeffs=(0.0, 1.0)
@@ -266,6 +271,54 @@ class TestReferenceMoments:
         # Pinned values consumed by the windowed experiment at n = 4096.
         assert mean == pytest.approx(0.6840039309975517, abs=1e-14)
         assert var == pytest.approx(3.5629951081630793, abs=1e-13)
+
+
+# float.hex of (formula_reference_moments, head_reference_moments,
+# ito_term_variance) on Grid(256) at t_end = 1, pinned so that a change to
+# the exact-moment algebra cannot move a reference by one bit.  The
+# degree-8 g puts E[Z^k] up to k = 12 under the Ito variance; sine has no
+# closed form.
+_POLY8 = builtin("poly_k", coeffs=[0.5, -1, 0, 2, 0, 0, -0.25, 0, 1])
+_REFERENCE_PINS = {
+    ("heat", "cube", 0.0): (("0x0.0p+0", "0x1.9143b7abdeabep+2"), ("0x0.0p+0", "0x1.58cea98a53debp+1"), "0x1.c9b8c5cd69790p+1"),
+    ("heat", "cube", 0.25): (("0x0.0p+0", "0x1.7742cb7d75716p+2"), ("0x0.0p+0", "0x1.5d7b2c26fa491p+1"), "0x1.910a6ad3f099ap+1"),
+    ("heat", "sine", 0.0): (None, None, None),
+    ("heat", "sine", 0.25): (None, None, None),
+    ("heat", "poly8", 0.0): (("0x1.3ee3834f6337ep+3", "0x1.4cfd5973f9c68p+16"), ("0x1.3ee3834f6337ep+3", "0x1.30d472f85c2a0p+14"), "0x1.00c83cb5e2bc0p+16"),
+    ("heat", "poly8", 0.25): (("0x1.2c4e19c3f7584p+3", "0x1.4c375f42e52f0p+16"), ("0x1.2c4e19c3f7584p+3", "0x1.317c9389c9773p+14"), "0x1.ffb074c0e5a27p+15"),
+    ("fbm-composite", "cube", 0.0): (("0x0.0p+0", "0x1.55694d8098ad8p+4"), ("0x0.0p+0", "0x1.e000000000000p+3"), "0x1.95a5360262b62p+2"),
+    ("fbm-composite", "cube", 0.25): (("0x0.0p+0", "0x1.33177778ba56ep+4"), ("0x0.0p+0", "0x1.b47a0fcb6eb78p+3"), "0x1.6369be4c0bec7p+2"),
+    ("fbm-composite", "sine", 0.0): (None, None, None),
+    ("fbm-composite", "sine", 0.25): (None, None, None),
+    ("fbm-composite", "poly8", 0.0): (("0x1.9500000000000p+6", "0x1.ec45ee75564e8p+21"), ("0x1.9500000000000p+6", "0x1.dc0d0a0000000p+20"), "0x1.fc7ed2eaac9d1p+20"),
+    ("fbm-composite", "poly8", 0.25): (("0x1.7ca0000000000p+6", "0x1.ea8b9d618654cp+21"), ("0x1.7ca0000000000p+6", "0x1.da7b427c3d0e5p+20"), "0x1.fa9bf846cf9b2p+20"),
+    ("bm", "cube", 0.0): (("0x0.0p+0", "0x1.3bfd5f904719ep+4"), ("0x0.0p+0", "0x1.e000000000000p+3"), "0x1.2ff57e411c679p+2"),
+    ("bm", "cube", 0.25): (("0x0.0p+0", "0x1.260bd766fd706p+4"), ("0x0.0p+0", "0x1.bd80000000000p+3"), "0x1.1d2f5d9bf5c18p+2"),
+    ("bm", "sine", 0.0): (None, None, None),
+    ("bm", "sine", 0.25): (None, None, None),
+    ("bm", "poly8", 0.0): (("0x1.9500000000000p+6", "0x1.7e5e9bf46e11cp+21"), ("0x1.9500000000000p+6", "0x1.dc0d0a0000000p+20"), "0x1.20b02de8dc238p+20"),
+    ("bm", "poly8", 0.25): (("0x1.9398000000000p+6", "0x1.7e39d89d081d5p+21"), ("0x1.9398000000000p+6", "0x1.dbc78c0aa0000p+20"), "0x1.20ac252f703aap+20"),
+}
+_PIN_KERNELS = {"heat": heat_kernel(), "fbm-composite": fbm_composite_kernel(), "bm": CovKernel("bm")}
+_PIN_GS = {"cube": CUBE, "sine": builtin("sine"), "poly8": _POLY8}
+
+
+def _hex(value):
+    if value is None or isinstance(value, float):
+        return None if value is None else value.hex()
+    return tuple(map(_hex, value))
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_PINS), ids=lambda c: "-".join(map(str, c)))
+def test_reference_moments_keep_their_pinned_bits(case):
+    kernel, g, t_start = _PIN_KERNELS[case[0]], _PIN_GS[case[1]], case[2]
+    grid = Grid(256)
+    got = (
+        formula_reference_moments(kernel, g, grid, 1.0, t_start),
+        head_reference_moments(kernel, g, 1.0, t_start),
+        ito_term_variance(kernel, g, grid, 1.0, t_start),
+    )
+    assert _hex(got) == _REFERENCE_PINS[case]
 
 
 class TestItoExperiment:
@@ -587,6 +640,19 @@ class TestLadderExperiments:
     def test_probes_must_be_positive(self, run, probes):
         with pytest.raises(ConfigError):
             run(n_list=(16, 32), m=2, probes=probes)
+
+
+@pytest.mark.parametrize("probes", [(0.5, math.nan), (0.5, math.inf)], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "run",
+    [verify_ito_formula, verify_fbm_window, verify_bn_limit, verify_trapezoid_ucp,
+     verify_expansion_residual],
+    ids=["ito", "fbm-window", "bn", "trapezoid", "expansion"],
+)
+def test_non_finite_probes_refused(run, probes):
+    # The CLI's probe rule: positive and finite.  No path is drawn.
+    with pytest.raises(ConfigError, match="finite"):
+        run(probes=probes, m=4)
 
 
 class TestFbmWindowExperiment:

@@ -12,6 +12,13 @@ includes set-up.  The peak is one tile's normals with either its half
 spectrum or its paths, which `synthesize` allocates after the spectrum
 is freed; at N = 8192 and 65536 it reads 2.09 and 16.5 MiB on either
 kernel (2-vCPU Xeon VM, numpy 2.4.6).
+
+Before its first ladder the tool pins glibc's malloc thresholds with
+`cli._pin_malloc_thresholds`, as every `quartic-lab` run does, so it
+measures what the program runs.  Without the pin, glibc's dynamic trim
+threshold hands the freed tile memory back between tiles, and a warm
+N = 8192 ladder reads about 15,000 minor faults per call instead of a
+few.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import sys
 import time
 import tracemalloc
 
+from quartic_lab import cli
 from quartic_lab.functions import builtin
 from quartic_lab.kernels import fbm_quarter_kernel, heat_kernel
 from quartic_lab.verify import verify_trapezoid_ucp
@@ -66,6 +74,7 @@ def measure(name, n):
 
 def main(argv=None):
     sizes = [int(arg) for arg in (sys.argv[1:] if argv is None else argv)] or SIZES
+    cli._pin_malloc_thresholds()
     for n in sizes:
         for name in KERNELS:
             print(json.dumps(measure(name, n)), flush=True)
