@@ -27,7 +27,7 @@ from .analytic import (
     offset_increment_cov,
 )
 from .errors import ConfigError, DomainError, NotPositiveDefinite, QuarticLabError
-from .functions import TestFunction, builtin, derivative_consistency_report
+from .functions import TestFunction, builtin
 from .kernels import (
     CovKernel,
     Grid,
@@ -38,7 +38,6 @@ from .kernels import (
     rho_fbm_quarter,
     rho_heat,
     rho_xi_lei_nualart,
-    xi_cov_quadrature,
 )
 from .simulate import (
     BrownianFactor,

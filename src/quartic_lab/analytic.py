@@ -62,13 +62,6 @@ def gamma(j):
     return out if out.ndim else float(out)
 
 
-def gamma_partial_sum(jmax):
-    """Closed form of sum_{j<=J} gamma(j): the sum telescopes to 1 + sqrt(J) - sqrt(J+1)."""
-    if jmax < 1:
-        raise DomainError("partial sum needs J >= 1")
-    return 1.0 + math.sqrt(jmax) - math.sqrt(jmax + 1.0)
-
-
 @dataclass(frozen=True)
 class KappaResult:
     """Certified evaluation of the alternating-sum scale constant.
@@ -241,16 +234,6 @@ def poly_product_disjoint(f, h):
             key = a + b
             out[key] = out.get(key, 0) + ca * cb
     return out
-
-
-def poly_eval(poly, point):
-    total = 0
-    for a, c in poly.items():
-        term = c
-        for x, k in zip(point, a):
-            term = term * x**k
-        total = total + term
-    return total
 
 
 # ---------------------------------------------------------------------------

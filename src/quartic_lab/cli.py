@@ -215,8 +215,6 @@ def _from_dict(experiment, rec):
         value = rec.get(key, default)
         # None is a value only where the experiment's own default is None.
         values[key] = None if value is None and default is None else _CHECKS[key](key, value)
-    if values.get("horizon") is not None and max(values["probes"]) > values["horizon"] + 1e-12:
-        raise ConfigError("probe times must not exceed the horizon")
     return ExperimentConfig(
         experiment=experiment, tolerances=dict(tolerances), out_dir=out_dir, **values
     )

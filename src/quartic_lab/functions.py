@@ -6,8 +6,8 @@ for 0 <= j <= 9 and mixed derivatives dtdx(j) = d/dt d^j/dx^j for
 numeric differentiation so they can serve as oracles for it.
 
 Every builtin is smooth and has closed forms of every order the
-interface exposes, so a function carries no smoothness tag: the
-oracles themselves are what `derivative_consistency_report` checks.
+interface exposes, so a function carries no smoothness tag: the tests
+check the oracles themselves against finite differences.
 
 `_BUILTINS` maps each parameterless id to its constructor, so a new
 builtin is one entry there; only poly_k, which takes coefficients, has
@@ -188,31 +188,3 @@ def from_spec(rec):
         raise DomainError("test function record must be a dict with an 'id'")
     params = {k: v for k, v in rec.items() if k != "id"}
     return builtin(rec["id"], **params)
-
-
-def derivative_consistency_report(tf, orders=None, probes=20, t_value=0.7, seed=20260822):
-    """Check dx(j+1) against centered finite differences of dx(j).
-
-    For each order j the max-over-probes FD error is fit against the step
-    in log-log; returns {j: ("exact", None)} when the error sits at float
-    noise (higher derivative constant or zero) and {j: ("slope", value)}
-    otherwise.  A correct derivative table gives slope 2.
-    """
-    if orders is None:
-        orders = range(MAX_DX_ORDER)
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-3.0, 3.0, size=probes)
-    steps = np.array([0.2, 0.1, 0.05, 0.025])
-    report = {}
-    for j in orders:
-        errs = []
-        scale = max(1.0, float(np.max(np.abs(tf.dx(j + 1, x, t_value)))))
-        for h in steps:
-            fd = (tf.dx(j, x + h, t_value) - tf.dx(j, x - h, t_value)) / (2.0 * h)
-            errs.append(float(np.max(np.abs(fd - tf.dx(j + 1, x, t_value)))))
-        if errs[0] < 1e-10 * scale:
-            report[j] = ("exact", None)
-            continue
-        slope = float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
-        report[j] = ("slope", slope)
-    return report

@@ -13,8 +13,8 @@ Two companions appear throughout:
 
 `xi` is the smooth-away-from-zero remainder process with spectral
 representation (16*pi)^(-1/4) * integral of (1 - exp(-u*t)) u^(-3/4) dW(u);
-its closed form is validated against direct quadrature of that integral by
-`xi_cov_quadrature`.  `fbm_quarter` is fractional Brownian motion with
+the tests check its closed form against direct quadrature of that
+integral.  `fbm_quarter` is fractional Brownian motion with
 Hurst index 1/4, and the three kernels tie together exactly:
 
     fbm_quarter = c^2 * heat + xi,   c = (pi/2)^(1/4).
@@ -29,7 +29,8 @@ and `step_count` its one rule for the step count n per unit time.
 `KERNEL_RHO` is the one covariance table: it maps each kind, Brownian
 motion's `bm` included, to its rho.  `KERNEL_KINDS` is its kinds and
 "composite", and `CovKernel.rho` looks a kind up in it, so a new kind
-is one entry there.
+is one entry there and one in `KERNEL_HEAT_SCALE`, the scale of the heat
+slice in its law, which `CovKernel.heat_scale` reads.
 """
 
 from __future__ import annotations
@@ -130,37 +131,11 @@ KERNEL_RHO = {"heat": rho_heat, "xi": rho_xi_lei_nualart,
               "fbm_quarter": rho_fbm_quarter, "bm": rho_bm}
 KERNEL_KINDS = (*KERNEL_RHO, "composite")
 
-
-def xi_cov_quadrature(s, t, epsabs=1e-10):
-    """Remainder-process covariance by direct quadrature of its spectrum.
-
-    Integrates (16*pi)^(-1/2) * (1-exp(-u*s)) * (1-exp(-u*t)) * u^(-3/2)
-    over u in (0, inf), mapped to v in (0, 1) via u = v/(1-v).  Exists as
-    an independent check on `rho_xi_lei_nualart`; the closed form is what
-    production code uses.
-    """
-    from scipy.integrate import quad
-
-    _check_nonnegative(s, t)
-    s = float(s)
-    t = float(t)
-    if s == 0.0 or t == 0.0:
-        return 0.0
-    front = 1.0 / math.sqrt(16.0 * math.pi)
-
-    def integrand(v):
-        u = v / (1.0 - v)
-        # (1 - e^{-us})(1 - e^{-ut}) u^{-3/2} du, du = dv / (1-v)^2
-        return (
-            front
-            * (-math.expm1(-u * s))
-            * (-math.expm1(-u * t))
-            * u ** -1.5
-            / (1.0 - v) ** 2
-        )
-
-    value, _err = quad(integrand, 0.0, 1.0, epsabs=epsabs, limit=200)
-    return value
+# The scale s of the heat slice F in each kind's law, X = s F + an
+# independent rest that adds no quartic variation: fbm_quarter =
+# c^2 heat + xi; xi is smooth away from 0 and bm has none.  It is the c of
+# the correction kappa c^2 / 2 (`CovKernel.heat_scale`).
+KERNEL_HEAT_SCALE = {"heat": 1.0, "xi": 0.0, "fbm_quarter": FBM_HEAT_SCALE, "bm": 0.0}
 
 
 @dataclass(frozen=True)
@@ -258,6 +233,18 @@ class CovKernel:
         if len(self.components) == 2:
             value = value + self.components[1].rho(s, t)
         return value
+
+    def heat_scale(self):
+        """The scale of the heat slice in this kernel's law (`KERNEL_HEAT_SCALE`).
+
+        A composite c X_0 + X_1 with component scales s_0, s_1 holds
+        independent heat slices of variance (c s_0)^2 and s_1^2, so its
+        scale is hypot(c s_0, s_1); never negative.
+        """
+        if self.kind in KERNEL_HEAT_SCALE:
+            return KERNEL_HEAT_SCALE[self.kind]
+        first, *rest = (comp.heat_scale() for comp in self.components)
+        return math.hypot(self.c * first, *rest)
 
     def mean_at(self, t):
         """Deterministic mean path evaluated at t (scalar or array)."""

@@ -58,6 +58,9 @@ after synthesis.  There are five backends:
   drifted composite also carries its mean on the grid, t_0 included, and
   adds it to the paths it returns.
 
+Every factor carries its grid and its kernel's id, which `path_tiles`
+and `sample_paths` read; `cached_factor` supplies both.
+
 Every backend maps one tile: `synthesize(z)` turns the
 (_TILE_ROWS, normals_per_path) normals z of one tile of replicates into
 their (_TILE_ROWS, N + 1) paths, column 0 the zero at t_0 (a drifted
@@ -176,7 +179,7 @@ class CirculantFactor:
                  embedding of the increment autocovariance.
     certificate: lambda_min / lambda_max before clipping; >= 0 (up to
                  rounding) means the draw is exact.
-    grid, kernel_id: optional provenance carried to sampled ensembles.
+    grid, kernel_id: provenance carried to sampled ensembles.
 
     `synthesize` maps one tile: `increments` turns its normals into its
     increments in place and frees its half spectrum, and their
@@ -185,8 +188,8 @@ class CirculantFactor:
 
     sqrt_eigs: np.ndarray
     certificate: float
-    grid: Grid | None = None
-    kernel_id: str = ""
+    grid: Grid
+    kernel_id: str
 
     @property
     def dim(self):
@@ -245,8 +248,8 @@ class HankelFactor:
 
     basis: np.ndarray
     trace_residual: float
-    grid: Grid | None = None
-    kernel_id: str = ""
+    grid: Grid
+    kernel_id: str
 
     @property
     def dim(self):
@@ -299,8 +302,8 @@ class HeatFactor:
     solved: np.ndarray
     mixing: np.ndarray
     cg_residual: float
-    grid: Grid | None = None
-    kernel_id: str = ""
+    grid: Grid
+    kernel_id: str
 
     @property
     def dim(self):
@@ -347,8 +350,8 @@ class CompositeFactor:
 
     parts: tuple
     scale: float
-    grid: Grid | None = None
-    kernel_id: str = ""
+    grid: Grid
+    kernel_id: str
     mean: np.ndarray | None = None
 
     @property
@@ -380,7 +383,7 @@ def _new_paths(rows, n):
     return paths
 
 
-def circulant_factor(autocov, grid=None, kernel_id=""):
+def circulant_factor(autocov, grid, kernel_id):
     """Davies-Harte factor from the increment autocovariance gamma(0 .. N).
 
     Raises NotPositiveDefinite when an eigenvalue of the circulant
@@ -705,8 +708,8 @@ def path_tiles(factors, m, seed, role=rng.ROLE_PATH, first=0):
     paths at the finest grid exceed physical memory.
     """
     finest = factors[-1]
-    if finest.grid is None or m < 1:
-        raise DomainError("path_tiles needs a grid and at least one replicate")
+    if m < 1:
+        raise DomainError("path_tiles needs at least one replicate")
     count, nsteps = finest.normals_per_path, finest.grid.nsteps
     tile_bytes = 8 * _TILE_ROWS * (count + nsteps + 1)
     _require_memory(tile_bytes, f"a tile of {_TILE_ROWS} paths at N={nsteps}")
@@ -735,8 +738,8 @@ def sample_paths(factor, m, seed, role=rng.ROLE_PATH, first=0):
     The grid and kernel id are the ones the factor carries; row r comes
     from the stream of replicate first + r of `role`.
     """
-    if factor.grid is None or m < 1:
-        raise DomainError("sample_paths needs a grid and at least one replicate")
+    if m < 1:
+        raise DomainError("sample_paths needs at least one replicate")
     grid = factor.grid
     _require_memory(8 * m * (grid.nsteps + 1), f"{m} paths at N={grid.nsteps}")
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)

@@ -122,9 +122,15 @@ def _probe_times(probes):
     return probes
 
 
+def _replicate_rows(lead, t, cols):
+    """(*lead, replicate, t, *values) rows of one probe's (m, k) columns, as Python numbers."""
+    t = float(t)
+    return [(*lead, rep, t, *row) for rep, row in enumerate(cols.tolist())]
+
+
 def _format_cell(value):
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
     return format(float(value), ".17g")
 
 
@@ -350,12 +356,6 @@ def formula_reference_moments(kernel, g, grid, t_end, t_start=0.0, c=1.0):
 # Experiment: change-of-variable formula in law.
 # ---------------------------------------------------------------------------
 
-def _default_c(kernel, c):
-    if c is not None:
-        return float(c)
-    return float(kernel.c) if kernel.kind == "composite" else 1.0
-
-
 def verify_ito_formula(
     kernel=heat_kernel(),
     c=None,
@@ -366,7 +366,6 @@ def verify_ito_formula(
     seed=7,
     seeds=3,
     window_start=0.0,
-    horizon=None,
     ks_tol=0.10,
     mean_tol=0.05,
     var_tol=0.15,
@@ -380,12 +379,14 @@ def verify_ito_formula(
     probe: two-sample KS, absolute mean difference, and sample-A variance
     against the closed-form reference when one exists.  The experiment
     passes when at least two thirds of the seeds pass every check.
+
+    The grid ends at the last probe, after which nothing is read.  c, the
+    scale of the correction kappa c^2 / 2, defaults to the kernel's
+    `heat_scale`: 1 for heat, (pi/2)^(1/4) for fbm_quarter, 0 for xi and
+    bm.  A given c overrides it, c = 0 included (the classical chain rule).
     """
-    c = _default_c(kernel, c)
+    c = kernel.heat_scale() if c is None else float(c)
     probes = _probe_times(probes)
-    horizon = float(horizon) if horizon is not None else max(probes)
-    if max(probes) > horizon + 1e-12:
-        raise ConfigError("probe times must not exceed the horizon")
     if not 0.0 <= window_start < min(probes):
         raise ConfigError("window start must sit inside [0, min probe)")
     if seeds < 1:
@@ -395,7 +396,7 @@ def verify_ito_formula(
     if m < 2:
         raise ConfigError(f"{experiment_name} needs m >= 2 replicates for its sample variances")
     config = _config_block(experiment_name, verify_ito_formula, locals())
-    grid = Grid(int(n), horizon)
+    grid = Grid(int(n), max(probes))
     times = grid.times()
     k_start = grid.index_at(window_start)
     kap = kappa_reference()
@@ -457,8 +458,7 @@ def verify_ito_formula(
                 "mean_ref": None if ref is None else ref[0],
                 "var_ref": None if ref is None else ref[1],
             }
-            for rep in range(m):
-                rows.append((master, rep, times[grid.index_at(t)], a[rep], b[rep]))
+            rows += _replicate_rows((master,), times[grid.index_at(t)], cols[:, j])
         # A seed passes when every one of its checks does.
         seed_ok = all(ck.passed for ck in seed_checks)
         checks += seed_checks
@@ -549,9 +549,7 @@ def verify_bn_limit(
             "bn_variance": float(np.var(bn, ddof=1)),
             "path_corr": corr.to_dict(),
         }
-        t_k = times[indices[j]]
-        for rep in range(m):
-            rows.append((rep, t_k, bn[rep], path[rep]))
+        rows += _replicate_rows((), times[indices[j]], cols[:, j])
 
     incr = stats.correlation(bn_full - bn_half, bn_half)
     checks.append(CheckResult.at_most("increment_corr", abs(incr.r), corr_tol))
@@ -626,7 +624,7 @@ def _mse_ladder(experiment, function, args, block, columns, residual, threshold=
     for grid, cols in zip(grids, ladder):
         for j, t in enumerate(probes):
             mses[t].append(float(np.mean(residual(cols[:, j]) ** 2)))
-            rows += [(grid.n, rep, t, *row) for rep, row in enumerate(cols[:, j].tolist())]
+            rows += _replicate_rows((grid.n,), t, cols[:, j])
 
     checks = []
     rate_fits = {}

@@ -320,20 +320,20 @@ simulate._FACTOR_CACHE[("heat", 1024, 1.0)] = DenseFactor(lower, grid)
 # bits), False numpy's AVX-512 log (`conftest.NUMPY_LOG_IS_LIBM`).
 _PINNED_DIGESTS = {
     True: {
-        "ito": "3eef47901d90ad403954d4d0542538997102956940c29e19ad60b23c710f4ac0",
+        "ito": "0706346f5308248581e061ee268e1f25248ea0c1a91bceda3b90aa5791e36d31",
         "bn": "fcaf7a0b198fc647cc4882e0ae36cb93df1f52490ebe4d4ad455fb2ba78abedb",
         "trapezoid": "7081e85228363f870b9d0cfdade7cbde391769ef46480b7d905bfe9108b8c8e8",
         "expansion": "2250d0c6143f454ef915217a61a32455d7c620bc6cd4ea21850403d7b3784939",
-        "fbm-window": "280a3d7139e3dcae63590ebdd4514c47297016f50ffcae65f75286aa9b9a6b11",
+        "fbm-window": "c5eb0d20d8e7702d0b8fddb6611e3400204b1084fba9e165163c6ed5fc7750cb",
         "fbm-trapezoid": "ed586ea61ed034155d8e13e05e9f43521511e512d632409fdb422c6f8339dc53",
         "heat-paths": "d72d39f9df5aed73698dad6580d11572338b7ba3d4655f14c5852796d8979e3d",
     },
     False: {
-        "ito": "cb0532c1a2f121ce998a3250744d3a0bfb25dd26682445cb3913186071a4c285",
+        "ito": "2f9fb836c13db0554d44d7619d671844b685bc3f713eb37fa83b834b8fe512eb",
         "bn": "8f6ea8b744519c50dc7812891f01765c1d7d589d339fb7b7cf861a9703902aaa",
         "trapezoid": "724e4af43c6b558a32f55ee49669e1806d286aa7ec2fd6341f473f6e60bb66c4",
         "expansion": "914c837ecba9addbe713ee977d93cef9984b83659e7bfe7acdae4bc1b4d31232",
-        "fbm-window": "4dba636f65774787cd7d6e003b08cd3e1180b1cc99693ff3f571d2ad4bf97597",
+        "fbm-window": "09280fefd68e3d35851b1d136f5106f00e250c0ff9fe35e709f47f51308e04f1",
         "fbm-trapezoid": "27f95cac00685baf021671465a35e5303bc45139dd3b11a485f308757ba325f3",
         "heat-paths": "e71a67e03eed3a13433d220134660a1aa9178a0df403a8df18dc6d5ce5ad54a3",
     },

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quartic_lab.errors import DomainError
-from quartic_lab.functions import TestFunction, builtin, derivative_consistency_report, from_spec
+from quartic_lab.functions import TestFunction, builtin, from_spec
 
 ALL_IDS = ("const", "linear", "square", "cube", "sine", "gauss_bump", "poly_xt")
 
@@ -75,6 +75,32 @@ class TestBuiltins:
         for name in ALL_IDS:
             g = builtin(name)
             np.testing.assert_array_equal(g.dx(0, xs, 0.4), g.eval(xs, 0.4))
+
+
+def derivative_consistency_report(tf, orders, probes=20, t_value=0.7, seed=20260822):
+    """Check dx(j+1) against centered finite differences of dx(j).
+
+    For each order j the max-over-probes FD error is fit against the step
+    in log-log; returns {j: ("exact", None)} when the error sits at float
+    noise (higher derivative constant or zero) and {j: ("slope", value)}
+    otherwise.  A correct derivative table gives slope 2.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3.0, 3.0, size=probes)
+    steps = np.array([0.2, 0.1, 0.05, 0.025])
+    report = {}
+    for j in orders:
+        errs = []
+        scale = max(1.0, float(np.max(np.abs(tf.dx(j + 1, x, t_value)))))
+        for h in steps:
+            fd = (tf.dx(j, x + h, t_value) - tf.dx(j, x - h, t_value)) / (2.0 * h)
+            errs.append(float(np.max(np.abs(fd - tf.dx(j + 1, x, t_value)))))
+        if errs[0] < 1e-10 * scale:
+            report[j] = ("exact", None)
+            continue
+        slope = float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
+        report[j] = ("slope", slope)
+    return report
 
 
 class TestDerivativeConsistency:

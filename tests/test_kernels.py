@@ -26,7 +26,6 @@ from quartic_lab.kernels import (
     rho_fbm_quarter,
     rho_heat,
     rho_xi_lei_nualart,
-    xi_cov_quadrature,
 )
 
 
@@ -65,6 +64,36 @@ class TestHeatKernel:
         mask = ~np.eye(len(ts), dtype=bool)
         assert np.all(inc[mask] >= gap[mask] / math.sqrt(math.pi) - 1e-12)
         assert np.all(inc[mask] <= 2.0 * gap[mask] + 1e-12)
+
+
+def xi_cov_quadrature(s, t, epsabs=1e-10):
+    """Remainder-process covariance by direct quadrature of its spectrum.
+
+    Integrates (16*pi)^(-1/2) * (1-exp(-u*s)) * (1-exp(-u*t)) * u^(-3/2)
+    over u in (0, inf), mapped to v in (0, 1) via u = v/(1-v): an
+    independent check on `rho_xi_lei_nualart`.
+    """
+    from scipy.integrate import quad
+
+    s = float(s)
+    t = float(t)
+    if s == 0.0 or t == 0.0:
+        return 0.0
+    front = 1.0 / math.sqrt(16.0 * math.pi)
+
+    def integrand(v):
+        u = v / (1.0 - v)
+        # (1 - e^{-us})(1 - e^{-ut}) u^{-3/2} du, du = dv / (1-v)^2
+        return (
+            front
+            * (-math.expm1(-u * s))
+            * (-math.expm1(-u * t))
+            * u ** -1.5
+            / (1.0 - v) ** 2
+        )
+
+    value, _err = quad(integrand, 0.0, 1.0, epsabs=epsabs, limit=200)
+    return value
 
 
 class TestXiKernel:

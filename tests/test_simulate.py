@@ -170,10 +170,6 @@ class TestSamplePaths:
         se = np.sqrt(var_prod / ens.m)
         assert np.all(np.abs(emp - exact) <= 4.0 * se)
 
-    def test_bare_factor_needs_a_grid(self):
-        with pytest.raises(DomainError, match="needs a grid"):
-            sample_paths(circulant_factor([1.0, 0.0, 0.0]), 2, seed=1)
-
     @pytest.mark.parametrize("draw", [
         lambda factor: fgn_quarter_autocov(Grid(2**40)),
         lambda factor: cached_factor(fbm_quarter_kernel(), Grid(2**40)),
@@ -451,7 +447,7 @@ class TestCirculantSampler:
     def test_negative_eigenvalue_row_rejected(self):
         # eigenvalues 1 + 1.8 cos(pi k / 4); the one at k = 4 is -0.8
         with pytest.raises(NotPositiveDefinite):
-            circulant_factor([1.0, 0.9, 0.0, 0.0, 0.0])
+            circulant_factor([1.0, 0.9, 0.0, 0.0, 0.0], Grid(4), "fbm_quarter")
 
 
 HEAT_GRIDS = pytest.mark.parametrize(

@@ -18,10 +18,12 @@ def test_prints_one_json_line_per_thread_count(capsys):
     assert [(line["experiment"], line["threads"]) for line in lines] == [
         ("trapezoid", 1), ("trapezoid", 2)
     ]
-    assert lines[0]["sha256"] == lines[1]["sha256"]
+    digests = ("sha256", "summary_sha256", "replicates_sha256")
+    assert [lines[0][key] for key in digests] == [lines[1][key] for key in digests]
+    assert len({lines[0][key] for key in digests}) == 3
     for line in lines:
         assert line["wall_s"] > 0 and line["peak_mib"] > 0
-        assert len(line["sha256"]) == 64 and line["scipy_linalg"] is False
+        assert all(len(line[key]) == 64 for key in digests) and line["scipy_linalg"] is False
         assert line["scipy_special"] is False
 
 

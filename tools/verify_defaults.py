@@ -8,7 +8,9 @@ bench/workloads.py, run at its resolved config for seeds 3 and 11
 line per run and OpenBLAS thread count: the wall time in seconds of the
 child process, imports included; the child's own peak RSS in MiB; the
 sha256 of its summary.json and replicates.csv, the files under the
-byte-identity contract; and whether the run imported `scipy.linalg` and
+byte-identity contract, taken together (`sha256`) and one by one
+(`summary_sha256`, `replicates_sha256`), so a changed digest names the
+file that changed; and whether the run imported `scipy.linalg` and
 `scipy.special`.  Only `bn` reads true for `scipy.special`: its KS
 statistic takes the normal CDF from it.  A workload's line also names
 the workload and its seed.  Each child runs the package this script
@@ -48,13 +50,14 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr
             fh.write(sys.argv[2])
         argv += ["--config", fh.name]
     main(argv)
-    digest = hashlib.sha256()
-    for name in ("summary.json", "replicates.csv"):
+    files = {}
+    for key, name in (("summary", "summary.json"), ("replicates", "replicates.csv")):
         with open(os.path.join(tmp, "out", name), "rb") as fh:
-            digest.update(fh.read())
+            files[key] = fh.read()
 print(json.dumps({
     "peak_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-    "sha256": digest.hexdigest(),
+    "sha256": hashlib.sha256(files["summary"] + files["replicates"]).hexdigest(),
+    **{key + "_sha256": hashlib.sha256(data).hexdigest() for key, data in files.items()},
     "scipy_linalg": "scipy.linalg" in sys.modules,
     "scipy_special": "scipy.special" in sys.modules,
 }))
@@ -70,7 +73,8 @@ def load_workloads():
 
 
 def measure(experiment, threads, config=None):
-    """{experiment, threads, wall_s, peak_mib, sha256, scipy_linalg, scipy_special} of one fresh run.
+    """{experiment, threads, wall_s, peak_mib, sha256, summary_sha256, replicates_sha256,
+    scipy_linalg, scipy_special} of one fresh run.
 
     config is the run's config record; None runs the experiment's default.
     """
