@@ -21,7 +21,6 @@ from .analytic import (
     gamma,
     gauss_taylor,
     hermite_coefficients,
-    hermite_eval,
     kappa,
     kappa_reference,
     offset_increment_cov,

@@ -138,23 +138,6 @@ def hermite_coefficients(n):
     return tuple(coeffs)
 
 
-def hermite_eval(n, x):
-    """h_n(x) by the three-term recurrence; n = -1 gives 0 by convention."""
-    if n < -1:
-        raise DomainError("hermite_eval needs n >= -1")
-    x = np.asarray(x, dtype=np.float64)
-    if n == -1:
-        out = np.zeros_like(x)
-        return out if out.ndim else float(out)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = x.copy()
-    for k in range(1, n):
-        prev, cur = cur, x * cur - k * prev
-    return cur if cur.ndim else float(cur)
-
-
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials: {exponent tuple: coefficient}.
 # ---------------------------------------------------------------------------

@@ -9,20 +9,24 @@ cannot drift apart: a `_SPECS` row is just that function's name and its
 tolerance keys.  A new experiment parameter is declared in that
 signature, plus a `_CHECKS` entry for its value and, if it is a
 tolerance, its key in the experiment's `_SPECS` row.  Each flag is
-checked once, as argparse parses it: a numeric flag of `sample`, `sums`
-and `verify` that sets a config key gets that key's `_CHECKS` entry as
-its argparse `type` (`_flag`), those of `cov-table` and `sums --deriv`
-an integer bound and `compute-kappa --tol` its certifiable range, and a
+declared once: the draw flags `--kernel`, `--n`, `--M` and `--seed` of
+`sample`, `sums` and `verify` in `_DRAW_FLAGS`, by the config key each
+sets, and the option flags of `sums` in `_SUMS_OPTIONS`, by the sums
+parameter each sets.  Each flag is checked once, as argparse parses it:
+a flag that sets a config key gets that key's `_CHECKS` entry as its
+argparse `type` (`_flag`), those of `cov-table` and `sums --deriv` an
+integer bound and `compute-kappa --tol` its certifiable range, and a
 failed check is a ConfigError that `main` reports as a config error
 naming the flag.  `verify` then copies its flags into the config, and
-refuses by name a flag whose key the experiment lacks.  Every real
-number read from outside passes `kernels.finite_number`.  All randomness
-flows from the single seed in the config (or --seed).  Rerunning any
-verb with the same inputs on the same numpy and scipy builds, on a CPU
-that numpy dispatches to the same loops (its float64 log differs between
-its AVX-512 and baseline loops, see `rng`), reproduces its output files
-byte for byte (for `verify`, summary.json and replicates.csv), under any
-BLAS thread count.
+refuses by name a flag whose key the experiment lacks.  `sums` draws on
+a grid that ends at its last probe time, the last column it reads.
+Every real number read from outside passes `kernels.finite_number`.  All
+randomness flows from the single seed in the config (or --seed).
+Rerunning any verb with the same inputs on the same numpy and scipy
+builds, on a CPU that numpy dispatches to the same loops (its float64
+log differs between its AVX-512 and baseline loops, see `rng`),
+reproduces its output files byte for byte (for `verify`, summary.json
+and replicates.csv), under any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -297,15 +301,14 @@ def _cmd_cov_table(args):
 
 
 def _cmd_sample(args):
-    kernel = _kernel_from(args.kernel)
     grid = Grid(args.n, args.horizon)
-    ens = verify.draw_ensemble(kernel, grid, args.replicates, args.seed)
+    ens = verify.draw_ensemble(args.kernel, grid, args.m, args.seed)
     if args.format == "bin":
         save_ensemble(ens, args.out)
     else:
         write_ensemble_csv(ens, args.out)
     print(
-        f"wrote {args.replicates} paths (kernel {kernel.canonical_id()}, n={args.n}, "
+        f"wrote {args.m} paths (kernel {args.kernel.canonical_id()}, n={args.n}, "
         f"T={args.horizon:g}) to {args.out}"
     )
     return 0
@@ -324,13 +327,15 @@ _SUMS = {
     "power": "power_sum_ensemble",
 }
 
-# Option flags of `sums`, by the parameter of the sums function each sets.
+# Option flags of `sums`, by the parameter of the sums function each sets,
+# with their argparse keywords; each defaults to None, unset.
 _SUMS_OPTIONS = {
-    "g": "--g",
-    "deriv_order": "--deriv",
-    "p": "--p",
-    "parity": "--parity",
-    "eval_point": "--eval-point",
+    "g": ("--g", {}),
+    "deriv_order": ("--deriv",
+                    {"type": _flag("--deriv", _int_from(0, functions.MAX_DX_ORDER + 1))}),
+    "p": ("--p", {"type": int}),
+    "parity": ("--parity", {"choices": sums.PARITIES}),
+    "eval_point": ("--eval-point", {"choices": sums.EVAL_POINTS}),
 }
 
 
@@ -340,43 +345,34 @@ def _cmd_sums(args):
     options = {key: getattr(args, key) for key in _SUMS_OPTIONS if getattr(args, key) is not None}
     for key in options:
         if key not in params:
-            flag = _SUMS_OPTIONS[key]
+            flag = _SUMS_OPTIONS[key][0]
             raise ConfigError(f"{flag} does not apply to functional {args.functional!r}")
     if "p" in params and args.p not in (3, 4):
         raise ConfigError("--p must be 3 or 4 for the power functional")
 
-    probes = args.t
-    horizon = args.horizon if args.horizon is not None else max(probes)
-    if max(probes) > horizon + 1e-12:
-        raise ConfigError("probe times must not exceed the horizon")
-    kernel = _kernel_from(args.kernel)
-    grid = Grid(args.n, horizon)
+    grid = Grid(args.n, max(args.t))
     spec = {"id": args.g or "const"}
     if args.coeffs is not None:
         spec["coeffs"] = args.coeffs
     g = _CHECKS["g"]("--g", spec)
     if "g" in params:
         options["g"] = g
-    values = verify.draw_ensemble(kernel, grid, args.replicates, args.seed).values
+    values = verify.draw_ensemble(args.kernel, grid, args.m, args.seed).values
     series = function(values, grid, **options)
 
     times = grid.times()
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("replicate,t,value\n")
-        for rep in range(args.replicates):
-            for t in probes:
+        for rep in range(args.m):
+            for t in args.t:
                 k = grid.index_at(t)
                 fh.write(f"{rep},{times[k]:.17g},{series[rep, k]:.17g}\n")
-    for t in probes:
+    for t in args.t:
         col = series[:, grid.index_at(t)]
         se = float(np.std(col, ddof=1) / np.sqrt(col.size)) if col.size > 1 else float("nan")
         print(f"t={t:g}: mean = {col.mean():.6f}  se = {se:.6f}  ({col.size} replicates)")
     print(f"wrote {args.out}")
     return 0
-
-
-# Flags of `verify`, by the config key each sets.
-_VERIFY_FLAGS = {"seed": "--seed", "n": "--n", "m": "--M"}
 
 
 def _cmd_verify(args):
@@ -391,9 +387,9 @@ def _cmd_verify(args):
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(rec, dict):
             raise ConfigError("config file must hold a JSON object")
-    flags = {key: getattr(args, key) for key in _VERIFY_FLAGS if getattr(args, key) is not None}
+    flags = {key: getattr(args, key) for key in _VERIFY_KEYS if getattr(args, key) is not None}
     for key in sorted(flags.keys() - _DEFAULTS[args.experiment].keys()):
-        raise ConfigError(f"{_VERIFY_FLAGS[key]} does not apply to experiment {args.experiment!r}")
+        raise ConfigError(f"{_DRAW_FLAGS[key][0]} does not apply to experiment {args.experiment!r}")
     rec |= flags
     config = ExperimentConfig.from_dict(args.experiment, rec)
 
@@ -415,6 +411,22 @@ def _cmd_verify(args):
 # Parser.
 # ---------------------------------------------------------------------------
 
+# Draw flags, by the config key each sets, with the default that `sample`
+# and `sums` give it.  `verify` takes the numeric three with no default,
+# so that its config, or else the experiment, decides.
+_DRAW_FLAGS = {"kernel": ("--kernel", "heat"), "n": ("--n", 1024), "m": ("--M", 100),
+               "seed": ("--seed", 7)}
+_VERIFY_KEYS = ("n", "m", "seed")
+
+
+def _add_draw_flags(parser, keys=tuple(_DRAW_FLAGS), defaults=True):
+    for key in keys:
+        flag, default = _DRAW_FLAGS[key]
+        parse = str if key == "kernel" else int
+        parser.add_argument(flag, dest=key, type=_flag(flag, _CHECKS[key], parse),
+                            default=default if defaults else None)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quartic-lab",
@@ -434,33 +446,21 @@ def build_parser():
     p.set_defaults(func=_cmd_cov_table)
 
     p = sub.add_parser("sample", help="draw an exact-covariance path ensemble")
-    p.add_argument("--kernel", default="heat")
-    p.add_argument("--n", type=_flag("--n", _CHECKS["n"]), default=1024)
+    _add_draw_flags(p)
     p.add_argument("--T", dest="horizon", type=_flag("--T", _CHECKS["horizon"], float), default=1.0)
-    p.add_argument("--M", dest="replicates", type=_flag("--M", _CHECKS["m"]), default=100)
-    p.add_argument("--seed", type=_flag("--seed", _CHECKS["seed"]), default=7)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("sums", help="evaluate a discrete functional over an ensemble")
     p.add_argument("--functional", required=True, choices=tuple(_SUMS))
-    p.add_argument("--g", default=None)
+    for key, (flag, kwargs) in _SUMS_OPTIONS.items():
+        p.add_argument(flag, dest=key, default=None, **kwargs)
     p.add_argument("--coeffs", type=_float_list, default=None,
                    help="comma list, only with --g poly_k")
-    p.add_argument("--deriv", dest="deriv_order", default=None,
-                   type=_flag("--deriv", _int_from(0, functions.MAX_DX_ORDER + 1)))
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--parity", choices=("odd", "even", "all"), default=None)
-    p.add_argument("--eval-point", dest="eval_point", choices=("left", "right"), default=None)
     p.add_argument("--t", type=_flag("--t", _CHECKS["probes"], _float_list), default="1.0",
                    help="comma list of probe times (default 1.0)")
-    p.add_argument("--n", type=_flag("--n", _CHECKS["n"]), default=1024)
-    p.add_argument("--T", dest="horizon", type=_flag("--T", _CHECKS["horizon"], float),
-                   default=None)
-    p.add_argument("--M", dest="replicates", type=_flag("--M", _CHECKS["m"]), default=100)
-    p.add_argument("--seed", type=_flag("--seed", _CHECKS["seed"]), default=7)
-    p.add_argument("--kernel", default="heat")
+    _add_draw_flags(p)
     p.add_argument("--out", default="sums.csv")
     p.set_defaults(func=_cmd_sums)
 
@@ -469,8 +469,7 @@ def build_parser():
     p.add_argument("--config", default=None, help="JSON config file (strict schema)")
     p.add_argument("--out", default=None, help="output directory for summary.json + CSV")
     # Checked as they parse, then copied into the config by key (`_cmd_verify`).
-    for key, flag in _VERIFY_FLAGS.items():
-        p.add_argument(flag, dest=key, type=_flag(flag, _CHECKS[key]), default=None)
+    _add_draw_flags(p, _VERIFY_KEYS, defaults=False)
     # `workers` is no flag (`--workers` is an unrecognized argument); the
     # benchmark's environment record (bench/child.py) still reads this
     # inert default, and nothing else does.

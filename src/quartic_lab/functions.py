@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import hermite_eval
+from .analytic import hermite_coefficients
 from .errors import DomainError
 from .kernels import finite_number
 
@@ -123,10 +123,12 @@ def _make_sine():
 
 def _make_gauss_bump():
     # d^j/dx^j exp(-x^2/2) = (-1)^j h_j(x) exp(-x^2/2) with h_j the
-    # probabilists' Hermite polynomial; underflows to 0 beyond |x| ~ 38.
+    # probabilists' Hermite polynomial, its integer coefficients from
+    # `hermite_coefficients`; underflows to 0 beyond |x| ~ 38.
     def dx(j, x, t):
         x = np.asarray(x, dtype=np.float64)
-        return _scalar_or_array((-1.0) ** j * hermite_eval(j, x) * np.exp(-0.5 * x * x))
+        h = _poly_eval(hermite_coefficients(j), x)
+        return _scalar_or_array((-1.0) ** j * h * np.exp(-0.5 * x * x))
 
     return TestFunction("gauss_bump", dx, _zero_dtdx)
 

@@ -33,6 +33,7 @@ from quartic_lab.analytic import (
     multi_binom,
     poly_mul,
 )
+from quartic_lab.cli import EXPERIMENTS
 from quartic_lab.functions import builtin
 from quartic_lab.kernels import Grid, heat_kernel
 from quartic_lab.simulate import cached_factor, sample_paths
@@ -364,10 +365,7 @@ def criterion_10_digests(tmp_path_factory):
     """(runs, [digests under 1 thread, under 2]) of criterion 10, each run drawn once."""
     config = tmp_path_factory.mktemp("criterion-10") / "fbm-trapezoid.json"
     config.write_text(json.dumps(_FBM_TRAPEZOID))
-    runs = {
-        name: ["--experiment", name]
-        for name in ("ito", "bn", "trapezoid", "expansion", "fbm-window")
-    }
+    runs = {name: ["--experiment", name] for name in EXPERIMENTS}
     runs["fbm-trapezoid"] = ["--experiment", "trapezoid", "--config", str(config)]
     return runs, _digests_by_blas_threads(_VERIFY_DIGESTS + _HEAT_PATHS, runs)
 

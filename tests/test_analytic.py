@@ -19,7 +19,6 @@ from quartic_lab.analytic import (
     discrete_cov_table,
     gamma,
     gauss_taylor,
-    hermite_eval,
     hermite_poly,
     kappa,
     kappa_reference,
@@ -32,6 +31,7 @@ from quartic_lab.analytic import (
     poly_scale,
 )
 from quartic_lab.errors import DomainError
+from quartic_lab.functions import builtin
 from quartic_lab.kernels import rho_heat
 from quartic_lab.stats import loglog_rate
 
@@ -133,20 +133,21 @@ class TestHermite:
         assert hermite_poly(3) == {(3,): 1, (1,): -3}
         assert hermite_poly(4) == {(4,): 1, (2,): -6, (0,): 3}
 
-    def test_eval_examples(self):
-        assert hermite_eval(2, 2.0) == 3.0
-        assert hermite_eval(3, 1.0) == -2.0
-        assert hermite_eval(4, 2.0) == -5.0
-        assert hermite_eval(-1, 0.3) == 0.0
-
     def test_eval_matches_coefficients(self):
+        """gauss_bump's n-th derivative is (-1)^n h_n(x) exp(-x^2/2), h_n from the table."""
+        bump = builtin("gauss_bump")
+        # h_2(2) = 3, h_3(1) = -2 and h_4(2) = -5.
+        assert bump.dx(2, 2.0, 0.0) == pytest.approx(3.0 * math.exp(-2.0), rel=1e-12)
+        assert bump.dx(3, 1.0, 0.0) == pytest.approx(2.0 * math.exp(-0.5), rel=1e-12)
+        assert bump.dx(4, 2.0, 0.0) == pytest.approx(-5.0 * math.exp(-2.0), rel=1e-12)
         rng = np.random.default_rng(1)
         xs = rng.uniform(-3, 3, size=8)
         for n in range(10):
             poly = hermite_poly(n)
             for x in xs:
-                direct = sum(c * x**k for (k,), c in poly.items())
-                assert hermite_eval(n, x) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+                h = sum(c * x**k for (k,), c in poly.items())
+                direct = (-1) ** n * h * math.exp(-0.5 * x * x)
+                assert bump.dx(n, x, 0.0) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     def test_derivative_identity(self):
         """h_n' = n h_{n-1} as polynomials with integer coefficients."""

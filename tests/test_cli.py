@@ -6,6 +6,7 @@ compared byte for byte against the library writers.
 """
 
 import dataclasses
+import hashlib
 import inspect
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_fresh_python
+from conftest import NUMPY_LOG_IS_LIBM, rerun_under_libm_log, run_fresh_python
 from quartic_lab import analytic, cli, sums, verify
 from quartic_lab.cli import EXPERIMENTS, ExperimentConfig, main, run_experiment
 from quartic_lab.errors import ConfigError
@@ -161,16 +162,26 @@ def test_oversized_ladder_tile_is_domain_error(tmp_path, capsys):
 
 
 # Path-drawing flags take the config checks of the keys they set, so a bad
-# value is a config error (exit 2), as it is in a verify config.
+# value is a config error (exit 2) that names the flag, the argument before
+# the value, as it is in a verify config.  The draw flags are declared once
+# for `sample`, `sums` and `verify`, and each verb refuses each of them.
 @pytest.mark.parametrize("argv", [
     ["sums", "--functional", "qn", "--M", "0"],
     ["sums", "--functional", "qn", "--t", "-1"],
     ["sample", "--M", "0"],
     ["sample", "--T", "nan"],
+    ["sample", "--n", "1"],
+    ["sample", "--seed", "-1"],
+    ["sums", "--functional", "qn", "--n", "1"],
+    ["sums", "--functional", "qn", "--seed", "-1"],
+    ["verify", "--experiment", "ito", "--n", "1"],
+    ["verify", "--experiment", "ito", "--M", "0"],
+    ["verify", "--experiment", "ito", "--seed", "-1"],
 ])
 def test_bad_path_flags_are_config_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    assert capsys.readouterr().err.startswith(f"config error: {argv[-2]} must be")
+    assert not (tmp_path / "x").exists()
 
 
 # A list flag whose text does not parse is argparse's usage error, which
@@ -353,10 +364,32 @@ class TestSums:
                      "--coeffs", "1,2", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    def test_probe_beyond_horizon_rejected(self, tmp_path, capsys):
-        code = main(["sums", "--functional", "qn", "--t", "2.0", "--T", "1.0",
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == 2
+    # `sums` draws up to its last probe time, so it takes no horizon.
+    def test_horizon_flag_is_unrecognized(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sums", "--functional", "qn", "--t", "0.5", "--T", "1.0",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --T 1.0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    # The bytes of one `sums` CSV, keyed by NUMPY_LOG_IS_LIBM as the other
+    # pins are; its normals happen to round alike under both log dispatches.
+    _PINNED_CSV = {
+        True: "2d0490be8881c132d1cdbf0c8297c13599e5ca7cbe7c05f5a2cc9e9aec49daef",
+        False: "2d0490be8881c132d1cdbf0c8297c13599e5ca7cbe7c05f5a2cc9e9aec49daef",
+    }
+
+    def test_csv_bytes_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sums", "--functional", "midpoint", "--g", "cube", "--deriv", "1",
+                     "--kernel", "fbm", "--n", "256", "--M", "20", "--t", "0.5,1",
+                     "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self._PINNED_CSV[NUMPY_LOG_IS_LIBM]
+
+    def test_csv_pin_holds_under_the_libm_log_dispatch(self):
+        rerun_under_libm_log(__file__, "csv_bytes_are_pinned")
 
     def test_domain_error_exits_one_with_diagnostic(self, tmp_path, capsys):
         # bnbar needs n >= 16; the failure surfaces as a JSON diagnostic.
@@ -583,8 +616,6 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict("bn", {"probes": []})
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict("ito", {"probes": [2.0], "horizon": 1.0})
-        with pytest.raises(ConfigError):
             ExperimentConfig.from_dict("trapezoid", {"n_list": []})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(
@@ -600,7 +631,6 @@ _MALFORMED = [
     ("ito", "seeds", "x"),
     ("ito", "c", "abc"),
     ("ito", "window_start", "x"),
-    ("ito", "horizon", "x"),
     ("bn", "probes", "ab"),
     ("bn", "probes", 5),
     ("trapezoid", "n_list", 5),
@@ -692,7 +722,7 @@ class TestTypedConfigErrors:
 
 
 # Every config key of some experiment, plus one that none accepts.
-_KEYS = ["kernel", "c", "g", "n", "n_list", "m", "horizon", "probes", "seed", "seeds",
+_KEYS = ["kernel", "c", "g", "n", "n_list", "m", "probes", "seed", "seeds",
          "window_start", "out_dir", "bogus"]
 _TOLERANCE_KEYS = ["ks_tol", "mean_tol", "var_tol", "corr_tol", "final_tol", "max_inversions"]
 _JSON = st.recursive(

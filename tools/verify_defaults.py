@@ -30,8 +30,8 @@ import sys
 import time
 
 import quartic_lab
+from quartic_lab.cli import EXPERIMENTS
 
-EXPERIMENTS = ("ito", "bn", "trapezoid", "expansion", "fbm-window")
 THREADS = ("1", "2")
 WORKLOAD_SEEDS = (3, 11)
 
