@@ -427,6 +427,10 @@ def _add_draw_flags(parser, keys=tuple(_DRAW_FLAGS), defaults=True):
                             default=default if defaults else None)
 
 
+# Built once per process: a parser rebuilt on every `main` call leaves its
+# garbage among the few objects a warm `verify` call keeps, and the heap
+# pages that hold them stay mapped.  Parsing changes no parser state.
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quartic-lab",
