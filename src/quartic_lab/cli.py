@@ -8,7 +8,11 @@ parameters of its `verify_*` function, so the schema and the function
 cannot drift apart: a `_SPECS` row is just that function's name and its
 tolerance keys.  A new experiment parameter is declared in that
 signature, plus a `_CHECKS` entry for its value and, if it is a
-tolerance, its key in the experiment's `_SPECS` row.  Each flag is
+tolerance, its key in the experiment's `_SPECS` row.  A validated config,
+`ExperimentConfig`, is the keyword arguments of the experiment's verify
+call: every key, a given tolerance included, passes its `_CHECKS` entry
+once and keeps the normalized value (a tolerance of 1 reaches the report
+as 1.0).  Each flag is
 declared once: the draw flags `--kernel`, `--n`, `--M` and `--seed` of
 `sample`, `sums` and `verify` in `_DRAW_FLAGS`, by the config key each
 sets, and the option flags of `sums` in `_SUMS_OPTIONS`, by the sums
@@ -39,7 +43,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import field, make_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,8 +121,6 @@ def _defaults(function, tolerances):
 
 EXPERIMENTS = tuple(_SPECS)
 _DEFAULTS = {name: _defaults(*spec) for name, spec in _SPECS.items()}
-_ALLOWED_KEYS = {name: set(d) | {"tolerances", "out_dir"} for name, d in _DEFAULTS.items()}
-_ALLOWED_TOLERANCES = {name: set(spec[1]) for name, spec in _SPECS.items()}
 
 
 def _int_from(low, below=math.inf):
@@ -184,6 +186,15 @@ _CHECKS = {
 }
 
 
+def _refuse_unknown(what, experiment, given, allowed):
+    unknown = sorted(set(given) - allowed)
+    if unknown:
+        raise ConfigError(
+            f"unknown {what} keys for {experiment}: {', '.join(unknown)}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )
+
+
 def _from_dict(experiment, rec):
     if experiment not in _SPECS:
         raise ConfigError(
@@ -192,58 +203,42 @@ def _from_dict(experiment, rec):
     rec = {} if rec is None else rec
     if not isinstance(rec, dict):
         raise ConfigError("config must be a JSON object")
-    allowed = _ALLOWED_KEYS[experiment]
-    unknown = sorted(set(rec) - allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown config keys for {experiment}: {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(allowed))}"
-        )
+    _refuse_unknown("config", experiment, rec, set(_DEFAULTS[experiment]) | {"tolerances", "out_dir"})
     tolerances = {} if rec.get("tolerances") is None else rec["tolerances"]
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be a JSON object")
-    bad_tol = sorted(set(tolerances) - _ALLOWED_TOLERANCES[experiment])
-    if bad_tol:
-        raise ConfigError(
-            f"unknown tolerance keys for {experiment}: {', '.join(bad_tol)}; "
-            f"allowed: {', '.join(sorted(_ALLOWED_TOLERANCES[experiment]))}"
-        )
-    for key, value in tolerances.items():
-        _CHECKS.get(key, _POSITIVE)(key, value)
+    _refuse_unknown("tolerance", experiment, tolerances, set(_SPECS[experiment][1]))
+    kwargs = {key: _CHECKS.get(key, _POSITIVE)(key, value) for key, value in tolerances.items()}
     out_dir = rec.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir must be a path string")
 
-    values = {}
     for key, default in _DEFAULTS[experiment].items():
         value = rec.get(key, default)
         # None is a value only where the experiment's own default is None.
-        values[key] = None if value is None and default is None else _CHECKS[key](key, value)
-    return ExperimentConfig(
-        experiment=experiment, tolerances=dict(tolerances), out_dir=out_dir, **values
-    )
+        kwargs[key] = None if value is None and default is None else _CHECKS[key](key, value)
+    return ExperimentConfig(experiment, kwargs, out_dir)
 
 
-# One field per config key of any experiment, in first-seen order.
-ExperimentConfig = make_dataclass(
-    "ExperimentConfig",
-    [("experiment", str)]
-    + [(key, object, None) for key in dict.fromkeys(k for d in _DEFAULTS.values() for k in d)]
-    + [("tolerances", dict, field(default_factory=dict)), ("out_dir", object, None)],
-    namespace={
-        "__doc__": "Validated experiment inputs, normalized; keys the experiment lacks stay None.",
-        "__module__": __name__,
-        "from_dict": staticmethod(_from_dict),
-    },
-    frozen=True,
-)
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One `verify` run: its experiment, the checked arguments of its verify call, its out_dir.
+
+    kwargs holds every config key of the experiment and each tolerance
+    given, each one normalized by its `_CHECKS` entry; a tolerance not
+    given falls to the verify function's own default.
+    """
+
+    experiment: str
+    kwargs: dict
+    out_dir: str | None = None
+
+    from_dict = staticmethod(_from_dict)
 
 
 def run_experiment(config):
     """Run a validated config through its experiment's verify function."""
-    function = _SPECS[config.experiment][0]
-    kwargs = {key: getattr(config, key) for key in _DEFAULTS[config.experiment]}
-    return getattr(verify, function)(**kwargs, **config.tolerances)
+    return getattr(verify, _SPECS[config.experiment][0])(**config.kwargs)
 
 
 # ---------------------------------------------------------------------------

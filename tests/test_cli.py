@@ -590,19 +590,19 @@ class TestVerifyVerb:
 
 class TestExperimentConfig:
     def test_defaults_fill_in(self):
-        config = ExperimentConfig.from_dict("bn", {})
-        assert config.n == 4096 and config.m == 1000 and config.seed == 7
-        assert config.probes == (0.25, 0.5, 0.75, 1.0)
-        assert config.kernel.kind == "heat"
+        kwargs = ExperimentConfig.from_dict("bn", {}).kwargs
+        assert kwargs["n"] == 4096 and kwargs["m"] == 1000 and kwargs["seed"] == 7
+        assert kwargs["probes"] == (0.25, 0.5, 0.75, 1.0)
+        assert kwargs["kernel"].kind == "heat"
 
     def test_ladder_experiments_use_n_list(self):
-        config = ExperimentConfig.from_dict("trapezoid", {"n_list": [64, 128]})
-        assert config.n is None
-        assert config.n_list == (64, 128)
+        kwargs = ExperimentConfig.from_dict("trapezoid", {"n_list": [64, 128]}).kwargs
+        assert "n" not in kwargs
+        assert kwargs["n_list"] == (64, 128)
 
     def test_kernel_record_accepted(self):
         config = ExperimentConfig.from_dict("bn", {"kernel": {"kind": "bm"}})
-        assert config.kernel.kind == "bm"
+        assert config.kwargs["kernel"].kind == "bm"
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
@@ -623,6 +623,23 @@ class TestExperimentConfig:
             )
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict("bn", {"tolerances": {"ks_tol": -0.1}})
+
+
+def test_a_tolerance_reaches_the_report_as_its_checked_value(tmp_path, capsys):
+    """Tolerances 1 and 1.0 are one config: both write the same summary.json bytes."""
+    summaries = []
+    for tol in (1, 1.0):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 64, "m": 20, "probes": [1.0],
+                                   "tolerances": {"ks_tol": tol, "corr_tol": tol}}))
+        out = tmp_path / repr(tol)
+        main(["verify", "--experiment", "bn", "--config", str(cfg), "--out", str(out)])
+        summaries.append((out / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+    assert b'"threshold": 1.0' in summaries[0]
+    capsys.readouterr()
+    config = ExperimentConfig.from_dict("trapezoid", {"tolerances": {"max_inversions": 1}})
+    assert type(config.kwargs["max_inversions"]) is int
 
 
 # Malformed values that used to escape from_dict as ValueError or
@@ -784,10 +801,14 @@ def test_report_config_keys_are_the_signature(experiment):
     assert set(report.config) == params | {"experiment"}
 
 
-def test_experiment_config_fields_are_the_config_keys():
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    keys = set().union(*cli._DEFAULTS.values())
-    assert fields == {"experiment", "tolerances", "out_dir"} | keys
+def test_experiment_config_kwargs_are_the_config_keys():
+    """The record is the verify call's arguments: the experiment's keys, plus the tolerances given."""
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == ["experiment", "kwargs", "out_dir"]
+    for experiment, (_, tolerances) in cli._SPECS.items():
+        keys = cli._DEFAULTS[experiment].keys()
+        assert ExperimentConfig.from_dict(experiment, {}).kwargs.keys() == keys
+        given = {"tolerances": dict.fromkeys(tolerances, 1)}
+        assert ExperimentConfig.from_dict(experiment, given).kwargs.keys() == keys | set(tolerances)
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -796,15 +817,15 @@ def test_default_kernel_and_g_are_the_signature_objects(experiment):
     params = inspect.signature(getattr(verify, cli._SPECS[experiment][0])).parameters
     for key in ("kernel", "g"):
         if key in params:
-            assert getattr(config, key) is params[key].default
+            assert config.kwargs[key] is params[key].default
 
 
 def test_fbm_window_defaults_come_from_its_signature():
-    config = ExperimentConfig.from_dict("fbm-window", {})
-    assert config.window_start == 0.1
-    assert config.kernel == fbm_composite_kernel()
-    assert config.seeds == 3 and config.n == 4096
-    assert ExperimentConfig.from_dict("ito", {}).window_start == 0.0
+    kwargs = ExperimentConfig.from_dict("fbm-window", {}).kwargs
+    assert kwargs["window_start"] == 0.1
+    assert kwargs["kernel"] == fbm_composite_kernel()
+    assert kwargs["seeds"] == 3 and kwargs["n"] == 4096
+    assert ExperimentConfig.from_dict("ito", {}).kwargs["window_start"] == 0.0
 
 
 def test_malloc_pinning_needs_glibc(monkeypatch):

@@ -66,6 +66,83 @@ class TestHeatKernel:
         assert np.all(inc[mask] <= 2.0 * gap[mask] + 1e-12)
 
 
+def spde_increment_cov(n, L, K, rate=0.5, tail=True):
+    """Increment covariances at lags 0, 1, 2 of u(0, t) for u_t = rate * u_xx + W' on a circle.
+
+    The grid is j/n, j = 0..n; entry i of lag l is the covariance of the
+    increments over steps i and i + l.  u starts at 0 on a circle of
+    length L.  Its constant mode is a Brownian motion of variance t/L and
+    cosine mode k an Ornstein-Uhlenbeck process of rate
+    lam_k = rate * (2 pi k / L)^2 (Walsh 1986, LNM 1180), so
+    cov(u(0, s), u(0, t)) = min(s, t)/L
+        + (2/L) sum_k (exp(-lam_k |t-s|) - exp(-lam_k (t+s))) / (2 lam_k).
+    Modes 1..K are summed exactly.  Above K, where lam_k / n is large, a
+    mode adds (2/L)/lam_k to an increment's variance (half of it to the
+    first increment's) and half of that, negated, to a lag-1 covariance;
+    summed, T = (2/L) sum_{k>K} 1/lam_k = L psi'(K+1) / (2 pi^2 rate).
+    tail=False drops T.  An independent route to `rho_heat` at rate 1/2:
+    the heat slice from its equation, not from its closed form.
+    """
+    from scipy.special import polygamma
+
+    dt = 1.0 / n
+    lam = rate * (2.0 * np.pi * np.arange(1, K + 1) / L) ** 2
+    a = -np.expm1(-lam * dt)
+    w = (2.0 / L) * a * a / (2.0 * lam)
+    # e[j] = sum_k w_k exp(-lam_k j dt), in blocks of j to keep the (j, k) table small.
+    e = np.concatenate([np.exp(-np.multiply.outer(j * dt, lam)) @ w
+                        for j in np.array_split(np.arange(2 * n), 16)])
+    i = np.arange(n)
+    lags = [dt / L + (2.0 / L) * np.sum(a / lam) - e[2 * i]]
+    lags += [-e[lag - 1] - e[2 * i[:n - lag] + lag] for lag in (1, 2)]
+    if tail:
+        t = L * polygamma(1, K + 1) / (2.0 * np.pi**2 * rate)
+        lags[0] += t
+        lags[0][0] -= t / 2.0
+        lags[1] -= t / 2.0
+    return lags
+
+
+def _heat_increment_cov(n):
+    """`spde_increment_cov`'s lags from `rho_heat`."""
+    t = np.arange(n + 1) / n
+    return [
+        rho_heat(t[1:n + 1 - lag], t[lag + 1:]) - rho_heat(t[:n - lag], t[lag + 1:])
+        - rho_heat(t[1:n + 1 - lag], t[lag:n]) + rho_heat(t[:n - lag], t[lag:n])
+        for lag in range(3)
+    ]
+
+
+class TestHeatFromItsEquation:
+    """ROADMAP item 9, stage 1: `rho_heat` is the covariance of u_t = u_xx/2 + W' at x = 0.
+
+    L = 16 leaves the circle's images at order exp(-L^2/4); K puts
+    lam_K dt at 60 or more.  Measured errors, relative to the largest
+    increment variance: 5.0e-15, 1.2e-14 and 2.5e-14 at n = 256, 1024
+    and 4096 (K = 447, 893, 1786).
+    """
+
+    L = 16.0
+
+    def _error(self, n, **mutation):
+        K = math.ceil(self.L * math.sqrt(120 * n) / (2 * math.pi))
+        heat = _heat_increment_cov(n)
+        spde = spde_increment_cov(n, self.L, K, **mutation)
+        return max(np.max(np.abs(x - y)) for x, y in zip(spde, heat)) / np.max(heat[0])
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096])
+    def test_increment_covariances_match_rho_heat(self, n):
+        assert self._error(n) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "mutation, off",
+        [({"tail": False}, 7.3e-2), ({"rate": 1.0}, 1.0 - 1.0 / math.sqrt(2.0))],
+        ids=["tail-dropped", "laplacian-without-half"],
+    )
+    def test_a_wrong_equation_fails_the_gate(self, mutation, off):
+        assert self._error(256, **mutation) == pytest.approx(off, rel=0.01)
+
+
 def xi_cov_quadrature(s, t, epsabs=1e-10):
     """Remainder-process covariance by direct quadrature of its spectrum.
 

@@ -19,7 +19,7 @@ import pytest
 from conftest import NUMPY_LOG_IS_LIBM, rerun_under_libm_log
 from quartic_lab import rng, simulate, sums, verify
 from quartic_lab.analytic import audit_cov_table, kappa_reference
-from quartic_lab.cli import main
+from quartic_lab.cli import EXPERIMENTS, main
 from quartic_lab.errors import ConfigError, DomainError
 from quartic_lab.functions import TestFunction, builtin
 from quartic_lab.kernels import (
@@ -421,6 +421,40 @@ class TestItoExperiment:
         assert main(["verify", "--experiment", "ito", "--config", str(config), "--out", str(out)]) == 1
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["c"] == c and summary["stats"]["passed_seeds"] == 0
+
+
+# Negative controls: config overrides, at n = 256 and m = 400, under which
+# an experiment must exit 1 by failing every KS check.  ito's controls are
+# TestItoExperiment::test_a_wrong_correction_scale_exits_one.  Measured at
+# master seeds 7, 21 and 40:
+# - fbm-window with no correction (c = 0): KS 0.18-0.23 against 0.10, no
+#   seed passed; at the default c, 0.03-0.10.
+# - bn on Brownian motion, whose bn is not N(0, t): every ks_normal
+#   0.415-0.428 against 0.06; on the heat default, 0.03-0.06.  bn on
+#   fbm_quarter is no control: N(0, pi/2) lies 0.054 from N(0, 1) in KS
+#   distance, under 0.06.
+_CONTROLS = {
+    "fbm-window/c=0": ("fbm-window", {"c": 0.0}),
+    "bn/kernel=bm": ("bn", {"kernel": "bm"}),
+}
+# Experiments with no control yet: each needs a source mutation (ROADMAP item 4).
+_WITHOUT_CONTROL = {"trapezoid", "expansion"}
+
+
+@pytest.mark.parametrize("experiment, overrides", _CONTROLS.values(), ids=_CONTROLS)
+def test_a_control_exits_one(experiment, overrides, tmp_path):
+    config = tmp_path / "control.json"
+    config.write_text(json.dumps(overrides | {"n": 256, "m": 400}))
+    out = tmp_path / "out"
+    assert main(["verify", "--experiment", experiment, "--config", str(config), "--out", str(out)]) == 1
+    ks = [c for c in json.loads((out / "summary.json").read_text())["checks"] if "ks" in c["name"]]
+    assert ks and not any(c["passed"] for c in ks)
+
+
+def test_every_experiment_has_a_control_or_is_listed_without_one():
+    controlled = {experiment for experiment, _ in _CONTROLS.values()} | {"ito"}
+    assert controlled.isdisjoint(_WITHOUT_CONTROL)
+    assert controlled | _WITHOUT_CONTROL == set(EXPERIMENTS)
 
 
 class TestBnExperiment:

@@ -5,6 +5,7 @@ import json
 import pathlib
 
 from conftest import LIBM_LOG_ENV, NUMPY_LOG_IS_LIBM
+from quartic_lab import cli
 
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "verify_defaults.py"
 _SPEC = importlib.util.spec_from_file_location("verify_defaults", _PATH)
@@ -25,6 +26,16 @@ def test_prints_one_json_line_per_thread_count(capsys):
         assert line["wall_s"] > 0 and line["peak_mib"] > 0
         assert all(len(line[key]) == 64 for key in digests) and line["scipy_linalg"] is False
         assert line["scipy_special"] is False
+
+
+def test_workload_configs_pin_every_key():
+    """Each benchmark workload names every key of its experiment, tolerances included."""
+    workloads = verify_defaults.load_workloads()
+    for name, spec in workloads.WORKLOADS.items():
+        experiment, config = spec["experiment"], workloads.resolved_config(name, 0)
+        assert set(config) == set(cli._DEFAULTS[experiment]) | {"tolerances"}, name
+        assert set(config["tolerances"]) == set(cli._SPECS[experiment][1]), name
+        cli.ExperimentConfig.from_dict(experiment, config)
 
 
 # The benchmark's bytes for ladder-heat: one digest per seed, under either
