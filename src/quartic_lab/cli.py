@@ -231,7 +231,7 @@ class ExperimentConfig:
 
     experiment: str
     kwargs: dict
-    out_dir: str | None = None
+    out_dir: str | None
 
     from_dict = staticmethod(_from_dict)
 

@@ -625,7 +625,7 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict("bn", {"tolerances": {"ks_tol": -0.1}})
 
 
-def test_a_tolerance_reaches_the_report_as_its_checked_value(tmp_path, capsys):
+def test_a_tolerance_reaches_the_report_as_its_checked_value(tmp_path):
     """Tolerances 1 and 1.0 are one config: both write the same summary.json bytes."""
     summaries = []
     for tol in (1, 1.0):
@@ -637,7 +637,6 @@ def test_a_tolerance_reaches_the_report_as_its_checked_value(tmp_path, capsys):
         summaries.append((out / "summary.json").read_bytes())
     assert summaries[0] == summaries[1]
     assert b'"threshold": 1.0' in summaries[0]
-    capsys.readouterr()
     config = ExperimentConfig.from_dict("trapezoid", {"tolerances": {"max_inversions": 1}})
     assert type(config.kwargs["max_inversions"]) is int
 
