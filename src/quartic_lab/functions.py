@@ -1,9 +1,12 @@
 """Registry of test integrands g(x, t) with exact derivative oracles.
 
 Each builtin carries hand-coded closed-form spatial derivatives dx(j)
-for 0 <= j <= 9 and mixed derivatives dtdx(j) = d/dt d^j/dx^j for
-0 <= j <= 4.  The closed forms are deliberately independent of any
-numeric differentiation so they can serve as oracles for it.
+for 0 <= j <= 9 and, when it depends on t, its time derivative dt.
+The change-of-variable formula reads g only as dx(0), dx(1) (the
+midpoint sums), dx(2) (the Ito correction) and dt (the time integral);
+`sums --deriv` exposes every dx order.  The closed forms are
+deliberately independent of any numeric differentiation so they can
+serve as oracles for it.
 
 Every builtin is smooth and has closed forms of every order the
 interface exposes, so a function carries no smoothness tag: the tests
@@ -26,12 +29,15 @@ from .errors import DomainError
 from .kernels import finite_number
 
 MAX_DX_ORDER = 9
-MAX_DTDX_ORDER = 4
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """Integrand with exact derivatives; immutable and freely shared.
+
+    dx(j, x, t) takes x and t that broadcast together and returns an
+    ndarray, 0-d for scalars.  dt(x, t) is the time derivative of g on
+    the same arguments, or None when g does not depend on t.
 
     poly_coeffs holds the x-polynomial coefficients when the function is
     a time-independent polynomial; analytic reference moments in the
@@ -42,41 +48,21 @@ class TestFunction:
 
     fid: str
     _dx: Callable
-    _dtdx: Callable
+    dt: Callable | None = None
     poly_coeffs: tuple[float, ...] | None = None
     params: dict = field(default_factory=dict)
-
-    def eval(self, x, t):
-        return self._dx(0, x, t)
 
     def dx(self, j, x, t):
         """j-th spatial derivative at (x, t); j in [0, 9]."""
         if not 0 <= j <= MAX_DX_ORDER:
             raise DomainError(f"dx order must be in [0, {MAX_DX_ORDER}]")
-        return self._dx(j, x, t)
-
-    def dtdx(self, j, x, t):
-        """Mixed derivative d/dt d^j/dx^j at (x, t); j in [0, 4]."""
-        if not 0 <= j <= MAX_DTDX_ORDER:
-            raise DomainError(f"dtdx order must be in [0, {MAX_DTDX_ORDER}]")
-        return self._dtdx(j, x, t)
+        return np.asarray(self._dx(j, x, t))
 
     def spec(self):
         """Serializable reference: id plus construction parameters."""
         rec = {"id": self.fid}
         rec.update(self.params)
         return rec
-
-
-def _scalar_or_array(out):
-    """A 0-d result as a float, any other as an array."""
-    out = np.asarray(out)
-    return out if out.ndim else float(out)
-
-
-def _zero_dtdx(j, x, t):
-    """The mixed derivative of every time-independent builtin."""
-    return _scalar_or_array(np.zeros_like(np.asarray(x, dtype=np.float64)))
 
 
 def _poly_derivative(coeffs, j):
@@ -95,7 +81,7 @@ def _poly_eval(coeffs, x):
     for c in reversed(coeffs):
         out *= x
         out += c
-    return _scalar_or_array(out)
+    return out
 
 
 def _make_polynomial(fid, coeffs, params):
@@ -107,7 +93,7 @@ def _make_polynomial(fid, coeffs, params):
     def dx(j, x, t):
         return _poly_eval(derivs[j], x)
 
-    return TestFunction(fid, dx, _zero_dtdx, poly_coeffs=coeffs, params=params)
+    return TestFunction(fid, dx, poly_coeffs=coeffs, params=params)
 
 
 # d^j/dx^j sin x, by j % 4.
@@ -116,9 +102,9 @@ _SINE_CYCLE = (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
 
 def _make_sine():
     def dx(j, x, t):
-        return _scalar_or_array(_SINE_CYCLE[j % 4](np.asarray(x, dtype=np.float64)))
+        return _SINE_CYCLE[j % 4](np.asarray(x, dtype=np.float64))
 
-    return TestFunction("sine", dx, _zero_dtdx)
+    return TestFunction("sine", dx)
 
 
 def _make_gauss_bump():
@@ -128,24 +114,23 @@ def _make_gauss_bump():
     def dx(j, x, t):
         x = np.asarray(x, dtype=np.float64)
         h = _poly_eval(hermite_coefficients(j), x)
-        return _scalar_or_array((-1.0) ** j * h * np.exp(-0.5 * x * x))
+        return (-1.0) ** j * h * np.exp(-0.5 * x * x)
 
-    return TestFunction("gauss_bump", dx, _zero_dtdx)
+    return TestFunction("gauss_bump", dx)
 
 
 def _make_poly_xt():
-    # g(x, t) = x^3 (1 + t); spatial derivatives scale by (1 + t), the
-    # mixed derivative drops the (1 + t) factor.
+    # g(x, t) = x^3 (1 + t); spatial derivatives scale by (1 + t), and
+    # the time derivative is x^3, broadcast over t.
     cube = builtin("cube")
 
     def dx(j, x, t):
-        return _scalar_or_array(cube.dx(j, x, t) * (1.0 + np.asarray(t, dtype=np.float64)))
+        return cube.dx(j, x, t) * (1.0 + np.asarray(t, dtype=np.float64))
 
-    def dtdx(j, x, t):
-        t = np.asarray(t, dtype=np.float64)
-        return _scalar_or_array(np.asarray(cube.dx(j, x, t)) + np.zeros_like(t))
+    def dt(x, t):
+        return cube.dx(0, x, t) + np.zeros_like(t, dtype=np.float64)
 
-    return TestFunction("poly_xt", dx, dtdx)
+    return TestFunction("poly_xt", dx, dt)
 
 
 # Constructor of each builtin that takes no parameters.

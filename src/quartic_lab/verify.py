@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__, analytic, stats, sums
 from .analytic import GaussianMoments, kappa_reference, poly_diff, poly_from_coeffs, poly_mul
 from .errors import ConfigError, DomainError
-from .functions import TestFunction, _zero_dtdx, builtin
+from .functions import TestFunction, builtin
 from .kernels import CovKernel, Grid, _require_memory, fbm_composite_kernel, finite_number, heat_kernel
 from .simulate import cached_factor, path_tiles, sample_brownian, sample_paths
 
@@ -216,13 +216,17 @@ def _replicate_columns(kernel, grids, m, seed, reduce, shape, brownian=False):
 # ---------------------------------------------------------------------------
 
 def _head_minus_time_ensemble(x_values, grid, g, k0, k1):
-    """g(X,t) increment minus the trapezoid time integral, per replicate."""
+    """g(X,t) increment minus the trapezoid time integral, per replicate.
+
+    g is read as g.dx(0, ...).  The integral of g.dt runs only when g
+    depends on t (g.dt is not None): the zero integral of a
+    time-independent g would change no bit.
+    """
     times = grid.times()
-    head = np.asarray(g.eval(x_values[:, k1], times[k1]), dtype=np.float64)
-    head = head - np.asarray(g.eval(x_values[:, k0], times[k0]), dtype=np.float64)
-    # Subtracting the zero integral of a time-independent g changes no bit.
-    if k1 > k0 and g._dtdx is not _zero_dtdx:
-        gt = np.asarray(g.dtdx(0, x_values[:, k0 : k1 + 1], times[None, k0 : k1 + 1]))
+    head = np.asarray(g.dx(0, x_values[:, k1], times[k1]), dtype=np.float64)
+    head = head - np.asarray(g.dx(0, x_values[:, k0], times[k0]), dtype=np.float64)
+    if k1 > k0 and g.dt is not None:
+        gt = np.asarray(g.dt(x_values[:, k0 : k1 + 1], times[None, k0 : k1 + 1]))
         if gt.shape != x_values[:, k0 : k1 + 1].shape:
             gt = np.broadcast_to(gt, x_values[:, k0 : k1 + 1].shape)
         trap = gt[:, :-1] + gt[:, 1:]
@@ -260,7 +264,7 @@ def rhs_formula_ensemble(x_values, b_values, grid, g, t, c=1.0, t_start=0.0):
     times = grid.times()
     out = _head_minus_time_ensemble(x_values, grid, g, k0, k1)
     if k1 > k0 and c != 0.0:
-        gxx = np.asarray(g.dx(2, x_values[:, k0:k1], times[None, k0:k1]))
+        gxx = g.dx(2, x_values[:, k0:k1], times[None, k0:k1])
         ito = np.sum(gxx * np.diff(b_values[:, k0 : k1 + 1], axis=1), axis=1)
         out = out - 0.5 * kappa_reference() * c**2 * ito
     return out
@@ -396,7 +400,7 @@ def verify_ito_formula(
     if m < 2:
         raise ConfigError(f"{experiment_name} needs m >= 2 replicates for its sample variances")
     config = _config_block(experiment_name, verify_ito_formula, locals())
-    grid = Grid(int(n), max(probes))
+    grid = Grid(n, max(probes))
     times = grid.times()
     k_start = grid.index_at(window_start)
     kap = kappa_reference()
@@ -422,7 +426,7 @@ def verify_ito_formula(
         ]
 
     for k in range(seeds):
-        master = int(seed) + k
+        master = seed + k
         (cols,) = _replicate_columns(
             kernel, [grid], m, master, reduce, (len(probes), 2), brownian=True
         )
@@ -520,7 +524,7 @@ def verify_bn_limit(
         raise ConfigError("bn needs m >= 4 replicates for its correlations")
     config = _config_block("bn", verify_bn_limit, locals())
     horizon = max(probes)
-    grid = Grid(int(n), horizon)
+    grid = Grid(n, horizon)
     times = grid.times()
     k_full = grid.index_at(horizon)
     k_half = grid.index_at(horizon / 2.0)
@@ -531,7 +535,7 @@ def verify_bn_limit(
         bn = sums.bn_process_ensemble(x, grid)
         return [(bn[:, k], x[:, k]) for k in indices]
 
-    (cols,) = _replicate_columns(kernel, [grid], m, int(seed), reduce, (len(indices), 2))
+    (cols,) = _replicate_columns(kernel, [grid], m, seed, reduce, (len(indices), 2))
     bn_half = cols[:, -2, 0]
     bn_full = cols[:, -1, 0]
 
@@ -602,7 +606,7 @@ def _mse_ladder(experiment, function, args, block, columns, residual, threshold=
     and paths of one tile at N_max whatever m is.
     """
     kernel, g = args["kernel"], args["g"]
-    n_list = tuple(int(v) for v in args["n_list"])
+    n_list = tuple(args["n_list"])
     if len(n_list) < 2 or list(n_list) != sorted(set(n_list)):
         raise ConfigError("n_list must be strictly increasing with at least two sizes")
     probes = _probe_times(args["probes"])
@@ -615,7 +619,7 @@ def _mse_ladder(experiment, function, args, block, columns, residual, threshold=
 
     grids = [Grid(n, horizon) for n in n_list]
     ladder = _replicate_columns(
-        kernel, grids, m, int(seed), lambda x, b, grid: block(x, grid, g, probes),
+        kernel, grids, m, seed, lambda x, b, grid: block(x, grid, g, probes),
         (len(probes), len(columns)),
     )
 

@@ -20,20 +20,17 @@ class TestBuiltins:
 
     def test_square_table(self):
         g = builtin("square")
-        assert g.eval(3.0, 0.0) == 9.0
+        assert g.dx(0, 3.0, 0.0) == 9.0
         assert g.dx(1, 3.0, 0.0) == 6.0
         assert g.dx(2, 3.0, 0.5) == 2.0
         assert g.dx(3, 3.0, 0.5) == 0.0
-        assert g.dtdx(0, 3.0, 0.5) == 0.0
+        assert g.dt is None
 
     def test_poly_xt_table(self):
         g = builtin("poly_xt")
-        assert g.eval(2.0, 1.0) == 16.0        # x^3 (1+t)
-        assert g.dtdx(0, 2.0, 1.0) == 8.0      # d/dt -> x^3
+        assert g.dx(0, 2.0, 1.0) == 16.0       # x^3 (1+t)
+        assert g.dt(2.0, 1.0) == 8.0           # d/dt -> x^3
         assert g.dx(1, 2.0, 1.0) == 24.0       # 3x^2 (1+t)
-        assert g.dtdx(1, 2.0, 0.0) == 12.0     # d/dt d/dx -> 3x^2
-        assert g.dtdx(3, 2.0, 0.3) == 6.0
-        assert g.dtdx(4, 2.0, 0.3) == 0.0
 
     def test_sine_cycle(self):
         g = builtin("sine")
@@ -43,7 +40,7 @@ class TestBuiltins:
 
     def test_poly_k_coefficients(self):
         g = builtin("poly_k", coeffs=[1.0, 0.0, -2.0])
-        assert g.eval(2.0, 0.0) == 1.0 - 8.0
+        assert g.dx(0, 2.0, 0.0) == 1.0 - 8.0
         assert g.dx(1, 2.0, 0.0) == -8.0
         assert g.poly_coeffs == (1.0, 0.0, -2.0)
 
@@ -65,16 +62,29 @@ class TestBuiltins:
         with pytest.raises(DomainError):
             g.dx(10, 1.0, 0.0)
         with pytest.raises(DomainError):
-            g.dtdx(5, 1.0, 0.0)
-        with pytest.raises(DomainError):
             g.dx(-1, 1.0, 0.0)
 
-    def test_dx_zero_is_eval(self):
-        rng = np.random.default_rng(3)
-        xs = rng.uniform(-3, 3, size=16)
-        for name in ALL_IDS:
-            g = builtin(name)
-            np.testing.assert_array_equal(g.dx(0, xs, 0.4), g.eval(xs, 0.4))
+
+_POLY_K = {"id": "poly_k", "coeffs": [1.0, -0.5, 0.0, 2.0]}
+
+
+@pytest.mark.parametrize("spec", [{"id": name} for name in ALL_IDS] + [_POLY_K],
+                         ids=[*ALL_IDS, "poly_k"])
+def test_integrand_contract(spec):
+    """dx returns arrays, dt is None unless g depends on t, specs keep dt."""
+    g = from_spec(spec)
+    xs = np.linspace(-2.0, 2.0, 5)
+    for j in range(10):
+        scalar, array = g.dx(j, 1.5, 0.25), g.dx(j, xs, 0.25)
+        assert isinstance(scalar, np.ndarray) and scalar.ndim == 0
+        assert isinstance(array, np.ndarray) and array.shape == xs.shape
+    assert (g.dt is None) == (spec["id"] != "poly_xt")
+    assert (from_spec(g.spec()).dt is None) == (g.dt is None)
+    if g.dt is not None:
+        # g is linear in t, so the centred difference is exact up to rounding.
+        h = 0.125
+        fd = (g.dx(0, xs, 0.5 + h) - g.dx(0, xs, 0.5 - h)) / (2.0 * h)
+        np.testing.assert_allclose(g.dt(xs, 0.5), fd, rtol=1e-12)
 
 
 def derivative_consistency_report(tf, orders, probes=20, t_value=0.7, seed=20260822):
@@ -117,7 +127,7 @@ class TestDerivativeConsistency:
     def test_gauss_bump_numerical_support(self):
         g = builtin("gauss_bump")
         for x in (40.5, -41.0, 60.0):
-            assert abs(g.eval(x, 0.0)) < 1e-300
+            assert abs(g.dx(0, x, 0.0)) < 1e-300
             assert abs(g.dx(3, x, 0.0)) < 1e-300
 
 
@@ -131,7 +141,7 @@ class TestSpecRecords:
         g = builtin("poly_k", coeffs=[0.5, 1.5])
         back = from_spec(g.spec())
         assert back.poly_coeffs == (0.5, 1.5)
-        assert back.eval(2.0, 0.0) == g.eval(2.0, 0.0)
+        assert back.dx(0, 2.0, 0.0) == g.dx(0, 2.0, 0.0)
 
     def test_unknown_record_rejected(self):
         with pytest.raises(DomainError):
@@ -147,12 +157,10 @@ class TestCustomFunction:
                 np.asarray(x, dtype=float)
             )
 
-        def dtdx(j, x, t):
-            return np.ones_like(np.asarray(x, dtype=float)) if j == 0 else np.zeros_like(
-                np.asarray(x, dtype=float)
-            )
+        def dt(x, t):
+            return np.ones_like(np.asarray(x, dtype=float))
 
-        g = TestFunction("time_only", dx, dtdx)
-        assert float(g.eval(5.0, 0.25)) == 0.25
-        assert float(g.dtdx(0, 5.0, 0.9)) == 1.0
+        g = TestFunction("time_only", dx, dt)
+        assert float(g.dx(0, 5.0, 0.25)) == 0.25
+        assert float(g.dt(5.0, 0.9)) == 1.0
         assert float(g.dx(2, 5.0, 0.9)) == 0.0

@@ -58,11 +58,10 @@ def _time_only():
         x = np.asarray(x, dtype=float)
         return t * np.ones_like(x) if j == 0 else np.zeros_like(x)
 
-    def dtdx(j, x, t):
-        x = np.asarray(x, dtype=float)
-        return np.ones_like(x) if j == 0 else np.zeros_like(x)
+    def dt(x, t):
+        return np.ones_like(np.asarray(x, dtype=float))
 
-    return TestFunction("time_only", dx, dtdx)
+    return TestFunction("time_only", dx, dt)
 
 
 def _x_times_t():
@@ -74,15 +73,11 @@ def _x_times_t():
             return t * np.ones_like(x)
         return np.zeros_like(x)
 
-    def dtdx(j, x, t):
+    def dt(x, t):
         x = np.asarray(x, dtype=float)
-        if j == 0:
-            return x * np.ones_like(t * x)
-        if j == 1:
-            return np.ones_like(x)
-        return np.zeros_like(x)
+        return x * np.ones_like(t * x)
 
-    return TestFunction("x_times_t", dx, dtdx)
+    return TestFunction("x_times_t", dx, dt)
 
 
 class TestRhsFormula:
@@ -133,7 +128,7 @@ class TestRhsFormula:
         def dx(j, x, t):
             return (0.5 * x**2, x, 1.0)[j] if j < 3 else 0.0
 
-        half_square = TestFunction("half_square", dx, lambda j, x, t: 0.0)
+        half_square = TestFunction("half_square", dx)
         grid = Grid(32)
         x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 8, 5), sample_brownian(grid, 8, 5)
         rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, grid, half_square, 1.0, c=0.5)
@@ -449,6 +444,36 @@ def test_a_control_exits_one(experiment, overrides, tmp_path):
     assert main(["verify", "--experiment", experiment, "--config", str(config), "--out", str(out)]) == 1
     ks = [c for c in json.loads((out / "summary.json").read_text())["checks"] if "ks" in c["name"]]
     assert ks and not any(c["passed"] for c in ks)
+
+
+_FRACTIONAL_CALLS = {
+    "ito-n": lambda: verify_ito_formula(n=64.5, m=8),
+    "bn-n": lambda: verify_bn_limit(n=64.5, m=8, probes=(1.0,)),
+    "trapezoid-n_list": lambda: verify_trapezoid_ucp(n_list=(64.5, 128.9), m=4, final_tol=1.0),
+    "ito-seed": lambda: verify_ito_formula(n=64, m=8, seed=7.5),
+    "bn-seed": lambda: verify_bn_limit(n=64, m=8, probes=(1.0,), seed=7.5),
+    "trapezoid-seed": lambda: verify_trapezoid_ucp(n_list=(64, 128), m=4, seed=7.5, final_tol=1.0),
+}
+
+
+@pytest.mark.parametrize("call", _FRACTIONAL_CALLS.values(), ids=_FRACTIONAL_CALLS)
+def test_a_direct_call_refuses_a_fractional_size_or_seed(call):
+    """n, n_list and seed reach Grid and the stream keys untruncated."""
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("scale", [0.8, 1.5])
+def test_bn_with_a_wrong_kappa_exits_one(scale, monkeypatch, tmp_path):
+    """bn normalized by scale * kappa fails every normality check."""
+    kap = kappa_reference()
+    monkeypatch.setattr(sums, "kappa_reference", lambda: scale * kap)
+    out = tmp_path / "out"
+    argv = ["verify", "--experiment", "bn", "--n", "256", "--M", "400", "--seed", "7"]
+    assert main([*argv, "--out", str(out)]) == 1
+    ks = [c for c in json.loads((out / "summary.json").read_text())["checks"]
+          if c["name"].startswith("ks_normal")]
+    assert len(ks) == 4 and not any(c["passed"] for c in ks)
 
 
 def test_every_experiment_has_a_control_or_is_listed_without_one():
