@@ -264,7 +264,7 @@ def rhs_formula_ensemble(x_values, b_values, grid, g, t, c=1.0, t_start=0.0):
     times = grid.times()
     out = _head_minus_time_ensemble(x_values, grid, g, k0, k1)
     if k1 > k0 and c != 0.0:
-        gxx = g.dx(2, x_values[:, k0:k1], times[None, k0:k1])
+        gxx = np.asarray(g.dx(2, x_values[:, k0:k1], times[None, k0:k1]))
         ito = np.sum(gxx * np.diff(b_values[:, k0 : k1 + 1], axis=1), axis=1)
         out = out - 0.5 * kappa_reference() * c**2 * ito
     return out
