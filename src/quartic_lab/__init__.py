@@ -49,10 +49,8 @@ from .simulate import (
     cached_factor,
     clear_factor_cache,
     factorize,
-    load_ensemble,
     sample_brownian,
     sample_paths,
-    save_ensemble,
 )
 from .stats import (
     CorrelationResult,

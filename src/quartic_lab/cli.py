@@ -50,7 +50,7 @@ import numpy as np
 from . import analytic, functions, kernels, sums, verify
 from .errors import ConfigError, DomainError, QuarticLabError
 from .kernels import CovKernel, Grid, fbm_composite_kernel, fbm_quarter_kernel, heat_kernel
-from .simulate import save_ensemble, write_ensemble_csv
+from .simulate import write_ensemble_csv
 
 _NAMED_KERNELS = {
     "heat": heat_kernel,
@@ -297,11 +297,7 @@ def _cmd_cov_table(args):
 
 def _cmd_sample(args):
     grid = Grid(args.n, args.horizon)
-    ens = verify.draw_ensemble(args.kernel, grid, args.m, args.seed)
-    if args.format == "bin":
-        save_ensemble(ens, args.out)
-    else:
-        write_ensemble_csv(ens, args.out)
+    write_ensemble_csv(verify.draw_ensemble(args.kernel, grid, args.m, args.seed), args.out)
     print(
         f"wrote {args.m} paths (kernel {args.kernel.canonical_id()}, n={args.n}, "
         f"T={args.horizon:g}) to {args.out}"
@@ -444,11 +440,10 @@ def build_parser():
     p.add_argument("--out", default="cov-table")
     p.set_defaults(func=_cmd_cov_table)
 
-    p = sub.add_parser("sample", help="draw an exact-covariance path ensemble")
+    p = sub.add_parser("sample", help="draw an exact-covariance path ensemble into a CSV file")
     _add_draw_flags(p)
     p.add_argument("--T", dest="horizon", type=_flag("--T", _CHECKS["horizon"], float), default=1.0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("bin", "csv"), default="bin")
+    p.add_argument("--out", required=True, help="CSV file: replicate,j,t,value")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("sums", help="evaluate a discrete functional over an ensemble")

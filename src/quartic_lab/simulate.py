@@ -95,10 +95,7 @@ are the tests' reference; no sampler calls them.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,11 +135,6 @@ _HANKEL_RANK_CAP = 128
 # Conjugate gradients on T g = e_0 stop at this residual.
 _CG_TOL = 1e-15
 _CG_MAX_ITER = 100
-
-_BIN_MAGIC = b"QLABENS1"
-_BIN_VERSION = 2
-_BIN_HEAD = "<IQdQQI"
-_BIN_DIGEST = 16
 
 
 @dataclass(frozen=True)
@@ -594,18 +586,17 @@ def heat_factor(fgn, hankel, kernel_id="heat"):
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """M sampled paths over a grid, values[m, j] = X_m(t_j).
+    """M sampled paths over a grid, values[m, j] = X_m(t_j), and their kernel's id.
 
-    values[:, 0] is exactly 0 for centered kernels.  Row r was drawn from
-    the stream keyed rng.derive_key(seed, first + r, role), where first is
-    the draw's first replicate (0 unless given), role ROLE_PATH for
-    `sample_paths` and ROLE_BM for `sample_brownian`.
+    values[:, 0] is exactly 0 for centered kernels.  The ensemble does not
+    record the seed of its draw: row r of `sample_paths(factor, m, seed,
+    role, first)` comes from the stream keyed rng.derive_key(seed, first + r,
+    role), role ROLE_PATH there and ROLE_BM for `sample_brownian`.
     """
 
     grid: Grid
     values: np.ndarray
     kernel_id: str
-    seed: int
 
     @property
     def m(self):
@@ -745,7 +736,7 @@ def sample_paths(factor, m, seed, role=rng.ROLE_PATH, first=0):
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
     for start, stop, _, paths in path_tiles([factor], m, seed, role, first):
         values[start:stop] = paths
-    return PathEnsemble(grid, values, factor.kernel_id, int(seed))
+    return PathEnsemble(grid, values, factor.kernel_id)
 
 
 def sample_brownian(grid, m, seed, first=0):
@@ -753,90 +744,16 @@ def sample_brownian(grid, m, seed, first=0):
     return sample_paths(BrownianFactor(grid), m, seed, role=rng.ROLE_BM, first=first)
 
 
-def _body_digest(values):
-    """The 16-byte blake2b of an ensemble file's body, hashed from the array's own buffer."""
-    return hashlib.blake2b(values, digest_size=_BIN_DIGEST).digest()
-
-
-def save_ensemble(ensemble, path):
-    """Write the flat binary layout: header, then row-major float64.
-
-    The header is the magic, the fixed fields of _BIN_HEAD, the kernel id
-    and the blake2b digest of the body.
-    """
-    kernel_bytes = ensemble.kernel_id.encode("utf-8")
-    body = np.ascontiguousarray(ensemble.values)
-    header = _BIN_MAGIC + struct.pack(
-        _BIN_HEAD,
-        _BIN_VERSION,
-        ensemble.grid.n,
-        ensemble.grid.horizon,
-        ensemble.m,
-        ensemble.seed,
-        len(kernel_bytes),
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(kernel_bytes)
-        fh.write(_body_digest(body))
-        fh.write(body)
-
-
-def load_ensemble(path):
-    """Read an ensemble written by save_ensemble.
-
-    A short header, a format version other than _BIN_VERSION, a kernel
-    id that is not UTF-8, a grid that `Grid` rejects, a body whose length
-    is not m * (N + 1) float64 values or whose digest is not the header's
-    raises DomainError.  The body's length is checked against the file
-    size and its memory against physical memory before it is read,
-    straight into the ensemble's array, which is then hashed in place.
-    """
-    head_size = struct.calcsize(_BIN_HEAD)
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _BIN_MAGIC:
-            raise DomainError(f"not an ensemble file (magic {magic!r})")
-        head = fh.read(head_size)
-        if len(head) != head_size:
-            raise DomainError(f"truncated ensemble header: {len(head)} of {head_size} bytes")
-        version, n, horizon, m, seed, kernel_len = struct.unpack(_BIN_HEAD, head)
-        if version != _BIN_VERSION:
-            raise DomainError(f"unsupported ensemble format version {version}")
-        kernel_bytes = fh.read(kernel_len)
-        if len(kernel_bytes) != kernel_len:
-            raise DomainError(f"truncated ensemble header: kernel id cut at {len(kernel_bytes)} bytes")
-        try:
-            kernel_id = kernel_bytes.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"ensemble kernel id is not UTF-8: {exc}") from exc
-        # A digest cut short leaves no body, which the length check refuses.
-        digest = fh.read(_BIN_DIGEST)
-        grid = Grid(int(n), float(horizon))
-        expected = int(m) * (grid.nsteps + 1) * 8
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != expected:
-            raise DomainError(
-                f"ensemble body has {size} bytes; the header implies {expected} "
-                f"(m={m}, N={grid.nsteps})"
-            )
-        _require_memory(expected, f"ensemble of {m} paths at N={grid.nsteps}")
-        values = np.empty((int(m), grid.nsteps + 1), dtype=np.float64)
-        if fh.readinto(values) != expected:
-            raise DomainError("ensemble body changed while it was read")
-    if _body_digest(values) != digest:
-        raise DomainError("ensemble body does not match the digest in its header")
-    return PathEnsemble(grid, values, kernel_id, int(seed))
-
-
 def write_ensemble_csv(ensemble, path):
-    """Debug CSV with columns replicate, j, t, value (17 significant digits).
+    """Write an ensemble as CSV with columns replicate, j, t, value.
 
-    The j and t cells are formatted once; each replicate goes out as one
-    joined string.
+    This is the package's one path file format.  Every t and value is
+    written at 17 significant digits, which parse back to the same float64,
+    and lines end in "\n" on every platform.  The j and t cells are
+    formatted once; each replicate goes out as one joined string.
     """
     cells = [f",{j},{t:.17g}," for j, t in enumerate(ensemble.grid.times().tolist())]
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("replicate,j,t,value\n")
         for rep in range(ensemble.m):
             row = ensemble.values[rep].tolist()

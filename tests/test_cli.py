@@ -22,7 +22,7 @@ from quartic_lab.cli import EXPERIMENTS, ExperimentConfig, main, run_experiment
 from quartic_lab.errors import ConfigError
 from quartic_lab.functions import builtin
 from quartic_lab.kernels import Grid, fbm_composite_kernel, heat_kernel
-from quartic_lab.simulate import load_ensemble, write_ensemble_csv
+from quartic_lab.simulate import write_ensemble_csv
 from quartic_lab.verify import draw_ensemble
 
 # A grid size of 1 followed by 400 zeros: an int that no float holds.
@@ -87,34 +87,50 @@ class TestCovTable:
 
 
 class TestSample:
-    def test_binary_round_trip(self, tmp_path, capsys):
-        out = str(tmp_path / "paths.bin")
+    def test_csv_round_trip(self, tmp_path, capsys):
+        out = tmp_path / "paths.csv"
         code = main(["sample", "--kernel", "heat", "--n", "16", "--M", "3",
-                     "--seed", "5", "--out", out])
+                     "--seed", "5", "--out", str(out)])
         assert code == 0
         assert "wrote 3 paths" in capsys.readouterr().out
-        ens = load_ensemble(out)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "replicate,j,t,value"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[:2] for row in rows] == [[str(r), str(j)] for r in range(3) for j in range(17)]
+        values = np.array([float(row[3]) for row in rows]).reshape(3, 17)
         ref = draw_ensemble(heat_kernel(), Grid(16), 3, 5)
-        assert np.array_equal(ens.values, ref.values)
-        assert ens.seed == 5
+        assert values.tobytes() == ref.values.tobytes()
 
     def test_csv_matches_library_writer(self, tmp_path):
-        out = str(tmp_path / "paths.csv")
-        assert main(["sample", "--n", "8", "--M", "2", "--seed", "9",
-                     "--out", out, "--format", "csv"]) == 0
-        ref_path = str(tmp_path / "ref.csv")
+        out = tmp_path / "paths.csv"
+        assert main(["sample", "--n", "8", "--M", "2", "--seed", "9", "--out", str(out)]) == 0
+        ref_path = tmp_path / "ref.csv"
         write_ensemble_csv(draw_ensemble(heat_kernel(), Grid(8), 2, 9), ref_path)
-        assert open(out).read() == open(ref_path).read()
+        assert out.read_bytes() == ref_path.read_bytes()
+
+    def test_format_is_an_unknown_flag(self, tmp_path, capsys):
+        out = tmp_path / "paths.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--n", "8", "--M", "2", "--out", str(out), "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_brownian_kernel_samples_beyond_dense_range(self, tmp_path, capsys):
         """N = 2^20 would need an 8 TiB dense matrix; the bm sampler is O(N)."""
-        out = str(tmp_path / "bm.bin")
-        assert main(["sample", "--kernel", "bm", "--n", "1048576", "--M", "2", "--out", out]) == 0
-        ens = load_ensemble(out)
-        assert ens.values.shape == (2, 1048577) and ens.kernel_id == "bm"
+        out = tmp_path / "bm.csv"
+        assert main(["sample", "--kernel", "bm", "--n", "1048576", "--M", "2", "--out", str(out)]) == 0
+        assert "kernel bm, n=1048576" in capsys.readouterr().out
+        rows = 0
+        with open(out, "rb") as fh:
+            assert next(fh) == b"replicate,j,t,value\n"
+            for last in fh:
+                rows += 1
+        assert rows == 2 * 1048577
+        assert last.split(b",")[:2] == [b"1", b"1048576"]
 
     def test_unknown_kernel_is_config_error(self, tmp_path, capsys):
-        code = main(["sample", "--kernel", "nope", "--out", str(tmp_path / "x.bin")])
+        code = main(["sample", "--kernel", "nope", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
 
@@ -122,15 +138,15 @@ class TestSample:
     # physical memory is refused before numpy is asked for the arrays,
     # and a grid size beyond float range before it is converted.
     @pytest.mark.parametrize("argv, reason", [
-        (["sample", "--kernel", "fbm", "--n", "100000000000", "--M", "1", "--out", "x.bin"],
+        (["sample", "--kernel", "fbm", "--n", "100000000000", "--M", "1", "--out", "x.csv"],
          "physical memory"),
-        (["sample", "--kernel", "heat", "--n", "256", "--M", "100000000", "--out", "x.bin"],
+        (["sample", "--kernel", "heat", "--n", "256", "--M", "100000000", "--out", "x.csv"],
          "physical memory"),
         (["verify", "--experiment", "ito", "--n", "100000000000", "--M", "2"], "physical memory"),
         (["cov-table", "--n", "64", "--maxj", "100000000000"], "physical memory"),
         (["cov-table", "--n", "64", "--maxj", "1000", "--lag", "100000000000"],
          "physical memory"),
-        (["sample", "--kernel", "heat", "--n", _BEYOND_FLOAT, "--out", "x.bin"], "float range"),
+        (["sample", "--kernel", "heat", "--n", _BEYOND_FLOAT, "--out", "x.csv"], "float range"),
         (["verify", "--experiment", "ito", "--n", _BEYOND_FLOAT, "--M", "2"], "float range"),
         (["sums", "--functional", "qn", "--n", _BEYOND_FLOAT, "--out", "x.csv"], "float range"),
         (["cov-table", "--n", _BEYOND_FLOAT, "--maxj", "4"], "float range"),
@@ -732,9 +748,9 @@ class TestTypedConfigErrors:
                      "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert main(["sample", "--seed", str(2**64), "--n", "8", "--M", "2",
-                     "--out", str(tmp_path / "paths.bin")]) == 2
+                     "--out", str(tmp_path / "paths.csv")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
-        assert not (tmp_path / "paths.bin").exists()
+        assert not (tmp_path / "paths.csv").exists()
 
 
 # Every config key of some experiment, plus one that none accepts.

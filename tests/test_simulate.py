@@ -4,7 +4,6 @@ import importlib.util
 import math
 import os
 import pathlib
-import struct
 import subprocess
 import sys
 import tracemalloc
@@ -43,10 +42,8 @@ from quartic_lab.simulate import (
     clear_factor_cache,
     factorize,
     fgn_quarter_autocov,
-    load_ensemble,
     sample_brownian,
     sample_paths,
-    save_ensemble,
     write_ensemble_csv,
 )
 
@@ -817,81 +814,6 @@ class TestDrift:
 
 
 class TestPersistence:
-    def test_binary_round_trip(self, tmp_path):
-        grid = Grid(8, horizon=1.5)
-        ens = sample_paths(cached_factor(fbm_composite_kernel(), grid), 5, seed=21)
-        target = tmp_path / "ens.bin"
-        save_ensemble(ens, target)
-        back = load_ensemble(target)
-        assert np.array_equal(back.values, ens.values)
-        assert back.grid == ens.grid
-        assert back.kernel_id == ens.kernel_id
-        assert back.seed == ens.seed
-
-    def test_bad_magic_rejected(self, tmp_path):
-        target = tmp_path / "junk.bin"
-        target.write_bytes(b"NOTANENS" + b"\0" * 64)
-        with pytest.raises(DomainError):
-            load_ensemble(target)
-
-    def test_long_body_refused_before_it_is_read(self, tmp_path):
-        """A 64 MiB sparse tail is caught by the file size; the body is not read."""
-        ens = sample_paths(cached_factor(heat_kernel(), Grid(8)), 3, seed=4)
-        target = tmp_path / "ens.bin"
-        save_ensemble(ens, target)
-        os.truncate(target, target.stat().st_size + 2**26)
-
-        def refused():
-            with pytest.raises(DomainError, match="header implies"):
-                load_ensemble(target)
-
-        assert _traced_peak(refused) < 2**20
-
-    def test_load_holds_one_copy_of_the_body(self, tmp_path):
-        values = np.random.default_rng(3).standard_normal((200, 4097))
-        target = tmp_path / "ens.bin"
-        save_ensemble(simulate.PathEnsemble(Grid(4096), values, "heat", 1), target)
-        peak = _traced_peak(lambda: load_ensemble(target))
-        assert values.nbytes <= peak <= 1.05 * values.nbytes
-        assert np.array_equal(load_ensemble(target).values, values)
-
-    def test_save_writes_the_body_without_copying_it(self, tmp_path):
-        """The save allocates at most 5% of the body: it writes the array, not a copy of it."""
-        values = np.random.default_rng(3).standard_normal((200, 4097))
-        target = tmp_path / "ens.bin"
-        ens = simulate.PathEnsemble(Grid(4096), values, "heat", 1)
-        assert _traced_peak(lambda: save_ensemble(ens, target)) <= 0.05 * values.nbytes
-        assert target.read_bytes().endswith(values.tobytes())
-
-    @pytest.mark.parametrize(
-        "damage", ["header_cut", "body_cut", "kernel_id_bytes", "inf_horizon", "body_bit", "version_1"]
-    )
-    def test_damaged_file_rejected(self, tmp_path, damage):
-        grid = Grid(8)
-        ens = sample_paths(cached_factor(heat_kernel(), grid), 3, seed=4)
-        target = tmp_path / "ens.bin"
-        save_ensemble(ens, target)
-        data = target.read_bytes()
-        if damage == "header_cut":
-            data = data[:20]
-        elif damage == "body_cut":
-            data = data[:-5]
-        elif damage == "inf_horizon":
-            # the float64 horizon sits at bytes 20-27, after magic, version and n
-            data = data[:20] + struct.pack("<d", math.inf) + data[28:]
-        elif damage == "body_bit":
-            # one flipped bit in the body still parses as finite floats; the digest catches it
-            data = data[:-16] + bytes([data[-16] ^ 1]) + data[-15:]
-        elif damage == "version_1":
-            # the uint32 version sits at bytes 8-11: the format before the body digest
-            data = data[:8] + struct.pack("<I", 1) + data[12:]
-        else:
-            # the kernel id "heat" starts right after the 48-byte header
-            data = data[:48] + b"\xff" + data[49:]
-        target.write_bytes(data)
-        with pytest.raises(DomainError):
-            load_ensemble(target)
-
     def test_csv_layout(self, tmp_path):
         grid = Grid(2)
         ens = sample_paths(cached_factor(heat_kernel(), grid), 2, seed=1)
@@ -913,7 +835,7 @@ class TestPersistence:
             [0.0, -0.0, 0.1 + 0.2, -1e-300, 123456789.125, 5e-324],
             [0.0, 1.0, -2.5, 1 / 3, -0.0, 1e22],
         ])
-        ens = simulate.PathEnsemble(grid, values, "heat", 4)
+        ens = simulate.PathEnsemble(grid, values, "heat")
         target = tmp_path / "ens.csv"
         write_ensemble_csv(ens, target)
         times = grid.times()
