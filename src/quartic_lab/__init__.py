@@ -45,7 +45,6 @@ from .simulate import (
     CompositeFactor,
     HankelFactor,
     HeatFactor,
-    PathEnsemble,
     cached_factor,
     clear_factor_cache,
     factorize,

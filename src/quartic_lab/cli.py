@@ -297,7 +297,7 @@ def _cmd_cov_table(args):
 
 def _cmd_sample(args):
     grid = Grid(args.n, args.horizon)
-    write_ensemble_csv(verify.draw_ensemble(args.kernel, grid, args.m, args.seed), args.out)
+    write_ensemble_csv(verify.draw_ensemble(args.kernel, grid, args.m, args.seed), grid, args.out)
     print(
         f"wrote {args.m} paths (kernel {args.kernel.canonical_id()}, n={args.n}, "
         f"T={args.horizon:g}) to {args.out}"
@@ -348,7 +348,7 @@ def _cmd_sums(args):
     g = _CHECKS["g"]("--g", spec)
     if "g" in params:
         options["g"] = g
-    values = verify.draw_ensemble(args.kernel, grid, args.m, args.seed).values
+    values = verify.draw_ensemble(args.kernel, grid, args.m, args.seed)
     series = function(values, grid, **options)
 
     times = grid.times()

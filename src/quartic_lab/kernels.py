@@ -255,7 +255,7 @@ class CovKernel:
         return out if out.ndim else float(out)
 
     def canonical_id(self):
-        """Stable text id used in cache keys and file headers."""
+        """Stable text id, used in the factor cache's key and in messages."""
         if self.kind != "composite":
             return self.kind
         inner = "+".join(comp.canonical_id() for comp in self.components)

@@ -58,8 +58,8 @@ after synthesis.  There are five backends:
   drifted composite also carries its mean on the grid, t_0 included, and
   adds it to the paths it returns.
 
-Every factor carries its grid and its kernel's id, which `path_tiles`
-and `sample_paths` read; `cached_factor` supplies both.
+Every factor carries its grid, which `path_tiles` and `sample_paths`
+read; `cached_factor` supplies it.
 
 Every backend maps one tile: `synthesize(z)` turns the
 (_TILE_ROWS, normals_per_path) normals z of one tile of replicates into
@@ -81,7 +81,7 @@ every grid of an MSE ladder: each coarser factor synthesizes a copy of
 the block's first normals_per_path columns, the finest the block itself.
 It hands on the paths each factor returns, so it holds one tile of
 normals and paths whatever M is.  `sample_paths` collects the tiles of
-one factor into an ensemble.
+one factor into one (M, N + 1) array.
 
 `sample_brownian` draws the independent standard Brownian motion of each
 replicate, the driving noise of the corrected change-of-variable
@@ -122,6 +122,21 @@ CIRCULANT_NEG_REL = 1e-12
 _TILE_ROWS = 8
 _TILE_COLS = 16
 
+# The rank-r products that expand a tile's coefficients into increments,
+# z U^T in HankelFactor and coef U^T in HeatFactor, go this many columns
+# of U^T at a time (`_expand`), and never split the inner dimension r.
+# 8 * r * 256 <= 2^18 for r up to _HANKEL_RANK_CAP, the size up to which
+# OpenBLAS's default build runs gemm on one thread: with 2 threads the
+# (8, 33) @ (33, 4096) heat product once took 8 ms, against 0.07 ms on one.
+# Blocks starting at multiples of 256 give each column the bits of the
+# one product, with one exception: where OpenBLAS has a small-matrix gemm
+# kernel (AVX-512 builds) and 8 r N exceeds the 10^6 up to which the one
+# product used it, the last N mod 8 columns round differently when that
+# is 1 to 4.  The cumulative sum absorbs most of it: 2 of 342 tiles
+# changed over N in 4090..4199, 8185..8239 and a few larger; every
+# default grid has 8 | N.
+_BLOCK_COLS = 256
+
 # The Toeplitz solve of the heat set-up runs its FFTs on tiles of its own,
 # this many rows of 2N floats and 2 (N+1) complex values: 6 MiB at N = 65536.
 # Each row is transformed on its own, so no bit depends on this height.
@@ -132,6 +147,9 @@ _SOLVE_ROWS = 2
 # so a grid that would exceed it is far beyond any physical memory.
 _HANKEL_RANK_CAP = 128
 
+# `write_ensemble_csv` formats and writes a replicate this many rows at a time.
+_CSV_ROWS = 1 << 14
+
 # Conjugate gradients on T g = e_0 stop at this residual.
 _CG_TOL = 1e-15
 _CG_MAX_ITER = 100
@@ -139,13 +157,9 @@ _CG_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class BrownianFactor:
-    """Standard Brownian motion on a grid: the cumulative sum of sqrt(dt) z.
-
-    grid, kernel_id: provenance carried to sampled ensembles.
-    """
+    """Standard Brownian motion on a grid: the cumulative sum of sqrt(dt) z."""
 
     grid: Grid
-    kernel_id: str = "bm"
 
     @property
     def dim(self):
@@ -171,7 +185,7 @@ class CirculantFactor:
                  embedding of the increment autocovariance.
     certificate: lambda_min / lambda_max before clipping; >= 0 (up to
                  rounding) means the draw is exact.
-    grid, kernel_id: provenance carried to sampled ensembles.
+    grid:        the grid the paths are drawn on.
 
     `synthesize` maps one tile: `increments` turns its normals into its
     increments in place and frees its half spectrum, and their
@@ -181,7 +195,6 @@ class CirculantFactor:
     sqrt_eigs: np.ndarray
     certificate: float
     grid: Grid
-    kernel_id: str
 
     @property
     def dim(self):
@@ -235,13 +248,12 @@ class HankelFactor:
                     covariance.
     trace_residual: trace of K - U U^T as tracked by the pivoted
                     Cholesky; bounds ||K - U U^T||_2 up to its rounding.
-    grid, kernel_id: provenance carried to sampled ensembles.
+    grid:           the grid the paths are drawn on.
     """
 
     basis: np.ndarray
     trace_residual: float
     grid: Grid
-    kernel_id: str
 
     @property
     def dim(self):
@@ -258,7 +270,7 @@ class HankelFactor:
     def synthesize(self, z):
         """Paths of a tile of (_TILE_ROWS, r) normals z."""
         paths = _new_paths(z.shape[0], self.dim)
-        inc = np.matmul(z, self.basis, out=paths[:, 1:])
+        inc = _expand(z, self.basis, paths[:, 1:])
         np.cumsum(inc, axis=1, out=inc)
         return paths
 
@@ -286,7 +298,7 @@ class HeatFactor:
                     max(1e-13, N eps / 8) with eps = 2^-52: it reads
                     1.1e-14 at N = 2048, 3.3e-14 at 16384 and 1.7e-13
                     at 65536.
-    grid, kernel_id: provenance carried to sampled ensembles.
+    grid:           the grid the paths are drawn on.
     """
 
     fgn: CirculantFactor
@@ -295,7 +307,6 @@ class HeatFactor:
     mixing: np.ndarray
     cg_residual: float
     grid: Grid
-    kernel_id: str
 
     @property
     def dim(self):
@@ -323,7 +334,7 @@ class HeatFactor:
         coef = z[:, 2 * n :] @ self.mixing
         coef -= proj
         paths = _new_paths(z.shape[0], n)
-        out = np.matmul(coef, self.hankel.basis, out=paths[:, 1:])
+        out = _expand(coef, self.hankel.basis, paths[:, 1:])
         out += inc
         np.cumsum(out, axis=1, out=out)
         return paths
@@ -335,7 +346,7 @@ class CompositeFactor:
 
     parts:  the factors of the one or two components, in order.
     scale:  c, applied to the first part.
-    grid, kernel_id: provenance carried to sampled ensembles.
+    grid:   the grid the paths are drawn on.
     mean:   a drifted kernel's mean at t_0 .. t_N, which `synthesize`
             adds to the paths; None when centered.
     """
@@ -343,7 +354,6 @@ class CompositeFactor:
     parts: tuple
     scale: float
     grid: Grid
-    kernel_id: str
     mean: np.ndarray | None = None
 
     @property
@@ -368,6 +378,20 @@ class CompositeFactor:
         return paths
 
 
+def _expand(coef, basis, out):
+    """out = coef @ basis, _BLOCK_COLS columns of basis at a time; returns out.
+
+    A last block of one column joins the one before it: numpy would hand
+    it to gemv, which rounds it differently from gemm.
+    """
+    n = basis.shape[1]
+    starts = range(0, max(n - 1, 1), _BLOCK_COLS)
+    for col in starts:
+        cols = slice(col, n if col == starts[-1] else col + _BLOCK_COLS)
+        np.matmul(coef, basis[:, cols], out=out[:, cols])
+    return out
+
+
 def _new_paths(rows, n):
     """An uninitialized (rows, N + 1) path array whose column 0, t_0, is zero."""
     paths = np.empty((rows, n + 1))
@@ -375,7 +399,7 @@ def _new_paths(rows, n):
     return paths
 
 
-def circulant_factor(autocov, grid, kernel_id):
+def circulant_factor(autocov, grid):
     """Davies-Harte factor from the increment autocovariance gamma(0 .. N).
 
     Raises NotPositiveDefinite when an eigenvalue of the circulant
@@ -393,7 +417,7 @@ def circulant_factor(autocov, grid, kernel_id):
         raise NotPositiveDefinite(
             f"circulant embedding has eigenvalue {lam_min:.3e} against maximum {lam_max:.3e}"
         )
-    return CirculantFactor(np.sqrt(np.maximum(eigs, 0.0)), lam_min / lam_max, grid, kernel_id)
+    return CirculantFactor(np.sqrt(np.maximum(eigs, 0.0)), lam_min / lam_max, grid)
 
 
 def fgn_quarter_autocov(grid):
@@ -452,7 +476,7 @@ def _hankel_cholesky(seq, n):
     return rows, residual
 
 
-def hankel_factor(grid, kernel_id="xi"):
+def hankel_factor(grid):
     """`HankelFactor` of `xi` on the grid; see the module doc.
 
     Raises DomainError, before allocating, when the Hankel sequence, its
@@ -462,7 +486,7 @@ def hankel_factor(grid, kernel_id="xi"):
     n = grid.nsteps
     _require_memory(8 * n * (min(n, _HANKEL_RANK_CAP // 2) + 3), f"Hankel factor at N={n}")
     seq = 0.5 * math.sqrt(grid.dt) * gamma(np.arange(1, 2 * n))
-    return HankelFactor(*_hankel_cholesky(seq, n), grid, kernel_id)
+    return HankelFactor(*_hankel_cholesky(seq, n), grid)
 
 
 def _first_column(autocov, eigs):
@@ -555,7 +579,7 @@ def _solve_toeplitz(autocov, eigs, rhs):
     return sol, float(residual.max())
 
 
-def heat_factor(fgn, hankel, kernel_id="heat"):
+def heat_factor(fgn, hankel):
     """`HeatFactor` for the heat slice on the grid of fgn and hankel; see the module doc.
 
     fgn and hankel are the `fbm_quarter` and `xi` factors of one grid,
@@ -581,26 +605,7 @@ def heat_factor(fgn, hankel, kernel_id="heat"):
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"I - U^T T^-1 U is not positive definite at N={n}") from exc
     mixing = lower.T / FBM_HEAT_SCALE
-    return HeatFactor(fgn, hankel, solved, mixing, cg_residual, grid, kernel_id)
-
-
-@dataclass(frozen=True)
-class PathEnsemble:
-    """M sampled paths over a grid, values[m, j] = X_m(t_j), and their kernel's id.
-
-    values[:, 0] is exactly 0 for centered kernels.  The ensemble does not
-    record the seed of its draw: row r of `sample_paths(factor, m, seed,
-    role, first)` comes from the stream keyed rng.derive_key(seed, first + r,
-    role), role ROLE_PATH there and ROLE_BM for `sample_brownian`.
-    """
-
-    grid: Grid
-    values: np.ndarray
-    kernel_id: str
-
-    @property
-    def m(self):
-        return self.values.shape[0]
+    return HeatFactor(fgn, hankel, solved, mixing, cg_residual, grid)
 
 
 @dataclass(frozen=True)
@@ -655,29 +660,26 @@ def cached_factor(kernel, grid):
     Davies-Harte `CirculantFactor`, `xi` the low-rank `HankelFactor`,
     `heat` the `HeatFactor` built on the cached `fbm_quarter` and `xi`
     factors and a composite a `CompositeFactor` of its components'
-    cached factors; a drifted
-    composite's carries its mean and a "|drift" suffix on its id.  Large
+    cached factors; a drifted composite's carries its mean.  Large
     experiments share factors through this cache, so a pipeline factors
     each kernel exactly once no matter how many ensembles it draws.
     """
     key = (kernel.canonical_id(), grid.n, grid.horizon)
     factor = _FACTOR_CACHE.get(key)
     if factor is None:
-        kernel_id = kernel.canonical_id()
         if kernel.kind == "bm":
-            factor = BrownianFactor(grid, kernel_id)
+            factor = BrownianFactor(grid)
         elif kernel.kind == "fbm_quarter":
-            factor = circulant_factor(fgn_quarter_autocov(grid), grid, kernel_id)
+            factor = circulant_factor(fgn_quarter_autocov(grid), grid)
         elif kernel.kind == "xi":
-            factor = hankel_factor(grid, kernel_id)
+            factor = hankel_factor(grid)
         elif kernel.kind == "heat":
             parts = [cached_factor(CovKernel(kind), grid) for kind in ("fbm_quarter", "xi")]
-            factor = heat_factor(*parts, kernel_id)
+            factor = heat_factor(*parts)
         else:
             parts = tuple(cached_factor(comp, grid) for comp in kernel.components)
             mean = kernel.mean_at(grid.times()) if kernel.mean_coeffs else None
-            drift = "|drift" if kernel.mean_coeffs else ""
-            factor = CompositeFactor(parts, kernel.c, grid, kernel_id + drift, mean)
+            factor = CompositeFactor(parts, kernel.c, grid, mean)
         _FACTOR_CACHE[key] = factor
     return factor
 
@@ -724,10 +726,12 @@ def path_tiles(factors, m, seed, role=rng.ROLE_PATH, first=0):
 
 
 def sample_paths(factor, m, seed, role=rng.ROLE_PATH, first=0):
-    """Draw M exact paths from a factor (`cached_factor`): its `path_tiles`, collected.
+    """M exact paths from a factor (`cached_factor`): its `path_tiles`, collected.
 
-    The grid and kernel id are the ones the factor carries; row r comes
-    from the stream of replicate first + r of `role`.
+    Returns the (M, N + 1) array values[r, j] = X_r(t_j) on the factor's
+    grid, column 0 exactly 0 for centered kernels.  Row r comes from the
+    stream keyed rng.derive_key(seed, first + r, role): role ROLE_PATH
+    here and ROLE_BM for `sample_brownian`.
     """
     if m < 1:
         raise DomainError("sample_paths needs at least one replicate")
@@ -736,7 +740,7 @@ def sample_paths(factor, m, seed, role=rng.ROLE_PATH, first=0):
     values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
     for start, stop, _, paths in path_tiles([factor], m, seed, role, first):
         values[start:stop] = paths
-    return PathEnsemble(grid, values, factor.kernel_id)
+    return values
 
 
 def sample_brownian(grid, m, seed, first=0):
@@ -744,17 +748,21 @@ def sample_brownian(grid, m, seed, first=0):
     return sample_paths(BrownianFactor(grid), m, seed, role=rng.ROLE_BM, first=first)
 
 
-def write_ensemble_csv(ensemble, path):
-    """Write an ensemble as CSV with columns replicate, j, t, value.
+def write_ensemble_csv(values, grid, path):
+    """Write (M, N + 1) paths on a grid as CSV with columns replicate, j, t, value.
 
     This is the package's one path file format.  Every t and value is
     written at 17 significant digits, which parse back to the same float64,
     and lines end in "\n" on every platform.  The j and t cells are
-    formatted once; each replicate goes out as one joined string.
+    formatted once; each replicate goes out in joined strings of
+    _CSV_ROWS lines, so the Python objects in flight stay a fraction of
+    that table.
     """
-    cells = [f",{j},{t:.17g}," for j, t in enumerate(ensemble.grid.times().tolist())]
+    cells = [f",{j},{t:.17g}," for j, t in enumerate(grid.times().tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("replicate,j,t,value\n")
-        for rep in range(ensemble.m):
-            row = ensemble.values[rep].tolist()
-            fh.write("".join([f"{rep}{cell}{v:.17g}\n" for cell, v in zip(cells, row)]))
+        for rep, row in enumerate(values):
+            for start in range(0, len(cells), _CSV_ROWS):
+                part = slice(start, start + _CSV_ROWS)
+                block = zip(cells[part], row[part].tolist())
+                fh.write("".join([f"{rep}{cell}{v:.17g}\n" for cell, v in block]))

@@ -186,7 +186,7 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def draw_ensemble(kernel, grid, m, seed):
-    """Exact-covariance ensemble for the kernel, its drift included (`cached_factor`)."""
+    """(M, N + 1) exact-covariance paths of the kernel, its drift included (`cached_factor`)."""
     return sample_paths(cached_factor(kernel, grid), m, seed)
 
 
@@ -205,7 +205,7 @@ def _replicate_columns(kernel, grids, m, seed, reduce, shape, brownian=False):
     out = np.empty(shape, dtype=np.float64)
     factors = [cached_factor(kernel, grid) for grid in grids]
     for start, stop, k, x in path_tiles(factors, m, seed):
-        b = sample_brownian(grids[k], stop - start, seed, first=start).values if brownian else None
+        b = sample_brownian(grids[k], stop - start, seed, first=start) if brownian else None
         out[k, start:stop] = np.moveaxis(np.array(reduce(x, b, grids[k])), -1, 0)
         del x, b
     return out

@@ -65,7 +65,7 @@ def _check_value(report, name):
 def desk_ensemble():
     """Heat-kernel ensemble shared by the quartic and cubic criteria."""
     grid = Grid(4096)
-    values = sample_paths(cached_factor(heat_kernel(), grid), 200, 7).values
+    values = sample_paths(cached_factor(heat_kernel(), grid), 200, 7)
     return grid, values
 
 
@@ -283,7 +283,7 @@ from quartic_lab.kernels import Grid, heat_kernel
 from quartic_lab.simulate import cached_factor, sample_paths
 digest = hashlib.sha256()
 for grid in (Grid(4096), Grid(3000, 1.7)):
-    digest.update(sample_paths(cached_factor(heat_kernel(), grid), 40, 7).values.tobytes())
+    digest.update(sample_paths(cached_factor(heat_kernel(), grid), 40, 7).tobytes())
 out["heat-paths"] = digest.hexdigest()
 """
 
@@ -301,7 +301,6 @@ from quartic_lab.kernels import Grid, build_cov_matrix, heat_kernel
 class DenseFactor:
     lower: np.ndarray
     grid: Grid
-    kernel_id: str = "heat"
     dim = normals_per_path = 1024
 
     def synthesize(self, z):

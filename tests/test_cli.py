@@ -99,13 +99,13 @@ class TestSample:
         assert [row[:2] for row in rows] == [[str(r), str(j)] for r in range(3) for j in range(17)]
         values = np.array([float(row[3]) for row in rows]).reshape(3, 17)
         ref = draw_ensemble(heat_kernel(), Grid(16), 3, 5)
-        assert values.tobytes() == ref.values.tobytes()
+        assert values.tobytes() == ref.tobytes()
 
     def test_csv_matches_library_writer(self, tmp_path):
         out = tmp_path / "paths.csv"
         assert main(["sample", "--n", "8", "--M", "2", "--seed", "9", "--out", str(out)]) == 0
         ref_path = tmp_path / "ref.csv"
-        write_ensemble_csv(draw_ensemble(heat_kernel(), Grid(8), 2, 9), ref_path)
+        write_ensemble_csv(draw_ensemble(heat_kernel(), Grid(8), 2, 9), Grid(8), ref_path)
         assert out.read_bytes() == ref_path.read_bytes()
 
     def test_format_is_an_unknown_flag(self, tmp_path, capsys):
@@ -316,9 +316,7 @@ class TestSums:
         assert "t=0.5: mean =" in stdout and "t=1: mean =" in stdout
 
         grid = Grid(64)
-        series = sums.qn_process_ensemble(
-            draw_ensemble(heat_kernel(), grid, 5, 11).values, grid
-        )
+        series = sums.qn_process_ensemble(draw_ensemble(heat_kernel(), grid, 5, 11), grid)
         lines = open(out).read().strip().split("\n")
         assert lines[0] == "replicate,t,value"
         assert len(lines) == 1 + 5 * 2
@@ -333,7 +331,7 @@ class TestSums:
         assert code == 0
         grid = Grid(32)
         series = sums.trapezoid_sum_ensemble(
-            draw_ensemble(heat_kernel(), grid, 3, 7).values, grid, builtin("square"), 1
+            draw_ensemble(heat_kernel(), grid, 3, 7), grid, builtin("square"), 1
         )
         last = open(out).read().strip().split("\n")[-1].split(",")
         assert float(last[2]) == series[2, grid.index_at(1.0)]
@@ -432,7 +430,7 @@ class TestSums:
                      "--seed", "5", "--t", "0.3,0.5,1.0", "--out", out])
         assert code == 0
         grid = Grid(64)
-        series = call(draw_ensemble(heat_kernel(), grid, 4, 5).values, grid)
+        series = call(draw_ensemble(heat_kernel(), grid, 4, 5), grid)
         rows = [line.split(",") for line in open(out).read().strip().split("\n")[1:]]
         assert len(rows) == 4 * 3
         for row, (rep, t) in zip(rows, [(r, t) for r in range(4) for t in (0.3, 0.5, 1.0)]):

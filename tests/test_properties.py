@@ -10,7 +10,7 @@ from conftest import assert_is_ndtri, rerun_under_libm_log, synthesize_rows
 from quartic_lab import functions, rng
 from quartic_lab.functions import builtin, from_spec
 from quartic_lab.kernels import KERNEL_KINDS, CovKernel, Grid, build_cov_matrix, fbm_composite_kernel
-from quartic_lab.simulate import PathEnsemble, cached_factor, heat_factor, write_ensemble_csv
+from quartic_lab.simulate import cached_factor, heat_factor, write_ensemble_csv
 from quartic_lab.sums import power_sum_ensemble
 
 _PROPERTY = settings(max_examples=40, deadline=None, database=None)
@@ -165,7 +165,7 @@ def test_ensemble_file_round_trip(tmp_path_factory, grid, m, data):
         data.draw(st.lists(_CSV_FLOATS, min_size=m * shape[1], max_size=m * shape[1]))
     ).reshape(shape)
     path = tmp_path_factory.mktemp("ens") / "ens.csv"
-    write_ensemble_csv(PathEnsemble(grid, values, "heat"), path)
+    write_ensemble_csv(values, grid, path)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     assert [row[:2] for row in rows] == [[str(r), str(j)] for r in range(m) for j in range(shape[1])]
     back = np.array([float(row[3]) for row in rows]).reshape(shape)

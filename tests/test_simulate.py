@@ -126,7 +126,7 @@ class TestSamplePaths:
         factor = cached_factor(kernel, Grid(32))
         a = sample_paths(factor, 20, seed=11)
         b = sample_paths(factor, 20, seed=11)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     @SAMPLED_KERNELS
     def test_replicate_streams_are_stable_under_extension(self, kernel):
@@ -134,18 +134,18 @@ class TestSamplePaths:
         factor = cached_factor(kernel, Grid(32))
         small = sample_paths(factor, 5, seed=3)
         large = sample_paths(factor, 50, seed=3)
-        assert np.array_equal(large.values[:5], small.values)
+        assert np.array_equal(large[:5], small)
 
     def test_time_zero_is_pinned(self):
         factor = cached_factor(heat_kernel(), Grid(16))
         ens = sample_paths(factor, 7, seed=0)
-        assert np.all(ens.values[:, 0] == 0.0)
-        assert ens.values.shape == (7, 17)
+        assert np.all(ens[:, 0] == 0.0)
+        assert ens.shape == (7, 17)
 
     def test_moments_at_unit_time(self):
         factor = cached_factor(heat_kernel(), Grid(64))
         ens = sample_paths(factor, 10000, seed=5)
-        final = ens.values[:, -1]
+        final = ens[:, -1]
         var_exact = 1.0 / math.sqrt(math.pi)
         # SE of the sample variance of a Gaussian is var*sqrt(2/(M-1))
         se_var = var_exact * math.sqrt(2.0 / 9999)
@@ -158,13 +158,13 @@ class TestSamplePaths:
         grid = Grid(8)
         factor = cached_factor(heat_kernel(), grid)
         ens = sample_paths(factor, 20000, seed=2)
-        body = ens.values[:, 1:]
-        emp = (body.T @ body) / ens.m
+        body = ens[:, 1:]
+        emp = (body.T @ body) / len(ens)
         ts = grid.times()[1:]
         exact = rho_heat(ts[:, None], ts[None, :])
         # Var(X_s X_t) = rho(s,s)rho(t,t) + rho(s,t)^2 for centered Gaussians
         var_prod = np.outer(np.diag(exact), np.diag(exact)) + exact**2
-        se = np.sqrt(var_prod / ens.m)
+        se = np.sqrt(var_prod / len(ens))
         assert np.all(np.abs(emp - exact) <= 4.0 * se)
 
     @pytest.mark.parametrize("draw", [
@@ -206,7 +206,7 @@ class TestSamplePaths:
             for b in base
         ]
         for kernel in base + composites:
-            values = verify.draw_ensemble(kernel, grid, 9, 1).values
+            values = verify.draw_ensemble(kernel, grid, 9, 1)
             assert values.shape == (9, 65) and np.all(np.isfinite(values))
 
     def test_factor_cache_reuses_work(self, monkeypatch):
@@ -346,7 +346,7 @@ def _block_solve_toeplitz(autocov, eigs, rhs):
 def _tiles_match_the_block(kernel, block_paths, n, m):
     factor = cached_factor(kernel, Grid(n))
     expected = block_paths(factor, stream_normals(factor, m, 17))
-    out = sample_paths(factor, m, 17).values[:, 1:]
+    out = sample_paths(factor, m, 17)[:, 1:]
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
@@ -376,7 +376,7 @@ class TestBrownianSampler:
     def test_coupled_motion_is_the_scaled_cumsum_of_its_stream(self):
         """ROLE_BM paths are pinned bit for bit to their streams."""
         grid = Grid(64, horizon=1.5)
-        values = sample_brownian(grid, 4, seed=9).values
+        values = sample_brownian(grid, 4, seed=9)
         for r in range(4):
             z = math.sqrt(grid.dt) * rng.normals(rng.derive_key(9, r, rng.ROLE_BM), grid.nsteps)
             assert np.array_equal(values[r, 1:].view(np.uint64), np.cumsum(z).view(np.uint64))
@@ -386,8 +386,8 @@ class TestBrownianSampler:
     def test_brownian_from_an_offset_is_the_rows_of_the_whole_draw(self, first, count):
         """Row r of a draw from replicate `first` is row first + r of a draw from 0."""
         grid = Grid(64)
-        whole = sample_brownian(grid, 80, 3).values
-        part = sample_brownian(grid, count, 3, first=first).values
+        whole = sample_brownian(grid, 80, 3)
+        part = sample_brownian(grid, count, 3, first=first)
         assert np.array_equal(part.view(np.uint64), whole[first : first + count].view(np.uint64))
 
 
@@ -408,18 +408,18 @@ class TestCirculantSampler:
     def test_row_blocks_match_one_whole_block(self, monkeypatch, m):
         """The Davies-Harte rows are the same in 8-row tiles and in one tile of all m rows."""
         factor = cached_factor(fbm_quarter_kernel(), Grid(256))
-        blocked = sample_paths(factor, m, 5).values
+        blocked = sample_paths(factor, m, 5)
         given = synthesize_rows(factor, stream_normals(factor, m, 5))
         monkeypatch.setattr(simulate, "_TILE_ROWS", m)
-        whole = sample_paths(factor, m, 5).values
+        whole = sample_paths(factor, m, 5)
         assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
         assert np.array_equal(given.view(np.uint64), whole[:, 1:].view(np.uint64))
 
     @pytest.mark.parametrize("role", [rng.ROLE_PATH, rng.ROLE_BM])
     def test_normals_from_an_offset_are_the_rows_of_the_whole_block(self, role):
         factor = cached_factor(fbm_quarter_kernel(), Grid(64))
-        whole = sample_paths(factor, 9, 3, role).values
-        part = sample_paths(factor, 4, 3, role, first=5).values
+        whole = sample_paths(factor, 9, 3, role)
+        part = sample_paths(factor, 4, 3, role, first=5)
         assert np.array_equal(part.view(np.uint64), whole[5:].view(np.uint64))
 
     @TILE_CASES
@@ -444,7 +444,7 @@ class TestCirculantSampler:
     def test_negative_eigenvalue_row_rejected(self):
         # eigenvalues 1 + 1.8 cos(pi k / 4); the one at k = 4 is -0.8
         with pytest.raises(NotPositiveDefinite):
-            circulant_factor([1.0, 0.9, 0.0, 0.0, 0.0], Grid(4), "fbm_quarter")
+            circulant_factor([1.0, 0.9, 0.0, 0.0, 0.0], Grid(4))
 
 
 HEAT_GRIDS = pytest.mark.parametrize(
@@ -506,7 +506,7 @@ class TestHeatSampler:
         heat = cached_factor(heat_kernel(), grid)
         n, r = heat.dim, heat.rank
         z = stream_normals(heat, 5, 3)
-        fgn = np.diff(sample_paths(cached_factor(fbm_quarter_kernel(), grid), 5, 3).values, axis=1)
+        fgn = np.diff(sample_paths(cached_factor(fbm_quarter_kernel(), grid), 5, 3), axis=1)
         paths = synthesize_rows(heat, z)
         basis = heat.hankel.basis
         expected = np.cumsum(fgn - (fgn @ heat.solved.T) @ basis, axis=1) / FBM_HEAT_SCALE
@@ -619,8 +619,8 @@ class TestHeatSampler:
     def test_rows_do_not_depend_on_the_tile_or_block(self, m):
         """A row drawn among rows 40 - m .. 39 equals the row drawn among all 40."""
         factor = cached_factor(heat_kernel(), Grid(4096))
-        whole = sample_paths(factor, 40, 9).values
-        part = sample_paths(factor, m, 9, first=40 - m).values
+        whole = sample_paths(factor, 40, 9)
+        part = sample_paths(factor, m, 9, first=40 - m)
         assert np.array_equal(part.view(np.uint64), whole[40 - m :].view(np.uint64))
 
 
@@ -652,8 +652,8 @@ def test_linear_map_has_the_oracle_covariance(kernel, grid):
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 33], ids=str)
 def test_part_rows_do_not_depend_on_the_tile_or_block(kernel, m):
     factor = cached_factor(kernel, Grid(4096))
-    whole = sample_paths(factor, 40, 9).values
-    part = sample_paths(factor, m, 9, first=40 - m).values
+    whole = sample_paths(factor, 40, 9)
+    part = sample_paths(factor, m, 9, first=40 - m)
     assert np.array_equal(part.view(np.uint64), whole[40 - m :].view(np.uint64))
 
 
@@ -664,6 +664,29 @@ def test_xi_draws_the_heat_set_up_hankel_factor():
         heat = cached_factor(heat_kernel(), Grid(n))
         assert xi.normals_per_path == xi.rank == heat.rank == rank
         assert heat.hankel is xi
+
+
+@pytest.mark.parametrize("kind", ["heat", "xi"])
+def test_rank_products_stay_on_one_blas_thread(monkeypatch, kind):
+    """A tile's rank-r products at N = 4096 each take at most 2^18 multiply-adds.
+
+    OpenBLAS runs gemm on one thread up to that size; the one (8, 33) @
+    (33, 4096) heat product, past it, once took 8 ms on two threads.
+    """
+    factor = cached_factor(CovKernel(kind), Grid(4096))
+    z = np.random.default_rng(2).standard_normal((simulate._TILE_ROWS, factor.normals_per_path))
+    calls = []
+    matmul = np.matmul
+
+    def record(a, b, **kwargs):
+        calls.append((*a.shape, b.shape[1]))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", record)
+    factor.synthesize(z)
+    expand = [(m, k, n) for m, k, n in calls if k == factor.rank]
+    assert sum(n for _, _, n in expand) == 4096
+    assert all(m * k * n <= 2**18 for m, k, n in expand)
 
 
 def test_heat_and_the_composite_share_the_grid_factors():
@@ -690,7 +713,7 @@ def test_composite_normals_are_part_0_then_part_1():
     first = synthesize_rows(heat, z[:, : heat.normals_per_path])
     second = synthesize_rows(xi, z[:, heat.normals_per_path :])
     expected = kernel.c * first + second
-    paths = sample_paths(factor, 5, 3).values[:, 1:]
+    paths = sample_paths(factor, 5, 3)[:, 1:]
     assert np.array_equal(paths.view(np.uint64), expected.view(np.uint64))
     assert factor.normals_per_path == 2 * 256 + 2 * heat.rank
 
@@ -701,7 +724,7 @@ from quartic_lab.kernels import Grid, heat_kernel
 from quartic_lab.simulate import cached_factor, sample_paths
 digest = hashlib.sha256()
 for grid in (Grid(4096), Grid(3000, 1.7)):
-    digest.update(sample_paths(cached_factor(heat_kernel(), grid), 40, 7).values.tobytes())
+    digest.update(sample_paths(cached_factor(heat_kernel(), grid), 40, 7).tobytes())
 print(digest.hexdigest())
 """
 
@@ -746,29 +769,29 @@ class TestSampleCoupled:
         grid = Grid(32)
         x1, b1 = verify.draw_ensemble(heat_kernel(), grid, 10, 9), sample_brownian(grid, 10, 9)
         x2, b2 = verify.draw_ensemble(heat_kernel(), grid, 10, 9), sample_brownian(grid, 10, 9)
-        assert np.array_equal(x1.values, x2.values)
-        assert np.array_equal(b1.values, b2.values)
+        assert np.array_equal(x1, x2)
+        assert np.array_equal(b1, b2)
 
     def test_roles_are_disjoint(self):
         """The Brownian draw must not consume the path streams."""
         grid = Grid(32)
         solo = sample_paths(cached_factor(heat_kernel(), grid), 10, seed=9)
         x, b = verify.draw_ensemble(heat_kernel(), grid, 10, 9), sample_brownian(grid, 10, 9)
-        assert np.array_equal(x.values, solo.values)
-        assert not np.array_equal(b.values[:, 1:], solo.values[:, 1:])
+        assert np.array_equal(x, solo)
+        assert not np.array_equal(b[:, 1:], solo[:, 1:])
 
     def test_cross_correlation_small(self):
         grid = Grid(16)
         x, b = verify.draw_ensemble(heat_kernel(), grid, 10000, 4), sample_brownian(grid, 10000, 4)
-        r = np.corrcoef(x.values[:, -1], b.values[:, -1])[0, 1]
+        r = np.corrcoef(x[:, -1], b[:, -1])[0, 1]
         assert abs(r) <= 0.03
 
     def test_brownian_variance(self):
         grid = Grid(16)
         b = sample_brownian(grid, 10000, seed=8)
-        final = b.values[:, -1]
+        final = b[:, -1]
         assert abs(final.var(ddof=1) - 1.0) <= 3 * math.sqrt(2.0 / 9999)
-        steps = np.diff(b.values, axis=1)
+        steps = np.diff(b, axis=1)
         np.testing.assert_allclose(steps.var(ddof=1, axis=0), grid.dt, rtol=0.15)
 
 
@@ -782,15 +805,14 @@ class TestDrift:
         kernel = _drifted(0.0)
         ens = sample_paths(cached_factor(_drifted(), grid), 4, seed=6)
         shifted = verify.draw_ensemble(kernel, grid, 4, 6)
-        assert np.array_equal(shifted.values, ens.values)
+        assert np.array_equal(shifted, ens)
 
     def test_linear_drift_shifts_columns(self):
         grid = Grid(2)
         kernel = _drifted(0.0, 1.0)
         ens = sample_paths(cached_factor(_drifted(), grid), 3, seed=6)
         shifted = verify.draw_ensemble(kernel, grid, 3, 6)
-        np.testing.assert_allclose(shifted.values - ens.values, np.tile([0.0, 0.5, 1.0], (3, 1)))
-        assert shifted.kernel_id == kernel.canonical_id() + "|drift"
+        np.testing.assert_allclose(shifted - ens, np.tile([0.0, 0.5, 1.0], (3, 1)))
 
     def test_scaled_heat_plus_drift_matches_composite_law(self):
         """c*F + m(t) and the composite kernel agree in mean and variance."""
@@ -801,11 +823,11 @@ class TestDrift:
         )
         factor_h = cached_factor(heat_kernel(), grid)
         manual = sample_paths(factor_h, 10000, seed=12)
-        manual_final = c * manual.values[:, -1] + 1.0
+        manual_final = c * manual[:, -1] + 1.0
         factor_c = cached_factor(composite, grid)
         # The composite's factor carries its drift.
         drawn = sample_paths(factor_c, 10000, seed=13)
-        drawn_final = drawn.values[:, -1]
+        drawn_final = drawn[:, -1]
         var_exact = c * c / math.sqrt(math.pi)
         se_var = var_exact * math.sqrt(2.0 / 9999)
         se_mean = math.sqrt(var_exact / 10000)
@@ -818,7 +840,7 @@ class TestPersistence:
         grid = Grid(2)
         ens = sample_paths(cached_factor(heat_kernel(), grid), 2, seed=1)
         target = tmp_path / "ens.csv"
-        write_ensemble_csv(ens, target)
+        write_ensemble_csv(ens, grid, target)
         lines = target.read_text().splitlines()
         assert lines[0] == "replicate,j,t,value"
         assert len(lines) == 1 + 2 * 3
@@ -826,7 +848,7 @@ class TestPersistence:
         assert first[:3] == ["0", "0", "0"]
         assert float(first[3]) == 0.0
         # 17-significant-digit floats survive a parse round trip
-        assert float(lines[2].split(",")[3]) == ens.values[0, 1]
+        assert float(lines[2].split(",")[3]) == ens[0, 1]
 
     def test_csv_bytes_match_one_cell_at_a_time(self, tmp_path):
         """The row-joined writer gives the bytes of formatting each value on its own."""
@@ -835,9 +857,8 @@ class TestPersistence:
             [0.0, -0.0, 0.1 + 0.2, -1e-300, 123456789.125, 5e-324],
             [0.0, 1.0, -2.5, 1 / 3, -0.0, 1e22],
         ])
-        ens = simulate.PathEnsemble(grid, values, "heat")
         target = tmp_path / "ens.csv"
-        write_ensemble_csv(ens, target)
+        write_ensemble_csv(values, grid, target)
         times = grid.times()
         expected = "replicate,j,t,value\n" + "".join(
             f"{rep},{j},{times[j]:.17g},{values[rep, j]:.17g}\n"
@@ -847,3 +868,22 @@ class TestPersistence:
         assert target.read_bytes() == expected.encode("utf-8")
         assert "\n0,1,0.20000000000000001,-0\n" in expected
         assert "\n0,2,0.40000000000000002,0.30000000000000004\n" in expected
+
+    def test_csv_peak_is_a_fraction_of_a_replicate(self, tmp_path):
+        """Two replicates at N = 2^16 go out with a tracemalloc peak under 12 MiB.
+
+        One joined string per replicate peaked at 16.5 MiB here, blocks of
+        _CSV_ROWS lines at 8.0; the bytes are still those of formatting
+        each cell on its own.
+        """
+        grid = Grid(2**16)
+        values = np.random.default_rng(3).standard_normal((2, grid.nsteps + 1))
+        target = tmp_path / "ens.csv"
+        assert _traced_peak(lambda: write_ensemble_csv(values, grid, target)) < 12 * 2**20
+        times = grid.times()
+        expected = "replicate,j,t,value\n" + "".join(
+            f"{rep},{j},{times[j]:.17g},{values[rep, j]:.17g}\n"
+            for rep in range(2)
+            for j in range(times.size)
+        )
+        assert target.read_bytes() == expected.encode("utf-8")

@@ -145,7 +145,7 @@ class TestAgainstNaiveLoops:
 @pytest.mark.parametrize("n", [16, 33, 256, 1000])
 def test_qn_is_bitwise_the_unit_weighted_alternating_sum(kernel, n):
     grid = Grid(n)
-    values = sample_paths(cached_factor(kernel, grid), 8, seed=3).values
+    values = sample_paths(cached_factor(kernel, grid), 8, seed=3)
     qn = qn_process_ensemble(values, grid)
     jn = alt_qv_weighted_ensemble(values, grid, CONST)
     assert np.array_equal(qn.view(np.uint64), jn.view(np.uint64))
@@ -346,7 +346,7 @@ class TestEnsembleLimits:
     def _values(self, n, m, seed):
         grid = Grid(n)
         factor = cached_factor(heat_kernel(), grid)
-        return grid, sample_paths(factor, m, seed).values
+        return grid, sample_paths(factor, m, seed)
 
     def test_bn_variance_near_one(self):
         grid, values = self._values(4096, 500, seed=7)

@@ -109,17 +109,17 @@ class TestRhsFormula:
     def test_linear_g_is_the_path_increment(self):
         """Both integral terms vanish; the RHS is exactly X(t_k) - X(0)."""
         grid = Grid(64)
-        x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 50, 3), sample_brownian(grid, 50, 3)
-        rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, LINEAR, 1.0)
-        assert np.array_equal(rhs, x_ens.values[:, 64] - x_ens.values[:, 0])
-        mid = sums.midpoint_sum_ensemble(x_ens.values, grid, LINEAR, 1)[:, 64]
+        x, b = draw_ensemble(heat_kernel(), grid, 50, 3), sample_brownian(grid, 50, 3)
+        rhs = rhs_formula_ensemble(x, b, grid, LINEAR, 1.0)
+        assert np.array_equal(rhs, x[:, 64] - x[:, 0])
+        mid = sums.midpoint_sum_ensemble(x, grid, LINEAR, 1)[:, 64]
         np.testing.assert_allclose(mid, rhs, atol=1e-13)
         assert ks_two_sample(mid, rhs) <= 2.0 / 50.0
 
     def test_time_only_g_cancels_exactly(self):
         grid = Grid(32)
-        x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 8, 5), sample_brownian(grid, 8, 5)
-        rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, _time_only(), 1.0)
+        x, b = draw_ensemble(heat_kernel(), grid, 8, 5), sample_brownian(grid, 8, 5)
+        rhs = rhs_formula_ensemble(x, b, grid, _time_only(), 1.0)
         assert np.all(rhs == 0.0)
 
     def test_scalar_second_derivative_broadcasts(self):
@@ -130,18 +130,17 @@ class TestRhsFormula:
 
         half_square = TestFunction("half_square", dx)
         grid = Grid(32)
-        x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 8, 5), sample_brownian(grid, 8, 5)
-        rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, grid, half_square, 1.0, c=0.5)
-        x, b = x_ens.values, b_ens.values
+        x, b = draw_ensemble(heat_kernel(), grid, 8, 5), sample_brownian(grid, 8, 5)
+        rhs = rhs_formula_ensemble(x, b, grid, half_square, 1.0, c=0.5)
         ito = np.sum(np.ones((8, 32)) * np.diff(b, axis=1), axis=1)
         head = 0.5 * x[:, 32] ** 2 - 0.5 * x[:, 0] ** 2
         assert np.array_equal(rhs, head - 0.5 * kappa_reference() * 0.25 * ito)
 
     def test_zero_scale_drops_the_correction(self):
         grid = Grid(32)
-        x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 8, 5), sample_brownian(grid, 8, 5)
-        rhs = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0, c=0.0)
-        target = trapezoid_target_ensemble(x_ens.values, grid, SQUARE, 1.0)
+        x, b = draw_ensemble(heat_kernel(), grid, 8, 5), sample_brownian(grid, 8, 5)
+        rhs = rhs_formula_ensemble(x, b, grid, SQUARE, 1.0, c=0.0)
+        target = trapezoid_target_ensemble(x, grid, SQUARE, 1.0)
         assert np.array_equal(rhs, target)
 
     def test_metadata_snaps_to_grid(self):
@@ -150,8 +149,8 @@ class TestRhsFormula:
         b = np.zeros(9)
         out = rhs_formula_ensemble(x[None, :], b[None, :], grid, SQUARE, 0.7, t_start=0.2)
         assert out[0] == 0.0
-        x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 2, 1), sample_brownian(grid, 2, 1)
-        paths = (x_ens.values, b_ens.values, grid, SQUARE)
+        x, b = draw_ensemble(heat_kernel(), grid, 2, 1), sample_brownian(grid, 2, 1)
+        paths = (x, b, grid, SQUARE)
         on_grid = rhs_formula_ensemble(*paths, 0.625, t_start=0.125)
         assert np.array_equal(rhs_formula_ensemble(*paths, 0.7, t_start=0.2), on_grid)
 
@@ -161,10 +160,10 @@ class TestRhsFormula:
             rhs_formula_ensemble(np.zeros((1, 5)), np.zeros((1, 4)), grid, SQUARE, 1.0)
 
     def test_mismatched_grids_rejected(self):
-        x_ens = draw_ensemble(heat_kernel(), Grid(8), 2, 1)
-        b_ens = sample_brownian(Grid(16), 2, 1)
+        x = draw_ensemble(heat_kernel(), Grid(8), 2, 1)
+        b = sample_brownian(Grid(16), 2, 1)
         with pytest.raises(DomainError):
-            rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0)
+            rhs_formula_ensemble(x, b, Grid(8), SQUARE, 1.0)
 
     def test_window_end_before_start_rejected(self):
         grid = Grid(8)
@@ -183,9 +182,9 @@ class TestTrapezoidTarget:
 
     def test_square_is_the_squared_increment(self):
         grid = Grid(16)
-        x_ens = draw_ensemble(heat_kernel(), grid, 6, 2)
-        target = trapezoid_target_ensemble(x_ens.values, grid, SQUARE, 1.0)
-        assert np.array_equal(target, x_ens.values[:, 16] ** 2 - x_ens.values[:, 0] ** 2)
+        x = draw_ensemble(heat_kernel(), grid, 6, 2)
+        target = trapezoid_target_ensemble(x, grid, SQUARE, 1.0)
+        assert np.array_equal(target, x[:, 16] ** 2 - x[:, 0] ** 2)
 
     def test_constant_g_gives_zero(self):
         grid = Grid(8)
@@ -349,8 +348,8 @@ class TestItoExperiment:
         """Chunked evaluation over three row blocks matches one full-ensemble RHS."""
         grid = Grid(32)
         rep = verify_ito_formula(n=32, m=600, seeds=1, seed=5)
-        x_ens, b_ens = draw_ensemble(heat_kernel(), grid, 600, 5), sample_brownian(grid, 600, 5)
-        full = rhs_formula_ensemble(x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0)
+        x, b = draw_ensemble(heat_kernel(), grid, 600, 5), sample_brownian(grid, 600, 5)
+        full = rhs_formula_ensemble(x, b, grid, SQUARE, 1.0)
         np.testing.assert_allclose([row[4] for row in rep.replicate_rows], full, rtol=0, atol=1e-12)
 
     def test_linear_g_identity_statistics(self):
@@ -369,11 +368,9 @@ class TestItoExperiment:
         mses = []
         for n in (64, 256, 1024):
             grid = Grid(n)
-            x_ens, b_ens = draw_ensemble(drift, grid, 4, 3), sample_brownian(grid, 4, 3)
-            mid = sums.midpoint_sum_ensemble(x_ens.values, grid, SQUARE, 1)[:, grid.index_at(1.0)]
-            rhs = rhs_formula_ensemble(
-                x_ens.values, b_ens.values, x_ens.grid, SQUARE, 1.0, c=0.0
-            )
+            x, b = draw_ensemble(drift, grid, 4, 3), sample_brownian(grid, 4, 3)
+            mid = sums.midpoint_sum_ensemble(x, grid, SQUARE, 1)[:, grid.index_at(1.0)]
+            rhs = rhs_formula_ensemble(x, b, grid, SQUARE, 1.0, c=0.0)
             mses.append(float(np.mean((mid - rhs) ** 2)))
         assert mses[0] > mses[1] > mses[2]
         assert mses[-1] < 1e-11
@@ -573,7 +570,7 @@ class TestLadderExperiments:
         assert [grid.n for grid, _ in drawn] == list(n_list)
         for grid, values in drawn:
             alone = sample_paths(cached_factor(kernel, grid), 5, 4)
-            assert np.array_equal(values.view(np.uint64), alone.values.view(np.uint64))
+            assert np.array_equal(values.view(np.uint64), alone.view(np.uint64))
 
     def test_ladder_opens_one_stream_per_replicate(self, monkeypatch):
         opened = []
@@ -615,7 +612,7 @@ class TestLadderExperiments:
 
         def whole(factors, m, seed, *args):
             for k, factor in enumerate(factors):
-                yield 0, m, k, sample_paths(factor, m, seed, *args).values
+                yield 0, m, k, sample_paths(factor, m, seed, *args)
 
         default = report()
         monkeypatch.setattr(verify, "path_tiles", whole)
@@ -869,12 +866,11 @@ _PINNED_KERNEL = CovKernel(
 
 
 def test_drifted_composite_draw_is_pinned():
-    ens = draw_ensemble(_PINNED_KERNEL, Grid(100, 2.5), 13, 5)
-    assert ens.kernel_id == "composite(c=1.3;heat+xi)|mean=[0.5, -1.0, 2.0]|drift"
-    digest = hashlib.sha256(ens.kernel_id.encode() + ens.values.tobytes()).hexdigest()
+    values = draw_ensemble(_PINNED_KERNEL, Grid(100, 2.5), 13, 5)
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
     assert digest == {
-        True: "f105625d3085a37a33020275ee4ecc645e4d053ff5da27cade50bb420ee8c3bc",
-        False: "12067cb8e7450e3d58846b47501779c47b32e740aabb9a395fa9534d6bf2c67e",
+        True: "25dadc57177a972708b89f69a46d2bde8604294178b49ba2358772d54abce7ae",
+        False: "9315364d463e31e8ecab1f880965be30a050597e9c0725c9f97db2a26c10c564",
     }[NUMPY_LOG_IS_LIBM]
 
 

@@ -30,7 +30,7 @@ REPEATS = 3
 
 def set_up(grid):
     """The heat factor of the grid with its fGn and Hankel factors, all built here."""
-    fgn = circulant_factor(fgn_quarter_autocov(grid), grid, "fbm_quarter")
+    fgn = circulant_factor(fgn_quarter_autocov(grid), grid)
     return heat_factor(fgn, hankel_factor(grid))
 
 
