@@ -127,7 +127,8 @@ _TILE_COLS = 16
 # of U^T at a time (`_expand`), and never split the inner dimension r.
 # 8 * r * 256 <= 2^18 for r up to _HANKEL_RANK_CAP, the size up to which
 # OpenBLAS's default build runs gemm on one thread: with 2 threads the
-# (8, 33) @ (33, 4096) heat product once took 8 ms, against 0.07 ms on one.
+# (8, 33) @ (33, 4096) heat product sometimes took 8 ms for a whole
+# process, against 0.07 ms on one (2-vCPU Xeon VM, OpenBLAS 0.3.31).
 # Blocks starting at multiples of 256 give each column the bits of the
 # one product, with one exception: where OpenBLAS has a small-matrix gemm
 # kernel (AVX-512 builds) and 8 r N exceeds the 10^6 up to which the one

@@ -872,9 +872,9 @@ class TestPersistence:
     def test_csv_peak_is_a_fraction_of_a_replicate(self, tmp_path):
         """Two replicates at N = 2^16 go out with a tracemalloc peak under 12 MiB.
 
-        One joined string per replicate peaked at 16.5 MiB here, blocks of
-        _CSV_ROWS lines at 8.0; the bytes are still those of formatting
-        each cell on its own.
+        One joined string per replicate peaked at 16.5 MiB, blocks of
+        _CSV_ROWS lines at 8.0 (Python 3.11); the bytes are still those of
+        formatting each cell on its own.
         """
         grid = Grid(2**16)
         values = np.random.default_rng(3).standard_normal((2, grid.nsteps + 1))
