@@ -19,7 +19,6 @@ from .analytic import (
     audit_cov_table,
     discrete_cov_table,
     gamma,
-    gauss_taylor,
     hermite_coefficients,
     kappa,
     kappa_reference,

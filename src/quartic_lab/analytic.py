@@ -3,24 +3,23 @@
 Everything here is deterministic: series constants with certified
 truncation bounds, integer Hermite coefficient algebra, an exact
 moment evaluator for jointly Gaussian polynomials (the pairing/Wick
-recursion), the Gaussian Taylor expansion built on top of it, and the
-discrete covariances of the heat-slice process together with an audit
-of the inequalities they must satisfy.
+recursion), and the discrete covariances of the heat-slice process
+together with an audit of the inequalities they must satisfy.
 
 `GaussianMoments` is the package's one exact-moment evaluator: every
 closed-form Gaussian moment, E[Z^k] of one standard normal included,
 is its `monomial` or `expectation` of a polynomial built with the
 sparse-polynomial algebra here.  It keeps whatever arithmetic it is
 given: Fractions in, Fractions out, so identity tests can be run with
-zero rounding.  The step count n of the covariance tables follows
-`kernels.step_count`, the rule `Grid` applies.
+zero rounding.  The step count n of the covariance tables, and their
+counts maxj and lag, follow `kernels.step_count`, the rule `Grid`
+applies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -147,17 +146,8 @@ def poly_from_coeffs(coeffs):
     return {(k,): c for k, c in enumerate(coeffs) if c != 0}
 
 
-def hermite_poly(n):
-    """h_n as a univariate sparse polynomial with integer coefficients."""
-    return poly_from_coeffs(hermite_coefficients(n))
-
-
 def poly_degree(poly):
     return max((sum(a) for a in poly), default=0)
-
-
-def poly_nvars(poly):
-    return len(next(iter(poly))) if poly else 0
 
 
 def poly_add(p, q):
@@ -196,16 +186,6 @@ def poly_diff(poly, var):
             continue
         key = a[:var] + (a[var] - 1,) + a[var + 1 :]
         out[key] = out.get(key, 0) + c * a[var]
-    return out
-
-
-def poly_diff_multi(poly, alpha):
-    out = poly
-    for var, k in enumerate(alpha):
-        for _ in range(k):
-            out = poly_diff(out, var)
-            if not out:
-                return out
     return out
 
 
@@ -289,110 +269,6 @@ class GaussianMoments:
         return total
 
 
-def binom(a, b):
-    """Binomial coefficient with the convention C(a, b) = 0 for b < 0 or b > a."""
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
-def multi_binom(gamma_vec, alpha_vec):
-    """Product of componentwise binomial coefficients C(gamma_i, alpha_i)."""
-    if len(gamma_vec) != len(alpha_vec):
-        raise DomainError("multi-index lengths must match")
-    out = 1
-    for g, a in zip(gamma_vec, alpha_vec):
-        if g < 0:
-            raise DomainError("upper multi-index entries must be nonnegative")
-        out *= binom(g, a)
-        if out == 0:
-            return 0
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Gaussian Taylor expansion of mixed moments.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GaussTaylorResult:
-    """Expansion, exact value, and their difference (the true remainder)."""
-
-    expansion: object
-    exact: object
-    remainder: object
-    order: int
-
-
-def gauss_taylor(f_poly, h_poly, xi_cov, rho, order):
-    """Expand E[f(xi) h(Y)] in powers of the cross-covariances rho.
-
-    xi is a centered Gaussian vector with covariance xi_cov, Y is standard
-    normal with E[xi_i Y] = rho[i].  The expansion through multi-index
-    order `order` is
-
-        sum_{|alpha| <= order} rho^alpha / alpha!
-            * E[d^alpha f(xi)] * E[h_{|alpha|}(Y) h(Y)]
-
-    and the exact value is computed by the same pairing recursion on the
-    joint (d+1)-variable Gaussian, so the returned remainder is the true
-    one, not an estimate.  Fraction inputs give exact arithmetic.
-    """
-    d = len(xi_cov)
-    if d == 0 or len(rho) != d:
-        raise DomainError("rho must have one entry per xi variable")
-    if d > MAX_GAUSS_DIM:
-        raise DomainError(f"gauss_taylor capped at {MAX_GAUSS_DIM} xi variables")
-    if order < 0:
-        raise DomainError("expansion order must be nonnegative")
-    if f_poly and poly_nvars(f_poly) != d:
-        raise DomainError("f must be a polynomial in the xi variables")
-    if h_poly and poly_nvars(h_poly) != 1:
-        raise DomainError("h must be univariate")
-    if poly_degree(f_poly) + poly_degree(h_poly) > MAX_GAUSS_DEGREE:
-        raise DomainError(f"total degree capped at {MAX_GAUSS_DEGREE}")
-
-    xi_moments = GaussianMoments(xi_cov)
-    y_moments = GaussianMoments(((1,),))
-
-    expansion = 0
-    for total in range(order + 1):
-        h_factor = y_moments.expectation(poly_mul(hermite_poly(total), h_poly))
-        if h_factor == 0:
-            continue
-        for alpha in _multi_indices(d, total):
-            deriv = poly_diff_multi(f_poly, alpha)
-            if not deriv:
-                continue
-            f_factor = xi_moments.expectation(deriv)
-            if f_factor == 0:
-                continue
-            weight = Fraction(1)
-            for r, a in zip(rho, alpha):
-                weight = weight * r**a
-            weight = weight * Fraction(1, math.prod(math.factorial(a) for a in alpha))
-            expansion = expansion + weight * f_factor * h_factor
-
-    joint = [list(row) + [r] for row, r in zip(xi_cov, rho)]
-    joint.append(list(rho) + [1])
-    joint_moments = GaussianMoments(joint)
-    exact = joint_moments.expectation(poly_product_disjoint(f_poly, h_poly))
-
-    return GaussTaylorResult(
-        expansion=expansion, exact=exact, remainder=exact - expansion, order=order
-    )
-
-
-def _multi_indices(d, total):
-    """All length-d tuples of nonnegative ints summing to `total`."""
-    if d == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _multi_indices(d - 1, total - first):
-            yield (first,) + rest
-
-
 # ---------------------------------------------------------------------------
 # Discrete covariances of the heat-slice process on a uniform grid.
 # ---------------------------------------------------------------------------
@@ -425,18 +301,14 @@ def _lag_cross(t, ell):
 def discrete_cov_table(n, maxj=None, lag=None):
     """Increment covariance table of the heat-slice process, by bilinearity.
 
-    n follows `kernels.step_count`, the rule `Grid` applies.  Raises
-    DomainError, before allocating, when the (maxj, lag) cross table and
-    the length-(maxj+1) work arrays (14 live at the peak) exceed
-    physical memory.
+    n, maxj (>= 1) and lag (>= 0) follow `kernels.step_count`, the rule
+    `Grid` applies.  Raises DomainError, before allocating, when the
+    (maxj, lag) cross table and the length-(maxj+1) work arrays (14 live
+    at the peak) exceed physical memory.
     """
     step_count(n)
-    maxj = int(maxj) if maxj is not None else int(n)
-    if maxj < 1:
-        raise DomainError("maxj must be >= 1")
-    lag = int(lag) if lag is not None else min(64, max(maxj - 1, 1))
-    if lag < 0:
-        raise DomainError("lag must be >= 0")
+    maxj = step_count(n if maxj is None else maxj, "maxj")
+    lag = min(64, max(maxj - 1, 1)) if lag is None else step_count(lag, "lag", least=0)
     _require_memory(8 * (maxj + 1) * (lag + 14), f"covariance table at maxj={maxj}, lag={lag}")
     t = np.arange(maxj + 1, dtype=np.float64) / n
     diag = rho_heat(t, t)
@@ -509,12 +381,12 @@ def audit_cov_table(n, maxj=None):
 
     The cross-covariance checks cover every pair i < j <= maxj, one lag
     at a time, so memory stays O(maxj) while the pair count is maxj^2/2.
-    n follows `kernels.step_count`.  Raises DomainError, before
+    n and maxj follow `kernels.step_count`.  Raises DomainError, before
     allocating, when its length-(maxj+1) work arrays (18 live at the
     peak) exceed physical memory.
     """
     step_count(n)
-    maxj = int(maxj) if maxj is not None else int(n)
+    maxj = step_count(n if maxj is None else maxj, "maxj")
     _require_memory(8 * 18 * (maxj + 1), f"covariance audit at maxj={maxj}")
     table = discrete_cov_table(n, maxj=maxj, lag=1)
     dt_half = math.sqrt(1.0 / n)

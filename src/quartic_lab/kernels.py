@@ -66,19 +66,21 @@ def finite_number(value):
     return bool(number and abs(value) <= sys.float_info.max)
 
 
-def step_count(n):
-    """Raise DomainError unless n is a usable step count per unit time.
+def step_count(n, name="n (steps per unit time)", least=1):
+    """n as an int; DomainError unless it is a usable count, by default of steps per unit time.
 
-    The package's one n rule, applied by `Grid` and by `analytic`'s
-    covariance tables: an integer (numpy's included, a bool not), at
-    least 1 and within float range.  So nan, 64.5 and 10**400 all fail.
+    The package's one count rule, applied by `Grid` and by `analytic`'s
+    covariance tables to n and, under their own name and least value,
+    to maxj and lag: an integer (numpy's included, a bool not), at least
+    `least` and within float range.  So nan, 64.5 and 10**400 all fail.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"n (steps per unit time) must be an integer, got {n!r}")
-    if n < 1:
-        raise DomainError(f"n (steps per unit time) must be >= 1, got {n!r}")
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise DomainError(f"{name} must be >= {least}, got {n!r}")
     if n > sys.float_info.max:
-        raise DomainError("n (steps per unit time) is beyond float range")
+        raise DomainError(f"{name} is beyond float range")
+    return int(n)
 
 
 def _check_nonnegative(s, t):
@@ -339,6 +341,9 @@ def _require_memory(need, what, hint=""):
         )
 
 
+# The dense oracle stays in the package, not in tests/, because
+# bench/tracing.py wraps `build_cov_matrix` to time it and count its bytes
+# (ROADMAP items 5 and 14 stage 2); no sampler calls it.
 def build_cov_matrix(kernel, grid):
     """Dense covariance matrix on grid times t_1 .. t_N: the tests' oracle.
 

@@ -609,6 +609,9 @@ def heat_factor(fgn, hankel):
     return HeatFactor(fgn, hankel, solved, mixing, cg_residual, grid)
 
 
+# The dense oracle stays in the package, not in tests/, because
+# bench/tracing.py wraps `factorize` to time and count it (ROADMAP items 5
+# and 14 stage 2); no sampler calls it.
 @dataclass(frozen=True)
 class CholeskyFactor:
     """A dense lower Cholesky factor from `factorize`, the tests' reference.

@@ -20,17 +20,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES, NUMPY_LOG_IS_LIBM
+from oracles import binom, compositions, embed, gauss_taylor, hermite_poly, multi_binom
 
 import quartic_lab
 from quartic_lab.analytic import (
     GaussianMoments,
     audit_cov_table,
-    binom,
-    gauss_taylor,
-    hermite_poly,
     kappa,
     kappa_reference,
-    multi_binom,
     poly_mul,
 )
 from quartic_lab.cli import EXPERIMENTS
@@ -197,9 +194,6 @@ def test_criterion_08_fbm_window():
 def test_criterion_09_hermite_taylor_suite():
     start = time.perf_counter()
 
-    def embed(poly, var):
-        return {(k, 0) if var == 0 else (0, k): c for (k,), c in poly.items()}
-
     # Exact rational arithmetic: at n = m = 8 the values reach 1.7e4, so a
     # float route could not certify an absolute 1e-10.
     one = Fraction(1)
@@ -209,7 +203,7 @@ def test_criterion_09_hermite_taylor_suite():
         for n in range(9):
             for m in range(9):
                 value = gm.expectation(
-                    poly_mul(embed(hermite_poly(n), 0), embed(hermite_poly(m), 1))
+                    poly_mul(embed(hermite_poly(n), 0, 2), embed(hermite_poly(m), 1, 2))
                 )
                 expect = Fraction(math.factorial(n)) * r**n if n == m else Fraction(0)
                 orth_err = max(orth_err, abs(float(value - expect)))
@@ -220,14 +214,6 @@ def test_criterion_09_hermite_taylor_suite():
         res = gauss_taylor({(4,): 1.0}, {(2,): 1.0}, ((1.0,),), (rho,), 1)
         rems.append(abs(float(res.remainder)))
     slope = loglog_rate(rhos, rems).slope
-
-    def compositions(total):
-        if total == 0:
-            yield ()
-            return
-        for head in range(1, total + 1):
-            for rest in compositions(total - head):
-                yield (head,) + rest
 
     lemmas_ok = True
     for a in range(9):

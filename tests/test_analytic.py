@@ -11,18 +11,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import binom, compositions, embed, gauss_taylor, hermite_poly, multi_binom
+
 from quartic_lab import kernels
 from quartic_lab.analytic import (
     GaussianMoments,
     audit_cov_table,
-    binom,
     discrete_cov_table,
     gamma,
-    gauss_taylor,
-    hermite_poly,
     kappa,
     kappa_reference,
-    multi_binom,
     offset_increment_cov,
     poly_add,
     poly_diff,
@@ -34,16 +32,6 @@ from quartic_lab.errors import DomainError
 from quartic_lab.functions import builtin
 from quartic_lab.kernels import rho_heat
 from quartic_lab.stats import loglog_rate
-
-
-def _embed(poly, var, nvars):
-    """Lift a univariate sparse polynomial into variable `var` of `nvars`."""
-    out = {}
-    for (k,), coeff in poly.items():
-        key = [0] * nvars
-        key[var] = k
-        out[tuple(key)] = coeff
-    return out
 
 
 class TestGamma:
@@ -206,7 +194,7 @@ class TestGaussianMoments:
             for n in range(9):
                 for m in range(9):
                     value = gm.expectation(
-                        poly_mul(_embed(hermite_poly(n), 0, 2), _embed(hermite_poly(m), 1, 2))
+                        poly_mul(embed(hermite_poly(n), 0, 2), embed(hermite_poly(m), 1, 2))
                     )
                     expect = Fraction(math.factorial(n)) * r**n if n == m else Fraction(0)
                     assert value == expect
@@ -222,10 +210,10 @@ class TestGaussianMoments:
                 gm = GaussianMoments(((Fraction(1), r), (r, Fraction(1))))
                 for n in range(1, 8):
                     lhs = gm.expectation(
-                        poly_mul(_embed(g, 0, 2), _embed(hermite_poly(n), 1, 2))
+                        poly_mul(embed(g, 0, 2), embed(hermite_poly(n), 1, 2))
                     )
                     rhs = r * gm.expectation(
-                        poly_mul(_embed(poly_diff(g, 0), 0, 2), _embed(hermite_poly(n - 1), 1, 2))
+                        poly_mul(embed(poly_diff(g, 0), 0, 2), embed(hermite_poly(n - 1), 1, 2))
                     )
                     assert lhs == rhs
 
@@ -236,12 +224,12 @@ class TestGaussianMoments:
 
         def f(r):
             gm = GaussianMoments(((Fraction(1), r), (r, Fraction(1))))
-            return gm.expectation(poly_mul(_embed(g, 0, 2), _embed(h, 1, 2)))
+            return gm.expectation(poly_mul(embed(g, 0, 2), embed(h, 1, 2)))
 
         r0 = Fraction(3, 10)
         gm0 = GaussianMoments(((Fraction(1), r0), (r0, Fraction(1))))
         target = gm0.expectation(
-            poly_mul(_embed(poly_diff(g, 0), 0, 2), _embed(poly_diff(h, 0), 1, 2))
+            poly_mul(embed(poly_diff(g, 0), 0, 2), embed(poly_diff(h, 0), 1, 2))
         )
         steps = [Fraction(1, 25), Fraction(1, 50), Fraction(1, 100), Fraction(1, 200)]
         errs = [abs((f(r0 + s) - f(r0 - s)) / (2 * s) - target) for s in steps]
@@ -339,14 +327,6 @@ class TestCombinatorics:
         """sum_{|alpha|=m, alpha<=gamma} (gamma over alpha) = C(|gamma|, m)."""
         import itertools
 
-        def compositions(total):
-            if total == 0:
-                yield ()
-                return
-            for head in range(1, total + 1):
-                for rest in compositions(total - head):
-                    yield (head,) + rest
-
         for tot in range(9):
             for gam in compositions(tot):
                 for m in range(tot + 1):
@@ -421,6 +401,27 @@ class TestDiscreteCovTable:
             discrete_cov_table(n)
         with pytest.raises(DomainError, match="must be an integer"):
             audit_cov_table(n)
+
+
+    @pytest.mark.parametrize(
+        "count, value, message",
+        [
+            ("maxj", 10.5, "must be an integer"),
+            ("maxj", True, "must be an integer"),
+            ("maxj", math.nan, "must be an integer"),
+            ("lag", 2.5, "must be an integer"),
+            ("lag", math.inf, "must be an integer"),
+            ("lag", -1, "must be >= 0"),
+        ],
+        ids=str,
+    )
+    def test_counts_follow_the_grid_rule(self, count, value, message):
+        # A count is never rounded or cast: 10.5 is not 10, nor True 1.
+        with pytest.raises(DomainError, match=f"{count} {message}"):
+            discrete_cov_table(64, **{count: value})
+        if count == "maxj":
+            with pytest.raises(DomainError, match=f"{count} {message}"):
+                audit_cov_table(64, maxj=value)
 
 
 class TestOffsetIncrementCov:

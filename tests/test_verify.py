@@ -430,7 +430,7 @@ _CONTROLS = {
     "bn/kernel=bm": ("bn", {"kernel": "bm"}),
 }
 # Experiments with no control yet: each needs a source mutation (ROADMAP item 4).
-_WITHOUT_CONTROL = {"trapezoid", "expansion"}
+_WITHOUT_CONTROL = {"expansion"}
 
 
 @pytest.mark.parametrize("experiment, overrides", _CONTROLS.values(), ids=_CONTROLS)
@@ -473,8 +473,25 @@ def test_bn_with_a_wrong_kappa_exits_one(scale, monkeypatch, tmp_path):
     assert len(ks) == 4 and not any(c["passed"] for c in ks)
 
 
+def _left_point_sum_ensemble(values, grid, g, deriv_order=0):
+    """sum g(X(t_{j-1}), t_{j-1}) dX_j: the Ito sum, which lacks the trapezoid's correction."""
+    gv = g.dx(deriv_order, values[:, :-1], grid.times()[None, :-1])
+    return sums._prefix(gv * np.diff(values, axis=1))
+
+
+def test_trapezoid_with_a_left_point_sum_exits_one(monkeypatch, tmp_path):
+    """The default trapezoid run fails both ladder gates on the left-point sum."""
+    monkeypatch.setattr(sums, "trapezoid_sum_ensemble", _left_point_sum_ensemble)
+    out = tmp_path / "out"
+    assert main(["verify", "--experiment", "trapezoid", "--out", str(out)]) == 1
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert {c["name"] for c in checks} == {"mse_monotone@t=1", "mse_final@t=1"}
+    assert not any(c["passed"] for c in checks)
+
+
 def test_every_experiment_has_a_control_or_is_listed_without_one():
-    controlled = {experiment for experiment, _ in _CONTROLS.values()} | {"ito"}
+    # ito's controls live in TestItoExperiment, trapezoid's just above.
+    controlled = {experiment for experiment, _ in _CONTROLS.values()} | {"ito", "trapezoid"}
     assert controlled.isdisjoint(_WITHOUT_CONTROL)
     assert controlled | _WITHOUT_CONTROL == set(EXPERIMENTS)
 
