@@ -150,21 +150,6 @@ def poly_degree(poly):
     return max((sum(a) for a in poly), default=0)
 
 
-def poly_add(p, q):
-    out = dict(p)
-    for a, c in q.items():
-        new = out.get(a, 0) + c
-        if new == 0:
-            out.pop(a, None)
-        else:
-            out[a] = new
-    return out
-
-
-def poly_scale(p, s):
-    return {a: s * c for a, c in p.items() if s * c != 0}
-
-
 def poly_mul(p, q):
     out = {}
     for a, ca in p.items():
@@ -186,16 +171,6 @@ def poly_diff(poly, var):
             continue
         key = a[:var] + (a[var] - 1,) + a[var + 1 :]
         out[key] = out.get(key, 0) + c * a[var]
-    return out
-
-
-def poly_product_disjoint(f, h):
-    """f(x_1..x_d) * h(y) as a polynomial in (x_1..x_d, y); {} when either is zero."""
-    out = {}
-    for a, ca in f.items():
-        for b, cb in h.items():
-            key = a + b
-            out[key] = out.get(key, 0) + ca * cb
     return out
 
 

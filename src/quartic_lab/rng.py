@@ -18,21 +18,11 @@ of draws), by at most 6 ULP (2,023 of 32,768,000 normals).  Regenerating
 with the same key is therefore bit-identical on any machine running the
 same numpy build with the same CPU dispatch.
 
-A replicate's path stream (ROLE_PATH) supplies as many normals as its
-sampler asks for (`simulate`), per kernel:
-
-* `bm`: N, where normal j is the j-th increment over sqrt(dt);
-* `fbm_quarter`: 2N, laid out as [re_0, re_N, Re_1 .. Re_{N-1},
-  Im_1 .. Im_{N-1}] over the FFT modes 0 .. N of the circulant sampler;
-* `heat`: 2N + r, the 2N of the fbm_quarter layout, then the r normals
-  of the rank-r residual correction (r about 17 to 50);
-* `xi`: r, one per row of its rank-r Hankel factor (17 at n = 64, 22 at
-  256, 26 at 1000);
-* composites: laid out as [part 0 | part 1], each component's count in
-  its own layout above (2N + r + r for c^2 heat + xi).
-
-A ROLE_BM stream feeds the Brownian backend, the N increments of the
-motion coupled to a replicate's path.
+Streams have roles.  A replicate's path stream (ROLE_PATH) supplies as
+many normals as its sampler's `normals_per_path`; how many that is per
+kernel, and how a sampler lays them out, is `simulate`'s to decide, and
+its module doc says.  A ROLE_BM stream feeds the Brownian backend, the
+N increments of the motion coupled to a replicate's path.
 
 Prefix contract: normals(key, a) is bit for bit normals(key, b)[:a] for
 every a <= b.  Each normal costs exactly one 64-bit Philox output, of

@@ -58,10 +58,11 @@ after synthesis.  There are five backends:
   drifted composite also carries its mean on the grid, t_0 included, and
   adds it to the paths it returns.
 
-Every factor carries its grid, which `path_tiles` and `sample_paths`
-read; `cached_factor` supplies it.
-
-Every backend maps one tile: `synthesize(z)` turns the
+A factor's interface is three names, the only ones `path_tiles` and
+`sample_paths` read: `grid`, the grid it draws on, which `cached_factor`
+supplies and whose `nsteps` is N; `normals_per_path`, the length of a
+replicate's normals in the layout above; and `synthesize`.  Every
+backend maps one tile: `synthesize(z)` turns the
 (_TILE_ROWS, normals_per_path) normals z of one tile of replicates into
 their (_TILE_ROWS, N + 1) paths, column 0 the zero at t_0 (a drifted
 composite then adds its mean to every column).  It allocates and
@@ -163,17 +164,13 @@ class BrownianFactor:
     grid: Grid
 
     @property
-    def dim(self):
-        return self.grid.nsteps
-
-    @property
     def normals_per_path(self):
-        return self.dim
+        return self.grid.nsteps
 
     def synthesize(self, z):
         """Paths cumsum(sqrt(dt) z[m]) of one tile of normals z, which it scales."""
         z *= math.sqrt(self.grid.dt)
-        paths = _new_paths(z.shape[0], self.dim)
+        paths = _new_paths(z.shape[0], self.grid.nsteps)
         np.cumsum(z, axis=1, out=paths[:, 1:])
         return paths
 
@@ -198,30 +195,21 @@ class CirculantFactor:
     grid: Grid
 
     @property
-    def dim(self):
-        return self.sqrt_eigs.size - 1
-
-    @property
     def normals_per_path(self):
-        return 2 * self.dim
+        return 2 * self.grid.nsteps
 
-    def weights(self, scale=1.0):
-        """Factors that turn normals into the half spectrum of scale times the increments."""
-        n = self.dim
-        # sqrt(2N) undoes irfft's 1/(2N); interior modes split lambda_k
-        # evenly between the real and imaginary parts.
-        weights = self.sqrt_eigs * (math.sqrt(n) * scale)
-        weights[[0, n]] *= math.sqrt(2.0)
-        return weights
-
-    def increments(self, z, weights):
-        """A tile's increments, in place: see the module doc.
+    def increments(self, z, scale=1.0):
+        """A tile's increments times scale, in place: see the module doc.
 
         The first 2N columns of z, normals, fill a (_TILE_ROWS, N+1)
         complex half spectrum whose inverse FFT overwrites them.  Returns
         the view z[:, :N].
         """
-        n = self.dim
+        n = self.grid.nsteps
+        # sqrt(2N) undoes irfft's 1/(2N); interior modes split lambda_k
+        # evenly between the real and imaginary parts.
+        weights = self.sqrt_eigs * (math.sqrt(n) * scale)
+        weights[[0, n]] *= math.sqrt(2.0)
         spec = np.empty((z.shape[0], n + 1), dtype=np.complex128)
         np.multiply(z[:, 0], weights[0], out=spec.real[:, 0])
         np.multiply(z[:, 1], weights[n], out=spec.real[:, n])
@@ -235,8 +223,8 @@ class CirculantFactor:
 
         The paths are allocated once `increments` has freed its half spectrum.
         """
-        inc = self.increments(z, self.weights())
-        paths = _new_paths(z.shape[0], self.dim)
+        inc = self.increments(z)
+        paths = _new_paths(z.shape[0], self.grid.nsteps)
         np.cumsum(inc, axis=1, out=paths[:, 1:])
         return paths
 
@@ -257,20 +245,12 @@ class HankelFactor:
     grid: Grid
 
     @property
-    def dim(self):
-        return self.basis.shape[1]
-
-    @property
-    def rank(self):
-        return self.basis.shape[0]
-
-    @property
     def normals_per_path(self):
-        return self.rank
+        return self.basis.shape[0]
 
     def synthesize(self, z):
         """Paths of a tile of (_TILE_ROWS, r) normals z."""
-        paths = _new_paths(z.shape[0], self.dim)
+        paths = _new_paths(z.shape[0], self.grid.nsteps)
         inc = _expand(z, self.basis, paths[:, 1:])
         np.cumsum(inc, axis=1, out=inc)
         return paths
@@ -310,24 +290,16 @@ class HeatFactor:
     grid: Grid
 
     @property
-    def dim(self):
-        return self.fgn.dim
-
-    @property
-    def rank(self):
-        return self.hankel.rank
-
-    @property
     def normals_per_path(self):
-        return 2 * self.dim + self.rank
+        return 2 * self.grid.nsteps + self.hankel.normals_per_path
 
     def synthesize(self, z):
         """Paths of a tile of (_TILE_ROWS, 2N + r) normals z, which it overwrites.
 
         The paths are allocated once `increments` has freed its half spectrum.
         """
-        n, r = self.dim, self.rank
-        inc = self.fgn.increments(z, self.fgn.weights(1.0 / FBM_HEAT_SCALE))
+        n, r = self.grid.nsteps, self.hankel.normals_per_path
+        inc = self.fgn.increments(z, 1.0 / FBM_HEAT_SCALE)
         proj = np.empty((_TILE_ROWS, r))
         for col in range(0, r, _TILE_COLS):
             cols = slice(col, min(col + _TILE_COLS, r))
@@ -356,10 +328,6 @@ class CompositeFactor:
     scale: float
     grid: Grid
     mean: np.ndarray | None = None
-
-    @property
-    def dim(self):
-        return self.parts[0].dim
 
     @property
     def normals_per_path(self):
@@ -401,15 +369,17 @@ def _new_paths(rows, n):
 
 
 def circulant_factor(autocov, grid):
-    """Davies-Harte factor from the increment autocovariance gamma(0 .. N).
+    """Davies-Harte factor from the increment autocovariance gamma(0 .. N), N the grid's.
 
-    Raises NotPositiveDefinite when an eigenvalue of the circulant
+    Raises DomainError when autocov is not the N + 1 values of the
+    grid, and NotPositiveDefinite when an eigenvalue of the circulant
     embedding is below -CIRCULANT_NEG_REL * lambda_max; rounding-size
     negatives are clipped to zero.
     """
+    n = grid.nsteps
     autocov = np.asarray(autocov, dtype=np.float64)
-    if autocov.ndim != 1 or autocov.size < 2:
-        raise DomainError("circulant_factor needs autocovariances gamma(0 .. N), N >= 1")
+    if autocov.shape != (n + 1,):
+        raise DomainError(f"circulant_factor needs gamma(0 .. {n}), got shape {autocov.shape}")
     row = np.concatenate([autocov, autocov[-2:0:-1]])
     eigs = np.fft.rfft(row).real
     lam_max = float(eigs.max())
@@ -590,8 +560,8 @@ def heat_factor(fgn, hankel):
     physical memory, and NotPositiveDefinite when I - U^T W is not
     positive definite.
     """
-    grid, n = fgn.grid, fgn.dim
-    basis, rank = hankel.basis, hankel.rank
+    grid = fgn.grid
+    n, basis, rank = grid.nsteps, hankel.basis, hankel.normals_per_path
     # U and W are two (r, N) arrays; the FFT tiles (one of 2N floats, two
     # of N+1 complex) take 6 _SOLVE_ROWS rows of N, and the O(N) tables and
     # conjugate-gradient vectors fewer than 24.
@@ -737,11 +707,10 @@ def sample_paths(factor, m, seed, role=rng.ROLE_PATH, first=0):
     stream keyed rng.derive_key(seed, first + r, role): role ROLE_PATH
     here and ROLE_BM for `sample_brownian`.
     """
-    if m < 1:
-        raise DomainError("sample_paths needs at least one replicate")
     grid = factor.grid
     _require_memory(8 * m * (grid.nsteps + 1), f"{m} paths at N={grid.nsteps}")
-    values = np.empty((m, grid.nsteps + 1), dtype=np.float64)
+    # path_tiles refuses m < 1 as the loop starts; max keeps np.empty from refusing first.
+    values = np.empty((max(m, 0), grid.nsteps + 1), dtype=np.float64)
     for start, stop, _, paths in path_tiles([factor], m, seed, role, first):
         values[start:stop] = paths
     return values

@@ -302,12 +302,9 @@ def head_reference_moments(kernel, g, t_end, t_start=0.0):
     v1 = float(kernel.rho(t_end, t_end))
     v0 = float(kernel.rho(t_start, t_start))
     c01 = float(kernel.rho(t_start, t_end))
-    # g(X(t_end)) - g(X(t_start)) as a polynomial in (X(t_end), X(t_start)).
-    one = {(0,): 1}
-    q = analytic.poly_add(
-        analytic.poly_product_disjoint(p, one),
-        analytic.poly_scale(analytic.poly_product_disjoint(one, p), -1),
-    )
+    # g(X(t_end)) - g(X(t_start)) as a polynomial in (X(t_end), X(t_start)):
+    # the constant terms cancel.
+    q = {(k, 0): c for (k,), c in p.items() if k} | {(0, k): -c for (k,), c in p.items() if k}
     moments = GaussianMoments([[v1, c01], [c01, v0]])
     mean = float(moments.expectation(q))
     second = float(moments.expectation(poly_mul(q, q)))
@@ -399,6 +396,9 @@ def verify_ito_formula(
         raise ConfigError("master seeds seed .. seed + seeds - 1 must stay below 2**64")
     if m < 2:
         raise ConfigError(f"{experiment_name} needs m >= 2 replicates for its sample variances")
+    # A constant g makes both sides of the formula identically 0, so no check could fail.
+    if g.poly_coeffs is not None and analytic.poly_degree(poly_from_coeffs(g.poly_coeffs)) == 0:
+        raise ConfigError(f"{experiment_name} needs a g of degree >= 1, got a constant")
     config = _config_block(experiment_name, verify_ito_formula, locals())
     grid = Grid(n, max(probes))
     times = grid.times()

@@ -43,7 +43,7 @@ def synthesize_rows(factor, z):
     changed.
     """
     rows, tile_rows = z.shape[0], simulate._TILE_ROWS
-    out = np.empty((rows, factor.dim))
+    out = np.empty((rows, factor.grid.nsteps))
     for start in range(0, rows, tile_rows):
         stop = min(start + tile_rows, rows)
         tile = np.zeros((tile_rows, z.shape[1]))

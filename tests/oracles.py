@@ -6,7 +6,8 @@ multi-index lemmas.  No `verify` experiment evaluates them, so they live
 here, next to the tests that check them, and not in the package.  They
 are built on the package's exact moment evaluator and sparse-polynomial
 algebra (`quartic_lab.analytic`), and keep its arithmetic: Fractions in,
-Fractions out.
+Fractions out.  The sum, scaling and disjoint product of polynomials are
+here too: only these oracles and the tests use them.
 """
 
 import math
@@ -22,9 +23,33 @@ from quartic_lab.analytic import (
     poly_diff,
     poly_from_coeffs,
     poly_mul,
-    poly_product_disjoint,
 )
 from quartic_lab.errors import DomainError
+
+
+def poly_add(p, q):
+    out = dict(p)
+    for a, c in q.items():
+        new = out.get(a, 0) + c
+        if new == 0:
+            out.pop(a, None)
+        else:
+            out[a] = new
+    return out
+
+
+def poly_scale(p, s):
+    return {a: s * c for a, c in p.items() if s * c != 0}
+
+
+def poly_product_disjoint(f, h):
+    """f(x_1..x_d) * h(y) as a polynomial in (x_1..x_d, y); {} when either is zero."""
+    out = {}
+    for a, ca in f.items():
+        for b, cb in h.items():
+            key = a + b
+            out[key] = out.get(key, 0) + ca * cb
+    return out
 
 
 def hermite_poly(n):

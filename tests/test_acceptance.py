@@ -287,11 +287,11 @@ from quartic_lab.kernels import Grid, build_cov_matrix, heat_kernel
 class DenseFactor:
     lower: np.ndarray
     grid: Grid
-    dim = normals_per_path = 1024
+    normals_per_path = 1024
 
     def synthesize(self, z):
         # One tile of normals, as every factor gets them.
-        paths = np.zeros((z.shape[0], self.dim + 1))
+        paths = np.zeros((z.shape[0], self.grid.nsteps + 1))
         np.matmul(z, self.lower.T, out=paths[:, 1:])
         return paths
 

@@ -11,7 +11,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import binom, compositions, embed, gauss_taylor, hermite_poly, multi_binom
+from oracles import (
+    binom,
+    compositions,
+    embed,
+    gauss_taylor,
+    hermite_poly,
+    multi_binom,
+    poly_add,
+    poly_scale,
+)
 
 from quartic_lab import kernels
 from quartic_lab.analytic import (
@@ -22,11 +31,9 @@ from quartic_lab.analytic import (
     kappa,
     kappa_reference,
     offset_increment_cov,
-    poly_add,
     poly_diff,
     poly_from_coeffs,
     poly_mul,
-    poly_scale,
 )
 from quartic_lab.errors import DomainError
 from quartic_lab.functions import builtin

@@ -252,6 +252,24 @@ def test_unusable_replicate_counts_are_refused(tmp_path, capsys, experiment, m, 
     assert not out.exists()
 
 
+# A constant g makes both sides of the change-of-variable formula
+# identically 0, so no check could fail; it is refused before any draw.
+@pytest.mark.parametrize(
+    "g", ["const", {"id": "poly_k", "coeffs": [0, 0, 0]}], ids=["const", "poly_k-zeros"]
+)
+@pytest.mark.parametrize("experiment", ["ito", "fbm-window"])
+def test_constant_g_is_refused(tmp_path, capsys, monkeypatch, experiment, g):
+    monkeypatch.setattr(verify, "path_tiles", lambda *args: pytest.fail("drew paths"))
+    config = tmp_path / "const.json"
+    config.write_text(json.dumps({"g": g, "n": 64, "m": 20, "seeds": 1}))
+    out = tmp_path / "run"
+    argv = ["verify", "--experiment", experiment, "--config", str(config), "--out", str(out)]
+    assert main(argv) == 2
+    message = f"config error: {experiment} needs a g of degree >= 1"
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_flags_are_checked_before_the_functional_options(tmp_path, capsys):
     argv = ["sums", "--functional", "qn", "--p", "5", "--n", "1", "--out", str(tmp_path / "x")]
     assert main(argv) == 2

@@ -188,10 +188,16 @@ class TestSamplePaths:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_no_replicates_refused(self, m):
+        factor = cached_factor(heat_kernel(), Grid(16))
+        with pytest.raises(DomainError, match="at least one replicate"):
+            sample_paths(factor, m, seed=1)
+
     def test_triangular_synthesis_matches_matrix_product(self):
         """xi's paths are the lower-triangular matrix of ones times U z'."""
         factor = cached_factor(CovKernel("xi"), Grid(1024))
-        z = np.random.default_rng(4).standard_normal((50, factor.rank))
+        z = np.random.default_rng(4).standard_normal((50, factor.normals_per_path))
         expected = (np.tril(np.ones((1024, 1024))) @ factor.basis.T @ z.T).T
         out = synthesize_rows(factor, z)
         assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -234,7 +240,7 @@ def _linear_map(factor, block=512):
     to float64 rounding, with no Monte Carlo.
     """
     count = factor.normals_per_path
-    cov = np.zeros((factor.dim, factor.dim))
+    cov = np.zeros((factor.grid.nsteps, factor.grid.nsteps))
     for start in range(0, count, block):
         rows = min(block, count - start)
         basis = np.zeros((rows, count))
@@ -262,7 +268,7 @@ LINEAR_MAP_SIZES = pytest.mark.parametrize("n", [8, 64, 512, 2048])
 
 def _block_increments(fgn, z, scale=1.0):
     """scale times the (M, N) Davies-Harte increments of the (M, 2N) normals z, in one FFT."""
-    n = fgn.dim
+    n = fgn.grid.nsteps
     weights = fgn.sqrt_eigs * (math.sqrt(n) * scale)
     weights[[0, n]] *= math.sqrt(2.0)
     spec = np.empty((z.shape[0], n + 1), dtype=np.complex128)
@@ -280,7 +286,7 @@ def _block_circulant_paths(factor, z):
 
 def _block_heat_paths(factor, z):
     """Heat paths with the fGn drawn for the whole block and zero-padded to whole tiles."""
-    n, r, tile_rows = factor.dim, factor.rank, simulate._TILE_ROWS
+    n, r, tile_rows = factor.grid.nsteps, factor.hankel.normals_per_path, simulate._TILE_ROWS
     rows = z.shape[0]
     height = -(-rows // tile_rows) * tile_rows
     inc = np.zeros((height, n))
@@ -371,7 +377,7 @@ class TestBrownianSampler:
 
     def test_no_dense_factor(self, no_dense):
         factor = cached_factor(CovKernel("bm"), Grid(1024))
-        assert factor.normals_per_path == factor.dim == 1024
+        assert factor.normals_per_path == factor.grid.nsteps == 1024
 
     def test_coupled_motion_is_the_scaled_cumsum_of_its_stream(self):
         """ROLE_BM paths are pinned bit for bit to their streams."""
@@ -399,7 +405,7 @@ class TestCirculantSampler:
     def test_certificate_stored_and_no_dense_factor(self, no_dense):
         factor = cached_factor(fbm_quarter_kernel(), Grid(1024))
         assert factor.certificate > 0
-        assert factor.normals_per_path == 2 * factor.dim == 2048
+        assert factor.normals_per_path == 2 * factor.grid.nsteps == 2048
 
     @pytest.mark.parametrize(
         "m", [1, simulate._TILE_ROWS - 1, simulate._TILE_ROWS + 1, 200],
@@ -441,6 +447,12 @@ class TestCirculantSampler:
         assert peak <= 16 * simulate._TILE_ROWS * (n + 1) + 8 * (n + 1) + 2**16
         assert paths[0].shape == (simulate._TILE_ROWS, n + 1) and not paths[0][:, 0].any()
 
+    @pytest.mark.parametrize("size", [32, 128])
+    def test_autocovariance_of_another_grid_rejected(self, size):
+        """gamma(0 .. N) must be the N + 1 values of the factor's own grid."""
+        with pytest.raises(DomainError, match=r"gamma\(0 \.\. 64\)"):
+            circulant_factor(fgn_quarter_autocov(Grid(size)), Grid(64))
+
     def test_negative_eigenvalue_row_rejected(self):
         # eigenvalues 1 + 1.8 cos(pi k / 4); the one at k = 4 is -0.8
         with pytest.raises(NotPositiveDefinite):
@@ -467,7 +479,7 @@ class TestHeatSampler:
         from scipy.linalg import toeplitz
 
         factor = cached_factor(heat_kernel(), grid)
-        n, r = factor.dim, factor.rank
+        n, r = factor.grid.nsteps, factor.hankel.normals_per_path
         eps = np.finfo(np.float64).eps
         steps = np.arange(n)
         hankel = 0.5 * math.sqrt(grid.dt) * gamma(steps[:, None] + steps + 1)
@@ -504,7 +516,7 @@ class TestHeatSampler:
         """The first 2N normals draw the fBm sampler's increments; the last r only the correction."""
         grid = Grid(256)
         heat = cached_factor(heat_kernel(), grid)
-        n, r = heat.dim, heat.rank
+        n, r = grid.nsteps, heat.hankel.normals_per_path
         z = stream_normals(heat, 5, 3)
         fgn = np.diff(sample_paths(cached_factor(fbm_quarter_kernel(), grid), 5, 3), axis=1)
         paths = synthesize_rows(heat, z)
@@ -520,7 +532,7 @@ class TestHeatSampler:
     def test_no_dense_factor(self, no_dense):
         built = cached_factor(heat_kernel(), Grid(1024))
         assert built.fgn.certificate > 0
-        assert 20 <= built.rank <= 40
+        assert 20 <= built.hankel.normals_per_path <= 40
 
     @TILE_CASES
     def test_tiles_match_the_block_wide_formula(self, n, m):
@@ -529,7 +541,7 @@ class TestHeatSampler:
     def test_tiled_solve_matches_the_block_wide_formula(self):
         grid = Grid(4096)
         factor = cached_factor(heat_kernel(), grid)
-        assert factor.rank == 33
+        assert factor.hankel.normals_per_path == 33
         args = (fgn_quarter_autocov(grid), factor.fgn.sqrt_eigs**2, factor.hankel.basis)
         solved, cg_residual = _block_solve_toeplitz(*args)
         assert np.array_equal(factor.solved.view(np.uint64), solved.view(np.uint64))
@@ -556,7 +568,7 @@ class TestHeatSampler:
         for name in ("rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
         cached_factor(heat_kernel(), grid)
-        assert sum(rows) <= 8 * factor.rank + 4 * iterations + 8
+        assert sum(rows) <= 8 * factor.hankel.normals_per_path + 4 * iterations + 8
 
     def test_set_up_peak_stays_within_its_guard(self, monkeypatch):
         """The heat set-up at Grid(4096), fGn and Hankel included, allocates at most 3 MiB,
@@ -662,7 +674,7 @@ def test_xi_draws_the_heat_set_up_hankel_factor():
     for n, rank in ((64, 17), (256, 22), (1000, 26)):
         xi = cached_factor(CovKernel("xi"), Grid(n))
         heat = cached_factor(heat_kernel(), Grid(n))
-        assert xi.normals_per_path == xi.rank == heat.rank == rank
+        assert xi.normals_per_path == xi.basis.shape[0] == rank
         assert heat.hankel is xi
 
 
@@ -684,7 +696,8 @@ def test_rank_products_stay_on_one_blas_thread(monkeypatch, kind):
 
     monkeypatch.setattr(np, "matmul", record)
     factor.synthesize(z)
-    expand = [(m, k, n) for m, k, n in calls if k == factor.rank]
+    rank = cached_factor(CovKernel("xi"), Grid(4096)).normals_per_path
+    expand = [(m, k, n) for m, k, n in calls if k == rank]
     assert sum(n for _, _, n in expand) == 4096
     assert all(m * k * n <= 2**18 for m, k, n in expand)
 
@@ -715,7 +728,7 @@ def test_composite_normals_are_part_0_then_part_1():
     expected = kernel.c * first + second
     paths = sample_paths(factor, 5, 3)[:, 1:]
     assert np.array_equal(paths.view(np.uint64), expected.view(np.uint64))
-    assert factor.normals_per_path == 2 * 256 + 2 * heat.rank
+    assert factor.normals_per_path == 2 * 256 + 2 * xi.normals_per_path
 
 
 _THREAD_DIGEST = """

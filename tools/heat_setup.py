@@ -3,9 +3,10 @@
     PYTHONPATH=src python tools/heat_setup.py [N ...]
 
 prints one JSON line per N (default 1024, 4096, 16384, 65536): the
-Hankel rank, the set-up time in seconds (best of 3), the tracemalloc
-peak of one more build in MiB and the stored Toeplitz-solve residual
-`cg_residual`.  A set-up is the fGn spectrum (`circulant_factor`), the
+Hankel rank r, which is the `normals_per_path` of the heat factor's
+Hankel part (the rows of its basis), the set-up time in seconds (best of
+3), the tracemalloc peak of one more build in MiB and the stored
+Toeplitz-solve residual `cg_residual`.  A set-up is the fGn spectrum (`circulant_factor`), the
 Hankel factor (`hankel_factor`) and the solve (`heat_factor`), built
 afresh each time: it reads only the package, and the factor cache, which
 would share the first two across builds, is not used.  The peak is that
@@ -50,7 +51,7 @@ def measure(n):
         tracemalloc.stop()
     return {
         "n": n,
-        "rank": factor.rank,
+        "rank": factor.hankel.normals_per_path,
         "setup_s": round(min(times), 4),
         "peak_mib": round(peak / 2**20, 2),
         "cg_residual": float(f"{factor.cg_residual:.3g}"),
